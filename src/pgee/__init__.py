@@ -10,7 +10,6 @@ scenario grids for type I error / power / SE-calibration studies.
 from .data import (
     Cluster,
     EstimatorId,
-    LEVERAGE_IDS,
     LongitudinalDataset,
     POOLING_IDS,
     WorkingModel,
@@ -70,7 +69,6 @@ __all__ = [
     "EstimatorId",
     "FitKernel",
     "FitOptions",
-    "LEVERAGE_IDS",
     "LongitudinalDataset",
     "OvercorrectionDiagnostic",
     "POOLING_IDS",

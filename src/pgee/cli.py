@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import EstimatorId, normalize_structure, read_csv, write_csv
 from .datagen import Scenario, calibrate_intercept, generate_dataset
-from .errors import DatasetError, PgeeError, ConfigError, SingularLeverage
+from .errors import DatasetError, PgeeError, ConfigError, SingularLeverage, ZeroSE
 from .fitting import FitOptions, PgeeFit, fit
 from .harness import (
     effective_workers,
@@ -102,6 +102,10 @@ def _rho_line(diag, colnames) -> str:
     return "rho_s: " + ", ".join(parts)
 
 
+def _unavailable_row(est: EstimatorId, reason: str) -> str:
+    return f"  {est.name:<10}{'—':>12}{'—':>10}{'—':>10}{'(' + reason + ')':>26}"
+
+
 def cmd_fit(args) -> int:
     try:
         dataset, wm, result = _fit_dataset(args)
@@ -133,6 +137,7 @@ def cmd_fit(args) -> int:
     lines = _fit_header_lines(dataset, wm, result)
     if result.kernel is not None:
         n_cl, p = dataset.n_clusters, dataset.p
+        estimates = {est: estimate_variance(result.kernel, est) for est in estimators}
         est_report = {}
         for coef_idx, name in enumerate(dataset.colnames):
             lines.append("")
@@ -145,7 +150,7 @@ def cmd_fit(args) -> int:
                 f"{'95% CI':>26}"
             )
             for est in estimators:
-                ve = estimate_variance(result.kernel, est)
+                ve = estimates[est]
                 entry = est_report.setdefault(
                     est.name,
                     {
@@ -155,15 +160,17 @@ def cmd_fit(args) -> int:
                     },
                 )
                 if not ve.computable:
-                    lines.append(
-                        f"  {est.name:<10}{'—':>12}{'—':>10}{'—':>10}"
-                        f"{'(' + str(ve.incomputable_reason) + ')':>26}"
-                    )
+                    lines.append(_unavailable_row(est, ve.incomputable_reason))
                     continue
-                wr = wald_test(
-                    result.beta[coef_idx], float(ve.se[coef_idx]), n_cl, p,
-                    null_value=args.null,
-                )
+                se = float(ve.se[coef_idx])
+                try:
+                    wr = wald_test(
+                        result.beta[coef_idx], se, n_cl, p, null_value=args.null
+                    )
+                except ZeroSE:
+                    entry["coefficients"][name] = {"se": se, "reason": "ZeroSE"}
+                    lines.append(_unavailable_row(est, "ZeroSE"))
+                    continue
                 entry["coefficients"][name] = {
                     "se": wr.se,
                     "t": wr.t,
@@ -324,8 +331,8 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     reps = 5000 if args.full else args.reps
-    workers = effective_workers(args.workers)
     try:
+        workers = effective_workers(args.workers)
         results = run_grid(
             specs,
             reps,

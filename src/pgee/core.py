@@ -22,9 +22,12 @@ provided for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 from scipy.special import expit
 
 from .data import LongitudinalDataset, Cluster
@@ -128,13 +131,27 @@ def cluster_quantities(
     )
 
 
+class LeverageGeometry(NamedTuple):
+    """Residual-independent leverage factorization of one cluster.
+
+    ``L`` is the Cholesky factor of vmat, ``dt = L^{-1} dmat``, and
+    ``lam``, ``Q`` the eigendecomposition of the symmetric hat form
+    ``dt @ info_inv @ dt'``, which is similar to the hat block.
+    """
+
+    L: np.ndarray
+    dt: np.ndarray
+    lam: np.ndarray
+    Q: np.ndarray
+
+
 @dataclass(frozen=True)
 class FitKernel:
     """Assembled kernel: per-cluster quantities plus the sensitivity matrix.
 
     ``info`` is the p x p sum of cluster informations and ``info_inv`` its
-    inverse.  The private geometry cache memoizes residual-independent
-    leverage factorizations and is shared by ``with_residuals`` copies.
+    inverse.  ``geometry`` holds each cluster's leverage factorization,
+    computed on first use.
     """
 
     beta: np.ndarray
@@ -145,7 +162,6 @@ class FitKernel:
     cq: tuple
     info: np.ndarray
     info_inv: np.ndarray
-    _geom_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_clusters(self) -> int:
@@ -167,6 +183,18 @@ class FitKernel:
     def balanced(self) -> bool:
         return self.data.balanced
 
+    @cached_property
+    def geometry(self) -> tuple[LeverageGeometry, ...]:
+        """Per-cluster :class:`LeverageGeometry`, in cluster order."""
+        out = []
+        for q in self.cq:
+            L = np.linalg.cholesky(q.vmat)
+            dt = solve_triangular(L, q.dmat, lower=True, check_finite=False)
+            S = dt @ self.info_inv @ dt.T
+            lam, Q = np.linalg.eigh(0.5 * (S + S.T))
+            out.append(LeverageGeometry(L, dt, lam, Q))
+        return tuple(out)
+
     def hat_block(self, i: int) -> np.ndarray:
         """Hat-matrix block of cluster i: dmat @ info_inv @ dmat' @ vinv."""
         q = self.cq[i]
@@ -183,29 +211,8 @@ class FitKernel:
         new_cq = []
         for q, r in zip(self.cq, residuals):
             r = np.asarray(r, dtype=float)
-            new_cq.append(
-                ClusterQuantities(
-                    mu=q.mu,
-                    w=q.w,
-                    dmat=q.dmat,
-                    vmat=q.vmat,
-                    vinv=q.vinv,
-                    resid=r,
-                    info=q.info,
-                    score=q.dmat.T @ (q.vinv @ r),
-                )
-            )
-        return FitKernel(
-            beta=self.beta,
-            structure=self.structure,
-            alpha=self.alpha,
-            phi=self.phi,
-            data=self.data,
-            cq=tuple(new_cq),
-            info=self.info,
-            info_inv=self.info_inv,
-            _geom_cache=self._geom_cache,
-        )
+            new_cq.append(replace(q, resid=r, score=q.dmat.T @ (q.vinv @ r)))
+        return replace(self, cq=tuple(new_cq))
 
 
 def assemble_kernel(

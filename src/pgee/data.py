@@ -257,19 +257,6 @@ POOLING_IDS = frozenset(
     {EstimatorId.PAN, EstimatorId.GST, EstimatorId.WL, EstimatorId.WB, EstimatorId.RS}
 )
 
-#: Estimators that require (I - H_ii) to be invertible.
-LEVERAGE_IDS = frozenset(
-    {
-        EstimatorId.KC,
-        EstimatorId.MD,
-        EstimatorId.WL,
-        EstimatorId.WB,
-        EstimatorId.FW,
-        EstimatorId.FZ,
-        EstimatorId.AR,
-    }
-)
-
 
 def validate_dataset(
     rows: Iterable[tuple],

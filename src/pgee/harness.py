@@ -309,7 +309,10 @@ def effective_workers(requested: int) -> int:
     """Requested worker count capped by the PGEE_THREADS environment variable."""
     cap = os.environ.get("PGEE_THREADS")
     if cap:
-        return max(1, min(requested, int(cap)))
+        try:
+            requested = min(requested, int(cap))
+        except ValueError:
+            raise ConfigError(f"PGEE_THREADS must be an integer, got {cap!r}") from None
     return max(1, requested)
 
 

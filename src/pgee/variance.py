@@ -1,31 +1,45 @@
 """Sandwich covariance estimators, overcorrection diagnostic, Wald inference.
 
-Fourteen estimators are indexed by :class:`~pgee.data.EstimatorId`.  All
-share the outer sandwich ``info_inv @ M @ info_inv`` and differ in the
-middle matrix M:
+Fourteen estimators are indexed by :class:`~pgee.data.EstimatorId`.  Each
+is ``info_inv @ M @ info_inv + r * info_inv``, symmetrized once, where the
+middle M is one entry of the table ``_MIDDLES`` and the ridge scalar r is
+zero except for the two entries of ``_RIDGES``.  Every entry is a short
+formula over shared ingredients:
 
-    LZ   outer products of cluster scores
-    DF   LZ inflated by N / (N - p)
-    KC   residuals corrected by (I - H)^{-1/2}
-    MD   residuals corrected by (I - H)^{-1}
-    FG   score-level diagonal leverage inflation with clipping
-    MBN  finite-population and Bessel factors on mean-centered scores,
-         plus a trace-scaled ridge
-    PAN  pooled unscaled correlation across clusters (1/N)
-    GST  pooled correlation with 1/(N - p)
-    WL   pooling with the full leverage correction inside the pool
-    WB   pooling with exponent-c leverage correction (default c = 1/2)
-    RS   PAN plus a determinant-scaled ridge
-    FW   entrywise average of KC and MD
-    FZ   full leverage correction minus estimated cross-cluster
-         contamination (middle matrix can be indefinite)
-    AR   leverage-corrected scores, mean-centered, scaled by the
-         finite-population and Bessel factors
+    f_c      cluster scores corrected by (I - H)^{-c}, c in {0, 1/2, 1}, as
+             an (N, p) array (f_0 are the plain scores U_i); outer(f) is
+             sum_i f_i f_i' and centered(f) the same after mean-centering
+    RU_c     pooled correlation of the corrected residuals
+             W^{-1/2} (I - H)^{-c} r, with T_i = dmat_i' vinv_i W_i^{1/2}
+    factors  N / (N - p); c_N = (n* - 1) / (n* - p) * N / (N - 1), the
+             finite-population and Bessel factor; delta_N =
+             min(1/2, p / (N - p)); kappa; the determinant ridge
+    FZ term  sum_i P_i info_inv (sum_{j != i} U_j U_j') info_inv P_i',
+             the cross-cluster contamination, P_i = dmat_i' vinv_i
+             (I - H)^{-1} dmat_i
+
+    LZ   outer(f_0)
+    DF   N / (N - p) * outer(f_0)
+    KC   outer(f_1/2)
+    MD   outer(f_1)
+    FG   outer(f_0) with U_i scaled by (1 - min(0.75, diag(A_i info_inv)))^-1/2
+    MBN  c_N * centered(f_0), ridge delta_N * kappa,
+         kappa = max(1, trace(info_inv centered(f_0)) / p)
+    PAN  sum_i T_i RU_0 T_i' with RU_0 over N
+    GST  the same with RU_0 over N - p
+    WL   RU_1 over N
+    WB   RU_1/2 over N
+    RS   the PAN middle, ridge delta_N * max(1, |det(info_inv M)|^{1/p})
+    FW   (outer(f_1/2) + outer(f_1)) / 2, the average of KC and MD
+    FZ   outer(f_1) minus the FZ term; the middle can be indefinite
+    AR   c_N * centered(f_1): the score-level leverage correction kept,
+         then the finite-sample translation
 
 Leverage powers are computed on a symmetric similar form: with the
 Cholesky factor L of the cluster covariance and ``dt = L^{-1} dmat``, the
 matrix ``S = dt @ info_inv @ dt'`` is symmetric positive semidefinite with
 eigenvalues in [0, 1), and ``(I - H)^{-c} r = L Q (1-lam)^{-c} Q' L^{-1} r``.
+The factorization is ``FitKernel.geometry``, computed once per kernel.
 
 Pooling estimators require equal cluster sizes; on unbalanced data they
 are reported as not computable (never a wrong number).  A cluster whose
@@ -50,10 +64,10 @@ from .errors import SingularLeverage, ZeroSE
 #: hat block falls at or below this threshold.
 LEVERAGE_TOL = 1e-10
 
-#: Default pooled leverage exponent for the WB estimator.
+#: Pooled leverage exponent of the WB estimator.
 WB_EXPONENT = 0.5
 
-#: Default clipping threshold for the FG diagonal leverage inflation.
+#: Clipping threshold of the FG diagonal leverage inflation.
 FG_CLIP = 0.75
 
 _REASON_UNBALANCED = "UnbalancedPooling"
@@ -95,56 +109,29 @@ class WaldResult:
     ci_high: float
 
 
-def _geometry(kernel: FitKernel, i: int):
-    """Residual-independent leverage factorization for cluster i.
+def _corrected(kernel: FitKernel, c: float):
+    """Scores and residuals corrected by (I - H)^{-c}, in cluster order.
 
-    Returns (L, dt, lam, Q): Cholesky factor of vmat, transformed
-    derivative matrix, and the eigendecomposition of the symmetrized hat
-    block.  Cached on the kernel.
+    Returns (f, resid): f is the (N, p) array whose rows are
+    dmat' vinv (I - H)^{-c} r, and resid the list of (I - H)^{-c} r.
+    c = 0 returns the plain scores and residuals.  Raises SingularLeverage
+    when c > 0 and some (I - H) is numerically singular.
     """
-    cache = kernel._geom_cache
-    key = ("geom", i)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    q = kernel.cq[i]
-    L = np.linalg.cholesky(q.vmat)
-    dt = solve_triangular(L, q.dmat, lower=True, check_finite=False)
-    S = dt @ kernel.info_inv @ dt.T
-    lam, Q = np.linalg.eigh(0.5 * (S + S.T))
-    out = (L, dt, lam, Q)
-    cache[key] = out
-    return out
-
-
-def _check_invertible(kernel: FitKernel, i: int, lam: np.ndarray) -> None:
-    if 1.0 - lam[-1] <= LEVERAGE_TOL:
-        cid = kernel.data.clusters[i].id
-        raise SingularLeverage(
-            f"cluster {cid}: (I - H) numerically singular "
-            f"(max hat eigenvalue {lam[-1]:.12g})",
-            cluster_id=cid,
-        )
-
-
-def _corrected_pieces(kernel: FitKernel, i: int, c: float):
-    """Score and residual corrected by (I - H)^{-c} for cluster i.
-
-    Returns (f, corrected_resid) where f = dmat' vinv (I-H)^{-c} r and
-    corrected_resid = (I-H)^{-c} r.
-    """
-    q = kernel.cq[i]
     if c == 0.0:
-        return q.score, q.resid
-    L, dt, lam, Q = _geometry(kernel, i)
-    _check_invertible(kernel, i, lam)
-    rt = solve_triangular(L, q.resid, lower=True, check_finite=False)
-    z = Q.T @ rt
-    z = z * (1.0 - lam) ** (-c)
-    u = Q @ z
-    f = dt.T @ u
-    corrected = L @ u
-    return f, corrected
+        return np.array([q.score for q in kernel.cq]), [q.resid for q in kernel.cq]
+    scores, resids = [], []
+    for q, g, cluster in zip(kernel.cq, kernel.geometry, kernel.data.clusters):
+        if 1.0 - g.lam[-1] <= LEVERAGE_TOL:
+            raise SingularLeverage(
+                f"cluster {cluster.id}: (I - H) numerically singular "
+                f"(max hat eigenvalue {g.lam[-1]:.12g})",
+                cluster_id=cluster.id,
+            )
+        rt = solve_triangular(g.L, q.resid, lower=True, check_finite=False)
+        u = g.Q @ ((g.Q.T @ rt) * (1.0 - g.lam) ** (-c))
+        scores.append(g.dt.T @ u)
+        resids.append(g.L @ u)
+    return np.array(scores), resids
 
 
 def leverage_scores(kernel: FitKernel, c: float) -> list:
@@ -156,191 +143,126 @@ def leverage_scores(kernel: FitKernel, c: float) -> list:
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"leverage exponent must lie in [0, 1], got {c}")
-    return [_corrected_pieces(kernel, i, c)[0] for i in range(kernel.n_clusters)]
+    return list(_corrected(kernel, c)[0])
 
 
-def _fz_pmat(kernel: FitKernel, i: int) -> np.ndarray:
-    """P_i = dmat' vinv (I - H)^{-1} dmat, used by the FZ middle."""
-    cache = kernel._geom_cache
-    key = ("fz_pmat", i)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    L, dt, lam, Q = _geometry(kernel, i)
-    _check_invertible(kernel, i, lam)
-    z = Q.T @ dt
-    z = z * ((1.0 - lam) ** (-1.0))[:, None]
-    out = dt.T @ (Q @ z)
-    cache[key] = out
-    return out
+def _outer(kernel: FitKernel, c: float) -> np.ndarray:
+    """sum_i f_i f_i' over the scores corrected with exponent c."""
+    return sum(np.outer(f, f) for f in _corrected(kernel, c)[0])
 
 
-def _middle_lz(kernel: FitKernel) -> np.ndarray:
-    p = kernel.p
-    m = np.zeros((p, p))
+def _centered(kernel: FitKernel, c: float) -> np.ndarray:
+    """Outer-product sum of the corrected scores after mean-centering."""
+    f = _corrected(kernel, c)[0]
+    f = f - f.mean(axis=0)
+    return f.T @ f
+
+
+def _pooled(kernel: FitKernel, c: float, denom: float) -> np.ndarray:
+    """sum_i T_i RU T_i' for the pooled correlation RU of the corrected
+    residuals scaled by W^{-1/2}, with T_i = dmat' vinv W^{1/2}."""
+    _, resids = _corrected(kernel, c)
+    scaled = (r / np.sqrt(q.w) for r, q in zip(resids, kernel.cq))
+    ru = sum(np.outer(e, e) for e in scaled) / denom
+    tmats = (q.dmat.T @ q.vinv * np.sqrt(q.w)[None, :] for q in kernel.cq)
+    return sum(t @ ru @ t.T for t in tmats)
+
+
+def _fg(kernel: FitKernel) -> np.ndarray:
+    """Scores inflated by (1 - min(FG_CLIP, diag(A_i info_inv)))^{-1/2}."""
+    m = np.zeros((kernel.p, kernel.p))
     for q in kernel.cq:
-        m += np.outer(q.score, q.score)
+        lev = np.diag(q.info @ kernel.info_inv)
+        g = (1.0 - np.minimum(FG_CLIP, lev)) ** -0.5 * q.score
+        m += np.outer(g, g)
     return m
 
 
-def _middle_outer(scores) -> np.ndarray:
-    p = scores[0].shape[0]
-    m = np.zeros((p, p))
-    for f in scores:
-        m += np.outer(f, f)
+def _fz(kernel: FitKernel) -> np.ndarray:
+    """MD middle minus each cluster's cross-cluster contamination
+    P_i info_inv (sum_{j != i} U_j U_j') info_inv P_i', with
+    P_i = dmat' vinv (I - H)^{-1} dmat."""
+    lz = _outer(kernel, 0.0)
+    m = np.zeros((kernel.p, kernel.p))
+    for q, g, f in zip(kernel.cq, kernel.geometry, _corrected(kernel, 1.0)[0]):
+        pmat = g.dt.T @ (g.Q @ ((g.Q.T @ g.dt) * ((1.0 - g.lam) ** -1.0)[:, None]))
+        others = lz - np.outer(q.score, q.score)
+        contamination = pmat @ kernel.info_inv @ others @ kernel.info_inv @ pmat.T
+        m += np.outer(f, f) - contamination
     return m
 
 
 def _fpc_bessel(kernel: FitKernel) -> float:
-    n_star = kernel.n_total
-    n_clusters = kernel.n_clusters
-    p = kernel.p
+    n_star, n_clusters, p = kernel.n_total, kernel.n_clusters, kernel.p
     return (n_star - 1) / (n_star - p) * n_clusters / (n_clusters - 1)
 
 
-def _centered_outer(scores) -> np.ndarray:
-    arr = np.asarray(scores)
-    centered = arr - arr.mean(axis=0)
-    return centered.T @ centered
-
-
-def _pooled_correlation(kernel: FitKernel, c: float, denom: float) -> np.ndarray:
-    """Pooled unscaled correlation with optional leverage exponent c."""
-    n = kernel.cluster_sizes[0]
-    ru = np.zeros((n, n))
-    for i, q in enumerate(kernel.cq):
-        _, corrected = _corrected_pieces(kernel, i, c)
-        e = corrected / np.sqrt(q.w)
-        ru += np.outer(e, e)
-    return ru / denom
-
-
-def _pooled_middle(kernel: FitKernel, ru: np.ndarray) -> np.ndarray:
-    p = kernel.p
-    m = np.zeros((p, p))
-    for q in kernel.cq:
-        tmat = q.dmat.T @ q.vinv * np.sqrt(q.w)[None, :]
-        m += tmat @ ru @ tmat.T
-    return m
-
-
-def _sandwich(kernel: FitKernel, middle: np.ndarray) -> np.ndarray:
-    v = kernel.info_inv @ middle @ kernel.info_inv
-    return 0.5 * (v + v.T)
-
-
 def _delta_n(kernel: FitKernel) -> float:
-    n_clusters, p = kernel.n_clusters, kernel.p
-    return min(0.5, p / (n_clusters - p))
+    return min(0.5, kernel.p / (kernel.n_clusters - kernel.p))
 
 
-def estimate_variance(
-    kernel: FitKernel,
-    estimator: EstimatorId,
-    wb_exponent: float = WB_EXPONENT,
-    fg_clip: float = FG_CLIP,
-) -> VarianceEstimate:
+#: Middle matrix M of each estimator.
+_MIDDLES = {
+    EstimatorId.LZ: lambda k: _outer(k, 0.0),
+    EstimatorId.DF: lambda k: k.n_clusters / (k.n_clusters - k.p) * _outer(k, 0.0),
+    EstimatorId.KC: lambda k: _outer(k, 0.5),
+    EstimatorId.MD: lambda k: _outer(k, 1.0),
+    EstimatorId.FG: _fg,
+    EstimatorId.MBN: lambda k: _fpc_bessel(k) * _centered(k, 0.0),
+    EstimatorId.PAN: lambda k: _pooled(k, 0.0, k.n_clusters),
+    EstimatorId.GST: lambda k: _pooled(k, 0.0, k.n_clusters - k.p),
+    EstimatorId.WL: lambda k: _pooled(k, 1.0, k.n_clusters),
+    EstimatorId.WB: lambda k: _pooled(k, WB_EXPONENT, k.n_clusters),
+    EstimatorId.RS: lambda k: _pooled(k, 0.0, k.n_clusters),
+    EstimatorId.FW: lambda k: 0.5 * (_outer(k, 0.5) + _outer(k, 1.0)),
+    EstimatorId.FZ: _fz,
+    EstimatorId.AR: lambda k: _fpc_bessel(k) * _centered(k, 1.0),
+}
+
+#: Ridge scalar r of the estimators that add r * info_inv, given the
+#: kernel and the middle.
+_RIDGES = {
+    EstimatorId.MBN: lambda k, m: _delta_n(k)
+    * max(1.0, float(np.trace(k.info_inv @ _centered(k, 0.0))) / k.p),
+    EstimatorId.RS: lambda k, m: _delta_n(k)
+    * max(1.0, abs(np.linalg.det(k.info_inv @ m)) ** (1.0 / k.p)),
+}
+
+
+def _incomputable(estimator: EstimatorId, reason: str, cov=None) -> VarianceEstimate:
+    return VarianceEstimate(
+        id=estimator, cov=cov, se=None, computable=False, incomputable_reason=reason
+    )
+
+
+def estimate_variance(kernel: FitKernel, estimator: EstimatorId) -> VarianceEstimate:
     """Evaluate one covariance estimator at an assembled kernel.
 
+    The covariance is ``info_inv @ M @ info_inv + r * info_inv`` for the
+    estimator's middle M and ridge r (zero unless listed in ``_RIDGES``).
     Pooling estimators on unbalanced data and leverage estimators on
     clusters with singular (I - H) come back flagged as not computable;
     an indefinite FZ middle with a negative variance diagonal is flagged
     likewise rather than reporting an invalid standard error.
     """
-    n_clusters = kernel.n_clusters
-    p = kernel.p
-
     if estimator in POOLING_IDS and not kernel.balanced:
-        return VarianceEstimate(
-            id=estimator,
-            cov=None,
-            se=None,
-            computable=False,
-            incomputable_reason=_REASON_UNBALANCED,
-        )
-
+        return _incomputable(estimator, _REASON_UNBALANCED)
     try:
-        if estimator is EstimatorId.LZ:
-            cov = _sandwich(kernel, _middle_lz(kernel))
-        elif estimator is EstimatorId.DF:
-            cov = (n_clusters / (n_clusters - p)) * _sandwich(kernel, _middle_lz(kernel))
-        elif estimator is EstimatorId.KC:
-            cov = _sandwich(kernel, _middle_outer(leverage_scores(kernel, 0.5)))
-        elif estimator is EstimatorId.MD:
-            cov = _sandwich(kernel, _middle_outer(leverage_scores(kernel, 1.0)))
-        elif estimator is EstimatorId.FG:
-            m = np.zeros((p, p))
-            for q in kernel.cq:
-                lmat_diag = np.diag(q.info @ kernel.info_inv)
-                fdiag = (1.0 - np.minimum(fg_clip, lmat_diag)) ** -0.5
-                g = fdiag * q.score
-                m += np.outer(g, g)
-            cov = _sandwich(kernel, m)
-        elif estimator is EstimatorId.MBN:
-            scores = [q.score for q in kernel.cq]
-            centered = _centered_outer(scores)
-            kappa = max(1.0, float(np.trace(kernel.info_inv @ centered)) / p)
-            cov = _sandwich(kernel, _fpc_bessel(kernel) * centered)
-            cov = cov + kappa * _delta_n(kernel) * kernel.info_inv
-            cov = 0.5 * (cov + cov.T)
-        elif estimator is EstimatorId.PAN:
-            ru = _pooled_correlation(kernel, 0.0, float(n_clusters))
-            cov = _sandwich(kernel, _pooled_middle(kernel, ru))
-        elif estimator is EstimatorId.GST:
-            ru = _pooled_correlation(kernel, 0.0, float(n_clusters - p))
-            cov = _sandwich(kernel, _pooled_middle(kernel, ru))
-        elif estimator is EstimatorId.WL:
-            ru = _pooled_correlation(kernel, 1.0, float(n_clusters))
-            cov = _sandwich(kernel, _pooled_middle(kernel, ru))
-        elif estimator is EstimatorId.WB:
-            ru = _pooled_correlation(kernel, wb_exponent, float(n_clusters))
-            cov = _sandwich(kernel, _pooled_middle(kernel, ru))
-        elif estimator is EstimatorId.RS:
-            ru = _pooled_correlation(kernel, 0.0, float(n_clusters))
-            middle = _pooled_middle(kernel, ru)
-            d_det = max(1.0, abs(np.linalg.det(kernel.info_inv @ middle)) ** (1.0 / p))
-            cov = _sandwich(kernel, middle) + _delta_n(kernel) * d_det * kernel.info_inv
-            cov = 0.5 * (cov + cov.T)
-        elif estimator is EstimatorId.FW:
-            kc = _sandwich(kernel, _middle_outer(leverage_scores(kernel, 0.5)))
-            md = _sandwich(kernel, _middle_outer(leverage_scores(kernel, 1.0)))
-            cov = 0.5 * (kc + md)
-        elif estimator is EstimatorId.FZ:
-            m1 = _middle_lz(kernel)
-            m = np.zeros((p, p))
-            for i, q in enumerate(kernel.cq):
-                f, _ = _corrected_pieces(kernel, i, 1.0)
-                pmat = _fz_pmat(kernel, i)
-                others = m1 - np.outer(q.score, q.score)
-                contamination = pmat @ kernel.info_inv @ others @ kernel.info_inv @ pmat.T
-                m += np.outer(f, f) - contamination
-            cov = _sandwich(kernel, m)
-        elif estimator is EstimatorId.AR:
-            scores = leverage_scores(kernel, 1.0)
-            cov = _sandwich(kernel, _fpc_bessel(kernel) * _centered_outer(scores))
-        else:  # pragma: no cover - closed enumeration
-            raise ValueError(f"unhandled estimator {estimator}")
+        middle = _MIDDLES[estimator](kernel)
     except SingularLeverage:
-        return VarianceEstimate(
-            id=estimator,
-            cov=None,
-            se=None,
-            computable=False,
-            incomputable_reason=_REASON_SINGULAR,
-        )
+        return _incomputable(estimator, _REASON_SINGULAR)
+    cov = kernel.info_inv @ middle @ kernel.info_inv
+    cov = 0.5 * (cov + cov.T)
+    if estimator in _RIDGES:
+        # info_inv is exactly symmetric, so the ridge keeps cov symmetric.
+        cov = cov + _RIDGES[estimator](kernel, middle) * kernel.info_inv
 
     diag = np.diag(cov).copy()
     roundoff = 1e-12 * (1.0 + float(np.max(np.abs(diag))))
     if np.any(diag < -roundoff):
         # Only FZ can produce an indefinite middle; report the covariance
         # but flag the standard errors as unavailable.
-        return VarianceEstimate(
-            id=estimator,
-            cov=cov,
-            se=None,
-            computable=False,
-            incomputable_reason=_REASON_NEGDIAG,
-        )
+        return _incomputable(estimator, _REASON_NEGDIAG, cov)
     se = np.sqrt(np.clip(diag, 0.0, None))
     return VarianceEstimate(
         id=estimator, cov=cov, se=se, computable=True, incomputable_reason=None

@@ -1,12 +1,14 @@
 """Command-line surface: exit codes, report content, output determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import pgee.cli
 from pgee.cli import main
-from pgee import Scenario, generate_dataset, write_csv
+from pgee import EstimatorId, Scenario, generate_dataset, write_csv
 
 
 @pytest.fixture
@@ -105,6 +107,53 @@ class TestFit:
         code = main(["fit", str(tmp_path / "nope.csv")])
         assert code == 1
 
+    def test_each_estimator_evaluated_once(self, balanced_csv, capsys, monkeypatch):
+        calls = []
+        real = pgee.cli.estimate_variance
+
+        def counting(kernel, est):
+            calls.append(est)
+            return real(kernel, est)
+
+        monkeypatch.setattr(pgee.cli, "estimate_variance", counting)
+        assert main(["fit", str(balanced_csv), "--estimators", "LZ,KC,AR"]) == 0
+        assert calls == [EstimatorId.LZ, EstimatorId.KC, EstimatorId.AR]
+
+    def test_zero_se_row_not_available(self, balanced_csv, capsys, monkeypatch):
+        # a variance clipped to 0 gives SE 0, which the Wald test refuses
+        real = pgee.cli.estimate_variance
+
+        def zero_treat_se(kernel, est):
+            ve = real(kernel, est)
+            if est is EstimatorId.MD:
+                se = ve.se.copy()
+                se[1] = 0.0
+                ve = dataclasses.replace(ve, se=se)
+            return ve
+
+        monkeypatch.setattr(pgee.cli, "estimate_variance", zero_treat_se)
+        assert main(["fit", str(balanced_csv)]) == 0
+        out = capsys.readouterr().out
+        treat_block = out.split("[treat]")[1].split("[t]")[0]
+        md_row = next(l for l in treat_block.splitlines() if l.startswith("  MD"))
+        assert "(ZeroSE)" in md_row and "—" in md_row
+        assert "(ZeroSE)" not in out.split("[treat]")[0]
+        assert main(["fit", str(balanced_csv), "--json"]) == 0
+        md = json.loads(capsys.readouterr().out)["estimators"]["MD"]
+        assert md["computable"] is True
+        assert md["coefficients"]["treat"] == {"se": 0.0, "reason": "ZeroSE"}
+        assert {"se", "t", "p", "ci"} <= set(md["coefficients"]["intercept"])
+
+    def test_all_zero_outcomes(self, tmp_path, capsys):
+        # no events: some estimators clip the time coefficient's variance to 0
+        lines = ["cluster,y,treat,t"]
+        for i in range(1, 11):
+            lines += [f"{i},0,{int(i <= 3)},{0.2 * j}" for j in range(1, 5)]
+        path = tmp_path / "zeros.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(path)]) in (0, 2)
+        assert main(["fit", str(path), "--json"]) in (0, 2)
+
 
 class TestDiagnose:
     def test_benchmark_balanced_arms(self, tmp_path, capsys):
@@ -201,6 +250,17 @@ class TestSimulate:
         cfg.write_text("[x]\nN = 10\n")
         code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert code == 1
+
+    def test_non_integer_thread_cap_exits_1(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(SIM_CONFIG)
+        monkeypatch.setenv("PGEE_THREADS", "abc")
+        code = main(["simulate", "--config", str(cfg), "--reps", "2",
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "PGEE_THREADS" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_bad_estimator_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"

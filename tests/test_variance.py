@@ -157,6 +157,55 @@ class TestEstimatorCatalog:
         m_ar = kern.info @ estimate_variance(kern, EstimatorId.AR).cov @ kern.info
         assert np.allclose(m_ar, c_n * (m_md - 10 * np.outer(fbar, fbar)), rtol=1e-8)
 
+    def test_fg_literal_formula(self, rng):
+        # g_i = (1 - min(0.75, diag(A_i info_inv)))^{-1/2} * U_i
+        kern = random_kernel(rng, n_clusters=6)
+        m = np.zeros((kern.p, kern.p))
+        for q in kern.cq:
+            lev = np.array([(q.info @ kern.info_inv)[s, s] for s in range(kern.p)])
+            g = (1.0 - np.minimum(0.75, lev)) ** -0.5 * q.score
+            m += np.outer(g, g)
+        expected = kern.info_inv @ m @ kern.info_inv
+        got = estimate_variance(kern, EstimatorId.FG)
+        assert got.computable
+        assert np.allclose(got.cov, expected, rtol=1e-12, atol=0)
+
+    def test_fg_clip_binds(self):
+        # p = 1 and N = 2 identical clusters: diag(A_i info_inv) = 1/2 is
+        # below the clip, so FG inflates each score by (1/2)^{-1/2}
+        ds = validate_dataset([(i, y, (), None) for i in range(2) for y in (1.0, 0.0)])
+        kern = assemble_kernel(np.array([0.1]), "exchangeable", 0.1, 1.0, ds)
+        lz = estimate_variance(kern, EstimatorId.LZ).cov
+        assert np.allclose(estimate_variance(kern, EstimatorId.FG).cov, 2.0 * lz, rtol=1e-12)
+        # a cluster carrying most of the information hits the 0.75 clip
+        rows = [("a", y, (1.0,), None) for y in (1.0, 1.0, 1.0, 0.0)]
+        rows += [(b, y, (0.0,), None) for b in "bcd" for y in (1.0, 0.0)]
+        rows += [("e", 1.0, (1.0,), None), ("e", 0.0, (0.0,), None)]
+        kern = assemble_kernel(np.zeros(2), "independence", 0.0, 1.0, validate_dataset(rows))
+        lev = np.diag(kern.cq[0].info @ kern.info_inv)
+        assert lev.max() > 0.75 and np.all(kern.cq[0].score != 0)
+        m = np.zeros((2, 2))
+        for q in kern.cq:
+            g = (1.0 - np.minimum(0.75, np.diag(q.info @ kern.info_inv))) ** -0.5 * q.score
+            m += np.outer(g, g)
+        expected = kern.info_inv @ m @ kern.info_inv
+        assert np.allclose(estimate_variance(kern, EstimatorId.FG).cov, expected, rtol=1e-12)
+
+    def test_mbn_literal_formula(self, rng):
+        # c_N info_inv C info_inv + kappa delta_N info_inv, C centered outer
+        for kern in (random_kernel(rng, n_clusters=7), _balanced_kernel(rng, n_clusters=12)):
+            n_cl, p, n_star = kern.n_clusters, kern.p, kern.n_total
+            u = np.array([q.score for q in kern.cq])
+            ubar = u.mean(axis=0)
+            c = sum(np.outer(x - ubar, x - ubar) for x in u)
+            c_n = (n_star - 1) / (n_star - p) * n_cl / (n_cl - 1)
+            kappa = max(1.0, np.trace(kern.info_inv @ c) / p)
+            delta_n = min(0.5, p / (n_cl - p))
+            expected = c_n * kern.info_inv @ c @ kern.info_inv + kappa * delta_n * kern.info_inv
+            got = estimate_variance(kern, EstimatorId.MBN)
+            assert got.computable
+            assert np.allclose(got.cov, expected, rtol=1e-12, atol=0)
+
     def test_mbn_ridge_psd_and_vanishing(self, rng):
         kern = _balanced_kernel(rng, n_clusters=10)
         p, n_cl = kern.p, kern.n_clusters
