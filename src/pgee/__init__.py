@@ -23,7 +23,6 @@ from .core import (
     assemble_kernel,
     cluster_quantities,
     firth_penalty,
-    firth_penalty_fd,
     gee_score,
     working_correlation,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "estimate_phi",
     "estimate_variance",
     "firth_penalty",
-    "firth_penalty_fd",
     "fit",
     "gee_score",
     "generate_dataset",

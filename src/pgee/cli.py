@@ -108,11 +108,11 @@ def _unavailable_row(est: EstimatorId, reason: str) -> str:
 
 def cmd_fit(args) -> int:
     try:
+        estimators = _parse_estimators(args.estimators)
         dataset, wm, result = _fit_dataset(args)
     except (DatasetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    estimators = _parse_estimators(args.estimators)
 
     report: dict = {
         "schema_version": JSON_SCHEMA_VERSION,

@@ -17,7 +17,8 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence, Union
+from functools import cached_property
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -93,6 +94,14 @@ class Cluster:
         return self.y.shape[0]
 
 
+class SizeGroup(NamedTuple):
+    """The clusters of one size n, stacked in cluster order."""
+
+    idx: np.ndarray  # (N_s,) positions of the clusters in the dataset
+    X: np.ndarray  # (N_s, n, p)
+    y: np.ndarray  # (N_s, n)
+
+
 @dataclass(frozen=True)
 class LongitudinalDataset:
     """Ordered clusters sharing a common covariate dimension p."""
@@ -129,13 +138,31 @@ class LongitudinalDataset:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
-    @property
+    @cached_property
     def n_total(self) -> int:
         return sum(c.n for c in self.clusters)
 
-    @property
+    @cached_property
     def cluster_sizes(self) -> tuple:
         return tuple(c.n for c in self.clusters)
+
+    @cached_property
+    def size_groups(self) -> tuple:
+        """One read-only :class:`SizeGroup` per distinct cluster size, in
+        increasing size, built on first use."""
+        sizes = np.array(self.cluster_sizes)
+        groups = []
+        for n in np.unique(sizes):
+            idx = np.flatnonzero(sizes == n)
+            arrays = (
+                idx,
+                np.stack([self.clusters[i].X for i in idx]),
+                np.stack([self.clusters[i].y for i in idx]),
+            )
+            for a in arrays:
+                a.setflags(write=False)
+            groups.append(SizeGroup(*arrays))
+        return tuple(groups)
 
     @property
     def balanced(self) -> bool:

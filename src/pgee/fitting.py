@@ -79,20 +79,17 @@ def estimate_alpha(kernel: FitKernel, structure: Optional[str] = None) -> float:
     structure = structure or kernel.structure
     if structure == "independence":
         return 0.0
-    p = kernel.p
-    phi = kernel.phi
     num = 0.0
-    den = -float(p)
-    n_max = max(kernel.cluster_sizes)
-    for q in kernel.cq:
-        e = q.resid / np.sqrt(q.w * phi)
-        n = e.shape[0]
+    den = -float(kernel.p)
+    for g in kernel.groups:
+        e = g.resid / np.sqrt(g.w * kernel.phi)
+        n_s, n = e.shape
         if structure == "exchangeable":
-            num += 0.5 * (np.sum(e) ** 2 - np.sum(e**2))
-            den += 0.5 * n * (n - 1)
+            num += 0.5 * float(np.sum(e.sum(axis=1) ** 2 - np.sum(e**2, axis=1)))
+            den += 0.5 * n_s * n * (n - 1)
         else:  # ar1
-            num += float(e[:-1] @ e[1:])
-            den += n - 1
+            num += float(np.sum(e[:, :-1] * e[:, 1:]))
+            den += n_s * (n - 1)
     if den <= 0:
         warnings.warn(
             "correlation denominator non-positive; falling back to alpha = 0",
@@ -102,7 +99,7 @@ def estimate_alpha(kernel: FitKernel, structure: Optional[str] = None) -> float:
         return 0.0
     alpha = num / den
     if structure == "exchangeable":
-        lo, hi = exchangeable_alpha_bounds(n_max)
+        lo, hi = exchangeable_alpha_bounds(max(kernel.cluster_sizes))
     else:
         lo, hi = -1.0, 1.0
     return float(np.clip(alpha, lo + ALPHA_MARGIN, hi - ALPHA_MARGIN))
@@ -110,9 +107,7 @@ def estimate_alpha(kernel: FitKernel, structure: Optional[str] = None) -> float:
 
 def estimate_phi(kernel: FitKernel) -> float:
     """Pearson plug-in dispersion: sum of e_ij^2 over (n_total - p), e at phi = 1."""
-    num = 0.0
-    for q in kernel.cq:
-        num += float(np.sum(q.resid**2 / q.w))
+    num = sum(float(np.sum(g.resid**2 / g.w)) for g in kernel.groups)
     phi = num / (kernel.n_total - kernel.p)
     if phi < PHI_FLOOR:
         warnings.warn(
@@ -163,11 +158,15 @@ def fit(
 
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        try:
-            base = assemble_kernel(beta, wm.structure, alpha, phi, data)
-        except (SingularV, SingularInformation):
-            reason = "singular_information"
-            break
+        # From the second iteration on, the accepted step-halving kernel
+        # is already the kernel at the current (beta, alpha, phi).
+        base = kernel
+        if base is None:
+            try:
+                base = assemble_kernel(beta, wm.structure, alpha, phi, data)
+            except (SingularV, SingularInformation):
+                reason = "singular_information"
+                break
         if wm.estimates_dispersion:
             phi = estimate_phi(base)
         if wm.estimates_alpha:

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import skew
 
 from .data import EstimatorId, WorkingModel
 from .datagen import Scenario, calibrate_intercept, generate_dataset
@@ -180,6 +179,12 @@ def run_replication(
     return record
 
 
+def _skewness(x: np.ndarray) -> float:
+    """Biased sample skewness m3 / m2^{3/2} from the central moments."""
+    d = x - x.mean()
+    return float(np.mean(d**3) / np.mean(d**2) ** 1.5)
+
+
 def aggregate(
     records: Sequence[dict],
     spec: ScenarioSpec,
@@ -249,7 +254,7 @@ def aggregate(
                         if n_comp <= 2
                         else 0.0
                         if degenerate
-                        else float(skew(ses))
+                        else _skewness(ses)
                     ),
                     p95_over_p50=float(np.percentile(ses, 95)) / med,
                     p99_over_p50=float(np.percentile(ses, 99)) / med,

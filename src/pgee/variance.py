@@ -39,7 +39,8 @@ Leverage powers are computed on a symmetric similar form: with the
 Cholesky factor L of the cluster covariance and ``dt = L^{-1} dmat``, the
 matrix ``S = dt @ info_inv @ dt'`` is symmetric positive semidefinite with
 eigenvalues in [0, 1), and ``(I - H)^{-c} r = L Q (1-lam)^{-c} Q' L^{-1} r``.
-The factorization is ``FitKernel.geometry``, computed once per kernel.
+The eigendecompositions are ``FitKernel.geometry``, batched per cluster
+size, and ``FitKernel.corrected(c)`` solves each exponent once per kernel.
 
 Pooling estimators require equal cluster sizes; on unbalanced data they
 are reported as not computable (never a wrong number).  A cluster whose
@@ -53,16 +54,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
-from scipy.stats import t as student_t
+from scipy.special import stdtr, stdtrit
 
 from .core import FitKernel
 from .data import EstimatorId, POOLING_IDS
 from .errors import SingularLeverage, ZeroSE
-
-#: (I - H) is declared singular when 1 - max eigenvalue of the symmetrized
-#: hat block falls at or below this threshold.
-LEVERAGE_TOL = 1e-10
 
 #: Pooled leverage exponent of the WB estimator.
 WB_EXPONENT = 0.5
@@ -109,31 +105,6 @@ class WaldResult:
     ci_high: float
 
 
-def _corrected(kernel: FitKernel, c: float):
-    """Scores and residuals corrected by (I - H)^{-c}, in cluster order.
-
-    Returns (f, resid): f is the (N, p) array whose rows are
-    dmat' vinv (I - H)^{-c} r, and resid the list of (I - H)^{-c} r.
-    c = 0 returns the plain scores and residuals.  Raises SingularLeverage
-    when c > 0 and some (I - H) is numerically singular.
-    """
-    if c == 0.0:
-        return np.array([q.score for q in kernel.cq]), [q.resid for q in kernel.cq]
-    scores, resids = [], []
-    for q, g, cluster in zip(kernel.cq, kernel.geometry, kernel.data.clusters):
-        if 1.0 - g.lam[-1] <= LEVERAGE_TOL:
-            raise SingularLeverage(
-                f"cluster {cluster.id}: (I - H) numerically singular "
-                f"(max hat eigenvalue {g.lam[-1]:.12g})",
-                cluster_id=cluster.id,
-            )
-        rt = solve_triangular(g.L, q.resid, lower=True, check_finite=False)
-        u = g.Q @ ((g.Q.T @ rt) * (1.0 - g.lam) ** (-c))
-        scores.append(g.dt.T @ u)
-        resids.append(g.L @ u)
-    return np.array(scores), resids
-
-
 def leverage_scores(kernel: FitKernel, c: float) -> list:
     """Leverage-corrected score contributions dmat' vinv (I - H)^{-c} r.
 
@@ -143,53 +114,61 @@ def leverage_scores(kernel: FitKernel, c: float) -> list:
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"leverage exponent must lie in [0, 1], got {c}")
-    return list(_corrected(kernel, c)[0])
+    return list(kernel.corrected(c)[0])
+
+
+def _gram(f: np.ndarray) -> np.ndarray:
+    """sum_i f_i f_i' over the rows of f."""
+    return np.einsum("ip,iq->pq", f, f)
 
 
 def _outer(kernel: FitKernel, c: float) -> np.ndarray:
     """sum_i f_i f_i' over the scores corrected with exponent c."""
-    return sum(np.outer(f, f) for f in _corrected(kernel, c)[0])
+    return _gram(kernel.corrected(c)[0])
 
 
 def _centered(kernel: FitKernel, c: float) -> np.ndarray:
     """Outer-product sum of the corrected scores after mean-centering."""
-    f = _corrected(kernel, c)[0]
-    f = f - f.mean(axis=0)
-    return f.T @ f
+    f = kernel.corrected(c)[0]
+    return _gram(f - f.mean(axis=0))
 
 
 def _pooled(kernel: FitKernel, c: float, denom: float) -> np.ndarray:
     """sum_i T_i RU T_i' for the pooled correlation RU of the corrected
-    residuals scaled by W^{-1/2}, with T_i = dmat' vinv W^{1/2}."""
-    _, resids = _corrected(kernel, c)
-    scaled = (r / np.sqrt(q.w) for r, q in zip(resids, kernel.cq))
-    ru = sum(np.outer(e, e) for e in scaled) / denom
-    tmats = (q.dmat.T @ q.vinv * np.sqrt(q.w)[None, :] for q in kernel.cq)
-    return sum(t @ ru @ t.T for t in tmats)
+    residuals scaled by W^{-1/2}, with T_i = dmat' vinv W^{1/2}.
+
+    Pooling needs one cluster size, so there is one group, and with
+    u = L^{-1} (I - H)^{-c} r the sum is sum_i dt_i' (sum_j u_j u_j') dt_i
+    over denom: the Cholesky factor of R cancels between T_i and RU.
+    """
+    (g,) = kernel.groups
+    (u,) = kernel.corrected(c)[1]
+    return np.einsum("snp,nm,smq->pq", g.dt, _gram(u) / denom, g.dt)
 
 
 def _fg(kernel: FitKernel) -> np.ndarray:
     """Scores inflated by (1 - min(FG_CLIP, diag(A_i info_inv)))^{-1/2}."""
-    m = np.zeros((kernel.p, kernel.p))
-    for q in kernel.cq:
-        lev = np.diag(q.info @ kernel.info_inv)
-        g = (1.0 - np.minimum(FG_CLIP, lev)) ** -0.5 * q.score
-        m += np.outer(g, g)
-    return m
+    lev = np.einsum("spq,qp->sp", kernel.infos, kernel.info_inv)
+    return _gram((1.0 - np.minimum(FG_CLIP, lev)) ** -0.5 * kernel.scores)
 
 
 def _fz(kernel: FitKernel) -> np.ndarray:
     """MD middle minus each cluster's cross-cluster contamination
     P_i info_inv (sum_{j != i} U_j U_j') info_inv P_i', with
-    P_i = dmat' vinv (I - H)^{-1} dmat."""
-    lz = _outer(kernel, 0.0)
-    m = np.zeros((kernel.p, kernel.p))
-    for q, g, f in zip(kernel.cq, kernel.geometry, _corrected(kernel, 1.0)[0]):
-        pmat = g.dt.T @ (g.Q @ ((g.Q.T @ g.dt) * ((1.0 - g.lam) ** -1.0)[:, None]))
-        others = lz - np.outer(q.score, q.score)
-        contamination = pmat @ kernel.info_inv @ others @ kernel.info_inv @ pmat.T
-        m += np.outer(f, f) - contamination
-    return m
+    P_i = dmat' vinv (I - H)^{-1} dmat = dt' (I - S)^{-1} dt.
+
+    With A_i = P_i info_inv the contamination sums to
+    sum_i A_i outer(U) A_i' - sum_i (A_i U_i)(A_i U_i)'.
+    """
+    f = kernel.corrected(1.0)[0]
+    pmat = np.empty_like(kernel.infos)
+    for g, geo in zip(kernel.groups, kernel.geometry):
+        qd = np.einsum("snk,snp->skp", geo.Q, g.dt)
+        pmat[g.idx] = np.einsum("skp,sk,skq->spq", qd, 1.0 / (1.0 - geo.lam), qd)
+    a = np.einsum("spq,qr->spr", pmat, kernel.info_inv)
+    v = np.einsum("spq,sq->sp", a, kernel.scores)
+    spread = np.einsum("sab,bc,sdc->ad", a, _gram(kernel.scores), a)
+    return _gram(f) - spread + _gram(v)
 
 
 def _fpc_bessel(kernel: FitKernel) -> float:
@@ -285,24 +264,25 @@ def overcorrection_diagnostic(kernel: FitKernel) -> OvercorrectionDiagnostic:
     Raises SingularLeverage when some (I0 - A_i) is singular, i.e. one
     cluster carries all information in some direction.
     """
-    p = kernel.p
-    blev = np.zeros((p, p))
-    for q, cluster in zip(kernel.cq, kernel.data.clusters):
-        rest = kernel.info - q.info
-        rest = 0.5 * (rest + rest.T)
-        try:
-            cho = cho_factor(rest, lower=True)
-        except (LinAlgError, np.linalg.LinAlgError) as exc:
-            raise SingularLeverage(
-                f"cluster {cluster.id}: remaining information singular",
-                cluster_id=cluster.id,
-            ) from exc
-        blev += q.info @ cho_solve(cho, q.info)
-    blev = 0.5 * (blev + blev.T)
+    rest = kernel.info - kernel.infos
+    try:
+        chol = np.linalg.cholesky(rest)
+    except np.linalg.LinAlgError:
+        for r, cluster in zip(rest, kernel.data.clusters):
+            try:
+                np.linalg.cholesky(r)
+            except np.linalg.LinAlgError as exc:
+                raise SingularLeverage(
+                    f"cluster {cluster.id}: remaining information singular",
+                    cluster_id=cluster.id,
+                ) from exc
+        raise
+    # A_i (I0 - A_i)^{-1} A_i = z_i' z_i with z_i = chol_i^{-1} A_i.
+    z = np.linalg.solve(chol, kernel.infos)
+    blev = np.einsum("sap,saq->pq", z, z)
     ratios = np.diag(blev) / np.diag(kernel.info)
     l0 = np.linalg.cholesky(kernel.info)
-    sim = solve_triangular(l0, blev, lower=True)
-    sim = solve_triangular(l0, sim.T, lower=True).T
+    sim = np.linalg.solve(l0, np.linalg.solve(l0, blev).T)
     eigenvalues = np.linalg.eigvalsh(0.5 * (sim + sim.T))
     return OvercorrectionDiagnostic(matrix=blev, ratios=ratios, eigenvalues=eigenvalues)
 
@@ -321,8 +301,8 @@ def wald_test(
         raise ZeroSE(f"standard error must be positive, got {se}")
     dof = n_clusters - n_params
     tstat = (estimate - null_value) / se
-    p_value = 2.0 * float(student_t.sf(abs(tstat), dof))
-    crit = float(student_t.ppf(0.975, dof))
+    p_value = 2.0 * float(stdtr(dof, -abs(tstat)))
+    crit = float(stdtrit(dof, 0.975))
     return WaldResult(
         estimate=float(estimate),
         se=float(se),

@@ -21,7 +21,6 @@ from pgee import (
     clf_sample,
     estimate_variance,
     firth_penalty,
-    firth_penalty_fd,
     fit,
     leverage_scores,
     overcorrection_diagnostic,
@@ -34,6 +33,7 @@ from pgee import (
 )
 
 from conftest import intercept_only_dataset, random_dataset, two_arm_dataset
+from oracle import firth_penalty_fd
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -95,13 +95,17 @@ class TestFit:
         assert {"se", "t", "p", "ci"} <= set(lz)
         assert "rho" in payload["overcorrection"]
 
-    def test_estimator_subset_and_bad_tag(self, balanced_csv, capsys):
+    def test_estimator_subset_and_bad_tag(self, balanced_csv, capsys, monkeypatch):
         code = main(["fit", str(balanced_csv), "--estimators", "LZ,AR"])
         out = capsys.readouterr().out
         assert code == 0
         assert "  MD" not in out
-        with pytest.raises(ValueError):
-            main(["fit", str(balanced_csv), "--estimators", "LZ,XX"])
+        # a bad tag is rejected before any fitting work
+        monkeypatch.setattr(pgee.cli, "fit", None)
+        code = main(["fit", str(balanced_csv), "--estimators", "LZ,XX"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["fit", str(tmp_path / "nope.csv")])

@@ -7,15 +7,23 @@ from pgee import (
     assemble_kernel,
     cluster_quantities,
     firth_penalty,
-    firth_penalty_fd,
     gee_score,
+    leverage_scores,
+    overcorrection_diagnostic,
     validate_dataset,
     working_correlation,
 )
 from pgee.data import Cluster
-from pgee.errors import SingularInformation
+from pgee.errors import SingularInformation, SingularLeverage, SingularV
 
 from conftest import intercept_only_dataset, random_dataset, random_kernel
+from oracle import (
+    firth_penalty_fd,
+    literal_clusters,
+    literal_hat,
+    literal_leverage_score,
+    literal_penalty,
+)
 
 
 def _single_cluster(y, X):
@@ -204,3 +212,88 @@ class TestFirthPenalty:
         b1 = penalty_for(1)
         for m in (2, 4, 8):
             assert penalty_for(m) <= 2.0 * b1
+
+
+def _interleaved_dataset(rng, sizes, owners=None):
+    """Clusters of the given sizes in the given order; ``owners`` maps a
+    cluster index to the extra covariate column that only it carries."""
+    owners = owners or {}
+    n_extra = len(set(owners.values()))
+    rows = []
+    for i, n in enumerate(sizes):
+        x = float(i % 2)
+        for j in range(n):
+            extra = [0.0] * n_extra
+            if i in owners:
+                extra[owners[i]] = float(j % 2)
+            covs = (x, float(rng.uniform(-1, 1)), *extra)
+            rows.append((f"c{i}", float(rng.random() < 0.4), covs, None))
+    return validate_dataset(rows)
+
+
+class TestSizeGroupParity:
+    """The size-grouped arrays against a literal loop over clusters."""
+
+    SIZES = (3, 2, 5, 2, 3, 5, 4, 2, 3, 4, 5, 2)
+
+    @pytest.mark.parametrize(
+        "structure,alpha", [("independence", 0.0), ("exchangeable", 0.25), ("ar1", 0.4)]
+    )
+    def test_matches_literal_loop(self, rng, structure, alpha):
+        ds = _interleaved_dataset(rng, self.SIZES)
+        beta = np.array([-0.3, 0.5, 0.8])
+        phi = 1.3
+        kern = assemble_kernel(beta, structure, alpha, phi, ds)
+        ref = literal_clusters(beta, structure, alpha, phi, ds)
+
+        def close(a, b, tol=1e-10):
+            scale = max(np.max(np.abs(b)), 1e-300)
+            return np.max(np.abs(np.asarray(a) - b)) / scale < tol
+
+        for i, (q, r) in enumerate(zip(kern.cq, ref)):
+            for name in ("mu", "w", "dmat", "vmat", "vinv", "resid", "info", "score"):
+                assert close(getattr(q, name), getattr(r, name)), (i, name)
+            assert np.array_equal(q.info, kern.infos[i])
+            assert np.array_equal(q.score, kern.scores[i])
+        info = sum(r.info for r in ref)
+        info_inv = np.linalg.inv(info)
+        assert close(kern.info, info)
+        assert close(gee_score(kern), sum(r.score for r in ref))
+        assert close(
+            firth_penalty(kern), literal_penalty(ref, info_inv, structure, alpha, phi)
+        )
+        for c in (0.5, 1.0):
+            scores = leverage_scores(kern, c)
+            for i, r in enumerate(ref):
+                assert close(kern.hat_block(i), literal_hat(r, info_inv))
+                assert close(scores[i], literal_leverage_score(r, info_inv, c), 1e-8)
+
+    def test_cluster_quantities_is_one_cluster_kernel(self, rng):
+        ds = _interleaved_dataset(rng, self.SIZES)
+        beta = np.array([0.2, -0.4, 0.3])
+        kern = assemble_kernel(beta, "exchangeable", 0.3, 1.0, ds)
+        for c, q in zip(ds.clusters, kern.cq):
+            one = cluster_quantities(beta, "exchangeable", 0.3, 1.0, c)
+            for name in ("mu", "vmat", "vinv", "info", "score"):
+                assert np.allclose(getattr(one, name), getattr(q, name), rtol=1e-12)
+
+    def test_singular_v_names_first_cluster_in_order(self, rng):
+        # alpha = -0.28 is admissible for n <= 4 only; the size-6 cluster at
+        # position 2 precedes every size-5 cluster, whose group comes first.
+        ds = _interleaved_dataset(rng, (3, 2, 6, 2, 5, 3, 5, 6))
+        with pytest.raises(SingularV, match="^cluster c2:"):
+            assemble_kernel(np.zeros(ds.p), "exchangeable", -0.28, 1.0, ds)
+        with pytest.raises(SingularV, match="^cluster c4:"):
+            cluster_quantities(np.zeros(ds.p), "exchangeable", -0.28, 1.0, ds.clusters[4])
+
+    def test_singular_leverage_names_first_cluster_in_order(self, rng):
+        # cluster 1 (size 3) alone carries the 4th covariate and cluster 3
+        # (size 2, in the first group) alone carries the 5th.
+        ds = _interleaved_dataset(rng, (2, 3, 2, 2, 2, 3, 2), owners={1: 0, 3: 1})
+        kern = assemble_kernel(np.zeros(ds.p), "independence", 0.0, 1.0, ds)
+        with pytest.raises(SingularLeverage) as err:
+            leverage_scores(kern, 1.0)
+        assert err.value.cluster_id == "c1"
+        with pytest.raises(SingularLeverage) as err:
+            overcorrection_diagnostic(kern)
+        assert err.value.cluster_id == "c1"

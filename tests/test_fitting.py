@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import pgee.fitting
 from pgee import (
     FitOptions,
     Scenario,
@@ -65,6 +66,26 @@ class TestFitClosedForms:
         g = gee_score(res.kernel) + firth_penalty(res.kernel)
         bound = 10 * 1e-6 * max(1.0, np.linalg.norm(res.kernel.info, np.inf))
         assert np.max(np.abs(g)) <= bound
+
+
+class TestAssemblies:
+    @pytest.mark.parametrize(
+        "structure,alpha", [("independence", 0.0), ("exchangeable", "estimate")]
+    )
+    def test_no_parameter_point_assembled_twice(self, rng, monkeypatch, structure, alpha):
+        # the accepted step-halving kernel is the next iteration's base
+        points = []
+        real = pgee.fitting.assemble_kernel
+
+        def recording(beta, structure, alpha, phi, data):
+            points.append((tuple(beta), alpha, phi))
+            return real(beta, structure, alpha, phi, data)
+
+        monkeypatch.setattr(pgee.fitting, "assemble_kernel", recording)
+        ds = random_dataset(rng, n_clusters=12)
+        res = fit(ds, WorkingModel(structure=structure, alpha=alpha, dispersion=1.0))
+        assert res.converged and res.iterations >= 3
+        assert len(set(points)) == len(points)
 
 
 class TestFitInvariances:
