@@ -18,10 +18,8 @@ from .data import (
     write_csv,
 )
 from .core import (
-    ClusterQuantities,
     FitKernel,
     assemble_kernel,
-    cluster_quantities,
     firth_penalty,
     gee_score,
     working_correlation,
@@ -33,7 +31,6 @@ from .variance import (
     WaldResult,
     estimate_all,
     estimate_variance,
-    leverage_scores,
     overcorrection_diagnostic,
     wald_test,
 )
@@ -41,7 +38,6 @@ from .datagen import (
     Scenario,
     calibrate_intercept,
     clf_coefficients,
-    clf_generate,
     clf_sample,
     generate_dataset,
 )
@@ -63,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cluster",
-    "ClusterQuantities",
     "EstimatorCell",
     "EstimatorId",
     "FitKernel",
@@ -82,9 +77,7 @@ __all__ = [
     "assemble_kernel",
     "calibrate_intercept",
     "clf_coefficients",
-    "clf_generate",
     "clf_sample",
-    "cluster_quantities",
     "errors",
     "estimate_all",
     "estimate_alpha",
@@ -94,7 +87,6 @@ __all__ = [
     "fit",
     "gee_score",
     "generate_dataset",
-    "leverage_scores",
     "overcorrection_diagnostic",
     "parse_config",
     "read_csv",

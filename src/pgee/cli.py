@@ -16,10 +16,12 @@ from typing import Optional
 import numpy as np
 
 from .data import EstimatorId, normalize_structure, read_csv, write_csv
-from .datagen import Scenario, calibrate_intercept, generate_dataset
+from .datagen import Scenario, calibrate_intercept
 from .errors import DatasetError, PgeeError, ConfigError, SingularLeverage, ZeroSE
 from .fitting import FitOptions, PgeeFit, fit
 from .harness import (
+    MAX_ATTEMPTS,
+    draw_dataset,
     effective_workers,
     parse_config,
     results_csv,
@@ -292,24 +294,14 @@ def cmd_generate(args) -> int:
             model=args.model,
             seed=args.seed,
         )
-    except ValueError as exc:
+        intercept = calibrate_intercept(scenario)
+        dataset, invalid = draw_dataset(scenario, 0, intercept)
+        if dataset is None:
+            raise PgeeError(f"no valid draw in {MAX_ATTEMPTS} attempts")
+        write_csv(dataset, args.out)
+    except (ValueError, PgeeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    intercept = calibrate_intercept(scenario)
-    dataset = None
-    invalid = 0
-    for attempt in range(1000):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((scenario.seed, 0, attempt))
-        )
-        dataset = generate_dataset(scenario, rng, intercept=intercept)
-        if dataset is not None:
-            break
-        invalid += 1
-    if dataset is None:
-        print("error: no valid draw in 1000 attempts", file=sys.stderr)
-        return 1
-    write_csv(dataset, args.out)
     print(
         f"wrote {dataset.n_clusters} clusters ({dataset.n_total} rows) to "
         f"{args.out}; intercept {intercept:.6g}; invalid draws {invalid}; "
@@ -331,8 +323,10 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     reps = 5000 if args.full else args.reps
+    out_dir = Path(args.out_dir)
     try:
         workers = effective_workers(args.workers)
+        out_dir.mkdir(parents=True, exist_ok=True)
         results = run_grid(
             specs,
             reps,
@@ -340,16 +334,14 @@ def cmd_simulate(args) -> int:
             estimators=estimators,
             min_converged=args.min_converged,
         )
-    except PgeeError as exc:
+        (out_dir / "results.csv").write_text(results_csv(results), encoding="utf-8")
+        (out_dir / "summary.json").write_text(
+            summary_json(specs, results, base_seed=args.seed, reps=reps),
+            encoding="utf-8",
+        )
+    except (PgeeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "results.csv").write_text(results_csv(results), encoding="utf-8")
-    (out_dir / "summary.json").write_text(
-        summary_json(specs, results, base_seed=args.seed, reps=reps),
-        encoding="utf-8",
-    )
     print(
         f"{len(specs)} scenario(s) x {reps} replications "
         f"(seed {args.seed}, workers {workers})"

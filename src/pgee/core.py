@@ -24,8 +24,9 @@ reported for the first cluster, in cluster order, of a size whose R fails.
 
 The kernel sums cluster informations into the sensitivity matrix and its
 inverse, keeps the per-cluster informations and scores in cluster order,
-and computes on demand the leverage geometry, the leverage-corrected
-scores and a per-cluster view (``cq``, ``hat_block``) for checks.
+and computes on demand the leverage geometry and the leverage-corrected
+scores.  Its only per-cluster accessor is ``FitKernel.hat_block``, which
+rebuilds one cluster's hat block from the group arrays for checks.
 
 The bias-reduction penalty is one half the trace of ``info_inv`` times the
 analytic derivative of the sensitivity matrix in each coordinate, treating
@@ -78,20 +79,6 @@ def mean_response(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Clamped logistic means for a covariate matrix or a stack of them."""
     eta = np.clip(X @ beta, -ETA_CAP, ETA_CAP)
     return np.clip(expit(eta), MU_EPS, 1.0 - MU_EPS)
-
-
-@dataclass(frozen=True)
-class ClusterQuantities:
-    """Per-cluster matrices at a fixed (beta, alpha, phi)."""
-
-    mu: np.ndarray
-    w: np.ndarray
-    dmat: np.ndarray
-    vmat: np.ndarray
-    vinv: np.ndarray
-    resid: np.ndarray
-    info: np.ndarray
-    score: np.ndarray
 
 
 class KernelGroup(NamedTuple):
@@ -161,59 +148,15 @@ def _infos(g: KernelGroup) -> np.ndarray:
     return np.einsum("snp,snq->spq", g.dt, g.dt)
 
 
-def _cluster_views(
-    g: KernelGroup, structure: str, alpha: float, phi: float, infos, scores
-) -> list:
-    """ClusterQuantities of each cluster of one group."""
-    sw = np.sqrt(g.w)
-    swsw = sw[:, :, None] * sw[:, None, :]
-    vmat = phi * swsw * working_correlation(structure, alpha, g.w.shape[1])
-    vinv = (g.cinv.T @ g.cinv) / swsw / phi
-    dmat = g.w[:, :, None] * g.X
-    return [
-        ClusterQuantities(
-            mu=g.mu[k],
-            w=g.w[k],
-            dmat=dmat[k],
-            vmat=vmat[k],
-            vinv=vinv[k],
-            resid=g.resid[k],
-            info=infos[k],
-            score=scores[k],
-        )
-        for k in range(len(g.idx))
-    ]
-
-
-def cluster_quantities(
-    beta: np.ndarray,
-    structure: str,
-    alpha: float,
-    phi: float,
-    cluster: Cluster,
-) -> ClusterQuantities:
-    """Evaluate all per-cluster quantities at one parameter point.
-
-    The one-cluster case of the kernel's group computation.  Raises
-    SingularV when the working covariance is not positive definite (e.g.
-    inadmissible alpha).
-    """
-    group = SizeGroup(np.zeros(1, dtype=int), cluster.X[None], cluster.y[None])
-    try:
-        g = _kernel_group(np.asarray(beta, dtype=float), structure, alpha, phi, group)
-    except np.linalg.LinAlgError as exc:
-        raise _singular_v(cluster) from exc
-    return _cluster_views(g, structure, alpha, phi, _infos(g), _scores(g))[0]
-
-
 @dataclass(frozen=True)
 class FitKernel:
     """Assembled kernel: size-group arrays plus the sensitivity matrix.
 
     ``scores`` (N, p) and ``infos`` (N, p, p) hold the cluster score
     contributions and informations in cluster order; ``info`` is their
-    p x p sum and ``info_inv`` its inverse.  ``geometry``, the corrected
-    scores and the per-cluster view ``cq`` are computed on first use.
+    p x p sum and ``info_inv`` its inverse.  ``geometry`` and the
+    corrected scores are computed on first use; ``hat_block`` is the only
+    per-cluster accessor.
     """
 
     beta: np.ndarray
@@ -249,24 +192,6 @@ class FitKernel:
     @property
     def balanced(self) -> bool:
         return self.data.balanced
-
-    @cached_property
-    def cq(self) -> tuple:
-        """Per-cluster :class:`ClusterQuantities`, in cluster order, built on
-        first use for checks; the kernel's own computations never read it."""
-        out = [None] * self.n_clusters
-        for g in self.groups:
-            views = _cluster_views(
-                g,
-                self.structure,
-                self.alpha,
-                self.phi,
-                self.infos[g.idx],
-                self.scores[g.idx],
-            )
-            for i, q in zip(g.idx, views):
-                out[i] = q
-        return tuple(out)
 
     @cached_property
     def geometry(self) -> tuple[LeverageGeometry, ...]:
@@ -314,9 +239,16 @@ class FitKernel:
         return self._corrections[c]
 
     def hat_block(self, i: int) -> np.ndarray:
-        """Hat-matrix block of cluster i: dmat @ info_inv @ dmat' @ vinv."""
-        q = self.cq[i]
-        return q.dmat @ self.info_inv @ q.dmat.T @ q.vinv
+        """Hat-matrix block of cluster i, dmat @ info_inv @ dmat' @ vinv.
+
+        With vinv = L^{-T} L^{-1} this is dmat @ info_inv @ dt' @ L^{-1},
+        where dmat = W X and L^{-1} = C^{-1} W^{-1/2} / sqrt(phi).
+        """
+        g = next(g for g in self.groups if i in g.idx)
+        k = int(np.searchsorted(g.idx, i))
+        dmat = g.w[k][:, None] * g.X[k]
+        linv = g.cinv / np.sqrt(self.phi * g.w[k])
+        return dmat @ self.info_inv @ g.dt[k].T @ linv
 
     def with_residuals(self, residuals) -> "FitKernel":
         """Copy of this kernel with residuals (and scores) replaced.

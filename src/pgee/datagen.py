@@ -196,19 +196,6 @@ def clf_sample(
     return y[~invalid], int(invalid.sum())
 
 
-def clf_generate(
-    mu: np.ndarray,
-    structure: str,
-    rho: float,
-    rng: np.random.Generator,
-) -> Optional[np.ndarray]:
-    """Single correlated binary draw; None when a conditional mean left (0, 1)."""
-    draws, n_invalid = clf_sample(mu, structure, rho, rng, size=1)
-    if n_invalid:
-        return None
-    return draws[0]
-
-
 def generate_dataset(
     scenario: Scenario,
     rng: np.random.Generator,
@@ -233,9 +220,12 @@ def generate_dataset(
         else:
             eta = np.full(n, eta)
         mu = expit(eta)
-        y = clf_generate(mu, scenario.true_structure, scenario.rho, rng)
-        if y is None:
+        draws, n_invalid = clf_sample(
+            mu, scenario.true_structure, scenario.rho, rng, size=1
+        )
+        if n_invalid:
             return None
+        y = draws[0]
         ones = np.ones((n, 1))
         if scenario.model == "full":
             X = np.hstack([ones, np.full((n, 1), x), t[:, None]])

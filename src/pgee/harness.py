@@ -124,6 +124,25 @@ class ScenarioResult:
     cells: tuple
 
 
+def draw_dataset(
+    scenario: Scenario, rep_index: int, intercept: float
+) -> tuple:
+    """Dataset of one replication and the number of invalid draws before it.
+
+    Attempt ``a`` draws from ``SeedSequence((seed, rep_index, a))``; an
+    invalid draw is counted and regenerated on the next substream.  The
+    dataset is None when all MAX_ATTEMPTS draws are invalid.
+    """
+    for attempt in range(MAX_ATTEMPTS):
+        rng = np.random.default_rng(
+            np.random.SeedSequence((scenario.seed, rep_index, attempt))
+        )
+        dataset = generate_dataset(scenario, rng, intercept=intercept)
+        if dataset is not None:
+            return dataset, attempt
+    return None, MAX_ATTEMPTS
+
+
 def run_replication(
     spec: ScenarioSpec,
     rep_index: int,
@@ -138,16 +157,7 @@ def run_replication(
     if estimators is None:
         estimators = list(EstimatorId)
 
-    dataset = None
-    invalid = 0
-    for attempt in range(MAX_ATTEMPTS):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((scen.seed, rep_index, attempt))
-        )
-        dataset = generate_dataset(scen, rng, intercept=intercept)
-        if dataset is not None:
-            break
-        invalid += 1
+    dataset, invalid = draw_dataset(scen, rep_index, intercept)
     record = {"rep": rep_index, "invalid": invalid, "converged": False}
     if dataset is None:
         return record
@@ -198,9 +208,10 @@ def aggregate(
     b_total = len(records)
     converged = [r for r in records if r["converged"]]
     b_eff = len(converged)
-    if b_eff < min_converged:
+    need = max(min_converged, 1)
+    if b_eff < need:
         raise TooFewConverged(
-            f"{spec.id}: only {b_eff} converged replications (need {min_converged})"
+            f"{spec.id}: only {b_eff} converged replications (need {need})"
         )
     invalid_draws = sum(r["invalid"] for r in records)
 

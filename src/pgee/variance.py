@@ -105,18 +105,6 @@ class WaldResult:
     ci_high: float
 
 
-def leverage_scores(kernel: FitKernel, c: float) -> list:
-    """Leverage-corrected score contributions dmat' vinv (I - H)^{-c} r.
-
-    c = 0 returns the plain scores exactly; c = 1/2 and c = 1 give the
-    KC- and MD/AR-type corrections.  Raises SingularLeverage when some
-    (I - H) is numerically singular and c > 0.
-    """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"leverage exponent must lie in [0, 1], got {c}")
-    return list(kernel.corrected(c)[0])
-
-
 def _gram(f: np.ndarray) -> np.ndarray:
     """sum_i f_i f_i' over the rows of f."""
     return np.einsum("ip,iq->pq", f, f)
@@ -249,7 +237,11 @@ def estimate_variance(kernel: FitKernel, estimator: EstimatorId) -> VarianceEsti
 
 
 def estimate_all(kernel: FitKernel, estimators=None) -> dict:
-    """Evaluate several estimators, sharing leverage factorizations."""
+    """Evaluate several estimators at one kernel.
+
+    The leverage corrections they share are solved once per exponent by
+    ``FitKernel.corrected``.
+    """
     if estimators is None:
         estimators = list(EstimatorId)
     return {e: estimate_variance(kernel, e) for e in estimators}

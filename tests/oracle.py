@@ -72,6 +72,13 @@ def literal_clusters(beta, structure, alpha, phi, data) -> list:
     return out
 
 
+def kernel_literals(kernel) -> list:
+    """``literal_clusters`` at an assembled kernel's parameter point."""
+    return literal_clusters(
+        kernel.beta, kernel.structure, kernel.alpha, kernel.phi, kernel.data
+    )
+
+
 def literal_penalty(clusters, info_inv, structure, alpha, phi) -> np.ndarray:
     """b_r = trace(info_inv d info / d beta_r) / 2, differentiating
     info_i = X' W^{1/2} R^{-1} W^{1/2} X / phi through

@@ -22,7 +22,6 @@ from pgee import (
     estimate_variance,
     firth_penalty,
     fit,
-    leverage_scores,
     overcorrection_diagnostic,
     parse_config,
     results_csv,
@@ -33,7 +32,7 @@ from pgee import (
 )
 
 from conftest import intercept_only_dataset, random_dataset, two_arm_dataset
-from oracle import firth_penalty_fd
+from oracle import firth_penalty_fd, kernel_literals
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -133,12 +132,12 @@ def test_c01_algebraic_identities(fitted_corpus):
             tag: estimate_variance(kern, EstimatorId[tag]).cov
             for tag in ("LZ", "KC", "MD", "FW", "DF", "AR")
         }
-        worst = max(worst, relerr(v["LZ"], sandwich(leverage_scores(kern, 0.0))))
-        worst = max(worst, relerr(v["KC"], sandwich(leverage_scores(kern, 0.5))))
-        worst = max(worst, relerr(v["MD"], sandwich(leverage_scores(kern, 1.0))))
+        worst = max(worst, relerr(v["LZ"], sandwich(kern.corrected(0.0)[0])))
+        worst = max(worst, relerr(v["KC"], sandwich(kern.corrected(0.5)[0])))
+        worst = max(worst, relerr(v["MD"], sandwich(kern.corrected(1.0)[0])))
         worst = max(worst, relerr(v["FW"], 0.5 * (v["KC"] + v["MD"])))
         worst = max(worst, relerr(v["DF"], n_cl / (n_cl - p) * v["LZ"]))
-        f = leverage_scores(kern, 1.0)
+        f = kern.corrected(1.0)[0]
         fbar = np.mean(f, axis=0)
         m_md = sum(np.outer(x, x) for x in f)
         c_n = (n_star - 1) / (n_star - p) * n_cl / (n_cl - 1)
@@ -185,12 +184,12 @@ def test_c03_pushthrough_and_trace(fitted_corpus):
     for res in fits:
         kern = res.kernel
         total = 0.0
-        for i, q in enumerate(kern.cq):
+        for i, q in enumerate(kernel_literals(kern)):
             n = q.mu.shape[0]
             hat = kern.hat_block(i)
             total += np.trace(hat)
             lhs = np.linalg.solve(np.eye(n) - hat, q.dmat)
-            rhs = q.dmat @ np.linalg.solve(kern.info - q.info, kern.info)
+            rhs = q.dmat @ np.linalg.solve(kern.info - kern.infos[i], kern.info)
             scale = max(np.max(np.abs(rhs)), 1e-300)
             worst_push = max(worst_push, np.max(np.abs(lhs - rhs)) / scale)
         worst_trace = max(worst_trace, abs(total - kern.p))
@@ -233,7 +232,7 @@ def test_c05_morel_term_dispersion_invariance():
     worst = 0.0
     for phi in (1.0, 0.5, 2.0, 10.0):
         kern = assemble_kernel(beta, "exchangeable", 0.2, phi, ds)
-        scores = np.array([q.score for q in kern.cq])
+        scores = kern.scores
         centered = scores - scores.mean(axis=0)
         term = kern.info_inv @ (centered.T @ centered) @ kern.info_inv
         if ref is None:
@@ -269,7 +268,7 @@ def test_c06_expectation_identities_monte_carlo():
             for k in range(sizes[i]):
                 res = [np.zeros(sizes[j]) for j in range(n_cl)]
                 res[i][k] = 1.0
-                cols.append((i, k, leverage_scores(kern.with_residuals(res), c)[i]))
+                cols.append((i, k, kern.with_residuals(res).corrected(c)[0][i]))
         mats = [np.zeros((p, sizes[i])) for i in range(n_cl)]
         for i, k, col in cols:
             mats[i][:, k] = col
@@ -278,22 +277,21 @@ def test_c06_expectation_identities_monte_carlo():
     g0 = score_map(0.0)
     g1 = score_map(1.0)
 
+    literals = kernel_literals(kern)
     tmat = np.zeros((n_tot, n_tot))
     for i in range(n_cl):
-        qi = kern.cq[i]
+        qi = literals[i]
         for l in range(n_cl):
-            ql = kern.cq[l]
+            ql = literals[l]
             block = qi.dmat @ kern.info_inv @ ql.dmat.T @ ql.vinv
             rows_i = slice(offsets[i], offsets[i + 1])
             cols_l = slice(offsets[l], offsets[l + 1])
             tmat[rows_i, cols_l] = (np.eye(sizes[i]) - block) if l == i else -block
 
-    mu = np.concatenate([q.mu for q in kern.cq])
+    mu = np.concatenate([q.mu for q in literals])
     blev = overcorrection_diagnostic(kern).matrix
     target_md = kern.info + blev
-    target_lz = kern.info - sum(
-        q.info @ kern.info_inv @ q.info for q in kern.cq
-    )
+    target_lz = kern.info - sum(a @ kern.info_inv @ a for a in kern.infos)
 
     reps = 200_000
     rng = np.random.default_rng(20260806)

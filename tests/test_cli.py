@@ -56,6 +56,12 @@ def separated_csv(tmp_path):
     return path
 
 
+def _assert_one_error_line(capsys, message):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 class TestFit:
     def test_balanced_full_table(self, balanced_csv, capsys):
         code = main(["fit", str(balanced_csv)])
@@ -220,6 +226,21 @@ class TestGenerate:
                      "--rho", "0.2", "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--N", "3"], "clusters"),  # fewer than p + 1 clusters
+            (["--rate", "1e-12"], "unreachable"),  # no intercept reaches it
+            (["--out", "{tmp}/missing/x.csv"], "No such file"),
+        ],
+    )
+    def test_bad_input_one_error_line(self, tmp_path, capsys, flags, message):
+        # the last of a repeated flag wins, so ``flags`` override the defaults
+        code = main(["generate", "--N", "10", "--out", str(tmp_path / "x.csv"),
+                     *(f.format(tmp=tmp_path) for f in flags)])
+        assert code == 1
+        _assert_one_error_line(capsys, message)
+
 
 SIM_CONFIG = """
 [tiny]
@@ -272,3 +293,19 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--estimators", "LZ,NOPE",
                      "--out-dir", str(tmp_path)])
         assert code == 1
+
+    def test_no_converged_replications_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(SIM_CONFIG)
+        code = main(["simulate", "--config", str(cfg), "--reps", "0",
+                     "--min-converged", "0", "--out-dir", str(tmp_path)])
+        assert code == 1
+        _assert_one_error_line(capsys, "only 0 converged replications")
+
+    def test_out_dir_below_file_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(SIM_CONFIG)
+        code = main(["simulate", "--config", str(cfg), "--reps", "2",
+                     "--min-converged", "1", "--out-dir", str(cfg / "out")])
+        assert code == 1
+        _assert_one_error_line(capsys, "grid.cfg")

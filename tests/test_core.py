@@ -5,20 +5,18 @@ import pytest
 
 from pgee import (
     assemble_kernel,
-    cluster_quantities,
     firth_penalty,
     gee_score,
-    leverage_scores,
     overcorrection_diagnostic,
     validate_dataset,
     working_correlation,
 )
-from pgee.data import Cluster
 from pgee.errors import SingularInformation, SingularLeverage, SingularV
 
 from conftest import intercept_only_dataset, random_dataset, random_kernel
 from oracle import (
     firth_penalty_fd,
+    kernel_literals,
     literal_clusters,
     literal_hat,
     literal_leverage_score,
@@ -26,49 +24,71 @@ from oracle import (
 )
 
 
-def _single_cluster(y, X):
-    return Cluster(id=0, y=np.asarray(y, float), X=np.asarray(X, float))
+def _slope_dataset(clusters):
+    """Clusters of (y, x) rows, one list per cluster, with an intercept."""
+    return validate_dataset(
+        [(i, y, (x,), None) for i, rows in enumerate(clusters) for y, x in rows]
+    )
 
 
 class TestClusterQuantities:
     def test_zero_beta_gives_half_means(self):
-        c = _single_cluster([0, 1, 0], [[1, 0.3], [1, -0.2], [1, 0.9]])
-        q = cluster_quantities(np.zeros(2), "independence", 0.0, 1.0, c)
-        assert np.allclose(q.mu, 0.5)
-        assert np.allclose(q.w, 0.25)
-        assert np.allclose(np.diag(q.vmat), 0.25)
+        ds = _slope_dataset(
+            [[(0, 0.3), (1, -0.2), (0, 0.9)], [(1, 0.5), (0, -1.0)], [(1, 0.1), (1, 0.7)]]
+        )
+        kern = assemble_kernel(np.zeros(2), "independence", 0.0, 1.0, ds)
+        for g in kern.groups:
+            assert np.allclose(g.mu, 0.5)
+            assert np.allclose(g.w, 0.25)
+        # V = diag(0.25), so info = X' (W V^{-1} W) X = X' X / 4
+        X = np.vstack([c.X for c in ds.clusters])
+        assert np.allclose(kern.info, 0.25 * X.T @ X, rtol=1e-14)
 
     def test_independence_v_equals_w(self):
-        c = _single_cluster([0, 1], [[1, 0.5], [1, -1.0]])
-        q = cluster_quantities(np.array([0.4, -0.3]), "independence", 0.0, 1.0, c)
-        assert np.allclose(np.diag(q.vmat), q.w)
-        assert np.allclose(q.vinv, np.diag(1.0 / q.w))
+        # V = W: info_i = X' W X and score_i = X' r
+        ds = _slope_dataset(
+            [[(0, 0.5), (1, -1.0)], [(1, 0.2), (1, 0.8), (0, -0.4)], [(0, 0.3), (1, 0.1)]]
+        )
+        kern = assemble_kernel(np.array([0.4, -0.3]), "independence", 0.0, 1.0, ds)
+        for g in kern.groups:
+            for k, i in enumerate(g.idx):
+                X = g.X[k]
+                assert np.allclose(kern.infos[i], X.T @ (g.w[k][:, None] * X), rtol=1e-12)
+                assert np.allclose(kern.scores[i], X.T @ g.resid[k], rtol=1e-12)
 
     def test_exchangeable_hand_value(self):
         # mu = (1/2, 1/2), alpha = 0.3, phi = 1:
-        # V = [[0.25, 0.075], [0.075, 0.25]]
-        c = _single_cluster([0, 1], [[1.0], [1.0]])
-        q = cluster_quantities(np.zeros(1), "exchangeable", 0.3, 1.0, c)
-        assert np.allclose(q.vmat, [[0.25, 0.075], [0.075, 0.25]], atol=1e-15)
+        # V = [[0.25, 0.075], [0.075, 0.25]], dmat = (1/4, 1/4)', so each
+        # cluster's information is (1/16) 1' V^{-1} 1 = (1/16)(2 / 0.325) = 5/13
+        ds = intercept_only_dataset([0, 1, 1, 0, 0, 1], cluster_size=2)
+        kern = assemble_kernel(np.zeros(1), "exchangeable", 0.3, 1.0, ds)
+        assert np.allclose(kern.infos[:, 0, 0], 5.0 / 13.0, rtol=1e-14)
+        assert np.allclose(kern.info, 15.0 / 13.0, rtol=1e-14)
+        for q in kernel_literals(kern):
+            assert np.allclose(q.vmat, [[0.25, 0.075], [0.075, 0.25]], atol=1e-15)
 
     def test_w_entries_bounded(self, rng):
         ds = random_dataset(rng)
         beta = np.array([8.0, -3.0, 5.0])  # pushes some mu near the boundary
         kern = assemble_kernel(beta, "independence", 0.0, 1.0, ds)
-        for q in kern.cq:
-            assert np.all(q.w > 0.0)
-            assert np.all(q.w <= 0.25)
+        for g in kern.groups:
+            assert np.all(g.w > 0.0)
+            assert np.all(g.w <= 0.25)
 
     def test_eta_saturation_is_clamped(self):
-        c = _single_cluster([0, 1], [[1.0, 1000.0], [1.0, -1000.0]])
-        q = cluster_quantities(np.array([0.0, 2.0]), "independence", 0.0, 1.0, c)
-        assert np.all(np.isfinite(q.mu))
-        assert np.all((q.mu > 0) & (q.mu < 1))
+        ds = _slope_dataset(
+            [[(0, 1000.0), (1, -1000.0)], [(1, 0.5), (0, -0.2)], [(0, 0.4), (1, 0.1)]]
+        )
+        kern = assemble_kernel(np.array([0.0, 2.0]), "independence", 0.0, 1.0, ds)
+        (g,) = kern.groups
+        assert np.all(np.isfinite(g.mu[0]))
+        assert np.all((g.mu[0] > 0) & (g.mu[0] < 1))
+        assert np.all(np.isfinite(kern.infos[0]))
 
     def test_info_psd(self, rng):
         kern = random_kernel(rng)
-        for q in kern.cq:
-            eigs = np.linalg.eigvalsh(q.info)
+        for info in kern.infos:
+            eigs = np.linalg.eigvalsh(info)
             assert eigs.min() >= -1e-12
 
 
@@ -90,7 +110,7 @@ class TestKernel:
             rows.extend([(i, 0.0, (0.5,), None), (i, 1.0, (-0.25,), None)])
         ds = validate_dataset(rows)
         kern = assemble_kernel(np.array([0.2, 0.1]), "exchangeable", 0.2, 1.0, ds)
-        assert np.allclose(kern.info, n_clusters * kern.cq[0].info)
+        assert np.allclose(kern.info, n_clusters * kern.infos[0])
         eigs = np.linalg.eigvals(kern.hat_block(0))
         nonzero = np.sort(np.abs(eigs))[-2:]
         assert np.allclose(nonzero, 1.0 / n_clusters, atol=1e-10)
@@ -112,10 +132,10 @@ class TestKernel:
 
     def test_push_through_identity(self, rng):
         kern = random_kernel(rng, n_clusters=5)
-        for i, q in enumerate(kern.cq):
+        for i, q in enumerate(kernel_literals(kern)):
             n = q.mu.shape[0]
             lhs = np.linalg.solve(np.eye(n) - kern.hat_block(i), q.dmat)
-            rhs = q.dmat @ np.linalg.solve(kern.info - q.info, kern.info)
+            rhs = q.dmat @ np.linalg.solve(kern.info - kern.infos[i], kern.info)
             assert np.allclose(lhs, rhs, rtol=1e-8, atol=1e-10)
 
     def test_info_positive_definite(self, rng):
@@ -133,7 +153,7 @@ class TestKernel:
 
     def test_with_residuals_replaces_scores(self, rng):
         kern = random_kernel(rng)
-        new_res = [np.zeros_like(q.resid) for q in kern.cq]
+        new_res = [np.zeros(n) for n in kern.cluster_sizes]
         k2 = kern.with_residuals(new_res)
         assert np.allclose(gee_score(k2), 0.0)
         assert np.array_equal(k2.info, kern.info)
@@ -142,7 +162,7 @@ class TestKernel:
 class TestScore:
     def test_zero_residuals_zero_score(self, rng):
         kern = random_kernel(rng)
-        k2 = kern.with_residuals([np.zeros_like(q.resid) for q in kern.cq])
+        k2 = kern.with_residuals([np.zeros(n) for n in kern.cluster_sizes])
         assert np.allclose(gee_score(k2), 0.0)
 
     def test_intercept_only_independence_score(self):
@@ -250,11 +270,14 @@ class TestSizeGroupParity:
             scale = max(np.max(np.abs(b)), 1e-300)
             return np.max(np.abs(np.asarray(a) - b)) / scale < tol
 
-        for i, (q, r) in enumerate(zip(kern.cq, ref)):
-            for name in ("mu", "w", "dmat", "vmat", "vinv", "resid", "info", "score"):
-                assert close(getattr(q, name), getattr(r, name)), (i, name)
-            assert np.array_equal(q.info, kern.infos[i])
-            assert np.array_equal(q.score, kern.scores[i])
+        for g in kern.groups:
+            for k, i in enumerate(g.idx):
+                assert np.array_equal(g.X[k], ref[i].X), i
+                for name in ("mu", "w", "resid"):
+                    assert close(getattr(g, name)[k], getattr(ref[i], name)), (i, name)
+        for i, r in enumerate(ref):
+            assert close(kern.infos[i], r.info), i
+            assert close(kern.scores[i], r.score), i
         info = sum(r.info for r in ref)
         info_inv = np.linalg.inv(info)
         assert close(kern.info, info)
@@ -263,19 +286,10 @@ class TestSizeGroupParity:
             firth_penalty(kern), literal_penalty(ref, info_inv, structure, alpha, phi)
         )
         for c in (0.5, 1.0):
-            scores = leverage_scores(kern, c)
+            scores = kern.corrected(c)[0]
             for i, r in enumerate(ref):
                 assert close(kern.hat_block(i), literal_hat(r, info_inv))
                 assert close(scores[i], literal_leverage_score(r, info_inv, c), 1e-8)
-
-    def test_cluster_quantities_is_one_cluster_kernel(self, rng):
-        ds = _interleaved_dataset(rng, self.SIZES)
-        beta = np.array([0.2, -0.4, 0.3])
-        kern = assemble_kernel(beta, "exchangeable", 0.3, 1.0, ds)
-        for c, q in zip(ds.clusters, kern.cq):
-            one = cluster_quantities(beta, "exchangeable", 0.3, 1.0, c)
-            for name in ("mu", "vmat", "vinv", "info", "score"):
-                assert np.allclose(getattr(one, name), getattr(q, name), rtol=1e-12)
 
     def test_singular_v_names_first_cluster_in_order(self, rng):
         # alpha = -0.28 is admissible for n <= 4 only; the size-6 cluster at
@@ -283,8 +297,6 @@ class TestSizeGroupParity:
         ds = _interleaved_dataset(rng, (3, 2, 6, 2, 5, 3, 5, 6))
         with pytest.raises(SingularV, match="^cluster c2:"):
             assemble_kernel(np.zeros(ds.p), "exchangeable", -0.28, 1.0, ds)
-        with pytest.raises(SingularV, match="^cluster c4:"):
-            cluster_quantities(np.zeros(ds.p), "exchangeable", -0.28, 1.0, ds.clusters[4])
 
     def test_singular_leverage_names_first_cluster_in_order(self, rng):
         # cluster 1 (size 3) alone carries the 4th covariate and cluster 3
@@ -292,7 +304,7 @@ class TestSizeGroupParity:
         ds = _interleaved_dataset(rng, (2, 3, 2, 2, 2, 3, 2), owners={1: 0, 3: 1})
         kern = assemble_kernel(np.zeros(ds.p), "independence", 0.0, 1.0, ds)
         with pytest.raises(SingularLeverage) as err:
-            leverage_scores(kern, 1.0)
+            kern.corrected(1.0)
         assert err.value.cluster_id == "c1"
         with pytest.raises(SingularLeverage) as err:
             overcorrection_diagnostic(kern)

@@ -10,7 +10,6 @@ from pgee import (
     Scenario,
     calibrate_intercept,
     clf_coefficients,
-    clf_generate,
     clf_sample,
     generate_dataset,
 )
@@ -102,10 +101,10 @@ class TestClfDraws:
 
     def test_single_draw_shape(self):
         rng = np.random.default_rng(1)
-        y = clf_generate(np.full(4, 0.3), "ar1", 0.2, rng)
-        assert y is not None
-        assert y.shape == (4,)
-        assert set(np.unique(y)) <= {0.0, 1.0}
+        draws, invalid = clf_sample(np.full(4, 0.3), "ar1", 0.2, rng, size=1)
+        assert invalid == 0
+        assert draws.shape == (1, 4)
+        assert set(np.unique(draws)) <= {0.0, 1.0}
 
     def test_invalid_draws_counted_not_clamped(self):
         # strong negative correlation with high means: a zero at position 1

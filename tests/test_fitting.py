@@ -146,14 +146,14 @@ class TestMomentEstimators:
     def test_alpha_zero_residuals(self, rng):
         ds = random_dataset(rng)
         kern = assemble_kernel(np.zeros(ds.p), "exchangeable", 0.0, 1.0, ds)
-        kern = kern.with_residuals([np.zeros_like(q.resid) for q in kern.cq])
+        kern = kern.with_residuals([np.zeros(n) for n in kern.cluster_sizes])
         assert estimate_alpha(kern) == 0.0
 
     def test_alpha_boundary_clamped(self):
         # denominator = pairs - p = 2 - 1 = 1; one unit pair -> raw alpha = 1
         ds = intercept_only_dataset([0, 1, 0, 1], cluster_size=2)
         kern = assemble_kernel(np.zeros(1), "exchangeable", 0.0, 1.0, ds)
-        sw = np.sqrt(kern.cq[0].w)
+        sw = np.sqrt(kern.groups[0].w[0])
         kern = kern.with_residuals([1.0 * sw, 0.0 * sw])
         a = estimate_alpha(kern)
         assert a < 1.0
@@ -196,7 +196,7 @@ class TestMomentEstimators:
     def test_phi_degenerate_floored(self, rng):
         ds = random_dataset(rng)
         kern = assemble_kernel(np.zeros(ds.p), "independence", 0.0, 1.0, ds)
-        kern = kern.with_residuals([np.zeros_like(q.resid) for q in kern.cq])
+        kern = kern.with_residuals([np.zeros(n) for n in kern.cluster_sizes])
         with pytest.warns(RuntimeWarning):
             assert estimate_phi(kern) == pytest.approx(1e-6)
 

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import pgee.harness
 from pgee import (
     EstimatorId,
     Scenario,
     ScenarioSpec,
     aggregate,
+    calibrate_intercept,
+    generate_dataset,
     parse_config,
     results_csv,
     run_grid,
@@ -18,6 +21,7 @@ from pgee import (
     summary_json,
 )
 from pgee.errors import ConfigError, TooFewConverged
+from pgee.harness import MAX_ATTEMPTS, draw_dataset
 
 FAST_ESTIMATORS = [EstimatorId.LZ, EstimatorId.KC, EstimatorId.AR, EstimatorId.PAN]
 
@@ -67,6 +71,33 @@ class TestRunReplication:
         assert len(rec["estimators"]["LZ"]["se"]) == 2
 
 
+class TestDrawDataset:
+    def test_regenerates_on_next_substream(self):
+        # negative correlation at a 60% event rate makes some draws invalid
+        scen = Scenario(
+            n_clusters=30, n_pattern=(5,), event_rate=0.6, rho=-0.2, model="reduced", seed=7
+        )
+        intercept = calibrate_intercept(scen)
+
+        def attempt(a):
+            rng = np.random.default_rng(np.random.SeedSequence((scen.seed, 2, a)))
+            return generate_dataset(scen, rng, intercept=intercept)
+
+        dataset, invalid = draw_dataset(scen, 2, intercept)
+        assert invalid > 0
+        assert all(attempt(a) is None for a in range(invalid))
+        expected = attempt(invalid)
+        for c, e in zip(dataset.clusters, expected.clusters, strict=True):
+            assert np.array_equal(c.y, e.y)
+
+    def test_gives_up_after_max_attempts(self, monkeypatch):
+        # draws go through the module-level name, which traced runs wrap
+        calls = []
+        monkeypatch.setattr(pgee.harness, "generate_dataset", lambda *a, **k: calls.append(1))
+        assert draw_dataset(_spec().scenario, 0, 0.0) == (None, MAX_ATTEMPTS)
+        assert len(calls) == MAX_ATTEMPTS
+
+
 class TestAggregate:
     def _records(self, n=120, converged=None, reject=False, se=1.0):
         recs = []
@@ -109,6 +140,14 @@ class TestAggregate:
             aggregate(
                 self._records(converged=conv), _spec(), estimators=[EstimatorId.LZ]
             )
+
+    def test_no_converged_replications_raise(self):
+        # even when no minimum is asked for, there is nothing to aggregate
+        recs = self._records(n=3, converged=[False] * 3)
+        with pytest.raises(TooFewConverged):
+            aggregate(recs, _spec(), estimators=[EstimatorId.LZ], min_converged=0)
+        with pytest.raises(TooFewConverged):
+            aggregate([], _spec(), estimators=[EstimatorId.LZ], min_converged=0)
 
     def test_non_converged_excluded_everywhere(self):
         conv = [r % 2 == 0 for r in range(300)]

@@ -6,11 +6,11 @@ from scipy.integrate import quad
 
 from pgee import (
     EstimatorId,
+    FitKernel,
     POOLING_IDS,
     assemble_kernel,
     estimate_all,
     estimate_variance,
-    leverage_scores,
     overcorrection_diagnostic,
     validate_dataset,
     wald_test,
@@ -18,6 +18,7 @@ from pgee import (
 from pgee.errors import SingularLeverage, ZeroSE
 
 from conftest import balanced_dataset, random_kernel, two_arm_dataset
+from oracle import kernel_literals, literal_leverage_score
 
 
 def _balanced_kernel(rng, **kw):
@@ -29,8 +30,10 @@ def _balanced_kernel(rng, **kw):
 class TestLeverageScores:
     def test_c_zero_is_plain_scores(self, rng):
         kern = random_kernel(rng)
-        for f, q in zip(leverage_scores(kern, 0.0), kern.cq):
-            assert np.array_equal(f, q.score)
+        f = kern.corrected(0.0)[0]
+        assert np.array_equal(f, kern.scores)
+        for fi, q in zip(f, kernel_literals(kern)):
+            assert np.allclose(fi, literal_leverage_score(q, kern.info_inv, 0.0), rtol=1e-10)
 
     def test_identical_clusters_scalar_factor(self):
         # p = 1 identical clusters: hat eigenvalue 1/N, so c = 1 scales
@@ -44,8 +47,8 @@ class TestLeverageScores:
             [(i, y, (), None) for i in range(n_clusters) for y in (1.0, 0.0)]
         )
         kern = assemble_kernel(np.array([0.1]), "exchangeable", 0.15, 1.0, ds)
-        f0 = leverage_scores(kern, 0.0)
-        f1 = leverage_scores(kern, 1.0)
+        f0 = kern.corrected(0.0)[0]
+        f1 = kern.corrected(1.0)[0]
         factor = n_clusters / (n_clusters - 1)
         for a, b in zip(f0, f1):
             assert np.allclose(b, factor * a, rtol=1e-10)
@@ -53,18 +56,27 @@ class TestLeverageScores:
     def test_dense_inverse_oracle(self, rng):
         kern = random_kernel(rng, n_clusters=6)
         for c in (0.5, 1.0):
-            scores = leverage_scores(kern, c)
-            for i, q in enumerate(kern.cq):
+            scores = kern.corrected(c)[0]
+            for i, q in enumerate(kernel_literals(kern)):
                 n = q.mu.shape[0]
                 m = np.eye(n) - kern.hat_block(i)
                 power = np.linalg.inv(m) if c == 1.0 else _principal_inv_sqrt(m)
                 oracle = q.dmat.T @ q.vinv @ power @ q.resid
                 assert np.allclose(scores[i], oracle, rtol=1e-8, atol=1e-12)
 
-    def test_exponent_domain(self, rng):
-        kern = random_kernel(rng)
-        with pytest.raises(ValueError):
-            leverage_scores(kern, 1.5)
+    def test_exponent_domain(self, rng, monkeypatch):
+        # the catalog corrects by (I - H)^{-c} only for c in {0, 1/2, 1}
+        kern = _balanced_kernel(rng)
+        seen = set()
+        corrected = FitKernel.corrected
+
+        def recording(self, c):
+            seen.add(c)
+            return corrected(self, c)
+
+        monkeypatch.setattr(FitKernel, "corrected", recording)
+        assert all(ve.computable for ve in estimate_all(kern).values())
+        assert seen == {0.0, 0.5, 1.0}
 
     def test_singular_leverage_detected(self):
         # covariate present only in cluster "a": the rest of the design
@@ -80,7 +92,7 @@ class TestLeverageScores:
         ds = validate_dataset(rows)
         kern = assemble_kernel(np.zeros(2), "independence", 0.0, 1.0, ds)
         with pytest.raises(SingularLeverage):
-            leverage_scores(kern, 1.0)
+            kern.corrected(1.0)
         ve = estimate_variance(kern, EstimatorId.MD)
         assert not ve.computable
         assert ve.incomputable_reason == "SingularLeverage"
@@ -102,9 +114,9 @@ class TestEstimatorCatalog:
             m = sum(np.outer(f, f) for f in scores)
             return kern.info_inv @ m @ kern.info_inv
 
-        assert np.allclose(v[EstimatorId.LZ].cov, sandwich(leverage_scores(kern, 0.0)), rtol=1e-12)
-        assert np.allclose(v[EstimatorId.KC].cov, sandwich(leverage_scores(kern, 0.5)), rtol=1e-12)
-        assert np.allclose(v[EstimatorId.MD].cov, sandwich(leverage_scores(kern, 1.0)), rtol=1e-12)
+        assert np.allclose(v[EstimatorId.LZ].cov, sandwich(kern.corrected(0.0)[0]), rtol=1e-12)
+        assert np.allclose(v[EstimatorId.KC].cov, sandwich(kern.corrected(0.5)[0]), rtol=1e-12)
+        assert np.allclose(v[EstimatorId.MD].cov, sandwich(kern.corrected(1.0)[0]), rtol=1e-12)
         assert np.allclose(
             v[EstimatorId.DF].cov, n_cl / (n_cl - p) * v[EstimatorId.LZ].cov, rtol=1e-12
         )
@@ -116,7 +128,7 @@ class TestEstimatorCatalog:
 
     def test_ar_centering_identity(self, rng):
         kern = _balanced_kernel(rng)
-        f = leverage_scores(kern, 1.0)
+        f = kern.corrected(1.0)[0]
         n_cl, p, n_star = kern.n_clusters, kern.p, kern.n_total
         fbar = np.mean(f, axis=0)
         m_md = sum(np.outer(x, x) for x in f)
@@ -133,10 +145,10 @@ class TestEstimatorCatalog:
                 rows.append((i, float(j % 2), (z,), None))
         ds = validate_dataset(rows)
         kern = assemble_kernel(np.array([0.1, -0.2]), "exchangeable", 0.2, 1.0, ds)
-        base = [q.resid for q in kern.cq]
+        base = [q.resid for q in kernel_literals(kern)]
         mirrored = [base[0], -base[0], base[2], -base[2], base[4], -base[4]]
         k2 = kern.with_residuals(mirrored)
-        f = leverage_scores(k2, 1.0)
+        f = k2.corrected(1.0)[0]
         assert np.allclose(np.sum(f, axis=0), 0.0, atol=1e-12)
         n_cl, p, n_star = k2.n_clusters, k2.p, k2.n_total
         c_n = (n_star - 1) / (n_star - p) * n_cl / (n_cl - 1)
@@ -151,7 +163,7 @@ class TestEstimatorCatalog:
         kern = assemble_kernel(rng.normal(scale=0.3, size=3), "exchangeable", 0.2, 1.0, ds)
         c_n = (40 - 1) / (40 - 3) * 10 / 9
         assert c_n - 1 == pytest.approx(0.171, abs=5e-4)
-        f = leverage_scores(kern, 1.0)
+        f = kern.corrected(1.0)[0]
         m_md = sum(np.outer(x, x) for x in f)
         fbar = np.mean(f, axis=0)
         m_ar = kern.info @ estimate_variance(kern, EstimatorId.AR).cov @ kern.info
@@ -161,9 +173,9 @@ class TestEstimatorCatalog:
         # g_i = (1 - min(0.75, diag(A_i info_inv)))^{-1/2} * U_i
         kern = random_kernel(rng, n_clusters=6)
         m = np.zeros((kern.p, kern.p))
-        for q in kern.cq:
-            lev = np.array([(q.info @ kern.info_inv)[s, s] for s in range(kern.p)])
-            g = (1.0 - np.minimum(0.75, lev)) ** -0.5 * q.score
+        for info, score in zip(kern.infos, kern.scores):
+            lev = np.array([(info @ kern.info_inv)[s, s] for s in range(kern.p)])
+            g = (1.0 - np.minimum(0.75, lev)) ** -0.5 * score
             m += np.outer(g, g)
         expected = kern.info_inv @ m @ kern.info_inv
         got = estimate_variance(kern, EstimatorId.FG)
@@ -182,11 +194,11 @@ class TestEstimatorCatalog:
         rows += [(b, y, (0.0,), None) for b in "bcd" for y in (1.0, 0.0)]
         rows += [("e", 1.0, (1.0,), None), ("e", 0.0, (0.0,), None)]
         kern = assemble_kernel(np.zeros(2), "independence", 0.0, 1.0, validate_dataset(rows))
-        lev = np.diag(kern.cq[0].info @ kern.info_inv)
-        assert lev.max() > 0.75 and np.all(kern.cq[0].score != 0)
+        lev = np.diag(kern.infos[0] @ kern.info_inv)
+        assert lev.max() > 0.75 and np.all(kern.scores[0] != 0)
         m = np.zeros((2, 2))
-        for q in kern.cq:
-            g = (1.0 - np.minimum(0.75, np.diag(q.info @ kern.info_inv))) ** -0.5 * q.score
+        for info, score in zip(kern.infos, kern.scores):
+            g = (1.0 - np.minimum(0.75, np.diag(info @ kern.info_inv))) ** -0.5 * score
             m += np.outer(g, g)
         expected = kern.info_inv @ m @ kern.info_inv
         assert np.allclose(estimate_variance(kern, EstimatorId.FG).cov, expected, rtol=1e-12)
@@ -195,7 +207,7 @@ class TestEstimatorCatalog:
         # c_N info_inv C info_inv + kappa delta_N info_inv, C centered outer
         for kern in (random_kernel(rng, n_clusters=7), _balanced_kernel(rng, n_clusters=12)):
             n_cl, p, n_star = kern.n_clusters, kern.p, kern.n_total
-            u = np.array([q.score for q in kern.cq])
+            u = kern.scores
             ubar = u.mean(axis=0)
             c = sum(np.outer(x - ubar, x - ubar) for x in u)
             c_n = (n_star - 1) / (n_star - p) * n_cl / (n_cl - 1)
@@ -210,8 +222,7 @@ class TestEstimatorCatalog:
         kern = _balanced_kernel(rng, n_clusters=10)
         p, n_cl = kern.p, kern.n_clusters
         delta_n = min(0.5, p / (n_cl - p))
-        scores = [q.score for q in kern.cq]
-        arr = np.asarray(scores)
+        arr = kern.scores
         centered = arr - arr.mean(axis=0)
         i1c = centered.T @ centered
         kappa = max(1.0, float(np.trace(kern.info_inv @ i1c)) / p)
@@ -226,10 +237,11 @@ class TestEstimatorCatalog:
         n_cl, p = kern.n_clusters, kern.p
         n = kern.cluster_sizes[0]
         v = estimate_all(kern)
+        literals = kernel_literals(kern)
         # dense reconstruction of the pooled middles
         def pooled(c_exp, denom):
             ru = np.zeros((n, n))
-            for i, q in enumerate(kern.cq):
+            for i, q in enumerate(literals):
                 h = kern.hat_block(i)
                 corr = np.linalg.matrix_power(np.eye(n), 1)
                 if c_exp == 1.0:
@@ -242,7 +254,7 @@ class TestEstimatorCatalog:
                 ru += np.outer(e, e)
             ru /= denom
             m = np.zeros((p, p))
-            for q in kern.cq:
+            for q in literals:
                 tmat = q.dmat.T @ q.vinv @ np.diag(np.sqrt(q.w))
                 m += tmat @ ru @ tmat.T
             return kern.info_inv @ m @ kern.info_inv
@@ -273,10 +285,11 @@ class TestEstimatorCatalog:
         kern = assemble_kernel(rng.normal(scale=0.3, size=ds.p), "exchangeable", 0.15, 1.0, ds)
         p = kern.p
         m = np.zeros((p, p))
-        for i, qi in enumerate(kern.cq):
+        literals = kernel_literals(kern)
+        for i, qi in enumerate(literals):
             n = qi.mu.shape[0]
             inner = np.outer(qi.resid, qi.resid)
-            for j, qj in enumerate(kern.cq):
+            for j, qj in enumerate(literals):
                 if j == i:
                     continue
                 h_ij = qi.dmat @ kern.info_inv @ qj.dmat.T @ qj.vinv
@@ -306,7 +319,7 @@ class TestEstimatorCatalog:
         ref = None
         for phi in (0.5, 1.0, 2.0, 10.0):
             kern = assemble_kernel(beta, "exchangeable", 0.2, phi, ds)
-            scores = np.array([q.score for q in kern.cq])
+            scores = kern.scores
             centered = scores - scores.mean(axis=0)
             term = kern.info_inv @ (centered.T @ centered) @ kern.info_inv
             if ref is None:
@@ -323,7 +336,7 @@ class TestOvercorrectionDiagnostic:
         )
         kern = assemble_kernel(np.array([0.2]), "exchangeable", 0.1, 1.0, ds)
         diag = overcorrection_diagnostic(kern)
-        a = kern.cq[0].info[0, 0]
+        a = kern.infos[0, 0, 0]
         assert diag.matrix[0, 0] == pytest.approx(n_clusters * a / (n_clusters - 1), rel=1e-10)
         assert diag.ratios[0] == pytest.approx(1.0 / (n_clusters - 1), rel=1e-10)
 
