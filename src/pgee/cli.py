@@ -246,18 +246,19 @@ def cmd_diagnose(args) -> int:
             print(f"error: no column named {name!r}", file=sys.stderr)
             return 1
         idx = dataset.colnames.index(name)
-        values = []
-        for c in dataset.clusters:
-            col = c.X[:, idx]
-            if not np.all(col == col[0]) or col[0] not in (0.0, 1.0):
-                print(
-                    f"error: {name!r} is not a binary subject-level column",
-                    file=sys.stderr,
-                )
-                return 1
-            values.append(col[0])
-        n1 = int(sum(values))
-        n0 = len(values) - n1
+        col = dataset.X[:, idx]
+        arms = col[dataset.offsets[:-1]]
+        if not (
+            np.array_equal(col, np.repeat(arms, dataset.sizes))
+            and np.all((arms == 0.0) | (arms == 1.0))
+        ):
+            print(
+                f"error: {name!r} is not a binary subject-level column",
+                file=sys.stderr,
+            )
+            return 1
+        n1 = int(arms.sum())
+        n0 = len(arms) - n1
         n_min = min(n0, n1)
         if n_min >= 2:
             bench = 1.0 / (n_min - 1)
@@ -323,6 +324,9 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     reps = 5000 if args.full else args.reps
+    if reps < 0:
+        print(f"error: --reps must be non-negative, got {reps}", file=sys.stderr)
+        return 1
     out_dir = Path(args.out_dir)
     try:
         workers = effective_workers(args.workers)

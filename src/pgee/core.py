@@ -35,7 +35,7 @@ alpha and phi as constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
-from .data import Cluster, LongitudinalDataset, SizeGroup
+from .data import LongitudinalDataset, SizeGroup
 from .errors import SingularInformation, SingularLeverage, SingularV
 
 #: Linear predictors are clamped to +/- this value before exponentiation.
@@ -136,18 +136,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _singular_v(cluster: Cluster) -> SingularV:
-    return SingularV(f"cluster {cluster.id}: working covariance not positive definite")
-
-
-def _scores(g: KernelGroup) -> np.ndarray:
-    return np.einsum("snp,sn->sp", g.dt, g.rt)
-
-
-def _infos(g: KernelGroup) -> np.ndarray:
-    return np.einsum("snp,snq->spq", g.dt, g.dt)
-
-
 @dataclass(frozen=True)
 class FitKernel:
     """Assembled kernel: size-group arrays plus the sensitivity matrix.
@@ -222,7 +210,7 @@ class FitKernel:
             singular = np.flatnonzero(1.0 - lmax <= LEVERAGE_TOL)
             if singular.size:
                 i = singular[0]
-                cluster_id = self.data.clusters[i].id
+                cluster_id = self.data.ids[i]
                 raise SingularLeverage(
                     f"cluster {cluster_id}: (I - H) numerically singular "
                     f"(max hat eigenvalue {lmax[i]:.12g})",
@@ -250,25 +238,6 @@ class FitKernel:
         linv = g.cinv / np.sqrt(self.phi * g.w[k])
         return dmat @ self.info_inv @ g.dt[k].T @ linv
 
-    def with_residuals(self, residuals) -> "FitKernel":
-        """Copy of this kernel with residuals (and scores) replaced.
-
-        The fitted geometry (means, covariances, informations) is retained;
-        only the residual vectors, given in cluster order, and the score
-        contributions change.  Used to evaluate estimator middles on
-        externally constructed residuals, e.g. expansion-based simulation
-        checks.
-        """
-        groups = []
-        scores = np.empty_like(self.scores)
-        for g in self.groups:
-            r = np.array([residuals[i] for i in g.idx], dtype=float)
-            rt = np.einsum("ij,sj->si", g.cinv / np.sqrt(self.phi), r / np.sqrt(g.w))
-            g = g._replace(resid=r, rt=rt)
-            scores[g.idx] = _scores(g)
-            groups.append(g)
-        return replace(self, groups=tuple(groups), scores=_readonly(scores))
-
 
 def assemble_kernel(
     beta: np.ndarray,
@@ -291,12 +260,14 @@ def assemble_kernel(
         except np.linalg.LinAlgError:
             failed.append(group.idx[0])
     if failed:
-        raise _singular_v(data.clusters[min(failed)])
+        raise SingularV(
+            f"cluster {data.ids[min(failed)]}: working covariance not positive definite"
+        )
     scores = np.empty((data.n_clusters, data.p))
     infos = np.empty((data.n_clusters, data.p, data.p))
     for g in groups:
-        scores[g.idx] = _scores(g)
-        infos[g.idx] = _infos(g)
+        scores[g.idx] = np.einsum("snp,sn->sp", g.dt, g.rt)
+        infos[g.idx] = np.einsum("snp,snq->spq", g.dt, g.dt)
     info = infos.sum(axis=0)
     info = 0.5 * (info + info.T)
     eigvals = np.linalg.eigvalsh(info)

@@ -1,12 +1,14 @@
 """Domain types and dataset validation for clustered binary outcomes.
 
-A dataset is an ordered collection of independent clusters (subjects).
-Each cluster carries a binary response vector ``y`` and a covariate matrix
-``X`` whose first column is an all-ones intercept.  The canonical file
-format is a long-format CSV with header ``cluster,y,x1..xk[,t]``: the
-intercept column is synthesized on read, and a trailing ``t`` column is
-treated as the within-cluster time covariate (it enters ``X`` as the last
-column and is also kept separately on the cluster).
+A dataset is an ordered collection of independent clusters (subjects),
+stored as one flat record: the cluster ids and sizes in cluster order, a
+response vector ``y`` and a covariate matrix ``X`` holding every row, the
+rows of each cluster contiguous.  The first column of ``X`` is an all-ones
+intercept.  The canonical file format is a long-format CSV with header
+``cluster,y,x1..xk[,t]``: the intercept column is synthesized on read, and
+a trailing ``t`` column is the within-cluster time covariate (it enters
+``X`` as the last column).  The kernel reads the dataset through
+``size_groups``, the rows of all clusters of one size stacked into arrays.
 
 All types are immutable after construction; arrays are marked read-only so
 instances can be shared freely across threads and processes.
@@ -53,45 +55,18 @@ def normalize_structure(name: str) -> str:
         ) from None
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _readonly(a, dtype) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """One subject: n_i >= 2 repeated binary observations plus covariates."""
+class Cluster(NamedTuple):
+    """Read-only view of one cluster's rows of a dataset."""
 
     id: Hashable
-    y: np.ndarray
-    X: np.ndarray
-    t: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        y = _readonly(np.atleast_1d(self.y))
-        X = _readonly(np.atleast_2d(self.X))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "X", X)
-        if y.ndim != 1 or X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise DatasetError(f"cluster {self.id}: y and X shapes do not match")
-        if y.shape[0] < 2:
-            raise SingletonCluster(
-                f"cluster {self.id} has a single observation; n_i >= 2 required"
-            )
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise NonBinaryOutcome(f"cluster {self.id}: y values must be 0 or 1")
-        if not np.all(np.isfinite(X)):
-            raise DatasetError(f"cluster {self.id}: non-finite covariate entry")
-        if self.t is not None:
-            t = _readonly(np.atleast_1d(self.t))
-            if t.shape[0] != y.shape[0]:
-                raise DatasetError(f"cluster {self.id}: t length does not match y")
-            object.__setattr__(self, "t", t)
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
+    y: np.ndarray  # (n_i,)
+    X: np.ndarray  # (n_i, p)
 
 
 class SizeGroup(NamedTuple):
@@ -102,33 +77,77 @@ class SizeGroup(NamedTuple):
     y: np.ndarray  # (N_s, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LongitudinalDataset:
-    """Ordered clusters sharing a common covariate dimension p."""
+    """Clusters stored as flat arrays, in cluster order.
 
-    clusters: tuple
+    Cluster ``i`` is ``ids[i]`` and owns rows ``offsets[i]:offsets[i + 1]``
+    of ``y`` (n_total,) and ``X`` (n_total, p); ``sizes[i]`` is its number
+    of rows.  When ``has_time`` is set the last column of X is the
+    within-cluster time covariate.  Construction validates the record:
+    every cluster has at least two rows, binary y and finite X; ids are
+    unique and there are at least p + 1 clusters.
+    """
+
+    ids: tuple
+    sizes: np.ndarray
+    y: np.ndarray
+    X: np.ndarray
     colnames: tuple
+    has_time: bool = False
 
     def __post_init__(self):
-        clusters = tuple(self.clusters)
+        ids = tuple(self.ids)
+        sizes = _readonly(self.sizes, np.intp)
+        y = _readonly(self.y, float)
+        X = _readonly(self.X, float)
         colnames = tuple(str(c) for c in self.colnames)
-        object.__setattr__(self, "clusters", clusters)
-        object.__setattr__(self, "colnames", colnames)
-        if not clusters:
+        for name, value in (
+            ("ids", ids), ("sizes", sizes), ("y", y), ("X", X),
+            ("colnames", colnames), ("has_time", bool(self.has_time)),
+        ):
+            object.__setattr__(self, name, value)
+        if not ids:
             raise DatasetError("dataset has no clusters")
+        if (
+            sizes.shape != (len(ids),)
+            or np.any(sizes < 0)
+            or y.shape != (sizes.sum(),)
+            or X.ndim != 2
+            or X.shape[0] != y.shape[0]
+        ):
+            raise DatasetError("ids, sizes, y and X shapes do not match")
+        self._check_clusters()
         p = len(colnames)
-        for c in clusters:
-            if c.X.shape[1] != p:
-                raise RaggedCovariates(
-                    f"cluster {c.id} has {c.X.shape[1]} covariate columns, expected {p}"
-                )
-        ids = [c.id for c in clusters]
+        if X.shape[1] != p:
+            raise RaggedCovariates(f"X has {X.shape[1]} covariate columns, expected {p}")
         if len(set(ids)) != len(ids):
             raise DatasetError("cluster ids are not unique")
-        if len(clusters) < p + 1:
+        if len(ids) < p + 1:
             raise TooFewClusters(
-                f"need at least p + 1 = {p + 1} clusters for N - p dof, got {len(clusters)}"
+                f"need at least p + 1 = {p + 1} clusters for N - p dof, got {len(ids)}"
             )
+
+    def _check_clusters(self) -> None:
+        """Raise the fault of the first faulty cluster in cluster order;
+        within a cluster a single row is reported before a non-binary y,
+        and a non-binary y before a non-finite X."""
+        binary = (self.y == 0.0) | (self.y == 1.0)
+        bad_rows = np.flatnonzero(~binary | ~np.all(np.isfinite(self.X), axis=1))
+        faulty = list(np.flatnonzero(self.sizes < 2)[:1])
+        if bad_rows.size:
+            faulty.append(np.searchsorted(self.offsets, bad_rows[0], side="right") - 1)
+        if not faulty:
+            return
+        i = min(faulty)
+        cid = self.ids[i]
+        if self.sizes[i] < 2:
+            raise SingletonCluster(
+                f"cluster {cid} has a single observation; n_i >= 2 required"
+            )
+        if not np.all(binary[self.offsets[i] : self.offsets[i + 1]]):
+            raise NonBinaryOutcome(f"cluster {cid}: y values must be 0 or 1")
+        raise DatasetError(f"cluster {cid}: non-finite covariate entry")
 
     @property
     def p(self) -> int:
@@ -136,29 +155,41 @@ class LongitudinalDataset:
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self.ids)
+
+    @property
+    def n_total(self) -> int:
+        return self.y.shape[0]
 
     @cached_property
-    def n_total(self) -> int:
-        return sum(c.n for c in self.clusters)
+    def offsets(self) -> np.ndarray:
+        """(N + 1,) row offsets: cluster i is rows offsets[i]:offsets[i + 1]."""
+        out = np.concatenate(([0], np.cumsum(self.sizes)))
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def cluster_sizes(self) -> tuple:
-        return tuple(c.n for c in self.clusters)
+        return tuple(self.sizes.tolist())
+
+    @cached_property
+    def clusters(self) -> tuple:
+        """One read-only :class:`Cluster` view per cluster, built on first use."""
+        o = self.offsets
+        return tuple(
+            Cluster(cid, self.y[a:b], self.X[a:b])
+            for cid, a, b in zip(self.ids, o[:-1], o[1:])
+        )
 
     @cached_property
     def size_groups(self) -> tuple:
         """One read-only :class:`SizeGroup` per distinct cluster size, in
         increasing size, built on first use."""
-        sizes = np.array(self.cluster_sizes)
         groups = []
-        for n in np.unique(sizes):
-            idx = np.flatnonzero(sizes == n)
-            arrays = (
-                idx,
-                np.stack([self.clusters[i].X for i in idx]),
-                np.stack([self.clusters[i].y for i in idx]),
-            )
+        for n in np.unique(self.sizes):
+            idx = np.flatnonzero(self.sizes == n)
+            rows = self.offsets[idx, None] + np.arange(n)
+            arrays = (idx, self.X[rows], self.y[rows])
             for a in arrays:
                 a.setflags(write=False)
             groups.append(SizeGroup(*arrays))
@@ -166,12 +197,7 @@ class LongitudinalDataset:
 
     @property
     def balanced(self) -> bool:
-        sizes = self.cluster_sizes
-        return len(set(sizes)) == 1
-
-    @property
-    def has_time(self) -> bool:
-        return self.clusters[0].t is not None
+        return len(set(self.cluster_sizes)) == 1
 
 
 def exchangeable_alpha_bounds(n_max: int) -> tuple:
@@ -221,8 +247,10 @@ class WorkingModel:
                 )
         else:
             disp = float(disp)
-            if disp <= 0:
-                raise ValueError(f"dispersion must be positive, got {disp}")
+            if not 0.0 < disp < np.inf:
+                raise ValueError(
+                    f"dispersion phi must be positive and finite, got {disp}"
+                )
             object.__setattr__(self, "dispersion", disp)
 
     @property
@@ -285,6 +313,32 @@ POOLING_IDS = frozenset(
 )
 
 
+def _grouped(cids: list, table: np.ndarray, xnames, has_time: bool):
+    """Dataset from long-format columns.
+
+    ``cids`` holds one cluster id per row; column 0 of ``table`` is y and
+    the others are the covariates without intercept, time last when
+    ``has_time``.  Clusters appear in first-appearance order and rows keep
+    their input order within a cluster; the intercept column is synthesized.
+    """
+    if not cids:
+        raise DatasetError("no input rows")
+    rank: dict = {}
+    codes = np.fromiter(
+        (rank.setdefault(cid, len(rank)) for cid in cids), np.intp, len(cids)
+    )
+    table = table[np.argsort(codes, kind="stable")]
+    names = ("intercept", *xnames, *(("t",) if has_time else ()))
+    return LongitudinalDataset(
+        ids=tuple(rank),
+        sizes=np.bincount(codes),
+        y=table[:, 0],
+        X=np.hstack([np.ones((table.shape[0], 1)), table[:, 1:]]),
+        colnames=names,
+        has_time=has_time,
+    )
+
+
 def validate_dataset(
     rows: Iterable[tuple],
     colnames: Optional[Sequence[str]] = None,
@@ -296,47 +350,20 @@ def validate_dataset(
     None.  Clusters appear in first-appearance order and rows keep their
     input order within a cluster; the intercept column is synthesized.
     """
-    groups: dict = {}
-    order: list = []
-    k = None
-    has_time = None
-    for rec in rows:
-        cid, y, xs, t = rec
-        xs = tuple(float(v) for v in xs)
-        if k is None:
-            k = len(xs)
-            has_time = t is not None
-        elif len(xs) != k or (t is not None) != has_time:
+    rows = list(rows)
+    k = len(rows[0][2]) if rows else 0
+    has_time = bool(rows) and rows[0][3] is not None
+    for cid, _, xs, t in rows:
+        if len(xs) != k or (t is not None) != has_time:
             raise RaggedCovariates(
                 f"row for cluster {cid} has inconsistent covariate count"
             )
-        if cid not in groups:
-            groups[cid] = []
-            order.append(cid)
-        groups[cid].append((float(y), xs, None if t is None else float(t)))
-    if not order:
-        raise DatasetError("no input rows")
-
+    table = np.array(
+        [(y, *xs, *((t,) if has_time else ())) for _, y, xs, t in rows], dtype=float
+    ).reshape(len(rows), 1 + k + has_time)
     if colnames is None:
         colnames = [f"x{i + 1}" for i in range(k)]
-    names = ["intercept", *colnames]
-    if has_time:
-        names.append("t")
-
-    clusters = []
-    for cid in order:
-        recs = groups[cid]
-        y = np.array([r[0] for r in recs])
-        xmat = np.array([r[1] for r in recs], dtype=float).reshape(len(recs), k)
-        ones = np.ones((len(recs), 1))
-        if has_time:
-            t = np.array([r[2] for r in recs], dtype=float)
-            X = np.hstack([ones, xmat, t[:, None]])
-            clusters.append(Cluster(id=cid, y=y, X=X, t=t))
-        else:
-            X = np.hstack([ones, xmat])
-            clusters.append(Cluster(id=cid, y=y, X=X))
-    return LongitudinalDataset(clusters=tuple(clusters), colnames=tuple(names))
+    return _grouped([r[0] for r in rows], table, colnames, has_time)
 
 
 def read_csv(path) -> LongitudinalDataset:
@@ -356,41 +383,30 @@ def read_csv(path) -> LongitudinalDataset:
         xnames = header[2 : -1 if has_time else len(header)]
         if not xnames and not has_time:
             raise DatasetError(f"{path}: no covariate columns")
-        rows = []
+        cids, values = [], []
         for lineno, parts in enumerate(reader, start=2):
             if not parts or (len(parts) == 1 and not parts[0].strip()):
                 continue
             if len(parts) != len(header):
                 raise DatasetError(f"{path}:{lineno}: wrong number of fields")
             try:
-                y = float(parts[1])
-                if has_time:
-                    xs = [float(v) for v in parts[2:-1]]
-                    t = float(parts[-1])
-                else:
-                    xs = [float(v) for v in parts[2:]]
-                    t = None
+                values.extend(map(float, parts[1:]))
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: non-numeric value") from None
-            rows.append((parts[0], y, xs, t))
-    return validate_dataset(rows, colnames=xnames)
+            cids.append(parts[0])
+    table = np.array(values).reshape(len(cids), len(header) - 1)
+    return _grouped(cids, table, xnames, has_time)
 
 
 def write_csv(dataset: LongitudinalDataset, path) -> None:
     """Write a dataset back to the canonical CSV (17 significant digits)."""
-    has_time = dataset.has_time
-    xnames = list(dataset.colnames[1:])
-    if has_time:
-        xnames = xnames[:-1]
-    header = ["cluster", "y", *xnames] + (["t"] if has_time else [])
-    x_stop = dataset.p - 1 if has_time else dataset.p
+    xnames = list(dataset.colnames[1 : dataset.p - dataset.has_time])
+    header = ["cluster", "y", *xnames] + (["t"] if dataset.has_time else [])
+    labels = (
+        str(cid) for cid, n in zip(dataset.ids, dataset.cluster_sizes) for _ in range(n)
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for c in dataset.clusters:
-            for j in range(c.n):
-                row = [str(c.id), f"{c.y[j]:g}"]
-                row.extend(f"{v:.17g}" for v in c.X[j, 1:x_stop])
-                if has_time:
-                    row.append(f"{c.X[j, -1]:.17g}")
-                writer.writerow(row)
+        for label, y, x in zip(labels, dataset.y.tolist(), dataset.X[:, 1:].tolist()):
+            writer.writerow([label, f"{y:g}", *(f"{v:.17g}" for v in x)])

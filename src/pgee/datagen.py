@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import expit
 
 from .core import working_correlation
-from .data import Cluster, LongitudinalDataset, normalize_structure
+from .data import LongitudinalDataset, normalize_structure
 from .errors import BracketFailure, SingularR
 
 #: Observation time step: t_ij = TIME_STEP * j.
@@ -79,6 +79,12 @@ class Scenario:
                 raise ValueError(f"rho {self.rho} inadmissible for exchangeable")
         elif not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho {self.rho} inadmissible for ar1")
+        if not (np.isfinite(self.beta1) and np.isfinite(self.beta2)):
+            raise ValueError(
+                f"beta1 and beta2 must be finite, got {self.beta1}, {self.beta2}"
+            )
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         n_treated = round(self.gamma * self.n_clusters)
         if n_treated < 1 or self.n_clusters - n_treated < 1:
             raise ValueError(
@@ -210,32 +216,27 @@ def generate_dataset(
     if intercept is None:
         intercept = calibrate_intercept(scenario)
     sizes = scenario.cluster_sizes()
-    clusters = []
-    for i, n in enumerate(sizes):
-        x = 1.0 if i < scenario.n_treated else 0.0
-        t = TIME_STEP * np.arange(1, n + 1)
-        eta = intercept + scenario.beta1 * x
-        if scenario.model == "full":
-            eta = eta + scenario.beta2 * t
-        else:
-            eta = np.full(n, eta)
-        mu = expit(eta)
+    full = scenario.model == "full"
+    starts = np.cumsum([0, *sizes])
+    treat = np.repeat(np.arange(len(sizes)) < scenario.n_treated, sizes).astype(float)
+    time = TIME_STEP * (np.arange(starts[-1]) - np.repeat(starts[:-1], sizes) + 1)
+    eta = intercept + scenario.beta1 * treat
+    if full:
+        eta = eta + scenario.beta2 * time
+    mu = expit(eta)
+    y = np.empty(starts[-1])
+    for a, b in zip(starts[:-1], starts[1:]):
         draws, n_invalid = clf_sample(
-            mu, scenario.true_structure, scenario.rho, rng, size=1
+            mu[a:b], scenario.true_structure, scenario.rho, rng, size=1
         )
         if n_invalid:
             return None
-        y = draws[0]
-        ones = np.ones((n, 1))
-        if scenario.model == "full":
-            X = np.hstack([ones, np.full((n, 1), x), t[:, None]])
-            clusters.append(Cluster(id=i + 1, y=y, X=X, t=t))
-        else:
-            X = np.hstack([ones, np.full((n, 1), x)])
-            clusters.append(Cluster(id=i + 1, y=y, X=X))
-    colnames = (
-        ("intercept", "treat", "time")
-        if scenario.model == "full"
-        else ("intercept", "treat")
+        y[a:b] = draws[0]
+    return LongitudinalDataset(
+        ids=tuple(range(1, len(sizes) + 1)),
+        sizes=sizes,
+        y=y,
+        X=np.column_stack([np.ones_like(y), treat, time][: scenario.p]),
+        colnames=("intercept", "treat", "time")[: scenario.p],
+        has_time=full,
     )
-    return LongitudinalDataset(clusters=tuple(clusters), colnames=colnames)

@@ -48,10 +48,10 @@ class FitOptions:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.beta_cap <= 0:
-            raise ValueError("beta_cap must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not 0.0 < self.beta_cap < np.inf:
+            raise ValueError(f"beta_cap must be positive and finite, got {self.beta_cap}")
 
 
 @dataclass(frozen=True)

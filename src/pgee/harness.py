@@ -461,7 +461,7 @@ def parse_config(text: str, base_seed: int) -> list:
     remaining optional keys default to the core design (n = 4,
     gamma = 0.3, beta1 = 0, beta2 = 0.2, model = full, test = beta1).
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     cp.optionxform = str  # keep key case: N (clusters) vs n (sizes)
     try:
         cp.read_string(text)

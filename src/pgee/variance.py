@@ -260,13 +260,13 @@ def overcorrection_diagnostic(kernel: FitKernel) -> OvercorrectionDiagnostic:
     try:
         chol = np.linalg.cholesky(rest)
     except np.linalg.LinAlgError:
-        for r, cluster in zip(rest, kernel.data.clusters):
+        for r, cluster_id in zip(rest, kernel.data.ids):
             try:
                 np.linalg.cholesky(r)
             except np.linalg.LinAlgError as exc:
                 raise SingularLeverage(
-                    f"cluster {cluster.id}: remaining information singular",
-                    cluster_id=cluster.id,
+                    f"cluster {cluster_id}: remaining information singular",
+                    cluster_id=cluster_id,
                 ) from exc
         raise
     # A_i (I0 - A_i)^{-1} A_i = z_i' z_i with z_i = chol_i^{-1} A_i.

@@ -6,6 +6,7 @@ independently of the size-grouped arrays in ``pgee.core``.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +61,7 @@ def literal_clusters(beta, structure, alpha, phi, data) -> list:
         w = mu * (1.0 - mu)
         dmat = w[:, None] * c.X
         sw = np.sqrt(w)
-        vmat = phi * np.outer(sw, sw) * working_correlation(structure, alpha, c.n)
+        vmat = phi * np.outer(sw, sw) * working_correlation(structure, alpha, len(c.y))
         vinv = np.linalg.inv(vmat)
         resid = c.y - mu
         out.append(
@@ -110,3 +111,19 @@ def literal_leverage_score(q: LiteralCluster, info_inv, c) -> np.ndarray:
     n = q.mu.shape[0]
     power = matrix_power(np.eye(n) - literal_hat(q, info_inv), c)
     return q.dmat.T @ q.vinv @ power @ q.resid
+
+
+def with_residuals(kernel, residuals):
+    """Copy of ``kernel`` with its residuals, given in cluster order, and
+    its scores replaced; means, covariances and informations are kept.
+    Evaluates estimator middles on externally constructed residuals."""
+    groups = []
+    scores = np.empty_like(kernel.scores)
+    for g in kernel.groups:
+        r = np.array([residuals[i] for i in g.idx], dtype=float)
+        rt = np.einsum("ij,sj->si", g.cinv / np.sqrt(kernel.phi), r / np.sqrt(g.w))
+        g = g._replace(resid=r, rt=rt)
+        scores[g.idx] = np.einsum("snp,sn->sp", g.dt, rt)
+        groups.append(g)
+    scores.setflags(write=False)
+    return replace(kernel, groups=tuple(groups), scores=scores)

@@ -32,7 +32,7 @@ from pgee import (
 )
 
 from conftest import intercept_only_dataset, random_dataset, two_arm_dataset
-from oracle import firth_penalty_fd, kernel_literals
+from oracle import firth_penalty_fd, kernel_literals, with_residuals
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -268,7 +268,7 @@ def test_c06_expectation_identities_monte_carlo():
             for k in range(sizes[i]):
                 res = [np.zeros(sizes[j]) for j in range(n_cl)]
                 res[i][k] = 1.0
-                cols.append((i, k, kern.with_residuals(res).corrected(c)[0][i]))
+                cols.append((i, k, with_residuals(kern, res).corrected(c)[0][i]))
         mats = [np.zeros((p, sizes[i])) for i in range(n_cl)]
         for i, k, col in cols:
             mats[i][:, k] = col

@@ -117,6 +117,18 @@ class TestFit:
         code = main(["fit", str(tmp_path / "nope.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--phi", "inf"], "phi"),
+            (["--phi", "nan"], "phi"),
+            (["--tol", "nan"], "tol"),
+        ],
+    )
+    def test_non_finite_flag_one_error_line(self, balanced_csv, capsys, flags, message):
+        assert main(["fit", str(balanced_csv), *flags]) == 1
+        _assert_one_error_line(capsys, message)
+
     def test_each_estimator_evaluated_once(self, balanced_csv, capsys, monkeypatch):
         calls = []
         real = pgee.cli.estimate_variance
@@ -232,6 +244,8 @@ class TestGenerate:
             (["--N", "3"], "clusters"),  # fewer than p + 1 clusters
             (["--rate", "1e-12"], "unreachable"),  # no intercept reaches it
             (["--out", "{tmp}/missing/x.csv"], "No such file"),
+            (["--beta1", "nan"], "beta1"),
+            (["--gamma", "inf"], "gamma"),
         ],
     )
     def test_bad_input_one_error_line(self, tmp_path, capsys, flags, message):
@@ -301,6 +315,14 @@ class TestSimulate:
                      "--min-converged", "0", "--out-dir", str(tmp_path)])
         assert code == 1
         _assert_one_error_line(capsys, "only 0 converged replications")
+
+    def test_negative_reps_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(SIM_CONFIG)
+        code = main(["simulate", "--config", str(cfg), "--reps", "-1",
+                     "--min-converged", "0", "--out-dir", str(tmp_path)])
+        assert code == 1
+        _assert_one_error_line(capsys, "--reps")
 
     def test_out_dir_below_file_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"

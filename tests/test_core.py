@@ -21,6 +21,7 @@ from oracle import (
     literal_hat,
     literal_leverage_score,
     literal_penalty,
+    with_residuals,
 )
 
 
@@ -154,7 +155,7 @@ class TestKernel:
     def test_with_residuals_replaces_scores(self, rng):
         kern = random_kernel(rng)
         new_res = [np.zeros(n) for n in kern.cluster_sizes]
-        k2 = kern.with_residuals(new_res)
+        k2 = with_residuals(kern, new_res)
         assert np.allclose(gee_score(k2), 0.0)
         assert np.array_equal(k2.info, kern.info)
 
@@ -162,7 +163,7 @@ class TestKernel:
 class TestScore:
     def test_zero_residuals_zero_score(self, rng):
         kern = random_kernel(rng)
-        k2 = kern.with_residuals([np.zeros(n) for n in kern.cluster_sizes])
+        k2 = with_residuals(kern, [np.zeros(n) for n in kern.cluster_sizes])
         assert np.allclose(gee_score(k2), 0.0)
 
     def test_intercept_only_independence_score(self):
@@ -171,7 +172,7 @@ class TestScore:
         beta = np.array([0.3])
         kern = assemble_kernel(beta, "independence", 0.0, 1.0, ds)
         mu = 1.0 / (1.0 + np.exp(-0.3))
-        expected = sum(c.y.sum() - mu * c.n for c in ds.clusters)
+        expected = sum(c.y.sum() - mu * len(c.y) for c in ds.clusters)
         assert np.allclose(gee_score(kern), expected)
 
 

@@ -1,10 +1,20 @@
 """Dataset validation, CSV round-trips, working-model checks."""
 
+import csv
+import io
+import re
+import string
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgee import (
     EstimatorId,
+    LongitudinalDataset,
     WorkingModel,
     read_csv,
     validate_dataset,
@@ -40,7 +50,7 @@ def test_balanced_grouping():
     # intercept synthesized, time in last column
     c = ds.clusters[0]
     assert np.all(c.X[:, 0] == 1.0)
-    assert np.allclose(c.X[:, -1], c.t)
+    assert np.array_equal(c.X[:, -1], [0.2 * (j + 1) for j in range(7)])
 
 
 def test_cluster_order_is_first_appearance():
@@ -97,6 +107,45 @@ def test_non_finite_covariate_rejected():
         validate_dataset(rows)
 
 
+def test_first_faulty_cluster_is_reported():
+    # cluster "a" has a non-finite covariate, the later "b" a single row: the
+    # earlier cluster's fault wins although singletons are checked first
+    rows = _balanced_rows()
+    rows.insert(0, ("a", 1.0, (float("inf"), 0.0), 0.2))
+    rows.insert(1, ("a", 0.0, (0.0, 0.0), 0.4))
+    rows.append(("b", 1.0, (0.0, 0.0), 0.2))
+    with pytest.raises(DatasetError) as info:
+        validate_dataset(rows)
+    assert type(info.value) is DatasetError
+    assert "cluster a:" in str(info.value)
+
+
+def test_flat_record_checks():
+    ok = dict(ids=("a", "b", "c"), sizes=[2, 2, 2], y=[0, 1] * 3,
+              X=np.ones((6, 2)), colnames=("intercept", "x1"))
+    ds = LongitudinalDataset(**ok)
+    assert ds.cluster_sizes == (2, 2, 2) and list(ds.offsets) == [0, 2, 4, 6]
+    assert np.array_equal(ds.clusters[1].y, [0.0, 1.0])
+    with pytest.raises(DatasetError, match="shapes do not match"):
+        LongitudinalDataset(**{**ok, "sizes": [2, 2, 3]})
+    with pytest.raises(DatasetError, match="not unique"):
+        LongitudinalDataset(**{**ok, "ids": ("a", "b", "a")})
+    with pytest.raises(RaggedCovariates):
+        LongitudinalDataset(**{**ok, "colnames": ("intercept",)})
+
+
+def test_non_numeric_field_names_its_line(tmp_path):
+    lines = ["cluster,y,x1,t"]
+    lines += [f"c{i},{i % 2},0.5,{0.2 * j}" for i in range(10) for j in range(1, 5)]
+    lines.insert(3, "")  # blank lines are skipped but still counted
+    lines[37] = "c8,1,abc,0.4"
+    lines.append("c9,1,0.5")  # a later ragged line does not take precedence
+    path = tmp_path / "late.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:38: non-numeric value$"):
+        read_csv(path)
+
+
 def test_csv_round_trip_identity(tmp_path):
     ds = validate_dataset(_balanced_rows())
     path = tmp_path / "data.csv"
@@ -150,3 +199,79 @@ def test_estimator_id_closed_enumeration():
     assert EstimatorId.parse("kc") is EstimatorId.KC
     with pytest.raises(ValueError):
         EstimatorId.parse("XX")
+
+
+def _read_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        return read_csv(path)
+
+
+_FIELDS = st.one_of(
+    st.sampled_from(["0", "1", "", " ", "nan", "inf", "-inf", "1e400", "abc", "2", "0.5"]),
+    st.floats().map(repr),
+    st.text(alphabet=string.printable, max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    header=st.sampled_from(["cluster,y,x1", "cluster,y,x1,t", "cluster,y,t", "cluster,y,a,b"]),
+    rows=st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]), st.lists(_FIELDS, max_size=5)),
+        max_size=25,
+    ),
+)
+def test_read_csv_fuzz_raises_only_dataset_errors(header, rows):
+    text = header + "\n" + "".join(
+        ",".join([cid, *fields]) + "\n" for cid, fields in rows
+    )
+    try:
+        ds = _read_text(text)
+    except DatasetError:
+        return
+    assert ds.n_clusters == len(ds.ids) >= ds.p + 1
+
+
+@st.composite
+def _valid_csv(draw):
+    k = draw(st.integers(0, 2))
+    has_time = draw(st.booleans()) or k == 0
+    width = 1 + k + has_time
+    n_clusters = draw(st.integers(width + 1, 7))
+    ids = draw(
+        st.lists(
+            st.text(alphabet=string.ascii_letters + string.digits + " ,\"'", max_size=3),
+            min_size=n_clusters, max_size=n_clusters, unique=True,
+        )
+    )
+    rows = []
+    for cid in ids:
+        for _ in range(draw(st.integers(2, 4))):
+            values = draw(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=width - 1, max_size=width - 1)
+            )
+            rows.append([cid, draw(st.sampled_from(["0", "1", "1.0", "0e3"])),
+                         *map(repr, values)])
+    rows = draw(st.permutations(rows))
+    header = ["cluster", "y", *(f"x{i + 1}" for i in range(k))] + (["t"] if has_time else [])
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    return text.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=_valid_csv())
+def test_write_csv_read_csv_round_trip_fuzz(text):
+    first = _read_text(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write_csv(first, path)
+        again = read_csv(path)
+    assert again.ids == first.ids
+    assert np.array_equal(again.sizes, first.sizes)
+    assert np.array_equal(again.y, first.y)
+    assert np.array_equal(again.X, first.X)
+    assert again.colnames == first.colnames and again.has_time == first.has_time

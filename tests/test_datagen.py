@@ -147,8 +147,8 @@ class TestGenerateDataset:
     def test_time_grid(self):
         scen = self._scenario()
         ds = generate_dataset(scen, np.random.default_rng(0))
-        assert np.allclose(ds.clusters[0].t, [0.2, 0.4, 0.6, 0.8])
-        assert np.allclose(ds.clusters[0].X[:, 2], ds.clusters[0].t)
+        assert ds.has_time
+        assert np.allclose(ds.clusters[0].X[:, -1], [0.2, 0.4, 0.6, 0.8])
 
     def test_reduced_model_has_no_time(self):
         scen = self._scenario(model="reduced")

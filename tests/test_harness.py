@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pgee.harness
 from pgee import (
@@ -302,3 +304,43 @@ class TestScenarioRun:
         assert len(lines) == 1 + len(FAST_ESTIMATORS)  # one tested coefficient
         pan_row = [l for l in lines if ",PAN," in l][0]
         assert pan_row.count(",") == len(header) - 1
+
+
+_CONFIG_GOOD = {"N": "10", "n": "2/6", "event_rate": "0.2", "rho": "0.2",
+                "true": "ar1", "working": "ind", "gamma": "0.3", "beta1": "log2",
+                "beta2": "0", "model": "reduced", "test": "beta1"}
+_CONFIG_KEYS = [*_CONFIG_GOOD, "foo"]
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["10", "4", "2/6", "0.2", "-1", "0", "1e999", "inf", "nan", "-inf",
+                     "log2", "exchangeable", "ar1", "ind", "full", "reduced",
+                     "beta1", "beta2,beta1", "%", "%(N)s", "2/", "10 20", "", "0.3",
+                     "0.5 1.5"]),
+    st.text(alphabet="0123456789.-/%()ae ,", max_size=6),
+)
+
+
+@st.composite
+def _config_text(draw):
+    lines = []
+    sections = st.lists(st.sampled_from(["a", "b", "DEFAULT"]), max_size=3, unique=True)
+    for section in draw(sections):
+        lines.append(f"[{section}]")
+        required = ["N", "event_rate", "rho", "true"] if draw(st.integers(0, 3)) else []
+        keys = required + draw(st.lists(st.sampled_from(_CONFIG_KEYS), max_size=6))
+        for key in dict.fromkeys(keys):
+            # mostly valid values, so that one bad value meets a parsed block
+            bad = draw(st.integers(0, 3)) == 0
+            lines.append(f"{key} = {draw(_CONFIG_VALUES) if bad else _CONFIG_GOOD.get(key, 1)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(_config_text(), st.text(max_size=40)))
+@example(text="[a]\nN = %\n")
+@example(text="[a]\nN = 10\nevent_rate = 0.2\nrho = 0.2\ntrue = ar1\ngamma = inf\n")
+def test_parse_config_fuzz_raises_only_config_errors(text):
+    try:
+        specs = parse_config(text, base_seed=0)
+    except ConfigError:
+        return
+    assert all(isinstance(s, ScenarioSpec) for s in specs)

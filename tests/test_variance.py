@@ -18,7 +18,7 @@ from pgee import (
 from pgee.errors import SingularLeverage, ZeroSE
 
 from conftest import balanced_dataset, random_kernel, two_arm_dataset
-from oracle import kernel_literals, literal_leverage_score
+from oracle import kernel_literals, literal_leverage_score, with_residuals
 
 
 def _balanced_kernel(rng, **kw):
@@ -147,7 +147,7 @@ class TestEstimatorCatalog:
         kern = assemble_kernel(np.array([0.1, -0.2]), "exchangeable", 0.2, 1.0, ds)
         base = [q.resid for q in kernel_literals(kern)]
         mirrored = [base[0], -base[0], base[2], -base[2], base[4], -base[4]]
-        k2 = kern.with_residuals(mirrored)
+        k2 = with_residuals(kern, mirrored)
         f = k2.corrected(1.0)[0]
         assert np.allclose(np.sum(f, axis=0), 0.0, atol=1e-12)
         n_cl, p, n_star = k2.n_clusters, k2.p, k2.n_total
