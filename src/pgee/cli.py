@@ -8,8 +8,11 @@ configuration so runs can be reproduced from the output alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
@@ -108,6 +111,25 @@ def _unavailable_row(est: EstimatorId, reason: str) -> str:
     return f"  {est.name:<10}{'—':>12}{'—':>10}{'—':>10}{'(' + reason + ')':>26}"
 
 
+def _warnings_as_notes(cmd):
+    """Run ``cmd`` with Python warnings collected instead of printed, then
+    print one ``note:`` line per distinct message, with its count."""
+
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return cmd(args)
+            finally:
+                for message, count in Counter(str(w.message) for w in caught).items():
+                    times = f" ({count} times)" if count > 1 else ""
+                    print(f"note: {message}{times}", file=sys.stderr)
+
+    return run
+
+
+@_warnings_as_notes
 def cmd_fit(args) -> int:
     try:
         estimators = _parse_estimators(args.estimators)
@@ -207,6 +229,7 @@ def cmd_fit(args) -> int:
     return 0 if result.converged else 2
 
 
+@_warnings_as_notes
 def cmd_diagnose(args) -> int:
     try:
         dataset, wm, result = _fit_dataset(args)

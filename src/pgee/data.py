@@ -85,8 +85,8 @@ class LongitudinalDataset:
     of ``y`` (n_total,) and ``X`` (n_total, p); ``sizes[i]`` is its number
     of rows.  When ``has_time`` is set the last column of X is the
     within-cluster time covariate.  Construction validates the record:
-    every cluster has at least two rows, binary y and finite X; ids are
-    unique and there are at least p + 1 clusters.
+    every cluster has at least two rows, binary y and finite X; ids and
+    column names are unique and there are at least p + 1 clusters.
     """
 
     ids: tuple
@@ -121,6 +121,9 @@ class LongitudinalDataset:
         p = len(colnames)
         if X.shape[1] != p:
             raise RaggedCovariates(f"X has {X.shape[1]} covariate columns, expected {p}")
+        repeated = [c for i, c in enumerate(colnames) if c in colnames[:i]]
+        if repeated:
+            raise DatasetError(f"duplicate column name {repeated[0]!r}")
         if len(set(ids)) != len(ids):
             raise DatasetError("cluster ids are not unique")
         if len(ids) < p + 1:

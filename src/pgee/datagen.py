@@ -12,6 +12,12 @@ target means and pairwise correlations exactly whenever every realized
 conditional mean stays inside (0, 1); a draw whose conditional mean
 leaves (0, 1) is reported as invalid (counted, never clamped).
 
+The weights depend only on R and the cluster size, and the means only on
+the arm and the position, so a dataset solves one weight table per size
+and runs the position loop once per (size, arm) group over all of its
+clusters.  A dataset consumes exactly one uniform per row, in cluster
+order, whether or not its draw is valid.
+
 Scenarios describe the simulation designs: N clusters whose first
 ``round(gamma N)`` members are treated, observation times ``0.2 j``, and a
 logistic marginal model with intercept calibrated so the design-average
@@ -168,6 +174,28 @@ def clf_coefficients(mu: np.ndarray, structure: str, rho: float) -> np.ndarray:
     return coef
 
 
+def _clf_rows(mu: np.ndarray, coef: np.ndarray, unif: np.ndarray) -> tuple:
+    """Sequential draw of rows sharing the means ``mu`` and weights ``coef``.
+
+    ``unif`` is (m, n), one uniform per position.  Returns the (m, n) 0/1
+    draws and the (m,) mask of rows whose conditional mean left (0, 1).
+    """
+    w = mu * (1.0 - mu)
+    sw = np.sqrt(w)
+    scaled = coef * (sw[:, None] / sw[None, :])
+    m, n = unif.shape
+    y = np.empty((m, n))
+    resid = np.empty((m, n))
+    invalid = np.zeros(m, dtype=bool)
+    for j in range(n):
+        lam = mu[j] + resid[:, :j] @ scaled[j, :j]
+        invalid |= (lam <= 0.0) | (lam >= 1.0)
+        yj = (unif[:, j] < np.clip(lam, 0.0, 1.0)).astype(float)
+        y[:, j] = yj
+        resid[:, j] = yj - mu[j]
+    return y, invalid
+
+
 def clf_sample(
     mu: np.ndarray,
     structure: str,
@@ -183,22 +211,8 @@ def clf_sample(
     so the stream layout does not depend on the realized values.
     """
     mu = np.asarray(mu, dtype=float)
-    n = mu.shape[0]
-    w = mu * (1.0 - mu)
     coef = clf_coefficients(mu, structure, rho)
-    sw = np.sqrt(w)
-    scaled = coef * (sw[:, None] / sw[None, :])
-
-    unif = rng.random((size, n))
-    y = np.empty((size, n))
-    resid = np.empty((size, n))
-    invalid = np.zeros(size, dtype=bool)
-    for j in range(n):
-        lam = mu[j] + resid[:, :j] @ scaled[j, :j]
-        invalid |= (lam <= 0.0) | (lam >= 1.0)
-        yj = (unif[:, j] < np.clip(lam, 0.0, 1.0)).astype(float)
-        y[:, j] = yj
-        resid[:, j] = yj - mu[j]
+    y, invalid = _clf_rows(mu, coef, rng.random((size, mu.shape[0])))
     return y[~invalid], int(invalid.sum())
 
 
@@ -209,29 +223,40 @@ def generate_dataset(
 ) -> Optional[LongitudinalDataset]:
     """Draw one dataset for a scenario, or None when any cluster draw is invalid.
 
-    The caller decides the retry policy for invalid draws (the simulation
-    harness regenerates on the next substream and counts the event).
-    Passing a pre-calibrated ``intercept`` skips re-calibration.
+    One block of ``n_total`` uniforms is drawn and cluster i takes rows
+    ``offsets[i]:offsets[i + 1]`` of it, so a dataset consumes exactly
+    ``n_total`` uniforms in cluster order, valid or not, the same stream
+    as one ``clf_sample(size=1)`` call per cluster.  The weights are
+    solved once per cluster size.  The caller decides the retry policy for
+    invalid draws (the simulation harness regenerates on the next
+    substream and counts the event).  Passing a pre-calibrated
+    ``intercept`` skips re-calibration.
     """
     if intercept is None:
         intercept = calibrate_intercept(scenario)
-    sizes = scenario.cluster_sizes()
+    sizes = np.array(scenario.cluster_sizes())
     full = scenario.model == "full"
     starts = np.cumsum([0, *sizes])
-    treat = np.repeat(np.arange(len(sizes)) < scenario.n_treated, sizes).astype(float)
+    treated = np.arange(len(sizes)) < scenario.n_treated
+    treat = np.repeat(treated, sizes).astype(float)
     time = TIME_STEP * (np.arange(starts[-1]) - np.repeat(starts[:-1], sizes) + 1)
     eta = intercept + scenario.beta1 * treat
     if full:
         eta = eta + scenario.beta2 * time
     mu = expit(eta)
+    unif = rng.random(starts[-1])
     y = np.empty(starts[-1])
-    for a, b in zip(starts[:-1], starts[1:]):
-        draws, n_invalid = clf_sample(
-            mu[a:b], scenario.true_structure, scenario.rho, rng, size=1
-        )
-        if n_invalid:
-            return None
-        y[a:b] = draws[0]
+    for n in np.unique(sizes):
+        coef = clf_coefficients(np.empty(n), scenario.true_structure, scenario.rho)
+        for arm in (treated, ~treated):
+            first = starts[:-1][arm & (sizes == n)]
+            if not first.size:
+                continue
+            rows = first[:, None] + np.arange(n)
+            draws, invalid = _clf_rows(mu[rows[0]], coef, unif[rows])
+            if invalid.any():
+                return None
+            y[rows] = draws
     return LongitudinalDataset(
         ids=tuple(range(1, len(sizes) + 1)),
         sizes=sizes,

@@ -111,7 +111,7 @@ def estimate_phi(kernel: FitKernel) -> float:
     phi = num / (kernel.n_total - kernel.p)
     if phi < PHI_FLOOR:
         warnings.warn(
-            f"estimated dispersion {phi:.3e} floored at {PHI_FLOOR}",
+            f"estimated dispersion fell below {PHI_FLOOR} and was floored there",
             RuntimeWarning,
             stacklevel=2,
         )

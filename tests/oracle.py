@@ -1,7 +1,9 @@
-"""Slow, literal references for the kernel, one cluster at a time.
+"""Slow, literal references, one cluster at a time.
 
-Each quantity is computed from its textbook definition with dense inverses,
-independently of the size-grouped arrays in ``pgee.core``.
+Each kernel quantity is computed from its textbook definition with dense
+inverses, independently of the size-grouped arrays in ``pgee.core``; the
+correlated-binary draw is the sequential construction run cluster by
+cluster, independently of the grouped loop in ``pgee.datagen``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,15 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit
 
-from pgee import assemble_kernel, working_correlation
+from pgee import (
+    LongitudinalDataset,
+    assemble_kernel,
+    calibrate_intercept,
+    clf_coefficients,
+    working_correlation,
+)
 from pgee.core import ETA_CAP, MU_EPS
+from pgee.datagen import TIME_STEP
 
 
 def firth_penalty_fd(beta, structure, alpha, phi, data, rel_step=1e-5) -> np.ndarray:
@@ -127,3 +136,45 @@ def with_residuals(kernel, residuals):
         groups.append(g)
     scores.setflags(write=False)
     return replace(kernel, groups=tuple(groups), scores=scores)
+
+
+def literal_clf_dataset(scenario, rng, intercept=None):
+    """``generate_dataset`` drawn cluster by cluster.
+
+    Each cluster takes its own ``rng.random((1, n))`` and solves its own
+    weight table, and the first invalid cluster ends the draw with None.
+    """
+    if intercept is None:
+        intercept = calibrate_intercept(scenario)
+    sizes = scenario.cluster_sizes()
+    full = scenario.model == "full"
+    starts = np.cumsum([0, *sizes])
+    treat = np.repeat(np.arange(len(sizes)) < scenario.n_treated, sizes).astype(float)
+    time = TIME_STEP * (np.arange(starts[-1]) - np.repeat(starts[:-1], sizes) + 1)
+    eta = intercept + scenario.beta1 * treat
+    if full:
+        eta = eta + scenario.beta2 * time
+    mu = expit(eta)
+    y = np.empty(starts[-1])
+    for a, b in zip(starts[:-1], starts[1:]):
+        m = mu[a:b]
+        n = b - a
+        sw = np.sqrt(m * (1.0 - m))
+        coef = clf_coefficients(m, scenario.true_structure, scenario.rho)
+        scaled = coef * (sw[:, None] / sw[None, :])
+        unif = rng.random((1, n))
+        resid = np.empty((1, n))
+        for j in range(n):
+            lam = m[j] + resid[:, :j] @ scaled[j, :j]
+            if lam[0] <= 0.0 or lam[0] >= 1.0:
+                return None
+            y[a + j] = float(unif[0, j] < lam[0])
+            resid[0, j] = y[a + j] - m[j]
+    return LongitudinalDataset(
+        ids=tuple(range(1, len(sizes) + 1)),
+        sizes=sizes,
+        y=y,
+        X=np.column_stack([np.ones_like(y), treat, time][: scenario.p]),
+        colnames=("intercept", "treat", "time")[: scenario.p],
+        has_time=full,
+    )

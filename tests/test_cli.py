@@ -176,6 +176,37 @@ class TestFit:
         assert main(["fit", str(path)]) in (0, 2)
         assert main(["fit", str(path), "--json"]) in (0, 2)
 
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_floored_dispersion_is_one_note(self, tmp_path, capsys, command):
+        # no events: the Pearson dispersion is floored on most iterations
+        path = tmp_path / "zeros-2-6.csv"
+        assert main(["generate", "--N", "10", "--n", "2/6", "--rate", "0.1",
+                     "--rho", "0.3", "--structure", "ar1", "--seed", "4",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main([command, str(path), "--corr", "ind", "--phi", "estimate"]) in (0, 2)
+        err = capsys.readouterr().err
+        assert "Warning" not in err and ".py:" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("note: estimated dispersion fell below")
+
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    @pytest.mark.parametrize(
+        "header,name", [("cluster,y,intercept", "intercept"), ("cluster,y,x,x", "x")]
+    )
+    def test_duplicate_column_name_one_error_line(
+        self, tmp_path, capsys, command, header, name
+    ):
+        k = header.count(",") - 1
+        lines = [header]
+        for i in range(10):
+            lines += [f"c{i},{j % 2}" + f",{float(i % 2)}" * k for j in range(3)]
+        path = tmp_path / "dup.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main([command, str(path), "--json"]) == 1
+        _assert_one_error_line(capsys, f"duplicate column name {name!r}")
+
 
 class TestDiagnose:
     def test_benchmark_balanced_arms(self, tmp_path, capsys):

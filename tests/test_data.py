@@ -132,6 +132,9 @@ def test_flat_record_checks():
         LongitudinalDataset(**{**ok, "ids": ("a", "b", "a")})
     with pytest.raises(RaggedCovariates):
         LongitudinalDataset(**{**ok, "colnames": ("intercept",)})
+    with pytest.raises(DatasetError, match="duplicate column name 'x1'"):
+        LongitudinalDataset(**{**ok, "X": np.ones((6, 3)),
+                               "colnames": ("intercept", "x1", "x1")})
 
 
 def test_non_numeric_field_names_its_line(tmp_path):
@@ -217,7 +220,8 @@ _FIELDS = st.one_of(
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    header=st.sampled_from(["cluster,y,x1", "cluster,y,x1,t", "cluster,y,t", "cluster,y,a,b"]),
+    header=st.sampled_from(["cluster,y,x1", "cluster,y,x1,t", "cluster,y,t", "cluster,y,a,b",
+                            "cluster,y,a,a", "cluster,y,intercept"]),
     rows=st.lists(
         st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]), st.lists(_FIELDS, max_size=5)),
         max_size=25,
@@ -232,6 +236,7 @@ def test_read_csv_fuzz_raises_only_dataset_errors(header, rows):
     except DatasetError:
         return
     assert ds.n_clusters == len(ds.ids) >= ds.p + 1
+    assert len(set(ds.colnames)) == ds.p
 
 
 @st.composite

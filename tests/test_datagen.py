@@ -15,6 +15,8 @@ from pgee import (
 )
 from pgee.errors import BracketFailure
 
+from oracle import literal_clf_dataset
+
 
 class TestCalibration:
     def test_symmetric_rate_gives_zero(self):
@@ -176,6 +178,37 @@ class TestGenerateDataset:
         ys1 = np.concatenate([c.y for c in d1.clusters])
         ys2 = np.concatenate([c.y for c in d2.clusters])
         assert not np.array_equal(ys1, ys2)
+
+
+#: Cells of the literal-draw comparison; the last has ~95% invalid draws.
+_LITERAL_CELLS = {
+    "balanced-exchangeable": dict(n_clusters=10, n_pattern=(4,), beta1=math.log(2)),
+    "unbalanced-2/6": dict(n_clusters=10, n_pattern=(2, 6)),
+    "ar1-3/8": dict(n_clusters=12, n_pattern=(3, 8), true_structure="ar1"),
+    "reduced": dict(n_clusters=15, n_pattern=(5,), model="reduced", beta1=0.7),
+    "invalid-heavy": dict(n_clusters=20, n_pattern=(4,), event_rate=0.3, rho=-0.2),
+}
+
+
+@pytest.mark.parametrize("cell", list(_LITERAL_CELLS))
+def test_grouped_draw_matches_literal_cluster_loop(cell):
+    scen = Scenario(**{"event_rate": 0.2, "rho": 0.2, "seed": 31, **_LITERAL_CELLS[cell]})
+    intercept = calibrate_intercept(scen)
+    valid = 0
+    for k in range(200):
+        got, want = (
+            f(scen, np.random.default_rng(np.random.SeedSequence((31, k))), intercept)
+            for f in (generate_dataset, literal_clf_dataset)
+        )
+        assert (got is None) == (want is None), f"substream {k}"
+        if want is not None:
+            valid += 1
+            assert got.y.tobytes() == want.y.tobytes(), f"substream {k}"
+            assert got.X.tobytes() == want.X.tobytes(), f"substream {k}"
+    # every cell exercises both outcomes it is meant to
+    assert valid > 0
+    if cell == "invalid-heavy":
+        assert valid < 40
 
 
 class TestScenarioValidation:
