@@ -24,7 +24,7 @@ from .core import (
     gee_score,
     working_correlation,
 )
-from .fitting import FitOptions, PgeeFit, estimate_alpha, estimate_phi, fit
+from .fitting import FitOptions, PgeeFit, estimate_alpha, estimate_phi, fit, fit_block
 from .variance import (
     OvercorrectionDiagnostic,
     VarianceEstimate,
@@ -48,6 +48,7 @@ from .harness import (
     aggregate,
     parse_config,
     results_csv,
+    run_block,
     run_grid,
     run_replication,
     run_scenario,
@@ -85,12 +86,14 @@ __all__ = [
     "estimate_variance",
     "firth_penalty",
     "fit",
+    "fit_block",
     "gee_score",
     "generate_dataset",
     "overcorrection_diagnostic",
     "parse_config",
     "read_csv",
     "results_csv",
+    "run_block",
     "run_grid",
     "run_replication",
     "run_scenario",

@@ -22,11 +22,20 @@ factorization per size whitens every cluster of that size:
 vmat is positive definite exactly when R is, so an inadmissible alpha is
 reported for the first cluster, in cluster order, of a size whose R fails.
 
-The kernel sums cluster informations into the sensitivity matrix and its
-inverse, keeps the per-cluster informations and scores in cluster order,
-and computes on demand the leverage geometry and the leverage-corrected
-scores.  Its only per-cluster accessor is ``FitKernel.hat_block``, which
-rebuilds one cluster's hat block from the group arrays for checks.
+A kernel is assembled for a block of R replications that share the design
+(X and the cluster sizes) and differ in y, beta, alpha and phi: every
+per-replication array carries the replication axis in front, and each
+replication has its own R(alpha) factor per size.  A single dataset is a
+block of one: ``assemble_kernel`` and ``FitKernel.take(r)`` return a
+one-replication view whose arrays drop that axis and whose computations
+run on the block it came from, so a replication gives the same numbers
+alone and inside a block.
+
+The kernel keeps the summed information and score and its inverse, and
+computes on demand the per-cluster informations and scores (in cluster
+order), the leverage geometry and the leverage-corrected scores.  Its only
+per-cluster accessor is ``FitKernel.hat_block``, which rebuilds one
+cluster's hat block from the group arrays for checks.
 
 The bias-reduction penalty is one half the trace of ``info_inv`` times the
 analytic derivative of the sensitivity matrix in each coordinate, treating
@@ -35,15 +44,14 @@ alpha and phi as constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
-from .data import LongitudinalDataset, SizeGroup
+from .data import LongitudinalDataset
 from .errors import SingularInformation, SingularLeverage, SingularV
 
 #: Linear predictors are clamped to +/- this value before exponentiation.
@@ -61,32 +69,56 @@ COND_LIMIT = 1e12
 LEVERAGE_TOL = 1e-10
 
 
-def working_correlation(structure: str, alpha: float, n: int) -> np.ndarray:
-    """Working correlation matrix R(alpha) of size n for the given structure."""
+def working_correlation(structure: str, alpha, n: int) -> np.ndarray:
+    """Working correlation matrix R(alpha) of size n for the given structure;
+    an array of alphas gives the stack of their matrices."""
+    alpha = np.asarray(alpha, dtype=float)
     if structure == "independence":
-        return np.eye(n)
+        return np.broadcast_to(np.eye(n), (*alpha.shape, n, n))
     if structure == "exchangeable":
-        R = np.full((n, n), alpha)
-        np.fill_diagonal(R, 1.0)
-        return R
+        return np.where(np.eye(n, dtype=bool), 1.0, alpha[..., None, None])
     if structure == "ar1":
         idx = np.arange(n)
-        return alpha ** np.abs(idx[:, None] - idx[None, :])
+        return alpha[..., None, None] ** np.abs(idx[:, None] - idx[None, :])
     raise ValueError(f"unknown structure {structure!r}")
 
 
-def mean_response(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Clamped logistic means for a covariate matrix or a stack of them."""
-    eta = np.clip(X @ beta, -ETA_CAP, ETA_CAP)
-    return np.clip(expit(eta), MU_EPS, 1.0 - MU_EPS)
+def _inverse_factors(R: np.ndarray) -> tuple:
+    """Inverse Cholesky factors of a stack of matrices, and the mask of those
+    that are not positive definite (their factor is the identity)."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(R)), np.zeros(R.shape[:-2], bool)
+    except np.linalg.LinAlgError:
+        n = R.shape[-1]
+        cinv = np.empty(R.shape)
+        bad = np.zeros(R.shape[:-2], bool)
+        for k in np.ndindex(bad.shape):
+            try:
+                cinv[k] = np.linalg.inv(np.linalg.cholesky(R[k]))
+            except np.linalg.LinAlgError:
+                cinv[k], bad[k] = np.eye(n), True
+        return cinv, bad
+
+
+def whitening_factors(structure: str, alpha: np.ndarray, data: LongitudinalDataset):
+    """Inverse Cholesky factors of R(alpha), one (R, n, n) stack per size
+    group of ``data`` for the (R,) alphas, and the (R, groups) mask of the
+    sizes whose R(alpha) is not positive definite."""
+    out = [
+        _inverse_factors(working_correlation(structure, alpha, g.X.shape[1]))
+        for g in data.size_groups
+    ]
+    return tuple(c for c, _ in out), np.stack([b for _, b in out], axis=-1)
 
 
 class KernelGroup(NamedTuple):
     """Kernel arrays of one size group, stacked over its N_s clusters.
 
-    ``cinv`` is the inverse Cholesky factor of R(alpha) for this size;
-    ``dt`` (N_s, n, p) and ``rt`` (N_s, n) are the whitened derivative
-    matrices and residuals.
+    ``idx`` and ``X`` (N_s, n, p) are the design's.  The others carry the
+    replication axis of a block in front (a one-replication view drops it):
+    ``cinv`` (n, n) is the inverse Cholesky factor of R(alpha) for this
+    size; ``dt`` (N_s, n, p) and ``rt`` (N_s, n) are the whitened
+    derivative matrices and residuals.
     """
 
     idx: np.ndarray
@@ -99,6 +131,10 @@ class KernelGroup(NamedTuple):
     rt: np.ndarray
 
 
+#: The KernelGroup fields that hold one entry per replication.
+_REPLICATED = ("mu", "w", "resid", "cinv", "dt", "rt")
+
+
 class LeverageGeometry(NamedTuple):
     """Eigendecomposition ``lam``, ``Q`` of the symmetric hat forms
     ``dt @ info_inv @ dt'`` of one size group, each similar to its
@@ -108,55 +144,50 @@ class LeverageGeometry(NamedTuple):
     Q: np.ndarray
 
 
-def _kernel_group(
-    beta: np.ndarray, structure: str, alpha: float, phi: float, group: SizeGroup
-) -> KernelGroup:
-    """Whitened kernel arrays of one size group.
-
-    Raises np.linalg.LinAlgError when R(alpha) is not positive definite.
-    """
-    if phi <= 0:
-        raise ValueError(f"phi must be positive, got {phi}")
-    X = group.X
-    mu = mean_response(X, beta)
-    w = mu * (1.0 - mu)
-    resid = group.y - mu
-    chol = np.linalg.cholesky(working_correlation(structure, alpha, X.shape[1]))
-    cinv = np.linalg.inv(chol)
-    sw = np.sqrt(w)
-    scaled = cinv / np.sqrt(phi)
-    dt = np.einsum("ij,sjp->sip", scaled, sw[:, :, None] * X)
-    rt = np.einsum("ij,sj->si", scaled, resid / sw)
-    return KernelGroup(group.idx, X, mu, w, resid, cinv, dt, rt)
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """Mark an array the kernel hands out and keeps as read-only."""
+    """Mark an array the kernel caches and hands out as read-only."""
     a.setflags(write=False)
     return a
+
+
+def _cluster_order(kernel, per_group: list, trailing: tuple) -> np.ndarray:
+    """Scatter per-group (R, N_s, *trailing) arrays into a read-only
+    (R, N, *trailing) array in cluster order."""
+    out = np.empty((kernel.beta.shape[0], kernel.n_clusters, *trailing))
+    for g, a in zip(kernel.groups, per_group):
+        out[:, g.idx] = a
+    return _readonly(out)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(R, N_s, n, k) group array as (R, N_s * n, k) stacked rows."""
+    return a.reshape(a.shape[0], -1, a.shape[-1])
 
 
 @dataclass(frozen=True)
 class FitKernel:
     """Assembled kernel: size-group arrays plus the sensitivity matrix.
 
-    ``scores`` (N, p) and ``infos`` (N, p, p) hold the cluster score
-    contributions and informations in cluster order; ``info`` is their
-    p x p sum and ``info_inv`` its inverse.  ``geometry`` and the
-    corrected scores are computed on first use; ``hat_block`` is the only
-    per-cluster accessor.
+    For a block, ``beta`` is (R, p), ``alpha`` and ``phi`` are (R,), the
+    group arrays carry the replication axis, ``score`` (R, p) and ``info``
+    (R, p, p) are the summed cluster scores and informations and
+    ``info_inv`` the inverses.  A one-replication view (``source`` set)
+    holds the same fields without that axis and computes through its
+    source block.  ``scores`` (N, p) and ``infos`` (N, p, p), in cluster
+    order, the geometry and the corrected scores are computed on first use;
+    ``hat_block`` is the only per-cluster accessor.
     """
 
     beta: np.ndarray
     structure: str
-    alpha: float
-    phi: float
+    alpha: object
+    phi: object
     data: LongitudinalDataset
     groups: tuple
-    scores: np.ndarray
-    infos: np.ndarray
+    score: np.ndarray
     info: np.ndarray
     info_inv: np.ndarray
+    source: Optional["FitKernel"] = None
     _corrections: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -167,7 +198,7 @@ class FitKernel:
 
     @property
     def p(self) -> int:
-        return self.info.shape[0]
+        return self.data.p
 
     @property
     def n_total(self) -> int:
@@ -181,53 +212,137 @@ class FitKernel:
     def balanced(self) -> bool:
         return self.data.balanced
 
+    def take(self, index) -> "FitKernel":
+        """Kernel of the replications ``index`` selects on the block's
+        leading axis; an integer gives that replication's one-replication
+        view."""
+        if isinstance(index, (int, np.integer)):
+            block = self.take([index])
+            return FitKernel(
+                beta=block.beta[0],
+                structure=self.structure,
+                alpha=float(block.alpha[0]),
+                phi=float(block.phi[0]),
+                data=self.data,
+                groups=tuple(
+                    g._replace(**{f: getattr(g, f)[0] for f in _REPLICATED})
+                    for g in block.groups
+                ),
+                score=block.score[0],
+                info=block.info[0],
+                info_inv=block.info_inv[0],
+                source=block,
+            )
+        return replace(
+            self,
+            beta=self.beta[index],
+            alpha=self.alpha[index],
+            phi=self.phi[index],
+            groups=tuple(
+                g._replace(**{f: getattr(g, f)[index] for f in _REPLICATED})
+                for g in self.groups
+            ),
+            score=self.score[index],
+            info=self.info[index],
+            info_inv=self.info_inv[index],
+        )
+
+    def assign(self, rows: np.ndarray, src: "FitKernel", sel) -> None:
+        """Overwrite, in place, replications ``rows`` of this block with the
+        replications ``sel`` of block ``src``."""
+        for name in ("beta", "alpha", "phi", "score", "info", "info_inv"):
+            getattr(self, name)[rows] = getattr(src, name)[sel]
+        for gd, gs in zip(self.groups, src.groups):
+            for name in _REPLICATED:
+                getattr(gd, name)[rows] = getattr(gs, name)[sel]
+
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """Cluster score contributions dt' rt, in cluster order."""
+        if self.source is not None:
+            return self.source.scores[0]
+        return _cluster_order(
+            self, [(g.dt.swapaxes(-1, -2) @ g.rt[..., None])[..., 0] for g in self.groups],
+            (self.p,),
+        )
+
+    @cached_property
+    def infos(self) -> np.ndarray:
+        """Cluster informations dt' dt, in cluster order."""
+        if self.source is not None:
+            return self.source.infos[0]
+        return _cluster_order(
+            self, [g.dt.swapaxes(-1, -2) @ g.dt for g in self.groups], (self.p, self.p)
+        )
+
     @cached_property
     def geometry(self) -> tuple[LeverageGeometry, ...]:
         """Per-group :class:`LeverageGeometry`, in the order of ``groups``."""
+        if self.source is not None:
+            return tuple(LeverageGeometry(g.lam[0], g.Q[0]) for g in self.source.geometry)
         out = []
         for g in self.groups:
-            t = np.einsum("snp,pq->snq", g.dt, self.info_inv)
-            lam, Q = np.linalg.eigh(np.einsum("snq,smq->snm", t, g.dt))
-            out.append(LeverageGeometry(lam, Q))
+            t = g.dt @ self.info_inv[:, None]
+            out.append(LeverageGeometry(*np.linalg.eigh(t @ g.dt.swapaxes(-1, -2))))
         return tuple(out)
+
+    @cached_property
+    def max_leverage(self) -> np.ndarray:
+        """(R, N) largest hat eigenvalue of each cluster, in cluster order."""
+        return _cluster_order(self, [geo.lam[..., -1] for geo in self.geometry], ())
+
+    @cached_property
+    def singular_leverage(self) -> np.ndarray:
+        """(R,) mask of the replications with a numerically singular (I - H)."""
+        return np.any(1.0 - self.max_leverage <= LEVERAGE_TOL, axis=-1)
+
+    @cached_property
+    def regular(self) -> "FitKernel":
+        """The block of the replications without a singular (I - H)."""
+        return self.take(np.flatnonzero(~self.singular_leverage))
 
     def corrected(self, c: float) -> tuple:
         """Scores and whitened residuals corrected by (I - H)^{-c}.
 
         Returns (f, u): f is the (N, p) array, in cluster order, whose rows
         are dmat' vinv (I - H)^{-c} r, and u holds one (N_s, n) array per
-        group of ``L^{-1} (I - H)^{-c} r``.  c = 0 gives ``scores`` and the
-        ``rt``.  Each exponent is solved once per kernel.  Raises
-        SingularLeverage, naming the first such cluster in cluster order,
-        when c > 0 and some (I - H) is numerically singular.
+        group of ``L^{-1} (I - H)^{-c} r`` (both with the replication axis
+        in front for a block).  c = 0 gives ``scores`` and the ``rt``.
+        Each exponent is solved once per kernel.  Raises SingularLeverage,
+        naming the first such cluster in cluster order (of the first such
+        replication), when c > 0 and some (I - H) is numerically singular.
         """
+        if self.source is not None:
+            f, us = self.source.corrected(c)
+            return f[0], tuple(u[0] for u in us)
         if c == 0.0:
             return self.scores, tuple(g.rt for g in self.groups)
         if c not in self._corrections:
-            lmax = np.empty(self.n_clusters)
-            for g, geo in zip(self.groups, self.geometry):
-                lmax[g.idx] = geo.lam[:, -1]
-            singular = np.flatnonzero(1.0 - lmax <= LEVERAGE_TOL)
+            lmax = self.max_leverage
+            singular = np.argwhere(1.0 - lmax <= LEVERAGE_TOL)
             if singular.size:
-                i = singular[0]
+                r, i = singular[0]
                 cluster_id = self.data.ids[i]
                 raise SingularLeverage(
                     f"cluster {cluster_id}: (I - H) numerically singular "
-                    f"(max hat eigenvalue {lmax[i]:.12g})",
+                    f"(max hat eigenvalue {lmax[r, i]:.12g})",
                     cluster_id=cluster_id,
                 )
-            f = np.empty_like(self.scores)
             us = []
             for g, geo in zip(self.groups, self.geometry):
-                z = np.einsum("snk,sn->sk", geo.Q, g.rt) * (1.0 - geo.lam) ** (-c)
-                u = np.einsum("snk,sk->sn", geo.Q, z)
-                f[g.idx] = np.einsum("snp,sn->sp", g.dt, u)
-                us.append(_readonly(u))
-            self._corrections[c] = (_readonly(f), tuple(us))
+                z = (geo.Q.swapaxes(-1, -2) @ g.rt[..., None])[..., 0]
+                us.append(_readonly((geo.Q @ (z * (1.0 - geo.lam) ** (-c))[..., None])[..., 0]))
+            f = _cluster_order(
+                self,
+                [(g.dt.swapaxes(-1, -2) @ u[..., None])[..., 0] for g, u in zip(self.groups, us)],
+                (self.p,),
+            )
+            self._corrections[c] = (f, tuple(us))
         return self._corrections[c]
 
     def hat_block(self, i: int) -> np.ndarray:
-        """Hat-matrix block of cluster i, dmat @ info_inv @ dmat' @ vinv.
+        """Hat-matrix block of cluster i of a one-replication view,
+        dmat @ info_inv @ dmat' @ vinv.
 
         With vinv = L^{-T} L^{-1} this is dmat @ info_inv @ dt' @ L^{-1},
         where dmat = W X and L^{-1} = C^{-1} W^{-1/2} / sqrt(phi).
@@ -239,6 +354,72 @@ class FitKernel:
         return dmat @ self.info_inv @ g.dt[k].T @ linv
 
 
+def as_block(kernel: FitKernel) -> tuple:
+    """(block, single): the block a kernel computes on and whether the
+    kernel is a one-replication view of it."""
+    if kernel.source is not None:
+        return kernel.source, True
+    return kernel, False
+
+
+def assemble_block(
+    beta: np.ndarray,
+    structure: str,
+    alpha: np.ndarray,
+    phi: np.ndarray,
+    data: LongitudinalDataset,
+    ys: tuple,
+    cinvs: tuple,
+) -> tuple:
+    """Kernel of a block of R replications at (R, p) ``beta`` and (R,)
+    ``alpha`` and ``phi``, given each size group's (R, N_s, n) responses
+    ``ys`` and R(alpha) factors ``cinvs`` (see ``whitening_factors``).
+
+    Returns (kernel, ill): ``ill`` (R,) marks the replications whose
+    sensitivity matrix is not positive definite or has a condition number
+    above COND_LIMIT; their ``info_inv`` is the identity.
+    """
+    n_reps, p = beta.shape
+    root_phi = np.sqrt(phi)[:, None, None]
+    groups = []
+    gram = 0.0
+    for group, y, cinv in zip(data.size_groups, ys, cinvs):
+        n_s, n, _ = group.X.shape
+        eta = (group.X.reshape(n_s * n, p) @ beta[:, :, None]).reshape(n_reps, n_s, n)
+        mu = np.clip(expit(np.clip(eta, -ETA_CAP, ETA_CAP)), MU_EPS, 1.0 - MU_EPS)
+        w = mu * (1.0 - mu)
+        resid = y - mu
+        sw = np.sqrt(w)
+        # whiten [W^{1/2} X | W^{-1/2} r] in one product; its Gram matrix
+        # holds the information and, in its last column, the score
+        z = np.concatenate((sw[..., None] * group.X, (resid / sw)[..., None]), axis=-1)
+        zt = (cinv / root_phi)[:, None] @ z
+        rows = _rows(zt)
+        gram = gram + rows.swapaxes(-1, -2) @ rows
+        # contiguous copies: a block and the replications taken from it
+        # then run the same (bitwise) products
+        dt, rt = np.ascontiguousarray(zt[..., :p]), np.ascontiguousarray(zt[..., p])
+        groups.append(KernelGroup(group.idx, group.X, mu, w, resid, cinv, dt, rt))
+    info = gram[:, :p, :p]
+    info = 0.5 * (info + info.swapaxes(-1, -2))
+    eig = np.linalg.eigvalsh(info)
+    ill = (eig[:, 0] <= 0) | (eig[:, -1] > COND_LIMIT * eig[:, 0])
+    info_inv = np.linalg.inv(np.where(ill[:, None, None], np.eye(p), info) if ill.any() else info)
+    info_inv = 0.5 * (info_inv + info_inv.swapaxes(-1, -2))
+    kernel = FitKernel(
+        beta=beta,
+        structure=structure,
+        alpha=alpha,
+        phi=phi,
+        data=data,
+        groups=tuple(groups),
+        score=gram[:, :p, p],
+        info=info,
+        info_inv=info_inv,
+    )
+    return kernel, ill
+
+
 def assemble_kernel(
     beta: np.ndarray,
     structure: str,
@@ -246,55 +427,36 @@ def assemble_kernel(
     phi: float,
     data: LongitudinalDataset,
 ) -> FitKernel:
-    """Assemble the kernel at one parameter point.
+    """Assemble the kernel of one dataset at one parameter point.
 
     Raises SingularV when some working covariance is not positive definite
     and SingularInformation when the summed information is not positive
     definite or its condition number exceeds COND_LIMIT.
     """
-    beta = np.asarray(beta, dtype=float)
-    groups, failed = [], []
-    for group in data.size_groups:
-        try:
-            groups.append(_kernel_group(beta, structure, alpha, phi, group))
-        except np.linalg.LinAlgError:
-            failed.append(group.idx[0])
-    if failed:
+    if phi <= 0:
+        raise ValueError(f"phi must be positive, got {phi}")
+    alpha, phi = np.array([alpha], float), np.array([phi], float)
+    cinvs, not_pd = whitening_factors(structure, alpha, data)
+    if not_pd.any():
+        first = min(g.idx[0] for g, bad in zip(data.size_groups, not_pd[0]) if bad)
         raise SingularV(
-            f"cluster {data.ids[min(failed)]}: working covariance not positive definite"
+            f"cluster {data.ids[first]}: working covariance not positive definite"
         )
-    scores = np.empty((data.n_clusters, data.p))
-    infos = np.empty((data.n_clusters, data.p, data.p))
-    for g in groups:
-        scores[g.idx] = np.einsum("snp,sn->sp", g.dt, g.rt)
-        infos[g.idx] = np.einsum("snp,snq->spq", g.dt, g.dt)
-    info = infos.sum(axis=0)
-    info = 0.5 * (info + info.T)
-    eigvals = np.linalg.eigvalsh(info)
-    if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > COND_LIMIT:
+    ys = tuple(g.y[None] for g in data.size_groups)
+    beta = np.asarray(beta, dtype=float)[None]
+    kernel, ill = assemble_block(beta, structure, alpha, phi, data, ys, cinvs)
+    if ill[0]:
+        eig = np.linalg.eigvalsh(kernel.info[0])
         raise SingularInformation(
-            f"sensitivity matrix ill-conditioned (eigenvalues {eigvals[0]:.3e}"
-            f" .. {eigvals[-1]:.3e})"
+            f"sensitivity matrix ill-conditioned (eigenvalues {eig[0]:.3e}"
+            f" .. {eig[-1]:.3e})"
         )
-    info_inv = cho_solve(cho_factor(info, lower=True), np.eye(data.p))
-    info_inv = 0.5 * (info_inv + info_inv.T)
-    return FitKernel(
-        beta=beta,
-        structure=structure,
-        alpha=alpha,
-        phi=phi,
-        data=data,
-        groups=tuple(groups),
-        scores=_readonly(scores),
-        infos=_readonly(infos),
-        info=info,
-        info_inv=info_inv,
-    )
+    return kernel.take(0)
 
 
 def gee_score(kernel: FitKernel) -> np.ndarray:
     """Estimating-function value: sum of per-cluster score contributions."""
-    return kernel.scores.sum(axis=0)
+    return kernel.score
 
 
 def firth_penalty(kernel: FitKernel) -> np.ndarray:
@@ -314,9 +476,13 @@ def firth_penalty(kernel: FitKernel) -> np.ndarray:
     The penalty is invariant to the fixed dispersion because info_inv and
     the derivative scale inversely.
     """
-    b = np.zeros(kernel.p)
-    for g in kernel.groups:
-        xd = np.einsum("snp,pq->snq", g.X, kernel.info_inv)
-        q = np.einsum("kn,skp,snp->sn", g.cinv, g.dt, xd)
-        b += np.einsum("snr,sn->r", g.X, np.sqrt(g.w) * (1.0 - 2.0 * g.mu) * q)
-    return 0.5 * b / np.sqrt(kernel.phi)
+    block, single = as_block(kernel)
+    b = 0.0
+    for g in block.groups:
+        x = g.X.reshape(-1, block.p)
+        xd = x @ block.info_inv
+        ct = _rows(g.cinv.swapaxes(-1, -2)[:, None] @ g.dt)
+        v = (np.sqrt(g.w) * (1.0 - 2.0 * g.mu)).reshape(xd.shape[:2])
+        b = b + ((v * np.sum(ct * xd, axis=-1))[:, None] @ x)[:, 0]
+    b = 0.5 * b / np.sqrt(block.phi)[:, None]
+    return b[0] if single else b

@@ -73,6 +73,7 @@ class SizeGroup(NamedTuple):
     """The clusters of one size n, stacked in cluster order."""
 
     idx: np.ndarray  # (N_s,) positions of the clusters in the dataset
+    rows: np.ndarray  # (N_s, n) their row indices into y and X
     X: np.ndarray  # (N_s, n, p)
     y: np.ndarray  # (N_s, n)
 
@@ -192,7 +193,7 @@ class LongitudinalDataset:
         for n in np.unique(self.sizes):
             idx = np.flatnonzero(self.sizes == n)
             rows = self.offsets[idx, None] + np.arange(n)
-            arrays = (idx, self.X[rows], self.y[rows])
+            arrays = (idx, rows, self.X[rows], self.y[rows])
             for a in arrays:
                 a.setflags(write=False)
             groups.append(SizeGroup(*arrays))

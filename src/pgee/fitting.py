@@ -9,6 +9,17 @@ correlation and dispersion are refreshed from current residuals at each
 outer iteration when in estimate mode.  Step halving (up to 10 halvings)
 guards against overshoot when the penalized score norm fails to decrease.
 
+One loop fits a block of replications that share the design, in lockstep:
+each iteration, each refresh and each halving round is one kernel
+assembly over the replications it concerns.  Every replication keeps its
+own beta, alpha, phi, iteration count, step-halving choices and stopping
+reason, exactly as if it were fitted alone: a replication that has
+converged or diverged is masked out of later iterations, and one whose
+halving has found its step is masked out of later rounds.  The R(alpha)
+factors are computed once per refresh and reused by every halving
+candidate, and the step reuses the kernel's ``info_inv``.  ``fit`` is this
+loop on a block of one dataset.
+
 Non-convergence is a result state, not an exception: fits that exceed the
 parameter cap, exhaust iterations, or hit a singular information matrix
 come back with ``converged=False`` and a reason tag, so simulation code
@@ -22,11 +33,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .core import FitKernel, assemble_kernel, firth_penalty, gee_score
+from .core import (
+    FitKernel,
+    as_block,
+    assemble_block,
+    assemble_kernel,  # noqa: F401  (re-exported: perfbench/spans.py resolves this name)
+    firth_penalty,
+    gee_score,
+    whitening_factors,
+)
 from .data import LongitudinalDataset, WorkingModel, exchangeable_alpha_bounds
-from .errors import SingularInformation, SingularV
 
 #: Clamp margin keeping estimated correlations in the open admissible set.
 ALPHA_MARGIN = 1e-6
@@ -56,7 +73,14 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class PgeeFit:
-    """Converged (or flagged) parameter state plus the kernel at beta_hat."""
+    """Converged (or flagged) parameter state plus the kernel at beta_hat.
+
+    From ``fit_block`` every field but ``penalized`` carries the
+    replication axis: ``beta`` (R, p); ``alpha``, ``phi``, ``converged``,
+    ``iterations`` and ``diverged_reason`` (R,); ``kernel`` is the block
+    kernel, whose entry for a replication is its final kernel when it
+    converged.
+    """
 
     beta: np.ndarray
     alpha: float
@@ -68,27 +92,30 @@ class PgeeFit:
     penalized: bool = True
 
 
-def estimate_alpha(kernel: FitKernel, structure: Optional[str] = None) -> float:
+def estimate_alpha(kernel: FitKernel, structure: Optional[str] = None):
     """Moment estimator of the working-correlation parameter.
 
     Pearson residuals e = r / sqrt(w * phi) feed the lag products; the
     denominators carry the usual (pairs - p) correction.  The estimate is
     clamped to the admissible open interval shrunk by ALPHA_MARGIN; a
-    non-positive denominator yields 0 with a warning.
+    non-positive denominator yields 0 with a warning.  A block gives one
+    estimate per replication.
     """
-    structure = structure or kernel.structure
+    block, single = as_block(kernel)
+    structure = structure or block.structure
     if structure == "independence":
-        return 0.0
+        alpha = np.zeros(block.phi.shape)
+        return float(alpha[0]) if single else alpha
     num = 0.0
-    den = -float(kernel.p)
-    for g in kernel.groups:
-        e = g.resid / np.sqrt(g.w * kernel.phi)
-        n_s, n = e.shape
+    den = -float(block.p)
+    for g in block.groups:
+        e = g.resid / np.sqrt(g.w * block.phi[:, None, None])
+        _, n_s, n = e.shape
         if structure == "exchangeable":
-            num += 0.5 * float(np.sum(e.sum(axis=1) ** 2 - np.sum(e**2, axis=1)))
+            num = num + 0.5 * np.sum(e.sum(axis=-1) ** 2 - np.sum(e**2, axis=-1), axis=-1)
             den += 0.5 * n_s * n * (n - 1)
         else:  # ar1
-            num += float(np.sum(e[:, :-1] * e[:, 1:]))
+            num = num + np.sum(e[..., :-1] * e[..., 1:], axis=(-2, -1))
             den += n_s * (n - 1)
     if den <= 0:
         warnings.warn(
@@ -96,27 +123,35 @@ def estimate_alpha(kernel: FitKernel, structure: Optional[str] = None) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-        return 0.0
-    alpha = num / den
-    if structure == "exchangeable":
-        lo, hi = exchangeable_alpha_bounds(max(kernel.cluster_sizes))
+        alpha = np.zeros(block.phi.shape)
     else:
-        lo, hi = -1.0, 1.0
-    return float(np.clip(alpha, lo + ALPHA_MARGIN, hi - ALPHA_MARGIN))
+        if structure == "exchangeable":
+            lo, hi = exchangeable_alpha_bounds(max(block.cluster_sizes))
+        else:
+            lo, hi = -1.0, 1.0
+        alpha = np.clip(num / den, lo + ALPHA_MARGIN, hi - ALPHA_MARGIN)
+    return float(alpha[0]) if single else alpha
 
 
-def estimate_phi(kernel: FitKernel) -> float:
-    """Pearson plug-in dispersion: sum of e_ij^2 over (n_total - p), e at phi = 1."""
-    num = sum(float(np.sum(g.resid**2 / g.w)) for g in kernel.groups)
-    phi = num / (kernel.n_total - kernel.p)
-    if phi < PHI_FLOOR:
+def estimate_phi(kernel: FitKernel):
+    """Pearson plug-in dispersion: sum of e_ij^2 over (n_total - p), e at
+    phi = 1; one per replication for a block."""
+    block, single = as_block(kernel)
+    num = sum(np.sum(g.resid**2 / g.w, axis=(-2, -1)) for g in block.groups)
+    phi = num / (block.n_total - block.p)
+    if np.any(phi < PHI_FLOOR):
         warnings.warn(
             f"estimated dispersion fell below {PHI_FLOOR} and was floored there",
             RuntimeWarning,
             stacklevel=2,
         )
-        return PHI_FLOOR
-    return phi
+        phi = np.maximum(phi, PHI_FLOOR)
+    return float(phi[0]) if single else phi
+
+
+def _norm(g: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row."""
+    return np.sqrt(np.sum(g * g, axis=-1))
 
 
 def _penalized_score(kernel: FitKernel, penalized: bool) -> np.ndarray:
@@ -124,6 +159,21 @@ def _penalized_score(kernel: FitKernel, penalized: bool) -> np.ndarray:
     if penalized:
         g = g + firth_penalty(kernel)
     return g
+
+
+def fit_block(
+    data: LongitudinalDataset,
+    y: np.ndarray,
+    wm: WorkingModel,
+    opts: Optional[FitOptions] = None,
+) -> PgeeFit:
+    """Fit R replications that share the design of ``data`` and whose
+    responses are the rows of ``y`` (R, n_total), in lockstep.
+
+    Each replication follows the iteration of ``fit`` on its own; see
+    :class:`PgeeFit` for the shape of the result.
+    """
+    return _lockstep(data, y, wm, opts or FitOptions())[0]
 
 
 def fit(
@@ -139,93 +189,146 @@ def fit(
     of beta above ``beta_cap``, ill-conditioned information, or exhausted
     iterations; these return ``converged=False`` with a reason tag.
     """
-    opts = opts or FitOptions()
-    p = data.p
-    n_max = max(data.cluster_sizes)
-    beta = np.zeros(p)
+    res, has_kernel = _lockstep(data, data.y[None], wm, opts or FitOptions())
+    return PgeeFit(
+        beta=res.beta[0],
+        alpha=float(res.alpha[0]),
+        phi=float(res.phi[0]),
+        converged=bool(res.converged[0]),
+        iterations=int(res.iterations[0]),
+        kernel=res.kernel.take(0) if has_kernel[0] else None,
+        diverged_reason=res.diverged_reason[0],
+        penalized=res.penalized,
+    )
 
+
+def _lockstep(data, y, wm, opts) -> tuple:
+    """The lockstep Fisher scoring loop; returns the block PgeeFit and the
+    (R,) mask of replications that have a kernel."""
+    n_reps, p = y.shape[0], data.p
+    ys = tuple(y[:, g.rows] for g in data.size_groups)
+    beta = np.zeros((n_reps, p))
     if wm.estimates_alpha:
-        alpha = 0.0
+        alpha = np.zeros(n_reps)
     else:
-        alpha = float(wm.alpha)
-        wm.check_alpha(alpha, n_max)
-    phi = 1.0 if wm.estimates_dispersion else float(wm.dispersion)
+        wm.check_alpha(float(wm.alpha), max(data.cluster_sizes))
+        alpha = np.full(n_reps, float(wm.alpha))
+    phi = np.ones(n_reps) if wm.estimates_dispersion else np.full(n_reps, float(wm.dispersion))
 
+    # ``kernel`` holds each replication's current kernel and ``score`` its
+    # penalized score; rows are overwritten as replications move.
     kernel: Optional[FitKernel] = None
-    reason: Optional[str] = None
-    converged = False
-    iterations = 0
+    score = np.empty((n_reps, p))
+    active = np.ones(n_reps, bool)
+    has_kernel = np.zeros(n_reps, bool)
+    converged = np.zeros(n_reps, bool)
+    iterations = np.zeros(n_reps, int)
+    reason = np.full(n_reps, None, dtype=object)
+
+    def stop(rows, why):
+        if rows.size:
+            reason[rows] = why
+            active[rows] = False
+
+    def put(rows, k, sel):
+        """Make the replications ``sel`` of k the current kernels of ``rows``."""
+        nonlocal kernel
+        if rows.size == n_reps and sel.all():
+            kernel = k
+        elif rows.size:
+            kernel.assign(rows, k, sel)
+
+    def assemble(rows, at, cinvs):
+        k, ill = assemble_block(
+            at, wm.structure, alpha[rows], phi[rows], data,
+            tuple(yg[rows] for yg in ys), cinvs,
+        )
+        return k, ill, _penalized_score(k, opts.penalized)
+
+    def refresh(rows):
+        """Kernels at the current points of ``rows`` with fresh R(alpha)
+        factors; the rows that fail stop as singular."""
+        nonlocal kernel
+        cinvs, not_pd = whitening_factors(wm.structure, alpha[rows], data)
+        k, ill, g = assemble(rows, beta[rows], cinvs)
+        ok = ~(ill | not_pd.any(axis=-1))
+        if kernel is None:
+            kernel = k
+        else:
+            put(rows[ok], k, ok)
+        score[rows[ok]] = g[ok]
+        stop(rows[~ok], "singular_information")
 
     for it in range(1, opts.max_iter + 1):
-        iterations = it
-        # From the second iteration on, the accepted step-halving kernel
-        # is already the kernel at the current (beta, alpha, phi).
-        base = kernel
-        if base is None:
-            try:
-                base = assemble_kernel(beta, wm.structure, alpha, phi, data)
-            except (SingularV, SingularInformation):
-                reason = "singular_information"
-                break
-        if wm.estimates_dispersion:
-            phi = estimate_phi(base)
-        if wm.estimates_alpha:
-            alpha = estimate_alpha(base)
-        if alpha != base.alpha or phi != base.phi:
-            try:
-                base = assemble_kernel(beta, wm.structure, alpha, phi, data)
-            except (SingularV, SingularInformation):
-                reason = "singular_information"
-                break
-        kernel = base
-
-        g = _penalized_score(base, opts.penalized)
-        gnorm = float(np.linalg.norm(g))
-        step = cho_solve(cho_factor(base.info, lower=True), g)
-
-        # Step halving: accept the first candidate that reduces the
-        # penalized score norm, else the best of the tried candidates.
-        best_beta = None
-        best_kernel = None
-        best_norm = np.inf
-        scale = 1.0
-        for _ in range(opts.max_halvings + 1):
-            cand = beta + scale * step
-            try:
-                ck = assemble_kernel(cand, wm.structure, alpha, phi, data)
-                cn = float(np.linalg.norm(_penalized_score(ck, opts.penalized)))
-            except (SingularV, SingularInformation):
-                ck, cn = None, np.inf
-            if cn < best_norm:
-                best_beta, best_kernel, best_norm = cand, ck, cn
-            if cn < gnorm:
-                break
-            scale *= 0.5
-        if best_kernel is None:
-            reason = "singular_information"
+        rows = np.flatnonzero(active)
+        if not rows.size:
             break
+        iterations[rows] = it
+        if kernel is None:
+            refresh(rows)
+            rows = np.flatnonzero(active)
+        if wm.estimates_dispersion or wm.estimates_alpha:
+            base = kernel if rows.size == n_reps else kernel.take(rows)
+            if wm.estimates_dispersion:
+                phi[rows] = estimate_phi(base)
+            if wm.estimates_alpha:
+                alpha[rows] = estimate_alpha(base)
+            moved = (alpha[rows] != base.alpha) | (phi[rows] != base.phi)
+            if moved.any():
+                refresh(rows[moved])
+                rows = np.flatnonzero(active)
+        has_kernel[rows] = True
 
-        delta = best_beta - beta
-        beta = best_beta
-        kernel = best_kernel
-        if float(np.max(np.abs(beta))) > opts.beta_cap:
-            reason = "beta_cap"
-            break
-        if float(np.max(np.abs(delta))) < opts.tol:
-            converged = True
-            break
-    else:
-        reason = "max_iter"
+        g = score[rows]
+        gnorm = _norm(g)
+        step = (kernel.info_inv[rows] @ g[:, :, None])[:, :, 0]
 
-    if not converged and reason is None:
-        reason = "max_iter"
-    return PgeeFit(
+        # Step halving: each replication accepts its first candidate that
+        # reduces the penalized score norm, else the best it tried.
+        best = np.full(rows.size, np.inf)
+        pick = np.full(rows.size, -1)
+        tried = []
+        todo = np.arange(rows.size)
+        for h in range(opts.max_halvings + 1):
+            sub = rows[todo]
+            cand = beta[sub] + 0.5**h * step[todo]
+            cinvs = tuple(kg.cinv[sub] for kg in kernel.groups)
+            k, ill, gc = assemble(sub, cand, cinvs)
+            cn = np.where(ill, np.inf, _norm(gc))
+            better = cn < best[todo]
+            best[todo[better]] = cn[better]
+            pick[todo[better]] = h
+            tried.append((todo, k, gc, cand))
+            todo = todo[cn >= gnorm[todo]]
+            if not todo.size:
+                break
+        stop(rows[pick < 0], "singular_information")
+
+        delta = np.zeros((rows.size, p))
+        for h, (todo, k, gc, cand) in enumerate(tried):
+            sel = pick[todo] == h
+            if sel.any():
+                dst = rows[todo[sel]]
+                put(dst, k, sel)
+                score[dst] = gc[sel]
+                delta[todo[sel]] = cand[sel] - beta[dst]
+                beta[dst] = cand[sel]
+        stepped = pick >= 0
+        capped = stepped & (np.max(np.abs(beta[rows]), axis=-1) > opts.beta_cap)
+        stop(rows[capped], "beta_cap")
+        done = stepped & ~capped & (np.max(np.abs(delta), axis=-1) < opts.tol)
+        converged[rows[done]] = True
+        active[rows[done]] = False
+    reason[active] = "max_iter"
+
+    result = PgeeFit(
         beta=beta,
         alpha=alpha,
         phi=phi,
         converged=converged,
         iterations=iterations,
         kernel=kernel,
-        diverged_reason=None if converged else reason,
+        diverged_reason=reason,
         penalized=opts.penalized,
     )
+    return result, has_kernel

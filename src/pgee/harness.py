@@ -11,7 +11,16 @@ Randomness is keyed, not sequential: replication ``r`` of a scenario with
 seed ``s`` draws from ``SeedSequence((s, r, attempt))``, where ``attempt``
 increments when a generated dataset contains an invalid conditional draw
 (the event is counted and the replication regenerated on the next
-substream).  Results are therefore identical for any worker count.
+substream).
+
+A scenario's replications run in fixed blocks of BLOCK_SIZE consecutive
+indices (``run_block``).  Each replication of a block is drawn on its own
+keyed stream; all draws of a scenario share the design, so the block's
+responses are stacked and fitted in lockstep, and its converged
+replications are estimated and tested together.  The process pool is
+handed whole blocks, so the blocks, and every output, are identical for
+any worker count, and a block's records equal those ``run_replication``
+gives one replication at a time.
 
 Scenario grids come from an INI-style config file; every section is one
 block and whitespace-separated values expand by Cartesian product::
@@ -43,6 +52,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,7 +60,7 @@ import numpy as np
 from .data import EstimatorId, WorkingModel
 from .datagen import Scenario, calibrate_intercept, generate_dataset
 from .errors import ConfigError, TooFewConverged
-from .fitting import FitOptions, fit
+from .fitting import FitOptions, fit, fit_block
 from .variance import estimate_all, wald_test
 
 #: Nominal level of the Wald tests.
@@ -58,6 +68,14 @@ TEST_LEVEL = 0.05
 
 #: Cap on regeneration attempts after invalid conditional draws.
 MAX_ATTEMPTS = 1000
+
+#: Replications per block.  A scenario's replications are fitted in blocks
+#: of this many consecutive indices, so the batches, and with them every
+#: output, are the same for any worker count.
+BLOCK_SIZE = 32
+
+#: ``reason`` of a replication whose MAX_ATTEMPTS draws were all invalid.
+NO_VALID_DRAW = "no_valid_draw"
 
 _COEF_INDEX = {"beta1": 1, "beta2": 2}
 
@@ -143,6 +161,45 @@ def draw_dataset(
     return None, MAX_ATTEMPTS
 
 
+def _working_model(scenario: Scenario) -> WorkingModel:
+    return WorkingModel(
+        structure=scenario.working_structure, alpha="estimate", dispersion=1.0
+    )
+
+
+def _no_result(rep_index: int, invalid: int) -> dict:
+    """Record of a replication before its fit: no valid draw as yet."""
+    return {
+        "rep": rep_index, "invalid": invalid, "converged": False, "iterations": 0,
+        "reason": NO_VALID_DRAW,
+    }
+
+
+def _add_tests(spec, records, beta, kernel, estimators) -> None:
+    """Fill in the estimates and Wald tests of converged replications:
+    ``records`` and the rows of ``beta`` (C, p) follow the block
+    ``kernel`` of their final kernels."""
+    estimates = list(estimate_all(kernel, estimators).values())
+    idx = [_COEF_INDEX[name] for name in spec.test_coefs]
+    se = np.stack([ve.se[:, idx] for ve in estimates])  # (estimators, C, tested)
+    computable = np.stack([ve.computable for ve in estimates])
+    wr = wald_test(
+        np.broadcast_to(beta[:, idx], se.shape)[computable], se[computable],
+        kernel.n_clusters, kernel.p, null_value=0.0,
+    )
+    reject = np.zeros(se.shape, bool)
+    reject[computable] = wr.p_value < TEST_LEVEL
+    for c, (rec, b) in enumerate(zip(records, beta)):
+        rec["beta"] = b.tolist()
+        entries = rec["estimators"] = {}
+        for e, ve in enumerate(estimates):
+            entry = {"computable": bool(computable[e, c]), "reason": ve.incomputable_reason[c]}
+            if computable[e, c]:
+                entry["se"] = se[e, c].tolist()
+                entry["reject"] = reject[e, c].tolist()
+            entries[ve.id.name] = entry
+
+
 def run_replication(
     spec: ScenarioSpec,
     rep_index: int,
@@ -150,43 +207,75 @@ def run_replication(
     estimators: Optional[Sequence[EstimatorId]] = None,
     fit_options: Optional[FitOptions] = None,
 ) -> dict:
-    """Generate, fit, estimate, test: one Monte Carlo replication record."""
+    """Generate, fit, estimate, test: one Monte Carlo replication record.
+
+    The record holds the replication index, the number of invalid draws,
+    ``converged``, the fit's ``iterations`` and ``reason`` (its
+    ``diverged_reason``, or ``no_valid_draw`` when every attempt was
+    invalid); a converged replication adds ``beta`` and one entry per
+    estimator.  The fit and the estimators run on a block of one, so the
+    record equals that of the same replication in :func:`run_block`.
+    """
     scen = spec.scenario
     if intercept is None:
         intercept = calibrate_intercept(scen)
     if estimators is None:
         estimators = list(EstimatorId)
-
     dataset, invalid = draw_dataset(scen, rep_index, intercept)
-    record = {"rep": rep_index, "invalid": invalid, "converged": False}
+    record = _no_result(rep_index, invalid)
     if dataset is None:
         return record
-
-    wm = WorkingModel(structure=scen.working_structure, alpha="estimate", dispersion=1.0)
-    result = fit(dataset, wm, fit_options or FitOptions())
-    record["converged"] = bool(result.converged)
-    if not result.converged:
-        return record
-
-    record["beta"] = [float(b) for b in result.beta]
-    n_clusters, p = dataset.n_clusters, dataset.p
-    estimates = estimate_all(result.kernel, estimators)
-    per_est = {}
-    for est, ve in estimates.items():
-        entry = {"computable": bool(ve.computable), "reason": ve.incomputable_reason}
-        if ve.computable:
-            ses, rejects = [], []
-            for name in spec.test_coefs:
-                idx = _COEF_INDEX[name]
-                se = float(ve.se[idx])
-                wr = wald_test(result.beta[idx], se, n_clusters, p, null_value=0.0)
-                ses.append(se)
-                rejects.append(bool(wr.p_value < TEST_LEVEL))
-            entry["se"] = ses
-            entry["reject"] = rejects
-        per_est[est.name] = entry
-    record["estimators"] = per_est
+    result = fit(dataset, _working_model(scen), fit_options or FitOptions())
+    record.update(
+        converged=bool(result.converged),
+        iterations=int(result.iterations),
+        reason=result.diverged_reason,
+    )
+    if result.converged:
+        _add_tests(spec, [record], result.beta[None], result.kernel.source, estimators)
     return record
+
+
+def run_block(
+    spec: ScenarioSpec,
+    reps: Sequence[int],
+    intercept: Optional[float] = None,
+    estimators: Optional[Sequence[EstimatorId]] = None,
+    fit_options: Optional[FitOptions] = None,
+) -> list:
+    """The records of replications ``reps``, fitted and estimated as one block.
+
+    Each replication is drawn on its own keyed stream; all draws of a
+    scenario share the design, so their responses are stacked and fitted
+    in lockstep (``fit_block``), and the converged ones are estimated and
+    tested together.  Each record equals :func:`run_replication`'s.
+    """
+    scen = spec.scenario
+    if intercept is None:
+        intercept = calibrate_intercept(scen)
+    if estimators is None:
+        estimators = list(EstimatorId)
+    records, datasets = [], []
+    for rep in reps:
+        dataset, invalid = draw_dataset(scen, rep, intercept)
+        records.append(_no_result(rep, invalid))
+        datasets.append(dataset)
+    drawn = [k for k, d in enumerate(datasets) if d is not None]
+    if not drawn:
+        return records
+    y = np.stack([datasets[k].y for k in drawn])
+    result = fit_block(datasets[drawn[0]], y, _working_model(scen), fit_options or FitOptions())
+    for k, converged, iterations, reason in zip(
+        drawn, result.converged, result.iterations, result.diverged_reason
+    ):
+        records[k].update(converged=bool(converged), iterations=int(iterations), reason=reason)
+    conv = np.flatnonzero(result.converged)
+    if conv.size:
+        _add_tests(
+            spec, [records[drawn[c]] for c in conv], result.beta[conv],
+            result.kernel.take(conv), estimators,
+        )
+    return records
 
 
 def _skewness(x: np.ndarray) -> float:
@@ -282,15 +371,6 @@ def aggregate(
     )
 
 
-def _worker_chunk(args) -> list:
-    spec, reps, intercept, tags = args
-    estimators = [EstimatorId[t] for t in tags]
-    return [
-        run_replication(spec, r, intercept=intercept, estimators=estimators)
-        for r in reps
-    ]
-
-
 def run_scenario(
     spec: ScenarioSpec,
     reps: int,
@@ -298,26 +378,22 @@ def run_scenario(
     estimators: Optional[Sequence[EstimatorId]] = None,
     min_converged: int = 100,
 ) -> ScenarioResult:
-    """Run all replications of one scenario, optionally across processes."""
+    """Run all replications of one scenario in blocks of BLOCK_SIZE
+    consecutive indices, optionally handing whole blocks to processes."""
     if estimators is None:
         estimators = list(EstimatorId)
     intercept = calibrate_intercept(spec.scenario)
-    tags = [e.name for e in estimators]
+    blocks = [range(start, min(start + BLOCK_SIZE, reps)) for start in range(0, reps, BLOCK_SIZE)]
     if workers <= 1:
         records = [
-            run_replication(spec, r, intercept=intercept, estimators=estimators)
-            for r in range(reps)
+            rec
+            for block in blocks
+            for rec in run_block(spec, block, intercept=intercept, estimators=estimators)
         ]
     else:
-        chunk = max(1, math.ceil(reps / (workers * 4)))
-        jobs = [
-            (spec, list(range(start, min(start + chunk, reps))), intercept, tags)
-            for start in range(0, reps, chunk)
-        ]
-        records = []
+        job = partial(run_block, spec, intercept=intercept, estimators=estimators)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_worker_chunk, jobs):
-                records.extend(result)
+            records = [rec for result in pool.map(job, blocks) for rec in result]
     return aggregate(records, spec, estimators, min_converged=min_converged)
 
 

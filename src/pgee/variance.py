@@ -42,10 +42,15 @@ eigenvalues in [0, 1), and ``(I - H)^{-c} r = L Q (1-lam)^{-c} Q' L^{-1} r``.
 The eigendecompositions are ``FitKernel.geometry``, batched per cluster
 size, and ``FitKernel.corrected(c)`` solves each exponent once per kernel.
 
+Every middle carries the replication axis of a block kernel in front, so
+one table evaluates an estimator for all replications of a block at once;
+a one-replication kernel is evaluated through its block of one.  Wald
+tests work elementwise on arrays of estimates and standard errors.
+
 Pooling estimators require equal cluster sizes; on unbalanced data they
 are reported as not computable (never a wrong number).  A cluster whose
 leverage is numerically singular marks leverage-requiring estimators as
-not computable instead of aborting the replication.
+not computable, for its replication only, instead of aborting.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import stdtr, stdtrit
 
-from .core import FitKernel
+from .core import FitKernel, as_block
 from .data import EstimatorId, POOLING_IDS
 from .errors import SingularLeverage, ZeroSE
 
@@ -73,7 +78,12 @@ _REASON_NEGDIAG = "NegativeDiagonal"
 
 @dataclass(frozen=True)
 class VarianceEstimate:
-    """One estimator's p x p covariance with a computability flag."""
+    """One estimator's p x p covariance with a computability flag.
+
+    For a block kernel every field but ``id`` carries the replication
+    axis: ``cov`` and ``se`` hold NaN where they are not available, and
+    ``computable`` and ``incomputable_reason`` are (R,) arrays.
+    """
 
     id: EstimatorId
     cov: Optional[np.ndarray]
@@ -94,7 +104,8 @@ class OvercorrectionDiagnostic:
 
 @dataclass(frozen=True)
 class WaldResult:
-    """Two-sided Wald t-test with N - p degrees of freedom and 95% CI."""
+    """Two-sided Wald t-test with N - p degrees of freedom and 95% CI;
+    array fields when the test is run on arrays."""
 
     estimate: float
     se: float
@@ -106,8 +117,8 @@ class WaldResult:
 
 
 def _gram(f: np.ndarray) -> np.ndarray:
-    """sum_i f_i f_i' over the rows of f."""
-    return np.einsum("ip,iq->pq", f, f)
+    """sum_i f_i f_i' over the rows of each replication's f."""
+    return f.swapaxes(-1, -2) @ f
 
 
 def _outer(kernel: FitKernel, c: float) -> np.ndarray:
@@ -118,7 +129,7 @@ def _outer(kernel: FitKernel, c: float) -> np.ndarray:
 def _centered(kernel: FitKernel, c: float) -> np.ndarray:
     """Outer-product sum of the corrected scores after mean-centering."""
     f = kernel.corrected(c)[0]
-    return _gram(f - f.mean(axis=0))
+    return _gram(f - f.mean(axis=-2, keepdims=True))
 
 
 def _pooled(kernel: FitKernel, c: float, denom: float) -> np.ndarray:
@@ -131,12 +142,14 @@ def _pooled(kernel: FitKernel, c: float, denom: float) -> np.ndarray:
     """
     (g,) = kernel.groups
     (u,) = kernel.corrected(c)[1]
-    return np.einsum("snp,nm,smq->pq", g.dt, _gram(u) / denom, g.dt)
+    spread = (_gram(u) / denom)[:, None] @ g.dt
+    rows = g.dt.reshape(spread.shape[0], -1, kernel.p)
+    return rows.swapaxes(-1, -2) @ spread.reshape(rows.shape)
 
 
 def _fg(kernel: FitKernel) -> np.ndarray:
     """Scores inflated by (1 - min(FG_CLIP, diag(A_i info_inv)))^{-1/2}."""
-    lev = np.einsum("spq,qp->sp", kernel.infos, kernel.info_inv)
+    lev = np.sum(kernel.infos * kernel.info_inv.swapaxes(-1, -2)[:, None], axis=-1)
     return _gram((1.0 - np.minimum(FG_CLIP, lev)) ** -0.5 * kernel.scores)
 
 
@@ -151,11 +164,11 @@ def _fz(kernel: FitKernel) -> np.ndarray:
     f = kernel.corrected(1.0)[0]
     pmat = np.empty_like(kernel.infos)
     for g, geo in zip(kernel.groups, kernel.geometry):
-        qd = np.einsum("snk,snp->skp", geo.Q, g.dt)
-        pmat[g.idx] = np.einsum("skp,sk,skq->spq", qd, 1.0 / (1.0 - geo.lam), qd)
-    a = np.einsum("spq,qr->spr", pmat, kernel.info_inv)
-    v = np.einsum("spq,sq->sp", a, kernel.scores)
-    spread = np.einsum("sab,bc,sdc->ad", a, _gram(kernel.scores), a)
+        qd = geo.Q.swapaxes(-1, -2) @ g.dt
+        pmat[:, g.idx] = qd.swapaxes(-1, -2) @ (qd / (1.0 - geo.lam)[..., None])
+    a = pmat @ kernel.info_inv[:, None]
+    v = (a @ kernel.scores[..., None])[..., 0]
+    spread = np.sum(a @ _gram(kernel.scores)[:, None] @ a.swapaxes(-1, -2), axis=1)
     return _gram(f) - spread + _gram(v)
 
 
@@ -190,16 +203,48 @@ _MIDDLES = {
 #: kernel and the middle.
 _RIDGES = {
     EstimatorId.MBN: lambda k, m: _delta_n(k)
-    * max(1.0, float(np.trace(k.info_inv @ _centered(k, 0.0))) / k.p),
+    * np.maximum(1.0, np.trace(k.info_inv @ _centered(k, 0.0), axis1=-2, axis2=-1) / k.p),
     EstimatorId.RS: lambda k, m: _delta_n(k)
-    * max(1.0, abs(np.linalg.det(k.info_inv @ m)) ** (1.0 / k.p)),
+    * np.maximum(1.0, np.abs(np.linalg.det(k.info_inv @ m)) ** (1.0 / k.p)),
 }
 
 
-def _incomputable(estimator: EstimatorId, reason: str, cov=None) -> VarianceEstimate:
-    return VarianceEstimate(
-        id=estimator, cov=cov, se=None, computable=False, incomputable_reason=reason
-    )
+def _block_estimate(block: FitKernel, estimator: EstimatorId) -> VarianceEstimate:
+    """One estimator at a block kernel."""
+    n_reps, p = block.beta.shape
+    reasons = np.full(n_reps, None, dtype=object)
+    if estimator in POOLING_IDS and not block.balanced:
+        reasons[:] = _REASON_UNBALANCED
+        middle = None
+    else:
+        try:
+            middle = _MIDDLES[estimator](block)
+        except SingularLeverage:
+            # a singular (I - H) flags only its own replications
+            singular = block.singular_leverage
+            reasons[singular] = _REASON_SINGULAR
+            middle = None
+            if not singular.all():
+                middle = np.full((n_reps, p, p), np.nan)
+                middle[~singular] = _MIDDLES[estimator](block.regular)
+    if middle is None:
+        cov = np.full((n_reps, p, p), np.nan)
+        return VarianceEstimate(estimator, cov, cov[..., 0], np.zeros(n_reps, bool), reasons)
+    cov = block.info_inv @ middle @ block.info_inv
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    if estimator in _RIDGES:
+        # info_inv is exactly symmetric, so the ridge keeps cov symmetric.
+        cov = cov + _RIDGES[estimator](block, middle)[:, None, None] * block.info_inv
+    diag = np.diagonal(cov, axis1=-2, axis2=-1)
+    roundoff = 1e-12 * (1.0 + np.max(np.abs(diag), axis=-1))
+    # Only FZ can produce an indefinite middle; its covariance is reported
+    # but its standard errors are flagged as unavailable.
+    reasons[np.any(diag < -roundoff[:, None], axis=-1)] = _REASON_NEGDIAG
+    computable = np.equal(reasons, None)
+    se = np.sqrt(np.clip(diag, 0.0, None))
+    if not computable.all():
+        se[~computable] = np.nan
+    return VarianceEstimate(estimator, cov, se, computable, reasons)
 
 
 def estimate_variance(kernel: FitKernel, estimator: EstimatorId) -> VarianceEstimate:
@@ -212,32 +257,22 @@ def estimate_variance(kernel: FitKernel, estimator: EstimatorId) -> VarianceEsti
     an indefinite FZ middle with a negative variance diagonal is flagged
     likewise rather than reporting an invalid standard error.
     """
-    if estimator in POOLING_IDS and not kernel.balanced:
-        return _incomputable(estimator, _REASON_UNBALANCED)
-    try:
-        middle = _MIDDLES[estimator](kernel)
-    except SingularLeverage:
-        return _incomputable(estimator, _REASON_SINGULAR)
-    cov = kernel.info_inv @ middle @ kernel.info_inv
-    cov = 0.5 * (cov + cov.T)
-    if estimator in _RIDGES:
-        # info_inv is exactly symmetric, so the ridge keeps cov symmetric.
-        cov = cov + _RIDGES[estimator](kernel, middle) * kernel.info_inv
-
-    diag = np.diag(cov).copy()
-    roundoff = 1e-12 * (1.0 + float(np.max(np.abs(diag))))
-    if np.any(diag < -roundoff):
-        # Only FZ can produce an indefinite middle; report the covariance
-        # but flag the standard errors as unavailable.
-        return _incomputable(estimator, _REASON_NEGDIAG, cov)
-    se = np.sqrt(np.clip(diag, 0.0, None))
+    block, single = as_block(kernel)
+    ve = _block_estimate(block, estimator)
+    if not single:
+        return ve
+    reason = ve.incomputable_reason[0]
     return VarianceEstimate(
-        id=estimator, cov=cov, se=se, computable=True, incomputable_reason=None
+        id=estimator,
+        cov=ve.cov[0] if reason in (None, _REASON_NEGDIAG) else None,
+        se=ve.se[0] if reason is None else None,
+        computable=reason is None,
+        incomputable_reason=reason,
     )
 
 
 def estimate_all(kernel: FitKernel, estimators=None) -> dict:
-    """Evaluate several estimators at one kernel.
+    """Evaluate several estimators at one kernel (or block).
 
     The leverage corrections they share are solved once per exponent by
     ``FitKernel.corrected``.
@@ -280,27 +315,28 @@ def overcorrection_diagnostic(kernel: FitKernel) -> OvercorrectionDiagnostic:
 
 
 def wald_test(
-    estimate: float,
-    se: float,
+    estimate,
+    se,
     n_clusters: int,
     n_params: int,
     null_value: float = 0.0,
 ) -> WaldResult:
-    """Two-sided Wald t-test with N - p degrees of freedom and a 95% CI."""
+    """Two-sided Wald t-test with N - p degrees of freedom and a 95% CI,
+    elementwise over arrays of estimates and standard errors."""
     if n_clusters <= n_params:
         raise ValueError("need more clusters than parameters for the t-test")
-    if not se > 0:
+    if not np.all(np.greater(se, 0)):
         raise ZeroSE(f"standard error must be positive, got {se}")
     dof = n_clusters - n_params
     tstat = (estimate - null_value) / se
-    p_value = 2.0 * float(stdtr(dof, -abs(tstat)))
-    crit = float(stdtrit(dof, 0.975))
+    crit = stdtrit(dof, 0.975)
+    out = float if np.ndim(tstat) == 0 else np.asarray
     return WaldResult(
-        estimate=float(estimate),
-        se=float(se),
-        t=float(tstat),
+        estimate=out(estimate),
+        se=out(se),
+        t=out(tstat),
         dof=dof,
-        p_value=p_value,
-        ci_low=float(estimate - crit * se),
-        ci_high=float(estimate + crit * se),
+        p_value=out(2.0 * stdtr(dof, -np.abs(tstat))),
+        ci_low=out(estimate - crit * se),
+        ci_high=out(estimate + crit * se),
     )

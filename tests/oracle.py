@@ -123,19 +123,20 @@ def literal_leverage_score(q: LiteralCluster, info_inv, c) -> np.ndarray:
 
 
 def with_residuals(kernel, residuals):
-    """Copy of ``kernel`` with its residuals, given in cluster order, and
-    its scores replaced; means, covariances and informations are kept.
-    Evaluates estimator middles on externally constructed residuals."""
+    """Copy of a one-replication ``kernel`` with its residuals, given in
+    cluster order, and its scores replaced; means, covariances and
+    informations are kept.  Evaluates estimator middles on externally
+    constructed residuals."""
+    block = kernel.source
     groups = []
-    scores = np.empty_like(kernel.scores)
-    for g in kernel.groups:
-        r = np.array([residuals[i] for i in g.idx], dtype=float)
-        rt = np.einsum("ij,sj->si", g.cinv / np.sqrt(kernel.phi), r / np.sqrt(g.w))
-        g = g._replace(resid=r, rt=rt)
-        scores[g.idx] = np.einsum("snp,sn->sp", g.dt, rt)
-        groups.append(g)
-    scores.setflags(write=False)
-    return replace(kernel, groups=tuple(groups), scores=scores)
+    score = np.zeros_like(block.score)
+    for g in block.groups:
+        r = np.array([residuals[i] for i in g.idx], dtype=float)[None]
+        linv = g.cinv / np.sqrt(block.phi)[:, None, None]
+        rt = np.einsum("rij,rsj->rsi", linv, r / np.sqrt(g.w))
+        score += np.einsum("rsnp,rsn->rp", g.dt, rt)
+        groups.append(g._replace(resid=r, rt=rt))
+    return replace(block, groups=tuple(groups), score=score).take(0)
 
 
 def literal_clf_dataset(scenario, rng, intercept=None):

@@ -76,13 +76,13 @@ class TestAssemblies:
     def test_no_parameter_point_assembled_twice(self, rng, monkeypatch, structure, alpha):
         # the accepted step-halving kernel is the next iteration's base
         points = []
-        real = pgee.fitting.assemble_kernel
+        real = pgee.fitting.assemble_block
 
-        def recording(beta, structure, alpha, phi, data):
-            points.append((tuple(beta), alpha, phi))
-            return real(beta, structure, alpha, phi, data)
+        def recording(beta, structure, alpha, phi, data, ys, cinvs):
+            points.extend(zip(map(tuple, beta), alpha, phi))
+            return real(beta, structure, alpha, phi, data, ys, cinvs)
 
-        monkeypatch.setattr(pgee.fitting, "assemble_kernel", recording)
+        monkeypatch.setattr(pgee.fitting, "assemble_block", recording)
         ds = random_dataset(rng, n_clusters=12)
         res = fit(ds, WorkingModel(structure=structure, alpha=alpha, dispersion=1.0))
         assert res.converged and res.iterations >= 3

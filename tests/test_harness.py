@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import pgee.harness
 from pgee import (
     EstimatorId,
+    FitOptions,
     Scenario,
     ScenarioSpec,
     aggregate,
@@ -23,7 +24,7 @@ from pgee import (
     summary_json,
 )
 from pgee.errors import ConfigError, TooFewConverged
-from pgee.harness import MAX_ATTEMPTS, draw_dataset
+from pgee.harness import BLOCK_SIZE, MAX_ATTEMPTS, draw_dataset, run_block
 
 FAST_ESTIMATORS = [EstimatorId.LZ, EstimatorId.KC, EstimatorId.AR, EstimatorId.PAN]
 
@@ -71,6 +72,65 @@ class TestRunReplication:
         )
         rec = run_replication(spec, 0, estimators=[EstimatorId.LZ])
         assert len(rec["estimators"]["LZ"]["se"]) == 2
+
+
+    def test_reason_is_recorded(self, monkeypatch):
+        rec = run_replication(_spec(), 0, estimators=FAST_ESTIMATORS)
+        assert rec["reason"] is None and rec["iterations"] > 0
+        rec = run_replication(_spec(), 0, fit_options=FitOptions(max_iter=2))
+        assert not rec["converged"] and rec["reason"] == "max_iter"
+        monkeypatch.setattr(pgee.harness, "generate_dataset", lambda *a, **k: None)
+        for rec in (run_replication(_spec(), 0), run_block(_spec(), [0])[0]):
+            assert rec["invalid"] == MAX_ATTEMPTS
+            assert not rec["converged"] and rec["reason"] == "no_valid_draw"
+
+
+#: Cells of the block parity test, each with a max_iter that leaves some
+#: replications of the block converged and stops the others at max_iter.
+_PARITY_CELLS = {
+    # negative correlation at a 60% event rate: some draws are invalid
+    "balanced": (dict(event_rate=0.6, rho=-0.2), 7),
+    # pooling estimators are not computable on unbalanced clusters
+    "unbalanced": (dict(n_pattern=(2, 6)), 8),
+    "ar1": (
+        dict(n_clusters=20, n_pattern=(6,), true_structure="ar1", working_structure="ar1"),
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_PARITY_CELLS))
+def test_block_matches_single_replications(cell):
+    kw, max_iter = _PARITY_CELLS[cell]
+    spec = _spec(**kw)
+    reps = range(3, 3 + 2 * BLOCK_SIZE)
+    seen = set()
+    for opts in (FitOptions(), FitOptions(max_iter=max_iter)):
+        block = run_block(spec, reps, fit_options=opts)
+        assert [r["rep"] for r in block] == list(reps)
+        for rec in block:
+            one = run_replication(spec, rec["rep"], fit_options=opts)
+            for key in ("invalid", "converged", "iterations", "reason"):
+                assert rec[key] == one[key], (rec["rep"], key)
+            seen.add(rec["reason"])
+            seen.add("invalid" if rec["invalid"] else "valid")
+            if not one["converged"]:
+                assert "beta" not in rec
+                continue
+            np.testing.assert_allclose(rec["beta"], one["beta"], rtol=1e-12, atol=0)
+            assert rec["estimators"].keys() == one["estimators"].keys()
+            for tag, entry in one["estimators"].items():
+                got = rec["estimators"][tag]
+                assert (got["computable"], got["reason"]) == (entry["computable"], entry["reason"])
+                seen.add(entry["reason"])
+                if entry["computable"]:
+                    np.testing.assert_allclose(got["se"], entry["se"], rtol=1e-12, atol=0)
+                    assert got["reject"] == entry["reject"]
+    assert {None, "max_iter"} <= seen
+    if cell == "balanced":
+        assert {"invalid", "valid"} <= seen
+    if cell == "unbalanced":
+        assert "UnbalancedPooling" in seen
 
 
 class TestDrawDataset:
@@ -260,10 +320,14 @@ true = exchangeable
         assert summary_json(specs, r1, 3, 60) == summary_json(specs, r2, 3, 60)
 
     def test_worker_count_invariance(self):
+        # one whole block and part of the next
         specs = parse_config(self.TINY, base_seed=3)
-        serial = run_grid(specs, reps=40, workers=1, estimators=FAST_ESTIMATORS, min_converged=20)
-        parallel = run_grid(specs, reps=40, workers=2, estimators=FAST_ESTIMATORS, min_converged=20)
+        reps = BLOCK_SIZE + 8
+        kw = dict(reps=reps, estimators=FAST_ESTIMATORS, min_converged=20)
+        serial = run_grid(specs, workers=1, **kw)
+        parallel = run_grid(specs, workers=2, **kw)
         assert results_csv(serial) == results_csv(parallel)
+        assert summary_json(specs, serial, 3, reps) == summary_json(specs, parallel, 3, reps)
 
     def test_worker_env_cap(self, monkeypatch):
         from pgee.harness import effective_workers

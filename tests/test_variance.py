@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import pgee.core
 from pgee import (
     EstimatorId,
     FitKernel,
@@ -15,6 +16,7 @@ from pgee import (
     validate_dataset,
     wald_test,
 )
+from pgee.core import assemble_block, whitening_factors
 from pgee.errors import SingularLeverage, ZeroSE
 
 from conftest import balanced_dataset, random_kernel, two_arm_dataset
@@ -97,6 +99,30 @@ class TestLeverageScores:
         assert not ve.computable
         assert ve.incomputable_reason == "SingularLeverage"
         assert estimate_variance(kern, EstimatorId.LZ).computable
+
+
+def test_singular_leverage_flags_only_its_replication(rng, monkeypatch):
+    # a block of two replications at different betas; a tolerance between
+    # their leverage gaps makes exactly one of them singular
+    ds = balanced_dataset(rng, n_clusters=8)
+    beta = np.stack([np.zeros(ds.p), rng.normal(scale=0.8, size=ds.p)])
+    alpha, phi = np.full(2, 0.2), np.ones(2)
+    cinvs, _ = whitening_factors("exchangeable", alpha, ds)
+    ys = tuple(np.stack([g.y, g.y]) for g in ds.size_groups)
+    block, ill = assemble_block(beta, "exchangeable", alpha, phi, ds, ys, cinvs)
+    assert not ill.any()
+    gap = 1.0 - block.max_leverage.max(axis=1)
+    assert gap[0] != gap[1]
+    monkeypatch.setattr(pgee.core, "LEVERAGE_TOL", gap.mean())
+    assert block.singular_leverage.sum() == 1
+    together = estimate_all(block)
+    for r in range(2):
+        alone = estimate_all(block.take(r))
+        for est, ve in alone.items():
+            assert together[est].incomputable_reason[r] == ve.incomputable_reason
+            if ve.computable:
+                assert np.array_equal(together[est].se[r], ve.se)
+    assert set(together[EstimatorId.MD].incomputable_reason) == {"SingularLeverage", None}
 
 
 def _principal_inv_sqrt(m):
@@ -423,6 +449,17 @@ class TestWald:
     def test_ci_symmetric(self):
         wr = wald_test(1.3, 0.4, 15, 3)
         assert wr.ci_high - wr.estimate == pytest.approx(wr.estimate - wr.ci_low)
+
+    def test_elementwise_matches_scalar(self, rng):
+        est = rng.normal(size=(3, 2))
+        se = rng.uniform(0.1, 2.0, size=(3, 2))
+        wr = wald_test(est, se, 12, 3, null_value=0.1)
+        for i in np.ndindex(est.shape):
+            one = wald_test(est[i], se[i], 12, 3, null_value=0.1)
+            for name in ("t", "p_value", "ci_low", "ci_high"):
+                assert getattr(wr, name)[i] == getattr(one, name)
+        with pytest.raises(ZeroSE):
+            wald_test(est, np.where(est > 0, se, 0.0), 12, 3)
 
     def test_zero_se_rejected(self):
         with pytest.raises(ZeroSE):
