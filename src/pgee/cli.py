@@ -8,7 +8,6 @@ configuration so runs can be reproduced from the output alone.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import warnings
@@ -20,7 +19,7 @@ import numpy as np
 
 from .data import EstimatorId, normalize_structure, read_csv, write_csv
 from .datagen import Scenario, calibrate_intercept
-from .errors import DatasetError, PgeeError, ConfigError, SingularLeverage, ZeroSE
+from .errors import DatasetError, PgeeError, SingularLeverage, ZeroSE
 from .fitting import FitOptions, PgeeFit, fit
 from .harness import (
     MAX_ATTEMPTS,
@@ -111,33 +110,9 @@ def _unavailable_row(est: EstimatorId, reason: str) -> str:
     return f"  {est.name:<10}{'—':>12}{'—':>10}{'—':>10}{'(' + reason + ')':>26}"
 
 
-def _warnings_as_notes(cmd):
-    """Run ``cmd`` with Python warnings collected instead of printed, then
-    print one ``note:`` line per distinct message, with its count."""
-
-    @functools.wraps(cmd)
-    def run(args) -> int:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                return cmd(args)
-            finally:
-                for message, count in Counter(str(w.message) for w in caught).items():
-                    times = f" ({count} times)" if count > 1 else ""
-                    print(f"note: {message}{times}", file=sys.stderr)
-
-    return run
-
-
-@_warnings_as_notes
 def cmd_fit(args) -> int:
-    try:
-        estimators = _parse_estimators(args.estimators)
-        dataset, wm, result = _fit_dataset(args)
-    except (DatasetError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    estimators = _parse_estimators(args.estimators)
+    dataset, wm, result = _fit_dataset(args)
     report: dict = {
         "schema_version": JSON_SCHEMA_VERSION,
         "command": "fit",
@@ -229,13 +204,8 @@ def cmd_fit(args) -> int:
     return 0 if result.converged else 2
 
 
-@_warnings_as_notes
 def cmd_diagnose(args) -> int:
-    try:
-        dataset, wm, result = _fit_dataset(args)
-    except (DatasetError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    dataset, wm, result = _fit_dataset(args)
     if result.kernel is None:
         print("error: no kernel available (fit failed immediately)", file=sys.stderr)
         return 2
@@ -266,8 +236,7 @@ def cmd_diagnose(args) -> int:
     if args.treatment_col:
         name = args.treatment_col
         if name not in dataset.colnames:
-            print(f"error: no column named {name!r}", file=sys.stderr)
-            return 1
+            raise DatasetError(f"no column named {name!r}")
         idx = dataset.colnames.index(name)
         col = dataset.X[:, idx]
         arms = col[dataset.offsets[:-1]]
@@ -275,11 +244,7 @@ def cmd_diagnose(args) -> int:
             np.array_equal(col, np.repeat(arms, dataset.sizes))
             and np.all((arms == 0.0) | (arms == 1.0))
         ):
-            print(
-                f"error: {name!r} is not a binary subject-level column",
-                file=sys.stderr,
-            )
-            return 1
+            raise DatasetError(f"{name!r} is not a binary subject-level column")
         n1 = int(arms.sum())
         n0 = len(arms) - n1
         n_min = min(n0, n1)
@@ -304,28 +269,24 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        scenario = Scenario(
-            n_clusters=args.N,
-            n_pattern=tuple(int(v) for v in args.n.split("/")),
-            event_rate=args.rate,
-            rho=args.rho,
-            true_structure=args.structure,
-            working_structure=args.structure,
-            gamma=args.gamma,
-            beta1=args.beta1,
-            beta2=args.beta2,
-            model=args.model,
-            seed=args.seed,
-        )
-        intercept = calibrate_intercept(scenario)
-        dataset, invalid = draw_dataset(scenario, 0, intercept)
-        if dataset is None:
-            raise PgeeError(f"no valid draw in {MAX_ATTEMPTS} attempts")
-        write_csv(dataset, args.out)
-    except (ValueError, PgeeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    scenario = Scenario(
+        n_clusters=args.N,
+        n_pattern=tuple(int(v) for v in args.n.split("/")),
+        event_rate=args.rate,
+        rho=args.rho,
+        true_structure=args.structure,
+        working_structure=args.structure,
+        gamma=args.gamma,
+        beta1=args.beta1,
+        beta2=args.beta2,
+        model=args.model,
+        seed=args.seed,
+    )
+    intercept = calibrate_intercept(scenario)
+    dataset, invalid = draw_dataset(scenario, 0, intercept)
+    if dataset is None:
+        raise PgeeError(f"no valid draw in {MAX_ATTEMPTS} attempts")
+    write_csv(dataset, args.out)
     print(
         f"wrote {dataset.n_clusters} clusters ({dataset.n_total} rows) to "
         f"{args.out}; intercept {intercept:.6g}; invalid draws {invalid}; "
@@ -335,40 +296,26 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-        specs = parse_config(text, base_seed=args.seed)
-    except (OSError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        estimators = _parse_estimators(args.estimators)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    specs = parse_config(Path(args.config).read_text(encoding="utf-8"), base_seed=args.seed)
+    estimators = _parse_estimators(args.estimators)
     reps = 5000 if args.full else args.reps
     if reps < 0:
-        print(f"error: --reps must be non-negative, got {reps}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--reps must be non-negative, got {reps}")
     out_dir = Path(args.out_dir)
-    try:
-        workers = effective_workers(args.workers)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        results = run_grid(
-            specs,
-            reps,
-            workers=workers,
-            estimators=estimators,
-            min_converged=args.min_converged,
-        )
-        (out_dir / "results.csv").write_text(results_csv(results), encoding="utf-8")
-        (out_dir / "summary.json").write_text(
-            summary_json(specs, results, base_seed=args.seed, reps=reps),
-            encoding="utf-8",
-        )
-    except (PgeeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    workers = effective_workers(args.workers)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = run_grid(
+        specs,
+        reps,
+        workers=workers,
+        estimators=estimators,
+        min_converged=args.min_converged,
+    )
+    (out_dir / "results.csv").write_text(results_csv(results), encoding="utf-8")
+    (out_dir / "summary.json").write_text(
+        summary_json(specs, results, base_seed=args.seed, reps=reps),
+        encoding="utf-8",
+    )
     print(
         f"{len(specs)} scenario(s) x {reps} replications "
         f"(seed {args.seed}, workers {workers})"
@@ -442,8 +389,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    """Run one command.  An input, config or file error ends it with one
+    ``error:`` line and exit 1; Python warnings are collected and printed
+    after it as one ``note:`` line per distinct message, with its count."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.func(args)
+        except (PgeeError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            for message, count in Counter(str(w.message) for w in caught).items():
+                times = f" ({count} times)" if count > 1 else ""
+                print(f"note: {message}{times}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -289,6 +289,8 @@ class FitKernel:
     @cached_property
     def max_leverage(self) -> np.ndarray:
         """(R, N) largest hat eigenvalue of each cluster, in cluster order."""
+        if self.source is not None:
+            return self.source.max_leverage[0]
         return _cluster_order(self, [geo.lam[..., -1] for geo in self.geometry], ())
 
     @cached_property
@@ -298,7 +300,10 @@ class FitKernel:
 
     @cached_property
     def regular(self) -> "FitKernel":
-        """The block of the replications without a singular (I - H)."""
+        """The block of the replications without a singular (I - H); a
+        one-replication view gives its source's."""
+        if self.source is not None:
+            return self.source.regular
         return self.take(np.flatnonzero(~self.singular_leverage))
 
     def corrected(self, c: float) -> tuple:

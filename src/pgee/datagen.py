@@ -111,14 +111,16 @@ class Scenario:
         pattern = self.n_pattern
         return [pattern[i % len(pattern)] for i in range(self.n_clusters)]
 
-    def design_rows(self) -> np.ndarray:
-        """All (treatment, time) rows of the design, pooled over clusters."""
-        rows = []
-        for i, n in enumerate(self.cluster_sizes()):
-            x = 1.0 if i < self.n_treated else 0.0
-            for j in range(1, n + 1):
-                rows.append((x, TIME_STEP * j))
-        return np.array(rows)
+
+def design_columns(scenario: Scenario) -> tuple:
+    """The cluster sizes and the treatment and time columns of the design,
+    pooled over clusters: the first ``n_treated`` clusters are treated and
+    observation j (from 1) of a cluster is at time ``TIME_STEP * j``."""
+    sizes = np.array(scenario.cluster_sizes())
+    starts = np.cumsum([0, *sizes])
+    treat = np.repeat(np.arange(len(sizes)) < scenario.n_treated, sizes).astype(float)
+    time = TIME_STEP * (np.arange(starts[-1]) - np.repeat(starts[:-1], sizes) + 1)
+    return sizes, treat, time
 
 
 def calibrate_intercept(scenario: Scenario, tol: float = 1e-8) -> float:
@@ -127,10 +129,10 @@ def calibrate_intercept(scenario: Scenario, tol: float = 1e-8) -> float:
     Bisection on [-20, 20]; raises BracketFailure when the target rate is
     unreachable there.
     """
-    rows = scenario.design_rows()
-    shift = scenario.beta1 * rows[:, 0]
+    _, treat, time = design_columns(scenario)
+    shift = scenario.beta1 * treat
     if scenario.model == "full":
-        shift = shift + scenario.beta2 * rows[:, 1]
+        shift = shift + scenario.beta2 * time
 
     def excess(b0: float) -> float:
         return float(np.mean(expit(b0 + shift))) - scenario.event_rate
@@ -234,12 +236,10 @@ def generate_dataset(
     """
     if intercept is None:
         intercept = calibrate_intercept(scenario)
-    sizes = np.array(scenario.cluster_sizes())
+    sizes, treat, time = design_columns(scenario)
     full = scenario.model == "full"
     starts = np.cumsum([0, *sizes])
-    treated = np.arange(len(sizes)) < scenario.n_treated
-    treat = np.repeat(treated, sizes).astype(float)
-    time = TIME_STEP * (np.arange(starts[-1]) - np.repeat(starts[:-1], sizes) + 1)
+    treated = treat[starts[:-1]] == 1.0
     eta = intercept + scenario.beta1 * treat
     if full:
         eta = eta + scenario.beta2 * time

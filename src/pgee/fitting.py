@@ -6,8 +6,9 @@ Fisher scoring with the assembled kernel:
 
 with the penalty term included when ``penalized`` is set.  The working
 correlation and dispersion are refreshed from current residuals at each
-outer iteration when in estimate mode.  Step halving (up to 10 halvings)
-guards against overshoot when the penalized score norm fails to decrease.
+outer iteration when in estimate mode.  Step halving (up to MAX_HALVINGS
+halvings) guards against overshoot when the penalized score norm fails to
+decrease.
 
 One loop fits a block of replications that share the design, in lockstep:
 each iteration, each refresh and each halving round is one kernel
@@ -51,6 +52,12 @@ ALPHA_MARGIN = 1e-6
 #: Floor for a degenerate estimated dispersion.
 PHI_FLOOR = 1e-6
 
+#: A fit diverges when the max-norm of beta exceeds this cap.
+BETA_CAP = 50.0
+
+#: Halvings of a Fisher step tried before the best candidate is taken.
+MAX_HALVINGS = 10
+
 
 @dataclass(frozen=True)
 class FitOptions:
@@ -59,16 +66,12 @@ class FitOptions:
     penalized: bool = True
     max_iter: int = 50
     tol: float = 1e-6
-    beta_cap: float = 50.0
-    max_halvings: int = 10
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not 0.0 < self.beta_cap < np.inf:
-            raise ValueError(f"beta_cap must be positive and finite, got {self.beta_cap}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ def fit(
     beta starts at 0; alpha and phi start at 0 and 1 (or their fixed
     values) and are refreshed each outer iteration in estimate mode.
     Convergence: max-norm of the step below ``tol``.  Divergence: max-norm
-    of beta above ``beta_cap``, ill-conditioned information, or exhausted
+    of beta above BETA_CAP, ill-conditioned information, or exhausted
     iterations; these return ``converged=False`` with a reason tag.
     """
     res, has_kernel = _lockstep(data, data.y[None], wm, opts or FitOptions())
@@ -282,41 +285,32 @@ def _lockstep(data, y, wm, opts) -> tuple:
         g = score[rows]
         gnorm = _norm(g)
         step = (kernel.info_inv[rows] @ g[:, :, None])[:, :, 0]
+        start = beta[rows]
 
         # Step halving: each replication accepts its first candidate that
-        # reduces the penalized score norm, else the best it tried.
+        # reduces the penalized score norm, else the best it tried; a
+        # candidate that beats the ones before it becomes current at once.
         best = np.full(rows.size, np.inf)
-        pick = np.full(rows.size, -1)
-        tried = []
         todo = np.arange(rows.size)
-        for h in range(opts.max_halvings + 1):
+        for h in range(MAX_HALVINGS + 1):
             sub = rows[todo]
-            cand = beta[sub] + 0.5**h * step[todo]
+            cand = start[todo] + 0.5**h * step[todo]
             cinvs = tuple(kg.cinv[sub] for kg in kernel.groups)
             k, ill, gc = assemble(sub, cand, cinvs)
             cn = np.where(ill, np.inf, _norm(gc))
             better = cn < best[todo]
             best[todo[better]] = cn[better]
-            pick[todo[better]] = h
-            tried.append((todo, k, gc, cand))
+            put(sub[better], k, better)
+            score[sub[better]] = gc[better]
+            beta[sub[better]] = cand[better]
             todo = todo[cn >= gnorm[todo]]
             if not todo.size:
                 break
-        stop(rows[pick < 0], "singular_information")
-
-        delta = np.zeros((rows.size, p))
-        for h, (todo, k, gc, cand) in enumerate(tried):
-            sel = pick[todo] == h
-            if sel.any():
-                dst = rows[todo[sel]]
-                put(dst, k, sel)
-                score[dst] = gc[sel]
-                delta[todo[sel]] = cand[sel] - beta[dst]
-                beta[dst] = cand[sel]
-        stepped = pick >= 0
-        capped = stepped & (np.max(np.abs(beta[rows]), axis=-1) > opts.beta_cap)
+        stepped = best < np.inf
+        stop(rows[~stepped], "singular_information")
+        capped = stepped & (np.max(np.abs(beta[rows]), axis=-1) > BETA_CAP)
         stop(rows[capped], "beta_cap")
-        done = stepped & ~capped & (np.max(np.abs(delta), axis=-1) < opts.tol)
+        done = stepped & ~capped & (np.max(np.abs(beta[rows] - start), axis=-1) < opts.tol)
         converged[rows[done]] = True
         active[rows[done]] = False
     reason[active] = "max_iter"

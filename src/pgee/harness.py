@@ -51,7 +51,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Optional, Sequence
 
@@ -79,23 +79,6 @@ NO_VALID_DRAW = "no_valid_draw"
 
 _COEF_INDEX = {"beta1": 1, "beta2": 2}
 
-RESULTS_COLUMNS = (
-    "scenario",
-    "estimator",
-    "coefficient",
-    "n_computable",
-    "rejection_rate",
-    "mc_se",
-    "median_se_ratio",
-    "cv_se",
-    "skewness_se",
-    "p95_over_p50",
-    "p99_over_p50",
-    "b_effective",
-    "convergence_rate",
-    "invalid_draws",
-)
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -120,13 +103,13 @@ class EstimatorCell:
     estimator: str
     coefficient: str
     n_computable: int
-    rejection_rate: Optional[float]
-    mc_se: Optional[float]
-    median_se_ratio: Optional[float]
-    cv_se: Optional[float]
-    skewness_se: Optional[float]
-    p95_over_p50: Optional[float]
-    p99_over_p50: Optional[float]
+    rejection_rate: Optional[float] = None
+    mc_se: Optional[float] = None
+    median_se_ratio: Optional[float] = None
+    cv_se: Optional[float] = None
+    skewness_se: Optional[float] = None
+    p95_over_p50: Optional[float] = None
+    p99_over_p50: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -140,6 +123,14 @@ class ScenarioResult:
     invalid_draws: int
     sim_se: dict
     cells: tuple
+
+
+#: The ScenarioResult fields repeated on each row of ``results.csv``.
+_RESULT_COLUMNS = ("b_effective", "convergence_rate", "invalid_draws")
+
+_CELL_COLUMNS = tuple(f.name for f in fields(EstimatorCell))
+
+RESULTS_COLUMNS = ("scenario", *_CELL_COLUMNS, *_RESULT_COLUMNS)
 
 
 def draw_dataset(
@@ -219,8 +210,6 @@ def run_replication(
     scen = spec.scenario
     if intercept is None:
         intercept = calibrate_intercept(scen)
-    if estimators is None:
-        estimators = list(EstimatorId)
     dataset, invalid = draw_dataset(scen, rep_index, intercept)
     record = _no_result(rep_index, invalid)
     if dataset is None:
@@ -253,8 +242,6 @@ def run_block(
     scen = spec.scenario
     if intercept is None:
         intercept = calibrate_intercept(scen)
-    if estimators is None:
-        estimators = list(EstimatorId)
     records, datasets = [], []
     for rep in reps:
         dataset, invalid = draw_dataset(scen, rep, intercept)
@@ -284,6 +271,31 @@ def _skewness(x: np.ndarray) -> float:
     return float(np.mean(d**3) / np.mean(d**2) ** 1.5)
 
 
+def _cell(tag: str, name: str, ses: np.ndarray, rejects: np.ndarray, sim_se: float):
+    """The EstimatorCell of one (estimator, coefficient) pair from the SEs
+    and 0/1 reject flags of its computable replications; every metric is
+    None when there are none."""
+    n_comp = len(ses)
+    if n_comp == 0:
+        return EstimatorCell(tag, name, 0)
+    rate = float(np.mean(rejects))
+    med = float(np.median(ses))
+    mean_se = float(np.mean(ses))
+    degenerate = np.ptp(ses) <= 1e-12 * max(mean_se, 1e-300)
+    return EstimatorCell(
+        estimator=tag,
+        coefficient=name,
+        n_computable=n_comp,
+        rejection_rate=rate,
+        mc_se=math.sqrt(rate * (1.0 - rate) / n_comp),
+        median_se_ratio=med / sim_se if sim_se > 0 else None,
+        cv_se=float(np.std(ses, ddof=1)) / mean_se if n_comp > 1 else None,
+        skewness_se=None if n_comp <= 2 else 0.0 if degenerate else _skewness(ses),
+        p95_over_p50=float(np.percentile(ses, 95)) / med,
+        p99_over_p50=float(np.percentile(ses, 99)) / med,
+    )
+
+
 def aggregate(
     records: Sequence[dict],
     spec: ScenarioSpec,
@@ -311,55 +323,17 @@ def aggregate(
     }
 
     cells = []
+    shape = (-1, len(spec.test_coefs))
     for est in estimators:
         tag = est.name
-        usable = [r for r in converged if r["estimators"][tag]["computable"]]
-        for ci, name in enumerate(spec.test_coefs):
-            n_comp = len(usable)
-            if n_comp == 0:
-                cells.append(
-                    EstimatorCell(
-                        estimator=tag,
-                        coefficient=name,
-                        n_computable=0,
-                        rejection_rate=None,
-                        mc_se=None,
-                        median_se_ratio=None,
-                        cv_se=None,
-                        skewness_se=None,
-                        p95_over_p50=None,
-                        p99_over_p50=None,
-                    )
-                )
-                continue
-            rejects = np.array(
-                [r["estimators"][tag]["reject"][ci] for r in usable], dtype=float
-            )
-            ses = np.array([r["estimators"][tag]["se"][ci] for r in usable])
-            rate = float(np.mean(rejects))
-            med = float(np.median(ses))
-            mean_se = float(np.mean(ses))
-            degenerate = np.ptp(ses) <= 1e-12 * max(mean_se, 1e-300)
-            cells.append(
-                EstimatorCell(
-                    estimator=tag,
-                    coefficient=name,
-                    n_computable=n_comp,
-                    rejection_rate=rate,
-                    mc_se=math.sqrt(rate * (1.0 - rate) / n_comp),
-                    median_se_ratio=med / sim_se[name] if sim_se[name] > 0 else None,
-                    cv_se=float(np.std(ses, ddof=1)) / mean_se if n_comp > 1 else None,
-                    skewness_se=(
-                        None
-                        if n_comp <= 2
-                        else 0.0
-                        if degenerate
-                        else _skewness(ses)
-                    ),
-                    p95_over_p50=float(np.percentile(ses, 95)) / med,
-                    p99_over_p50=float(np.percentile(ses, 99)) / med,
-                )
-            )
+        usable = [e for e in (r["estimators"][tag] for r in converged) if e["computable"]]
+        # one contiguous row of SEs and of reject flags per tested coefficient
+        ses = np.array([e["se"] for e in usable], float).reshape(shape).T.copy()
+        rejects = np.array([e["reject"] for e in usable], float).reshape(shape).T.copy()
+        cells += [
+            _cell(tag, name, ses[ci], rejects[ci], sim_se[name])
+            for ci, name in enumerate(spec.test_coefs)
+        ]
     return ScenarioResult(
         scenario_id=spec.id,
         b_total=b_total,
@@ -380,18 +354,12 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run all replications of one scenario in blocks of BLOCK_SIZE
     consecutive indices, optionally handing whole blocks to processes."""
-    if estimators is None:
-        estimators = list(EstimatorId)
     intercept = calibrate_intercept(spec.scenario)
     blocks = [range(start, min(start + BLOCK_SIZE, reps)) for start in range(0, reps, BLOCK_SIZE)]
+    job = partial(run_block, spec, intercept=intercept, estimators=estimators)
     if workers <= 1:
-        records = [
-            rec
-            for block in blocks
-            for rec in run_block(spec, block, intercept=intercept, estimators=estimators)
-        ]
+        records = [rec for result in map(job, blocks) for rec in result]
     else:
-        job = partial(run_block, spec, intercept=intercept, estimators=estimators)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = [rec for result in pool.map(job, blocks) for rec in result]
     return aggregate(records, spec, estimators, min_converged=min_converged)
@@ -437,24 +405,10 @@ def results_csv(results: Sequence[ScenarioResult]) -> str:
     """Render the results table; one row per scenario x estimator x coefficient."""
     lines = [",".join(RESULTS_COLUMNS)]
     for res in results:
+        tail = [_fmt(getattr(res, name)) for name in _RESULT_COLUMNS]
         for cell in res.cells:
-            row = (
-                res.scenario_id,
-                cell.estimator,
-                cell.coefficient,
-                cell.n_computable,
-                cell.rejection_rate,
-                cell.mc_se,
-                cell.median_se_ratio,
-                cell.cv_se,
-                cell.skewness_se,
-                cell.p95_over_p50,
-                cell.p99_over_p50,
-                res.b_effective,
-                res.convergence_rate,
-                res.invalid_draws,
-            )
-            lines.append(",".join(_fmt(v) for v in row))
+            row = [res.scenario_id, *(_fmt(getattr(cell, name)) for name in _CELL_COLUMNS), *tail]
+            lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -467,32 +421,20 @@ def summary_json(
     """Grid metadata: seeds, scenario parameters, convergence census."""
     scenarios = []
     for spec, res in zip(specs, results):
-        scen = spec.scenario
-        scenarios.append(
-            {
-                "id": spec.id,
-                "seed": int(scen.seed),
-                "n_clusters": scen.n_clusters,
-                "n_pattern": list(scen.n_pattern),
-                "event_rate": scen.event_rate,
-                "rho": scen.rho,
-                "true_structure": scen.true_structure,
-                "working_structure": scen.working_structure,
-                "gamma": scen.gamma,
-                "beta1": scen.beta1,
-                "beta2": scen.beta2,
-                "model": scen.model,
-                "tested": list(spec.test_coefs),
-                "b_total": res.b_total,
-                "b_effective": res.b_effective,
-                "convergence_rate": res.convergence_rate,
-                "invalid_draws": res.invalid_draws,
-                "sim_se": {k: res.sim_se[k] for k in sorted(res.sim_se)},
-                "mc_se_bound_nominal": math.sqrt(
-                    TEST_LEVEL * (1 - TEST_LEVEL) / max(res.b_effective, 1)
-                ),
-            }
+        entry = {f.name: getattr(spec.scenario, f.name) for f in fields(Scenario)}
+        entry.update(
+            id=spec.id,
+            tested=spec.test_coefs,
+            b_total=res.b_total,
+            b_effective=res.b_effective,
+            convergence_rate=res.convergence_rate,
+            invalid_draws=res.invalid_draws,
+            sim_se=res.sim_se,
+            mc_se_bound_nominal=math.sqrt(
+                TEST_LEVEL * (1 - TEST_LEVEL) / max(res.b_effective, 1)
+            ),
         )
+        scenarios.append(entry)
     payload = {
         "schema_version": "1",
         "base_seed": base_seed,
@@ -523,9 +465,20 @@ def _parse_beta(token: str) -> float:
         raise ConfigError(f"bad coefficient value {token!r}") from None
 
 
-_KNOWN_KEYS = {
-    "N", "n", "event_rate", "rho", "true", "working",
-    "gamma", "beta1", "beta2", "model", "test",
+#: Grid keys, in the order their values expand, and their defaults; None
+#: marks a required key and an empty ``working`` means the true structure.
+_GRID_KEYS = {
+    "N": None,
+    "n": "4",
+    "event_rate": None,
+    "rho": None,
+    "true": None,
+    "working": "",
+    "gamma": "0.3",
+    "beta1": "0",
+    "beta2": "0.2",
+    "model": "full",
+    "test": "beta1",
 }
 
 
@@ -533,9 +486,9 @@ def parse_config(text: str, base_seed: int) -> list:
     """Expand an INI-style grid config into scenario specs.
 
     Every section is a block; whitespace-separated values expand by
-    Cartesian product.  ``working`` defaults to the true structure, the
-    remaining optional keys default to the core design (n = 4,
-    gamma = 0.3, beta1 = 0, beta2 = 0.2, model = full, test = beta1).
+    Cartesian product, in the order of ``_GRID_KEYS``, whose defaults
+    apply to absent keys.  A key given no value is parsed as the empty
+    value (so only ``working`` accepts it).
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     cp.optionxform = str  # keep key case: N (clusters) vs n (sizes)
@@ -547,73 +500,40 @@ def parse_config(text: str, base_seed: int) -> list:
         raise ConfigError("config has no scenario blocks")
 
     specs = []
-    index = 0
     for section in cp.sections():
         block = dict(cp[section])
-        unknown = set(block) - _KNOWN_KEYS
+        unknown = set(block) - set(_GRID_KEYS)
         if unknown:
             raise ConfigError(f"[{section}]: unknown keys {sorted(unknown)}")
-        for required in ("N", "event_rate", "rho", "true"):
-            if required not in block:
-                raise ConfigError(f"[{section}]: missing {required}")
-
-        def values(key: str, default: str) -> list:
-            return block.get(key, default).split()
-
-        n_clusters_list = block["N"].split()
-        n_pattern_list = values("n", "4")
-        rate_list = block["event_rate"].split()
-        rho_list = block["rho"].split()
-        true_list = block["true"].split()
-        working_list = block.get("working", "").split() or [None]
-        gamma_list = values("gamma", "0.3")
-        beta1_list = values("beta1", "0")
-        beta2_list = values("beta2", "0.2")
-        model_list = values("model", "full")
-        test_list = values("test", "beta1")
-
-        for combo in itertools.product(
-            n_clusters_list,
-            n_pattern_list,
-            rate_list,
-            rho_list,
-            true_list,
-            working_list,
-            gamma_list,
-            beta1_list,
-            beta2_list,
-            model_list,
-            test_list,
-        ):
-            (n_cl, pat, rate, rho, true, working, gamma, b1, b2, model, test) = combo
+        for key, default in _GRID_KEYS.items():
+            if default is None and key not in block:
+                raise ConfigError(f"[{section}]: missing {key}")
+        tokens = [block.get(key, default).split() or [""] for key, default in _GRID_KEYS.items()]
+        for combo in itertools.product(*tokens):
+            v = dict(zip(_GRID_KEYS, combo))
             try:
                 scenario = Scenario(
-                    n_clusters=int(n_cl),
-                    n_pattern=_parse_pattern(pat),
-                    event_rate=float(rate),
-                    rho=float(rho),
-                    true_structure=true,
-                    working_structure=working if working else true,
-                    gamma=float(gamma),
-                    beta1=_parse_beta(b1),
-                    beta2=_parse_beta(b2),
-                    model=model,
-                    seed=_scenario_seed(base_seed, index),
+                    n_clusters=int(v["N"]),
+                    n_pattern=_parse_pattern(v["n"]),
+                    event_rate=float(v["event_rate"]),
+                    rho=float(v["rho"]),
+                    true_structure=v["true"],
+                    working_structure=v["working"] or v["true"],
+                    gamma=float(v["gamma"]),
+                    beta1=_parse_beta(v["beta1"]),
+                    beta2=_parse_beta(v["beta2"]),
+                    model=v["model"],
+                    seed=_scenario_seed(base_seed, len(specs)),
                 )
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"[{section}]: {exc}") from exc
             spec_id = (
-                f"{section}-N{n_cl}-n{pat.replace('/', 'x')}-er{rate}-rho{rho}"
-                f"-t_{scenario.true_structure}-w_{scenario.working_structure}"
+                f"{section}-N{v['N']}-n{v['n'].replace('/', 'x')}-er{v['event_rate']}"
+                f"-rho{v['rho']}-t_{scenario.true_structure}-w_{scenario.working_structure}"
                 f"-b1_{scenario.beta1:g}-b2_{scenario.beta2:g}"
-                f"-g{scenario.gamma:g}-{model}"
+                f"-g{scenario.gamma:g}-{v['model']}"
             )
             specs.append(
-                ScenarioSpec(
-                    id=spec_id,
-                    scenario=scenario,
-                    test_coefs=tuple(test.split(",")),
-                )
+                ScenarioSpec(id=spec_id, scenario=scenario, test_coefs=tuple(v["test"].split(",")))
             )
-            index += 1
     return specs

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,19 @@ class TestDiagnose:
         code = main(["diagnose", str(balanced_csv), "--treatment-col", "t"])
         assert code == 1
 
+    def test_error_line_precedes_notes(self, tmp_path, capsys):
+        path = tmp_path / "zeros-2-6.csv"
+        assert main(["generate", "--N", "10", "--n", "2/6", "--rate", "0.1",
+                     "--rho", "0.3", "--structure", "ar1", "--seed", "4",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        code = main(["diagnose", str(path), "--corr", "ind", "--phi", "estimate",
+                     "--treatment-col", "nope"])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines[0] == "error: no column named 'nope'"
+        assert len(lines) == 2 and lines[1].startswith("note: estimated dispersion")
+
 
 class TestGenerate:
     def test_round_trip(self, tmp_path, capsys):
@@ -268,6 +282,17 @@ class TestGenerate:
         code = main(["generate", "--N", "10", "--rate", "1.5",
                      "--rho", "0.2", "--out", str(tmp_path / "x.csv")])
         assert code == 1
+
+    def test_warnings_are_notes(self, tmp_path, capsys, monkeypatch):
+        real = pgee.cli.calibrate_intercept
+
+        def warning_calibration(scenario):
+            warnings.warn("calibration note", RuntimeWarning)
+            return real(scenario)
+
+        monkeypatch.setattr(pgee.cli, "calibrate_intercept", warning_calibration)
+        assert main(["generate", "--N", "10", "--out", str(tmp_path / "x.csv")]) == 0
+        assert capsys.readouterr().err == "note: calibration note\n"
 
     @pytest.mark.parametrize(
         "flags,message",

@@ -152,6 +152,16 @@ class TestKernel:
         with pytest.raises(SingularInformation):
             assemble_kernel(np.zeros(2), "independence", 0.0, 1.0, ds)
 
+    def test_view_leverage_matches_source_entry(self, rng):
+        kern = random_kernel(rng, n_clusters=10)
+        assert kern.p == 3
+        block = kern.source
+        assert kern.max_leverage.shape == (10,)
+        assert np.array_equal(kern.max_leverage, block.max_leverage[0])
+        assert kern.singular_leverage == block.singular_leverage[0]
+        assert kern.singular_leverage.shape == ()
+        assert np.array_equal(kern.regular.beta, block.regular.beta)
+
     def test_with_residuals_replaces_scores(self, rng):
         kern = random_kernel(rng)
         new_res = [np.zeros(n) for n in kern.cluster_sizes]

@@ -13,6 +13,7 @@ from pgee import (
     clf_sample,
     generate_dataset,
 )
+from pgee.datagen import design_columns
 from pgee.errors import BracketFailure
 
 from oracle import literal_clf_dataset
@@ -37,8 +38,8 @@ class TestCalibration:
             gamma=0.3,
         )
         b0 = calibrate_intercept(scen)
-        rows = scen.design_rows()
-        mean = np.mean(expit(b0 + math.log(2) * rows[:, 0] + 0.2 * rows[:, 1]))
+        _, treat, time = design_columns(scen)
+        mean = np.mean(expit(b0 + math.log(2) * treat + 0.2 * time))
         assert mean == pytest.approx(0.2, abs=1e-8)
 
     def test_unreachable_rate_raises(self):

@@ -1,5 +1,6 @@
 """Monte Carlo harness: records, aggregation, config expansion, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,14 @@ from pgee import (
     summary_json,
 )
 from pgee.errors import ConfigError, TooFewConverged
-from pgee.harness import BLOCK_SIZE, MAX_ATTEMPTS, draw_dataset, run_block
+from pgee.harness import (
+    BLOCK_SIZE,
+    MAX_ATTEMPTS,
+    RESULTS_COLUMNS,
+    EstimatorCell,
+    draw_dataset,
+    run_block,
+)
 
 FAST_ESTIMATORS = [EstimatorId.LZ, EstimatorId.KC, EstimatorId.AR, EstimatorId.PAN]
 
@@ -222,6 +230,31 @@ class TestAggregate:
         assert res.convergence_rate == pytest.approx(0.5)
         assert res.cells[0].n_computable == 150
 
+    def test_two_coefficients_and_an_incomputable_estimator(self):
+        spec = ScenarioSpec(
+            id="two", scenario=_spec().scenario, test_coefs=("beta1", "beta2")
+        )
+        recs = self._records()
+        for r, rec in enumerate(recs):
+            rec["beta"][2] = float(np.cos(r))
+            rec["estimators"]["LZ"].update(se=[1.0 + r % 3, 2.0], reject=[r % 4 == 0, False])
+            rec["estimators"]["PAN"] = {"computable": False, "reason": "UnbalancedPooling"}
+        res = aggregate(recs, spec, estimators=[EstimatorId.LZ, EstimatorId.PAN])
+        assert [(c.estimator, c.coefficient) for c in res.cells] == [
+            ("LZ", "beta1"), ("LZ", "beta2"), ("PAN", "beta1"), ("PAN", "beta2")
+        ]
+        lz1, lz2, *pan = res.cells
+        assert (lz1.n_computable, lz1.rejection_rate) == (120, 0.25)
+        assert lz1.median_se_ratio == pytest.approx(2.0 / res.sim_se["beta1"])
+        assert (lz2.rejection_rate, lz2.cv_se, lz2.skewness_se) == (0.0, 0.0, 0.0)
+        assert lz2.median_se_ratio == pytest.approx(2.0 / res.sim_se["beta2"])
+        for cell in pan:
+            assert cell.n_computable == 0
+            assert all(getattr(cell, f.name) is None for f in dataclasses.fields(cell)[3:])
+        rows = results_csv([res]).splitlines()
+        assert rows[3].startswith("two,PAN,beta1,0," + "," * 6)
+        assert len(rows[3].split(",")) == len(RESULTS_COLUMNS)
+
     def test_mc_se_bound(self):
         res = aggregate(self._records(), _spec(), estimators=[EstimatorId.LZ])
         cell = res.cells[0]
@@ -364,7 +397,13 @@ class TestScenarioRun:
         text = results_csv([res])
         lines = text.strip().split("\n")
         header = lines[0].split(",")
-        assert header[0] == "scenario" and "rejection_rate" in header
+        assert tuple(header) == RESULTS_COLUMNS == (
+            "scenario",
+            *(f.name for f in dataclasses.fields(EstimatorCell)),
+            "b_effective",
+            "convergence_rate",
+            "invalid_draws",
+        )
         assert len(lines) == 1 + len(FAST_ESTIMATORS)  # one tested coefficient
         pan_row = [l for l in lines if ",PAN," in l][0]
         assert pan_row.count(",") == len(header) - 1
