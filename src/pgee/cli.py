@@ -23,6 +23,7 @@ from .errors import DatasetError, PgeeError, SingularLeverage, ZeroSE
 from .fitting import FitOptions, PgeeFit, fit
 from .harness import (
     MAX_ATTEMPTS,
+    ZERO_SE,
     draw_dataset,
     effective_workers,
     parse_config,
@@ -167,8 +168,8 @@ def cmd_fit(args) -> int:
                         result.beta[coef_idx], se, n_cl, p, null_value=args.null
                     )
                 except ZeroSE:
-                    entry["coefficients"][name] = {"se": se, "reason": "ZeroSE"}
-                    lines.append(_unavailable_row(est, "ZeroSE"))
+                    entry["coefficients"][name] = {"se": se, "reason": ZERO_SE}
+                    lines.append(_unavailable_row(est, ZERO_SE))
                     continue
                 entry["coefficients"][name] = {
                     "se": wr.se,

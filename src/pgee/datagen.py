@@ -13,9 +13,12 @@ conditional mean stays inside (0, 1); a draw whose conditional mean
 leaves (0, 1) is reported as invalid (counted, never clamped).
 
 The weights depend only on R and the cluster size, and the means only on
-the arm and the position, so a dataset solves one weight table per size
-and runs the position loop once per (size, arm) group over all of its
-clusters.  A dataset consumes exactly one uniform per row, in cluster
+the arm and the position, so a scenario's design (``clf_design``) is
+built and validated once: X, one weight table per size and the means of
+each (size, arm) group.  ``ClfDesign.draw`` then draws any number of
+datasets in one pass, running the position loop once per (size, arm)
+group over the rows of all their clusters; only their 0/1 responses
+differ.  A dataset consumes exactly one uniform per row, in cluster
 order, whether or not its draw is valid.
 
 Scenarios describe the simulation designs: N clusters whose first
@@ -26,8 +29,8 @@ event probability hits the target rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import expit
@@ -218,22 +221,41 @@ def clf_sample(
     return y[~invalid], int(invalid.sum())
 
 
-def generate_dataset(
-    scenario: Scenario,
-    rng: np.random.Generator,
-    intercept: Optional[float] = None,
-) -> Optional[LongitudinalDataset]:
-    """Draw one dataset for a scenario, or None when any cluster draw is invalid.
+class ClfDesign(NamedTuple):
+    """A scenario's design, built once for any number of CLF draws.
 
-    One block of ``n_total`` uniforms is drawn and cluster i takes rows
-    ``offsets[i]:offsets[i + 1]`` of it, so a dataset consumes exactly
-    ``n_total`` uniforms in cluster order, valid or not, the same stream
-    as one ``clf_sample(size=1)`` call per cluster.  The weights are
-    solved once per cluster size.  The caller decides the retry policy for
-    invalid draws (the simulation harness regenerates on the next
-    substream and counts the event).  Passing a pre-calibrated
-    ``intercept`` skips re-calibration.
+    ``data`` is the validated design dataset (its responses all 0); each
+    entry of ``groups`` is one (size, arm) group: the (m, n) row indices of
+    its clusters, their common means (n,) and the weight table (n, n) of
+    that size.
     """
+
+    data: LongitudinalDataset
+    groups: tuple
+
+    def draw(self, unif: np.ndarray) -> tuple:
+        """Responses of R draws from their uniforms ``unif`` (R, n_total).
+
+        Runs the position loop once per (size, arm) group over the R·m
+        rows of its clusters.  Returns the (R, n_total) 0/1 responses and
+        the (R,) mask of draws in which some conditional mean left (0, 1);
+        the responses of such a draw are meaningless.
+        """
+        n_reps = unif.shape[0]
+        y = np.empty_like(unif)
+        invalid = np.zeros(n_reps, dtype=bool)
+        for rows, mu, coef in self.groups:
+            m, n = rows.shape
+            draws, bad = _clf_rows(mu, coef, unif[:, rows].reshape(n_reps * m, n))
+            y[:, rows] = draws.reshape(n_reps, m, n)
+            invalid |= bad.reshape(n_reps, m).any(axis=1)
+        return y, invalid
+
+
+def clf_design(scenario: Scenario, intercept: Optional[float] = None) -> ClfDesign:
+    """The design of a scenario's datasets: sizes, X, the means of each
+    (size, arm) group and one weight table per cluster size.  Passing a
+    pre-calibrated ``intercept`` skips re-calibration."""
     if intercept is None:
         intercept = calibrate_intercept(scenario)
     sizes, treat, time = design_columns(scenario)
@@ -244,24 +266,41 @@ def generate_dataset(
     if full:
         eta = eta + scenario.beta2 * time
     mu = expit(eta)
-    unif = rng.random(starts[-1])
-    y = np.empty(starts[-1])
+    groups = []
     for n in np.unique(sizes):
         coef = clf_coefficients(np.empty(n), scenario.true_structure, scenario.rho)
         for arm in (treated, ~treated):
             first = starts[:-1][arm & (sizes == n)]
-            if not first.size:
-                continue
-            rows = first[:, None] + np.arange(n)
-            draws, invalid = _clf_rows(mu[rows[0]], coef, unif[rows])
-            if invalid.any():
-                return None
-            y[rows] = draws
-    return LongitudinalDataset(
+            if first.size:
+                rows = first[:, None] + np.arange(n)
+                groups.append((rows, mu[rows[0]], coef))
+    data = LongitudinalDataset(
         ids=tuple(range(1, len(sizes) + 1)),
         sizes=sizes,
-        y=y,
-        X=np.column_stack([np.ones_like(y), treat, time][: scenario.p]),
+        y=np.zeros(starts[-1]),
+        X=np.column_stack([np.ones(starts[-1]), treat, time][: scenario.p]),
         colnames=("intercept", "treat", "time")[: scenario.p],
         has_time=full,
     )
+    return ClfDesign(data, tuple(groups))
+
+
+def generate_dataset(
+    scenario: Scenario,
+    rng: np.random.Generator,
+    intercept: Optional[float] = None,
+) -> Optional[LongitudinalDataset]:
+    """Draw one dataset for a scenario, or None when any cluster draw is invalid.
+
+    One block of ``n_total`` uniforms is drawn and cluster i takes rows
+    ``offsets[i]:offsets[i + 1]`` of it, so a dataset consumes exactly
+    ``n_total`` uniforms in cluster order, valid or not, the same stream
+    as one ``clf_sample(size=1)`` call per cluster.  This is
+    :meth:`ClfDesign.draw` on one row.  The caller decides the retry
+    policy for invalid draws (the simulation harness regenerates on the
+    next substream and counts the event).  Passing a pre-calibrated
+    ``intercept`` skips re-calibration.
+    """
+    design = clf_design(scenario, intercept)
+    y, invalid = design.draw(rng.random((1, design.data.n_total)))
+    return None if invalid[0] else replace(design.data, y=y[0])

@@ -45,6 +45,7 @@ from .core import (
     whitening_factors,
 )
 from .data import LongitudinalDataset, WorkingModel, exchangeable_alpha_bounds
+from .errors import DatasetError, NonBinaryOutcome
 
 #: Clamp margin keeping estimated correlations in the open admissible set.
 ALPHA_MARGIN = 1e-6
@@ -174,8 +175,14 @@ def fit_block(
     responses are the rows of ``y`` (R, n_total), in lockstep.
 
     Each replication follows the iteration of ``fit`` on its own; see
-    :class:`PgeeFit` for the shape of the result.
+    :class:`PgeeFit` for the shape of the result.  Only the design of
+    ``data`` is read; ``y`` is checked as its responses would be.
     """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[1] != data.n_total:
+        raise DatasetError(f"y must be (R, {data.n_total}), got shape {y.shape}")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise NonBinaryOutcome("y values must be 0 or 1")
     return _lockstep(data, y, wm, opts or FitOptions())[0]
 
 

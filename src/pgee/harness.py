@@ -5,7 +5,8 @@ equation (working correlation estimated, dispersion fixed at 1), runs all
 requested covariance estimators, and records Wald rejections at the 5%
 level for the tested coefficients.  Operating characteristics are
 aggregated only over converged replications, and per estimator only over
-replications where that estimator was computable.
+replications where that estimator was computable; an estimate whose
+tested SE is 0 cannot be tested and counts as not computable (``ZeroSE``).
 
 Randomness is keyed, not sequential: replication ``r`` of a scenario with
 seed ``s`` draws from ``SeedSequence((s, r, attempt))``, where ``attempt``
@@ -14,13 +15,16 @@ increments when a generated dataset contains an invalid conditional draw
 substream).
 
 A scenario's replications run in fixed blocks of BLOCK_SIZE consecutive
-indices (``run_block``).  Each replication of a block is drawn on its own
-keyed stream; all draws of a scenario share the design, so the block's
-responses are stacked and fitted in lockstep, and its converged
-replications are estimated and tested together.  The process pool is
-handed whole blocks, so the blocks, and every output, are identical for
-any worker count, and a block's records equal those ``run_replication``
-gives one replication at a time.
+indices (``run_block``), and the block is the unit of every stage.  All
+draws of a scenario share the design, so a block builds it once
+(``draw_block``); each attempt stacks the keyed uniforms of the block's
+pending replications and draws their responses in one pass, and only the
+replications whose draw was invalid go on to the next attempt.  The
+block's responses are fitted in lockstep, and its converged replications
+are estimated and tested together; ``run_replication`` is a block of one.
+The process pool is handed whole blocks, so the blocks, and every output,
+are identical for any worker count, and a replication's record does not
+depend on the block it is run in.
 
 Scenario grids come from an INI-style config file; every section is one
 block and whitespace-separated values expand by Cartesian product::
@@ -51,16 +55,19 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import EstimatorId, WorkingModel
-from .datagen import Scenario, calibrate_intercept, generate_dataset
+from .datagen import Scenario, calibrate_intercept, clf_design
 from .errors import ConfigError, TooFewConverged
-from .fitting import FitOptions, fit, fit_block
+from .fitting import FitOptions, fit_block
+# Re-exported, not called: perfbench/spans.py resolves these names here.
+from .datagen import generate_dataset  # noqa: F401
+from .fitting import fit  # noqa: F401
 from .variance import estimate_all, wald_test
 
 #: Nominal level of the Wald tests.
@@ -76,6 +83,9 @@ BLOCK_SIZE = 32
 
 #: ``reason`` of a replication whose MAX_ATTEMPTS draws were all invalid.
 NO_VALID_DRAW = "no_valid_draw"
+
+#: ``reason`` of an estimate whose tested SE is not positive (untestable).
+ZERO_SE = "ZeroSE"
 
 _COEF_INDEX = {"beta1": 1, "beta2": 2}
 
@@ -133,23 +143,46 @@ _CELL_COLUMNS = tuple(f.name for f in fields(EstimatorCell))
 RESULTS_COLUMNS = ("scenario", *_CELL_COLUMNS, *_RESULT_COLUMNS)
 
 
-def draw_dataset(
-    scenario: Scenario, rep_index: int, intercept: float
-) -> tuple:
-    """Dataset of one replication and the number of invalid draws before it.
+def draw_block(scenario: Scenario, reps: Sequence[int], intercept: float) -> tuple:
+    """The design shared by replications ``reps``, their responses
+    (R, n_total) and the number of invalid draws before each (R,).
 
-    Attempt ``a`` draws from ``SeedSequence((seed, rep_index, a))``; an
-    invalid draw is counted and regenerated on the next substream.  The
-    dataset is None when all MAX_ATTEMPTS draws are invalid.
+    Attempt ``a`` of replication ``r`` takes its uniforms from
+    ``SeedSequence((seed, r, a))``.  The design is built once; each
+    attempt stacks the uniforms of the pending replications and draws them
+    in one pass, and only the replications whose draw was invalid go on to
+    the next attempt.  A replication whose MAX_ATTEMPTS draws were all
+    invalid counts MAX_ATTEMPTS, and its row of responses is meaningless.
     """
+    design = clf_design(scenario, intercept)
+    n_total = design.data.n_total
+    reps = list(reps)
+    y = np.zeros((len(reps), n_total))
+    invalid = np.full(len(reps), MAX_ATTEMPTS)
+    pending = np.arange(len(reps))
     for attempt in range(MAX_ATTEMPTS):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((scenario.seed, rep_index, attempt))
-        )
-        dataset = generate_dataset(scenario, rng, intercept=intercept)
-        if dataset is not None:
-            return dataset, attempt
-    return None, MAX_ATTEMPTS
+        if not pending.size:
+            break
+        unif = np.stack([
+            np.random.default_rng(
+                np.random.SeedSequence((scenario.seed, reps[k], attempt))
+            ).random(n_total)
+            for k in pending
+        ])
+        draws, bad = design.draw(unif)
+        y[pending[~bad]] = draws[~bad]
+        invalid[pending[~bad]] = attempt
+        pending = pending[bad]
+    return design.data, y, invalid
+
+
+def draw_dataset(scenario: Scenario, rep_index: int, intercept: float) -> tuple:
+    """Dataset of one replication and the number of invalid draws before
+    it: :func:`draw_block` on ``[rep_index]``.  The dataset is None when all
+    MAX_ATTEMPTS draws are invalid."""
+    design, y, invalid = draw_block(scenario, [rep_index], intercept)
+    n_invalid = int(invalid[0])
+    return (None if n_invalid == MAX_ATTEMPTS else replace(design, y=y[0])), n_invalid
 
 
 def _working_model(scenario: Scenario) -> WorkingModel:
@@ -169,11 +202,15 @@ def _no_result(rep_index: int, invalid: int) -> dict:
 def _add_tests(spec, records, beta, kernel, estimators) -> None:
     """Fill in the estimates and Wald tests of converged replications:
     ``records`` and the rows of ``beta`` (C, p) follow the block
-    ``kernel`` of their final kernels."""
+    ``kernel`` of their final kernels.  An estimate with a tested SE that
+    is not positive cannot be tested: it is recorded as not computable,
+    with reason ``ZeroSE``."""
     estimates = list(estimate_all(kernel, estimators).values())
     idx = [_COEF_INDEX[name] for name in spec.test_coefs]
     se = np.stack([ve.se[:, idx] for ve in estimates])  # (estimators, C, tested)
     computable = np.stack([ve.computable for ve in estimates])
+    zero_se = computable & ~np.all(se > 0, axis=-1)
+    computable &= ~zero_se
     wr = wald_test(
         np.broadcast_to(beta[:, idx], se.shape)[computable], se[computable],
         kernel.n_clusters, kernel.p, null_value=0.0,
@@ -184,7 +221,8 @@ def _add_tests(spec, records, beta, kernel, estimators) -> None:
         rec["beta"] = b.tolist()
         entries = rec["estimators"] = {}
         for e, ve in enumerate(estimates):
-            entry = {"computable": bool(computable[e, c]), "reason": ve.incomputable_reason[c]}
+            reason = ZERO_SE if zero_se[e, c] else ve.incomputable_reason[c]
+            entry = {"computable": bool(computable[e, c]), "reason": reason}
             if computable[e, c]:
                 entry["se"] = se[e, c].tolist()
                 entry["reject"] = reject[e, c].tolist()
@@ -204,25 +242,9 @@ def run_replication(
     ``converged``, the fit's ``iterations`` and ``reason`` (its
     ``diverged_reason``, or ``no_valid_draw`` when every attempt was
     invalid); a converged replication adds ``beta`` and one entry per
-    estimator.  The fit and the estimators run on a block of one, so the
-    record equals that of the same replication in :func:`run_block`.
+    estimator.  This is :func:`run_block` on a block of one.
     """
-    scen = spec.scenario
-    if intercept is None:
-        intercept = calibrate_intercept(scen)
-    dataset, invalid = draw_dataset(scen, rep_index, intercept)
-    record = _no_result(rep_index, invalid)
-    if dataset is None:
-        return record
-    result = fit(dataset, _working_model(scen), fit_options or FitOptions())
-    record.update(
-        converged=bool(result.converged),
-        iterations=int(result.iterations),
-        reason=result.diverged_reason,
-    )
-    if result.converged:
-        _add_tests(spec, [record], result.beta[None], result.kernel.source, estimators)
-    return record
+    return run_block(spec, [rep_index], intercept, estimators, fit_options)[0]
 
 
 def run_block(
@@ -232,26 +254,24 @@ def run_block(
     estimators: Optional[Sequence[EstimatorId]] = None,
     fit_options: Optional[FitOptions] = None,
 ) -> list:
-    """The records of replications ``reps``, fitted and estimated as one block.
+    """The records of replications ``reps``, drawn, fitted and estimated
+    as one block.
 
-    Each replication is drawn on its own keyed stream; all draws of a
-    scenario share the design, so their responses are stacked and fitted
-    in lockstep (``fit_block``), and the converged ones are estimated and
-    tested together.  Each record equals :func:`run_replication`'s.
+    All draws of a scenario share the design, so the block's responses are
+    drawn in one pass (``draw_block``), fitted in lockstep
+    (``fit_block``), and the converged ones are estimated and tested
+    together.  A replication's record does not depend on the block it is
+    run in.
     """
     scen = spec.scenario
     if intercept is None:
         intercept = calibrate_intercept(scen)
-    records, datasets = [], []
-    for rep in reps:
-        dataset, invalid = draw_dataset(scen, rep, intercept)
-        records.append(_no_result(rep, invalid))
-        datasets.append(dataset)
-    drawn = [k for k, d in enumerate(datasets) if d is not None]
-    if not drawn:
+    design, y, invalid = draw_block(scen, reps, intercept)
+    records = [_no_result(rep, int(n)) for rep, n in zip(reps, invalid)]
+    drawn = np.flatnonzero(invalid < MAX_ATTEMPTS)
+    if not drawn.size:
         return records
-    y = np.stack([datasets[k].y for k in drawn])
-    result = fit_block(datasets[drawn[0]], y, _working_model(scen), fit_options or FitOptions())
+    result = fit_block(design, y[drawn], _working_model(scen), fit_options or FitOptions())
     for k, converged, iterations, reason in zip(
         drawn, result.converged, result.iterations, result.diverged_reason
     ):
@@ -282,6 +302,7 @@ def _cell(tag: str, name: str, ses: np.ndarray, rejects: np.ndarray, sim_se: flo
     med = float(np.median(ses))
     mean_se = float(np.mean(ses))
     degenerate = np.ptp(ses) <= 1e-12 * max(mean_se, 1e-300)
+    p95, p99 = np.percentile(ses, [95, 99])
     return EstimatorCell(
         estimator=tag,
         coefficient=name,
@@ -291,8 +312,8 @@ def _cell(tag: str, name: str, ses: np.ndarray, rejects: np.ndarray, sim_se: flo
         median_se_ratio=med / sim_se if sim_se > 0 else None,
         cv_se=float(np.std(ses, ddof=1)) / mean_se if n_comp > 1 else None,
         skewness_se=None if n_comp <= 2 else 0.0 if degenerate else _skewness(ses),
-        p95_over_p50=float(np.percentile(ses, 95)) / med,
-        p99_over_p50=float(np.percentile(ses, 99)) / med,
+        p95_over_p50=float(p95) / med,
+        p99_over_p50=float(p99) / med,
     )
 
 

@@ -325,8 +325,12 @@ def wald_test(
     elementwise over arrays of estimates and standard errors."""
     if n_clusters <= n_params:
         raise ValueError("need more clusters than parameters for the t-test")
-    if not np.all(np.greater(se, 0)):
-        raise ZeroSE(f"standard error must be positive, got {se}")
+    positive = np.greater(se, 0)
+    if not np.all(positive):
+        raise ZeroSE(
+            f"standard error must be positive; {np.size(se) - np.count_nonzero(positive)}"
+            f" of {np.size(se)} are not"
+        )
     dof = n_clusters - n_params
     tstat = (estimate - null_value) / se
     crit = stdtrit(dof, 0.975)

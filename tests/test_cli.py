@@ -1,15 +1,17 @@
 """Command-line surface: exit codes, report content, output determinism."""
 
+import csv
 import dataclasses
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import pgee.cli
 from pgee.cli import main
-from pgee import EstimatorId, Scenario, generate_dataset, write_csv
+from pgee import EstimatorId, Scenario, generate_dataset, parse_config, run_block, write_csv
 
 
 @pytest.fixture
@@ -321,6 +323,18 @@ true = exchangeable
 """
 
 
+ZERO_SE_CONFIG = """\
+[z]
+N = 12
+n = 3
+event_rate = 0.2
+rho = 0.1
+true = exchangeable
+beta1 = log2
+test = beta1,beta2
+"""
+
+
 class TestSimulate:
     def test_outputs_and_determinism(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
@@ -339,6 +353,30 @@ class TestSimulate:
         assert summary["scenarios"][0]["b_total"] == 40
         lines = (out1 / "results.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 3  # header + three estimators, one coefficient
+
+    def test_zero_se_counted_out_of_computable(self, tmp_path, capsys):
+        # some replications of this cell give a tested SE of exactly 0
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(ZERO_SE_CONFIG)
+        outs = [tmp_path / "w1", tmp_path / "w2"]
+        for out_dir, workers in zip(outs, ("1", "2")):
+            code = main(["simulate", "--config", str(cfg), "--reps", "200", "--seed", "1",
+                         "--workers", workers, "--out-dir", str(out_dir)])
+            assert code == 0
+            assert capsys.readouterr().err == ""
+        for name in ("results.csv", "summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        spec, = parse_config(ZERO_SE_CONFIG, base_seed=1)
+        records = run_block(spec, range(200))  # records do not depend on the blocks
+        zero = Counter(
+            tag for r in records for tag, e in r["estimators"].items() if e["reason"] == "ZeroSE"
+        )
+        assert sum(zero.values()) > 0
+        b_eff = sum(r["converged"] for r in records)
+        rows = list(csv.DictReader((outs[0] / "results.csv").open()))
+        assert len(rows) == 2 * len(EstimatorId)
+        for row in rows:
+            assert int(row["n_computable"]) == b_eff - zero[row["estimator"]]
 
     def test_bad_config_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import pgee.harness
 from pgee import (
     EstimatorId,
     FitOptions,
@@ -30,11 +29,20 @@ from pgee.harness import (
     MAX_ATTEMPTS,
     RESULTS_COLUMNS,
     EstimatorCell,
+    draw_block,
     draw_dataset,
     run_block,
 )
+from pgee.datagen import ClfDesign
+
+from oracle import literal_clf_dataset
 
 FAST_ESTIMATORS = [EstimatorId.LZ, EstimatorId.KC, EstimatorId.AR, EstimatorId.PAN]
+
+
+def _all_invalid(design, unif):
+    """A ``ClfDesign.draw`` in which every draw is invalid."""
+    return np.zeros_like(unif), np.ones(len(unif), bool)
 
 
 def _spec(**kw):
@@ -87,7 +95,7 @@ class TestRunReplication:
         assert rec["reason"] is None and rec["iterations"] > 0
         rec = run_replication(_spec(), 0, fit_options=FitOptions(max_iter=2))
         assert not rec["converged"] and rec["reason"] == "max_iter"
-        monkeypatch.setattr(pgee.harness, "generate_dataset", lambda *a, **k: None)
+        monkeypatch.setattr(ClfDesign, "draw", _all_invalid)
         for rec in (run_replication(_spec(), 0), run_block(_spec(), [0])[0]):
             assert rec["invalid"] == MAX_ATTEMPTS
             assert not rec["converged"] and rec["reason"] == "no_valid_draw"
@@ -161,11 +169,47 @@ class TestDrawDataset:
             assert np.array_equal(c.y, e.y)
 
     def test_gives_up_after_max_attempts(self, monkeypatch):
-        # draws go through the module-level name, which traced runs wrap
         calls = []
-        monkeypatch.setattr(pgee.harness, "generate_dataset", lambda *a, **k: calls.append(1))
+
+        def counted(design, unif):
+            calls.append(len(unif))
+            return _all_invalid(design, unif)
+
+        monkeypatch.setattr(ClfDesign, "draw", counted)
         assert draw_dataset(_spec().scenario, 0, 0.0) == (None, MAX_ATTEMPTS)
-        assert len(calls) == MAX_ATTEMPTS
+        assert calls == [1] * MAX_ATTEMPTS
+
+
+#: Cells of the block-draw comparison.  "retry" (seed 11) has invalid
+#: draws in replications 0-31, so part of its block retries.
+_DRAW_CELLS = {
+    "balanced": dict(n_clusters=10, n_pattern=(4,), beta1=math.log(2)),
+    "unbalanced-2/6": dict(n_clusters=10, n_pattern=(2, 6)),
+    "ar1": dict(n_clusters=20, n_pattern=(6,), true_structure="ar1"),
+    "reduced": dict(n_clusters=15, n_pattern=(5,), model="reduced", beta1=0.7),
+    "retry": dict(n_clusters=10, n_pattern=(2, 8), event_rate=0.1, rho=0.7, seed=11),
+}
+
+
+@pytest.mark.parametrize("cell", list(_DRAW_CELLS))
+def test_block_draw_matches_one_dataset_per_replication(cell):
+    scen = Scenario(**{"event_rate": 0.2, "rho": 0.2, "seed": 31, **_DRAW_CELLS[cell]})
+    intercept = calibrate_intercept(scen)
+    reps = range(0, BLOCK_SIZE)
+    design, y, invalid = draw_block(scen, reps, intercept)
+    for k, rep in enumerate(reps):
+        def attempt(a, f):
+            rng = np.random.default_rng(np.random.SeedSequence((scen.seed, rep, a)))
+            return f(scen, rng, intercept)
+
+        for f in (generate_dataset, literal_clf_dataset):
+            assert all(attempt(a, f) is None for a in range(invalid[k])), (rep, f)
+            one = attempt(invalid[k], f)
+            assert one.y.tobytes() == y[k].tobytes(), (rep, f)
+            assert one.X.tobytes() == design.X.tobytes()
+            assert one.ids == design.ids
+    if cell == "retry":
+        assert invalid.sum() > 0
 
 
 class TestAggregate:

@@ -464,5 +464,11 @@ class TestWald:
     def test_zero_se_rejected(self):
         with pytest.raises(ZeroSE):
             wald_test(1.0, 0.0, 10, 3)
+        # an array of SEs is reported by count, on one line
+        se = np.ones((100, 3))
+        se[[4, 50], 1] = 0.0
+        with pytest.raises(ZeroSE) as exc:
+            wald_test(np.ones_like(se), se, 10, 3)
+        assert str(exc.value) == "standard error must be positive; 2 of 300 are not"
         with pytest.raises(ValueError):
             wald_test(1.0, 1.0, 3, 3)
