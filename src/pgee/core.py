@@ -25,11 +25,15 @@ reported for the first cluster, in cluster order, of a size whose R fails.
 A kernel is assembled for a block of R replications that share the design
 (X and the cluster sizes) and differ in y, beta, alpha and phi: every
 per-replication array carries the replication axis in front, and each
-replication has its own R(alpha) factor per size.  A single dataset is a
-block of one: ``assemble_kernel`` and ``FitKernel.take(r)`` return a
-one-replication view whose arrays drop that axis and whose computations
-run on the block it came from, so a replication gives the same numbers
-alone and inside a block.
+replication has its own R(alpha) factor per size.  Assembly runs in two
+stages: ``beta_stage`` (eta -> mu, w, r and the unwhitened
+``z = [W^{1/2} X | W^{-1/2} r]``) and ``whiten_block`` (z, the factors and
+phi -> the Gram matrix, info, ``info_inv`` and dt), so a new alpha or phi
+at an unchanged beta reuses the beta stage; ``assemble_block`` is the two
+in sequence.  A single dataset is a block of one: ``assemble_kernel`` and
+``FitKernel.take(r)`` return a one-replication view whose arrays drop
+that axis and whose computations run on the block it came from, so a
+replication gives the same numbers alone and inside a block.
 
 The kernel keeps the summed information and score and its inverse, and
 computes on demand the per-cluster informations and scores (in cluster
@@ -247,15 +251,6 @@ class FitKernel:
             info_inv=self.info_inv[index],
         )
 
-    def assign(self, rows: np.ndarray, src: "FitKernel", sel) -> None:
-        """Overwrite, in place, replications ``rows`` of this block with the
-        replications ``sel`` of block ``src``."""
-        for name in ("beta", "alpha", "phi", "score", "info", "info_inv"):
-            getattr(self, name)[rows] = getattr(src, name)[sel]
-        for gd, gs in zip(self.groups, src.groups):
-            for name in _REPLICATED:
-                getattr(gd, name)[rows] = getattr(gs, name)[sel]
-
     @cached_property
     def scores(self) -> np.ndarray:
         """Cluster score contributions dt' rt, in cluster order."""
@@ -367,44 +362,65 @@ def as_block(kernel: FitKernel) -> tuple:
     return kernel, False
 
 
-def assemble_block(
-    beta: np.ndarray,
-    structure: str,
-    alpha: np.ndarray,
-    phi: np.ndarray,
-    data: LongitudinalDataset,
-    ys: tuple,
-    cinvs: tuple,
-) -> tuple:
-    """Kernel of a block of R replications at (R, p) ``beta`` and (R,)
-    ``alpha`` and ``phi``, given each size group's (R, N_s, n) responses
-    ``ys`` and R(alpha) factors ``cinvs`` (see ``whitening_factors``).
+class BetaStage(NamedTuple):
+    """What a kernel's size group takes from beta alone: the means ``mu``,
+    weights ``w`` and residuals ``resid`` (R, N_s, n), and the unwhitened
+    ``z = [W^{1/2} X | W^{-1/2} r]`` (R, N_s, n, p + 1)."""
 
-    Returns (kernel, ill): ``ill`` (R,) marks the replications whose
-    sensitivity matrix is not positive definite or has a condition number
-    above COND_LIMIT; their ``info_inv`` is the identity.
-    """
+    mu: np.ndarray
+    w: np.ndarray
+    resid: np.ndarray
+    z: np.ndarray
+
+
+def beta_stage(beta: np.ndarray, data: LongitudinalDataset, ys: tuple) -> tuple:
+    """The :class:`BetaStage` of each size group of ``data`` at (R, p)
+    ``beta``, given each group's (R, N_s, n) responses ``ys``."""
     n_reps, p = beta.shape
-    root_phi = np.sqrt(phi)[:, None, None]
-    groups = []
-    gram = 0.0
-    for group, y, cinv in zip(data.size_groups, ys, cinvs):
+    stages = []
+    for group, y in zip(data.size_groups, ys):
         n_s, n, _ = group.X.shape
         eta = (group.X.reshape(n_s * n, p) @ beta[:, :, None]).reshape(n_reps, n_s, n)
         mu = np.clip(expit(np.clip(eta, -ETA_CAP, ETA_CAP)), MU_EPS, 1.0 - MU_EPS)
         w = mu * (1.0 - mu)
         resid = y - mu
         sw = np.sqrt(w)
-        # whiten [W^{1/2} X | W^{-1/2} r] in one product; its Gram matrix
-        # holds the information and, in its last column, the score
         z = np.concatenate((sw[..., None] * group.X, (resid / sw)[..., None]), axis=-1)
-        zt = (cinv / root_phi)[:, None] @ z
+        stages.append(BetaStage(mu, w, resid, z))
+    return tuple(stages)
+
+
+def whiten_block(
+    beta: np.ndarray,
+    structure: str,
+    alpha: np.ndarray,
+    phi: np.ndarray,
+    data: LongitudinalDataset,
+    stages: tuple,
+    cinvs: tuple,
+) -> tuple:
+    """Kernel of a block of R replications from each size group's
+    :class:`BetaStage` at (R, p) ``beta`` and R(alpha) factor ``cinvs``
+    (see ``whitening_factors``), at (R,) ``alpha`` and ``phi``.
+
+    Returns (kernel, ill): ``ill`` (R,) marks the replications whose
+    sensitivity matrix is not positive definite or has a condition number
+    above COND_LIMIT; their ``info_inv`` is the identity.
+    """
+    p = beta.shape[1]
+    root_phi = np.sqrt(phi)[:, None, None]
+    groups = []
+    gram = 0.0
+    for group, st, cinv in zip(data.size_groups, stages, cinvs):
+        # whiten z in one product; its Gram matrix holds the information
+        # and, in its last column, the score
+        zt = (cinv / root_phi)[:, None] @ st.z
         rows = _rows(zt)
         gram = gram + rows.swapaxes(-1, -2) @ rows
         # contiguous copies: a block and the replications taken from it
         # then run the same (bitwise) products
         dt, rt = np.ascontiguousarray(zt[..., :p]), np.ascontiguousarray(zt[..., p])
-        groups.append(KernelGroup(group.idx, group.X, mu, w, resid, cinv, dt, rt))
+        groups.append(KernelGroup(group.idx, group.X, st.mu, st.w, st.resid, cinv, dt, rt))
     info = gram[:, :p, :p]
     info = 0.5 * (info + info.swapaxes(-1, -2))
     eig = np.linalg.eigvalsh(info)
@@ -423,6 +439,24 @@ def assemble_block(
         info_inv=info_inv,
     )
     return kernel, ill
+
+
+def assemble_block(
+    beta: np.ndarray,
+    structure: str,
+    alpha: np.ndarray,
+    phi: np.ndarray,
+    data: LongitudinalDataset,
+    ys: tuple,
+    cinvs: tuple,
+) -> tuple:
+    """Kernel of a block of R replications at (R, p) ``beta`` and (R,)
+    ``alpha`` and ``phi``, given each size group's (R, N_s, n) responses
+    ``ys`` and R(alpha) factors ``cinvs``: :func:`beta_stage`, then
+    :func:`whiten_block`, whose (kernel, ill) it returns.
+    """
+    stages = beta_stage(beta, data, ys)
+    return whiten_block(beta, structure, alpha, phi, data, stages, cinvs)
 
 
 def assemble_kernel(

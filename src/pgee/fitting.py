@@ -11,15 +11,22 @@ halvings) guards against overshoot when the penalized score norm fails to
 decrease.
 
 One loop fits a block of replications that share the design, in lockstep:
-each iteration, each refresh and each halving round is one kernel
-assembly over the replications it concerns.  Every replication keeps its
-own beta, alpha, phi, iteration count, step-halving choices and stopping
-reason, exactly as if it were fitted alone: a replication that has
-converged or diverged is masked out of later iterations, and one whose
-halving has found its step is masked out of later rounds.  The R(alpha)
-factors are computed once per refresh and reused by every halving
-candidate, and the step reuses the kernel's ``info_inv``.  ``fit`` is this
-loop on a block of one dataset.
+each alpha/phi refresh and each halving stage is one kernel evaluation
+over the replications it concerns.  Every replication keeps its own beta,
+alpha, phi, iteration count, step-halving choices and stopping reason,
+exactly as if it were fitted alone: a replication that has converged or
+diverged is masked out of later iterations.  The loop carries only what
+it reads per replication: beta, the alpha and phi of its current R(alpha)
+factors, the current ``info_inv`` and penalized score, and per size group
+the factor and the beta stage (``core.beta_stage``: mu, w, r and the
+unwhitened z).  A refresh whitens the beta stage it already has at the
+new alpha and phi; a halving candidate forms its own beta stage and
+whitens it with the current factors.  Halving runs in two stages: the full
+step for every replication, then, for those it does not improve, the
+other MAX_HALVINGS candidates in one evaluation, from which each takes
+the candidate that sequential halving would take.  After the loop one
+assembly builds every replication's final kernel at its point and
+factors.  ``fit`` is this loop on a block of one dataset.
 
 Non-convergence is a result state, not an exception: fits that exceed the
 parameter cap, exhaust iterations, or hit a singular information matrix
@@ -36,12 +43,15 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    BetaStage,
     FitKernel,
     as_block,
     assemble_block,
     assemble_kernel,  # noqa: F401  (re-exported: perfbench/spans.py resolves this name)
+    beta_stage,
     firth_penalty,
     gee_score,
+    whiten_block,
     whitening_factors,
 )
 from .data import LongitudinalDataset, WorkingModel, exchangeable_alpha_bounds
@@ -82,8 +92,9 @@ class PgeeFit:
     From ``fit_block`` every field but ``penalized`` carries the
     replication axis: ``beta`` (R, p); ``alpha``, ``phi``, ``converged``,
     ``iterations`` and ``diverged_reason`` (R,); ``kernel`` is the block
-    kernel, whose entry for a replication is its final kernel when it
-    converged.
+    kernel, whose entry for a replication is its final kernel: at its last
+    accepted beta, with the alpha and phi of its last factors (a
+    replication that stopped at its first assembly has none).
     """
 
     beta: np.ndarray
@@ -106,14 +117,22 @@ def estimate_alpha(kernel: FitKernel, structure: Optional[str] = None):
     estimate per replication.
     """
     block, single = as_block(kernel)
-    structure = structure or block.structure
+    alpha = _alpha_moment(
+        structure or block.structure, block.data,
+        [g.resid for g in block.groups], [g.w for g in block.groups], block.phi,
+    )
+    return float(alpha[0]) if single else alpha
+
+
+def _alpha_moment(structure, data, resids, ws, phi) -> np.ndarray:
+    """``estimate_alpha`` from each size group's (R, N_s, n) residuals and
+    weights at (R,) dispersions ``phi``."""
     if structure == "independence":
-        alpha = np.zeros(block.phi.shape)
-        return float(alpha[0]) if single else alpha
+        return np.zeros(phi.shape)
     num = 0.0
-    den = -float(block.p)
-    for g in block.groups:
-        e = g.resid / np.sqrt(g.w * block.phi[:, None, None])
+    den = -float(data.p)
+    for resid, w in zip(resids, ws):
+        e = resid / np.sqrt(w * phi[:, None, None])
         _, n_s, n = e.shape
         if structure == "exchangeable":
             num = num + 0.5 * np.sum(e.sum(axis=-1) ** 2 - np.sum(e**2, axis=-1), axis=-1)
@@ -125,32 +144,36 @@ def estimate_alpha(kernel: FitKernel, structure: Optional[str] = None):
         warnings.warn(
             "correlation denominator non-positive; falling back to alpha = 0",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        alpha = np.zeros(block.phi.shape)
+        return np.zeros(phi.shape)
+    if structure == "exchangeable":
+        lo, hi = exchangeable_alpha_bounds(max(data.cluster_sizes))
     else:
-        if structure == "exchangeable":
-            lo, hi = exchangeable_alpha_bounds(max(block.cluster_sizes))
-        else:
-            lo, hi = -1.0, 1.0
-        alpha = np.clip(num / den, lo + ALPHA_MARGIN, hi - ALPHA_MARGIN)
-    return float(alpha[0]) if single else alpha
+        lo, hi = -1.0, 1.0
+    return np.clip(num / den, lo + ALPHA_MARGIN, hi - ALPHA_MARGIN)
 
 
 def estimate_phi(kernel: FitKernel):
     """Pearson plug-in dispersion: sum of e_ij^2 over (n_total - p), e at
     phi = 1; one per replication for a block."""
     block, single = as_block(kernel)
-    num = sum(np.sum(g.resid**2 / g.w, axis=(-2, -1)) for g in block.groups)
-    phi = num / (block.n_total - block.p)
+    phi = _phi_moment(block.data, [g.resid for g in block.groups], [g.w for g in block.groups])
+    return float(phi[0]) if single else phi
+
+
+def _phi_moment(data, resids, ws) -> np.ndarray:
+    """``estimate_phi`` from each size group's (R, N_s, n) residuals and weights."""
+    num = sum(np.sum(resid**2 / w, axis=(-2, -1)) for resid, w in zip(resids, ws))
+    phi = num / (data.n_total - data.p)
     if np.any(phi < PHI_FLOOR):
         warnings.warn(
             f"estimated dispersion fell below {PHI_FLOOR} and was floored there",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         phi = np.maximum(phi, PHI_FLOOR)
-    return float(phi[0]) if single else phi
+    return phi
 
 
 def _norm(g: np.ndarray) -> np.ndarray:
@@ -216,6 +239,7 @@ def _lockstep(data, y, wm, opts) -> tuple:
     """The lockstep Fisher scoring loop; returns the block PgeeFit and the
     (R,) mask of replications that have a kernel."""
     n_reps, p = y.shape[0], data.p
+    structure = wm.structure
     ys = tuple(y[:, g.rows] for g in data.size_groups)
     beta = np.zeros((n_reps, p))
     if wm.estimates_alpha:
@@ -225,10 +249,14 @@ def _lockstep(data, y, wm, opts) -> tuple:
         alpha = np.full(n_reps, float(wm.alpha))
     phi = np.ones(n_reps) if wm.estimates_dispersion else np.full(n_reps, float(wm.dispersion))
 
-    # ``kernel`` holds each replication's current kernel and ``score`` its
-    # penalized score; rows are overwritten as replications move.
-    kernel: Optional[FitKernel] = None
-    score = np.empty((n_reps, p))
+    # The state of each replication: its point beta; the alpha and phi of
+    # its current R(alpha) factors and kernel (``kalpha``, ``kphi``; the
+    # estimates ``alpha`` and ``phi`` move ahead of them); that kernel's
+    # ``info_inv`` and penalized ``score``; and per size group the factor
+    # and the BetaStage at beta.  Rows are overwritten as replications move.
+    kalpha, kphi = alpha.copy(), phi.copy()
+    stages = beta_stage(beta, data, ys)
+    factors, info_inv, score = None, None, None
     active = np.ones(n_reps, bool)
     has_kernel = np.zeros(n_reps, bool)
     converged = np.zeros(n_reps, bool)
@@ -240,79 +268,125 @@ def _lockstep(data, y, wm, opts) -> tuple:
             reason[rows] = why
             active[rows] = False
 
-    def put(rows, k, sel):
-        """Make the replications ``sel`` of k the current kernels of ``rows``."""
-        nonlocal kernel
-        if rows.size == n_reps and sel.all():
-            kernel = k
-        elif rows.size:
-            kernel.assign(rows, k, sel)
+    def at(arrays, rows):
+        """The rows ``rows`` of each array of a tuple."""
+        return arrays if rows.size == n_reps else tuple(a[rows] for a in arrays)
 
-    def assemble(rows, at, cinvs):
-        k, ill = assemble_block(
-            at, wm.structure, alpha[rows], phi[rows], data,
-            tuple(yg[rows] for yg in ys), cinvs,
-        )
+    def stages_at(rows):
+        """The rows ``rows`` of each group's BetaStage."""
+        if rows.size == n_reps:
+            return stages
+        return tuple(BetaStage._make(at(st, rows)) for st in stages)
+
+    def evaluate(rows, point, st, cinvs):
+        """Kernel of candidates ``point`` (one per entry of ``rows``) at
+        their replications' alpha and phi: (kernel, ill, penalized score)."""
+        k, ill = whiten_block(point, structure, alpha[rows], phi[rows], data, st, cinvs)
         return k, ill, _penalized_score(k, opts.penalized)
+
+    def store(rows, k, g, sel, point=None, st=None, cinvs=None):
+        """Make the candidates ``sel`` of an evaluation the state of
+        ``rows``: its info_inv and score, and the given point, stages and
+        factors.  A call whose every row is taken is bound, not copied."""
+        nonlocal beta, stages, factors, info_inv, score
+        if rows.size == n_reps == len(k.info_inv):  # sel is then every row, in order
+            info_inv, score = k.info_inv, g
+            beta = beta if point is None else point
+            stages = stages if st is None else st
+            factors = factors if cinvs is None else cinvs
+            return
+        info_inv[rows], score[rows] = k.info_inv[sel], g[sel]
+        if point is not None:
+            beta[rows] = point[sel]
+        if st is not None:
+            for dst, src in zip(stages, st):
+                for a, b in zip(dst, src):
+                    a[rows] = b[sel]
+        if cinvs is not None:
+            for a, b in zip(factors, cinvs):
+                a[rows] = b[sel]
 
     def refresh(rows):
         """Kernels at the current points of ``rows`` with fresh R(alpha)
-        factors; the rows that fail stop as singular."""
-        nonlocal kernel
-        cinvs, not_pd = whitening_factors(wm.structure, alpha[rows], data)
-        k, ill, g = assemble(rows, beta[rows], cinvs)
+        factors; the rows that fail stop as singular.  The first refresh
+        sets every row's state, so each has factors."""
+        cinvs, not_pd = whitening_factors(structure, alpha[rows], data)
+        k, ill, g = evaluate(rows, beta[rows], stages_at(rows), cinvs)
         ok = ~(ill | not_pd.any(axis=-1))
-        if kernel is None:
-            kernel = k
-        else:
-            put(rows[ok], k, ok)
-        score[rows[ok]] = g[ok]
+        sel = np.arange(rows.size) if factors is None else np.flatnonzero(ok)
+        store(rows[sel], k, g, sel, cinvs=cinvs)
+        kalpha[rows[ok]], kphi[rows[ok]] = alpha[rows[ok]], phi[rows[ok]]
         stop(rows[~ok], "singular_information")
 
+    halvings = np.array([0.5**h for h in range(1, MAX_HALVINGS + 1)])
     for it in range(1, opts.max_iter + 1):
         rows = np.flatnonzero(active)
         if not rows.size:
             break
         iterations[rows] = it
-        if kernel is None:
+        if factors is None:
             refresh(rows)
             rows = np.flatnonzero(active)
         if wm.estimates_dispersion or wm.estimates_alpha:
-            base = kernel if rows.size == n_reps else kernel.take(rows)
+            resids = at(tuple(st.resid for st in stages), rows)
+            ws = at(tuple(st.w for st in stages), rows)
             if wm.estimates_dispersion:
-                phi[rows] = estimate_phi(base)
+                phi[rows] = _phi_moment(data, resids, ws)
             if wm.estimates_alpha:
-                alpha[rows] = estimate_alpha(base)
-            moved = (alpha[rows] != base.alpha) | (phi[rows] != base.phi)
+                alpha[rows] = _alpha_moment(structure, data, resids, ws, kphi[rows])
+            moved = (alpha[rows] != kalpha[rows]) | (phi[rows] != kphi[rows])
             if moved.any():
                 refresh(rows[moved])
                 rows = np.flatnonzero(active)
+        if not rows.size:
+            break
         has_kernel[rows] = True
 
         g = score[rows]
         gnorm = _norm(g)
-        step = (kernel.info_inv[rows] @ g[:, :, None])[:, :, 0]
+        step = (info_inv[rows] @ g[:, :, None])[:, :, 0]
         start = beta[rows]
+        cinvs = at(factors, rows)
+        ys_rows = at(ys, rows)
 
         # Step halving: each replication accepts its first candidate that
-        # reduces the penalized score norm, else the best it tried; a
-        # candidate that beats the ones before it becomes current at once.
-        best = np.full(rows.size, np.inf)
-        todo = np.arange(rows.size)
-        for h in range(MAX_HALVINGS + 1):
-            sub = rows[todo]
-            cand = start[todo] + 0.5**h * step[todo]
-            cinvs = tuple(kg.cinv[sub] for kg in kernel.groups)
-            k, ill, gc = assemble(sub, cand, cinvs)
-            cn = np.where(ill, np.inf, _norm(gc))
-            better = cn < best[todo]
-            best[todo[better]] = cn[better]
-            put(sub[better], k, better)
-            score[sub[better]] = gc[better]
-            beta[sub[better]] = cand[better]
-            todo = todo[cn >= gnorm[todo]]
-            if not todo.size:
-                break
+        # reduces the penalized score norm, else the first best it tried
+        # (an ill candidate counts as infinite).  The full step is tried
+        # for every row; the rows it does not improve try the other
+        # MAX_HALVINGS candidates in one evaluation, and the choice is the
+        # one sequential halving makes.
+        cand = start + 0.5**0 * step
+        st = beta_stage(cand, data, ys_rows)
+        k, ill, gc = evaluate(rows, cand, st, cinvs)
+        cn = np.where(ill, np.inf, _norm(gc))
+        best = np.where(cn < np.inf, cn, np.inf)
+        choice = np.where(cn < np.inf, 0, -1)
+        late = np.flatnonzero(cn >= gnorm)
+        if late.size:
+            sub = np.repeat(rows[late], MAX_HALVINGS)
+            cand_h = (start[late, None] + halvings[:, None] * step[late, None]).reshape(-1, p)
+            st_h = beta_stage(
+                cand_h, data, tuple(np.repeat(yg[late], MAX_HALVINGS, axis=0) for yg in ys_rows)
+            )
+            k_h, ill_h, gc_h = evaluate(
+                sub, cand_h, st_h,
+                tuple(np.repeat(c[late], MAX_HALVINGS, axis=0) for c in cinvs),
+            )
+            cn_h = np.where(ill_h, np.inf, _norm(gc_h)).reshape(late.size, MAX_HALVINGS)
+            b, ch = best[late], choice[late]
+            todo = np.ones(late.size, bool)
+            for h in range(1, MAX_HALVINGS + 1):
+                c = cn_h[:, h - 1]
+                better = todo & (c < b)
+                b, ch = np.where(better, c, b), np.where(better, h, ch)
+                todo &= c >= gnorm[late]
+            best[late], choice[late] = b, ch
+            took = np.flatnonzero(choice > 0)
+            sel = np.searchsorted(late, took) * MAX_HALVINGS + choice[took] - 1
+            store(rows[took], k_h, gc_h, sel, cand_h, st_h)
+        took = np.flatnonzero(choice == 0)
+        store(rows[took], k, gc, took, cand, st)
+
         stepped = best < np.inf
         stop(rows[~stepped], "singular_information")
         capped = stepped & (np.max(np.abs(beta[rows]), axis=-1) > BETA_CAP)
@@ -322,6 +396,8 @@ def _lockstep(data, y, wm, opts) -> tuple:
         active[rows[done]] = False
     reason[active] = "max_iter"
 
+    # every replication's final kernel, at its point and current factors
+    kernel, _ = assemble_block(beta, structure, kalpha, kphi, data, ys, factors)
     result = PgeeFit(
         beta=beta,
         alpha=alpha,

@@ -24,7 +24,9 @@ block's responses are fitted in lockstep, and its converged replications
 are estimated and tested together; ``run_replication`` is a block of one.
 The process pool is handed whole blocks, so the blocks, and every output,
 are identical for any worker count, and a replication's record does not
-depend on the block it is run in.
+depend on the block it is run in.  ``aggregate`` reduces the estimators
+that are computable on the same replications together, one axis-wise call
+per statistic.
 
 Scenario grids come from an INI-style config file; every section is one
 block and whitespace-separated values expand by Cartesian product::
@@ -78,8 +80,11 @@ MAX_ATTEMPTS = 1000
 
 #: Replications per block.  A scenario's replications are fitted in blocks
 #: of this many consecutive indices, so the batches, and with them every
-#: output, are the same for any worker count.
-BLOCK_SIZE = 32
+#: output, are the same for any worker count.  Chosen by measurement (see
+#: README): fuller blocks share the lockstep loop's per-call overhead, and
+#: beyond 256 the gain is small.  A scenario uses a second worker only from
+#: BLOCK_SIZE + 1 replications, and balances two from about 2 * BLOCK_SIZE.
+BLOCK_SIZE = 256
 
 #: ``reason`` of a replication whose MAX_ATTEMPTS draws were all invalid.
 NO_VALID_DRAW = "no_valid_draw"
@@ -217,16 +222,20 @@ def _add_tests(spec, records, beta, kernel, estimators) -> None:
     )
     reject = np.zeros(se.shape, bool)
     reject[computable] = wr.p_value < TEST_LEVEL
-    for c, (rec, b) in enumerate(zip(records, beta)):
-        rec["beta"] = b.tolist()
-        entries = rec["estimators"] = {}
-        for e, ve in enumerate(estimates):
-            reason = ZERO_SE if zero_se[e, c] else ve.incomputable_reason[c]
-            entry = {"computable": bool(computable[e, c]), "reason": reason}
-            if computable[e, c]:
-                entry["se"] = se[e, c].tolist()
-                entry["reject"] = reject[e, c].tolist()
-            entries[ve.id.name] = entry
+    reasons = np.stack([ve.incomputable_reason for ve in estimates])
+    reasons[zero_se] = ZERO_SE
+    names = [ve.id.name for ve in estimates]
+    # one conversion to Python objects per block, replication-major
+    for rec, b, ok, why, ses, rejects in zip(
+        records, beta.tolist(), computable.T.tolist(), reasons.T.tolist(),
+        se.swapaxes(0, 1).tolist(), reject.swapaxes(0, 1).tolist(),
+    ):
+        rec["beta"] = b
+        rec["estimators"] = {
+            name: {"computable": c, "reason": r, "se": s, "reject": j} if c
+            else {"computable": c, "reason": r}
+            for name, c, r, s, j in zip(names, ok, why, ses, rejects)
+        }
 
 
 def run_replication(
@@ -285,36 +294,47 @@ def run_block(
     return records
 
 
-def _skewness(x: np.ndarray) -> float:
-    """Biased sample skewness m3 / m2^{3/2} from the central moments."""
-    d = x - x.mean()
-    return float(np.mean(d**3) / np.mean(d**2) ** 1.5)
-
-
-def _cell(tag: str, name: str, ses: np.ndarray, rejects: np.ndarray, sim_se: float):
-    """The EstimatorCell of one (estimator, coefficient) pair from the SEs
-    and 0/1 reject flags of its computable replications; every metric is
-    None when there are none."""
-    n_comp = len(ses)
+def _cells(pairs: list, ses: np.ndarray, rejects: np.ndarray, sim_se: dict) -> list:
+    """The EstimatorCells of (estimator, coefficient) ``pairs`` that are
+    computable on the same n replications, from one contiguous row of SEs
+    and of 0/1 reject flags per pair (len(pairs), n); every metric is None
+    when n is 0.  Skewness is m3 / m2^{3/2} from the central moments."""
+    n_comp = ses.shape[-1]
     if n_comp == 0:
-        return EstimatorCell(tag, name, 0)
-    rate = float(np.mean(rejects))
-    med = float(np.median(ses))
-    mean_se = float(np.mean(ses))
-    degenerate = np.ptp(ses) <= 1e-12 * max(mean_se, 1e-300)
-    p95, p99 = np.percentile(ses, [95, 99])
-    return EstimatorCell(
-        estimator=tag,
-        coefficient=name,
-        n_computable=n_comp,
-        rejection_rate=rate,
-        mc_se=math.sqrt(rate * (1.0 - rate) / n_comp),
-        median_se_ratio=med / sim_se if sim_se > 0 else None,
-        cv_se=float(np.std(ses, ddof=1)) / mean_se if n_comp > 1 else None,
-        skewness_se=None if n_comp <= 2 else 0.0 if degenerate else _skewness(ses),
-        p95_over_p50=float(p95) / med,
-        p99_over_p50=float(p99) / med,
-    )
+        return [EstimatorCell(tag, name, 0) for tag, name in pairs]
+    rate = rejects.mean(axis=-1).tolist()
+    med = np.median(ses, axis=-1).tolist()
+    mean_se = ses.mean(axis=-1)
+    spread = np.ptp(ses, axis=-1).tolist()
+    p95, p99 = np.percentile(ses, [95, 99], axis=-1).tolist()
+    sd = np.std(ses, axis=-1, ddof=1).tolist() if n_comp > 1 else None
+    if n_comp > 2:
+        d = ses - mean_se[:, None]
+        m3, m2 = np.mean(d**3, axis=-1), np.mean(d**2, axis=-1)
+    mean_se = mean_se.tolist()
+    cells = []
+    for i, (tag, name) in enumerate(pairs):
+        if n_comp <= 2:
+            skew = None
+        elif spread[i] <= 1e-12 * max(mean_se[i], 1e-300):
+            skew = 0.0
+        else:
+            # scalar power: an array power may take another (SIMD) path
+            skew = float(m3[i] / m2[i] ** 1.5)
+        sim = sim_se[name]
+        cells.append(EstimatorCell(
+            estimator=tag,
+            coefficient=name,
+            n_computable=n_comp,
+            rejection_rate=rate[i],
+            mc_se=math.sqrt(rate[i] * (1.0 - rate[i]) / n_comp),
+            median_se_ratio=med[i] / sim if sim > 0 else None,
+            cv_se=sd[i] / mean_se[i] if n_comp > 1 else None,
+            skewness_se=skew,
+            p95_over_p50=p95[i] / med[i],
+            p99_over_p50=p99[i] / med[i],
+        ))
+    return cells
 
 
 def aggregate(
@@ -323,7 +343,10 @@ def aggregate(
     estimators: Optional[Sequence[EstimatorId]] = None,
     min_converged: int = 100,
 ) -> ScenarioResult:
-    """Reduce replication records to per-cell operating characteristics."""
+    """Reduce replication records to per-cell operating characteristics.
+
+    The estimators computable on the same replications are reduced
+    together, with one axis-wise call per statistic."""
     if estimators is None:
         estimators = list(EstimatorId)
     records = sorted(records, key=lambda r: r["rep"])
@@ -343,18 +366,26 @@ def aggregate(
         for name in spec.test_coefs
     }
 
-    cells = []
-    shape = (-1, len(spec.test_coefs))
-    for est in estimators:
-        tag = est.name
-        usable = [e for e in (r["estimators"][tag] for r in converged) if e["computable"]]
-        # one contiguous row of SEs and of reject flags per tested coefficient
-        ses = np.array([e["se"] for e in usable], float).reshape(shape).T.copy()
-        rejects = np.array([e["reject"] for e in usable], float).reshape(shape).T.copy()
-        cells += [
-            _cell(tag, name, ses[ci], rejects[ci], sim_se[name])
-            for ci, name in enumerate(spec.test_coefs)
-        ]
+    # estimators grouped by the replications they are computable on
+    groups = {}
+    for est in dict.fromkeys(estimators):
+        entries = [r["estimators"][est.name] for r in converged]
+        usable = tuple(k for k, e in enumerate(entries) if e["computable"])
+        groups.setdefault(usable, []).append((est.name, [entries[k] for k in usable]))
+    cells = {}
+    for usable, members in groups.items():
+        pairs = [(tag, name) for tag, _ in members for name in spec.test_coefs]
+        shape = (len(members), len(usable), len(spec.test_coefs))
+        # one contiguous row of SEs and of reject flags per pair (a strided
+        # row would be reduced in another order)
+        ses, rejects = (
+            np.ascontiguousarray(
+                np.array([[e[key] for e in es] for _, es in members], float)
+                .reshape(shape).swapaxes(1, 2)
+            ).reshape(len(pairs), len(usable))
+            for key in ("se", "reject")
+        )
+        cells.update(zip(pairs, _cells(pairs, ses, rejects, sim_se)))
     return ScenarioResult(
         scenario_id=spec.id,
         b_total=b_total,
@@ -362,7 +393,7 @@ def aggregate(
         convergence_rate=b_eff / b_total,
         invalid_draws=invalid_draws,
         sim_se=sim_se,
-        cells=tuple(cells),
+        cells=tuple(cells[est.name, name] for est in estimators for name in spec.test_coefs),
     )
 
 
@@ -374,10 +405,12 @@ def run_scenario(
     min_converged: int = 100,
 ) -> ScenarioResult:
     """Run all replications of one scenario in blocks of BLOCK_SIZE
-    consecutive indices, optionally handing whole blocks to processes."""
+    consecutive indices, optionally handing whole blocks to processes (no
+    more processes than blocks)."""
     intercept = calibrate_intercept(spec.scenario)
     blocks = [range(start, min(start + BLOCK_SIZE, reps)) for start in range(0, reps, BLOCK_SIZE)]
     job = partial(run_block, spec, intercept=intercept, estimators=estimators)
+    workers = min(workers, len(blocks))
     if workers <= 1:
         records = [rec for result in map(job, blocks) for rec in result]
     else:

@@ -1,13 +1,18 @@
-"""Slow, literal references, one cluster at a time.
+"""Slow, literal references, one cluster, replication or cell at a time.
 
 Each kernel quantity is computed from its textbook definition with dense
 inverses, independently of the size-grouped arrays in ``pgee.core``; the
 correlated-binary draw is the sequential construction run cluster by
-cluster, independently of the grouped loop in ``pgee.datagen``.
+cluster, independently of the grouped loop in ``pgee.datagen``.  The fit
+is one replication's Fisher loop with sequential step halving, apart from
+the lockstep loop of ``pgee.fitting``, and the Monte Carlo cells are
+reduced one (estimator, coefficient) pair at a time, apart from the
+grouped reduction of ``pgee.harness.aggregate``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -19,10 +24,15 @@ from pgee import (
     assemble_kernel,
     calibrate_intercept,
     clf_coefficients,
+    estimate_alpha,
+    estimate_phi,
+    firth_penalty,
     working_correlation,
 )
-from pgee.core import ETA_CAP, MU_EPS
+from pgee.core import ETA_CAP, MU_EPS, assemble_block, whitening_factors
 from pgee.datagen import TIME_STEP
+from pgee.fitting import BETA_CAP, MAX_HALVINGS
+from pgee.harness import _COEF_INDEX, EstimatorCell
 
 
 def firth_penalty_fd(beta, structure, alpha, phi, data, rel_step=1e-5) -> np.ndarray:
@@ -178,4 +188,135 @@ def literal_clf_dataset(scenario, rng, intercept=None):
         X=np.column_stack([np.ones_like(y), treat, time][: scenario.p]),
         colnames=("intercept", "treat", "time")[: scenario.p],
         has_time=full,
+    )
+
+
+def _skewness(x: np.ndarray) -> float:
+    """Biased sample skewness m3 / m2^{3/2} from the central moments."""
+    d = x - x.mean()
+    return float(np.mean(d**3) / np.mean(d**2) ** 1.5)
+
+
+def literal_cell(tag, name, ses, rejects, sim_se) -> EstimatorCell:
+    """The EstimatorCell of one (estimator, coefficient) pair from the SEs
+    and 0/1 reject flags of its computable replications; every metric is
+    None when there are none."""
+    n_comp = len(ses)
+    if n_comp == 0:
+        return EstimatorCell(tag, name, 0)
+    rate = float(np.mean(rejects))
+    med = float(np.median(ses))
+    mean_se = float(np.mean(ses))
+    degenerate = np.ptp(ses) <= 1e-12 * max(mean_se, 1e-300)
+    p95, p99 = np.percentile(ses, [95, 99])
+    return EstimatorCell(
+        estimator=tag,
+        coefficient=name,
+        n_computable=n_comp,
+        rejection_rate=rate,
+        mc_se=math.sqrt(rate * (1.0 - rate) / n_comp),
+        median_se_ratio=med / sim_se if sim_se > 0 else None,
+        cv_se=float(np.std(ses, ddof=1)) / mean_se if n_comp > 1 else None,
+        skewness_se=None if n_comp <= 2 else 0.0 if degenerate else _skewness(ses),
+        p95_over_p50=float(p95) / med,
+        p99_over_p50=float(p99) / med,
+    )
+
+
+def literal_cells(records, spec, estimators) -> tuple:
+    """``aggregate``'s cells, one (estimator, coefficient) pair at a time."""
+    converged = [r for r in records if r["converged"]]
+    betas = np.array([r["beta"] for r in converged])
+    cells = []
+    for est in estimators:
+        usable = [r["estimators"][est.name] for r in converged]
+        usable = [e for e in usable if e["computable"]]
+        for ci, name in enumerate(spec.test_coefs):
+            sim_se = float(np.std(betas[:, _COEF_INDEX[name]], ddof=1))
+            ses = np.array([e["se"][ci] for e in usable], float)
+            rejects = np.array([e["reject"][ci] for e in usable], float)
+            cells.append(literal_cell(est.name, name, ses, rejects, sim_se))
+    return tuple(cells)
+
+
+class LiteralFit(NamedTuple):
+    beta: np.ndarray
+    alpha: float
+    phi: float
+    converged: bool
+    iterations: int
+    reason: object
+    kernel: object
+    steps: tuple
+
+
+def literal_fit(data, y, wm, opts) -> LiteralFit:
+    """One replication's Fisher scoring with sequential step halving.
+
+    Every kernel is an ``assemble_block`` block of one; the R(alpha)
+    factors are formed when the kernel's alpha or phi moves, and each
+    halving candidate h = 0, 1, ... is assembled in turn until one reduces
+    the penalized score norm.  ``kernel`` is the last kernel the fit
+    accepted, None when it never had one.  ``steps`` holds, per completed
+    halving, the accepted h and whether it reduced the norm (else it is
+    the first best of all the candidates).
+    """
+    ys = tuple(y[None, g.rows] for g in data.size_groups)
+    beta = np.zeros((1, data.p))
+    alpha = np.zeros(1) if wm.estimates_alpha else np.array([float(wm.alpha)])
+    phi = np.ones(1) if wm.estimates_dispersion else np.array([float(wm.dispersion)])
+
+    def assemble(at, cinvs):
+        k, ill = assemble_block(at, wm.structure, alpha, phi, data, ys, cinvs)
+        g = k.score + firth_penalty(k) if opts.penalized else k.score
+        return k, bool(ill[0]), g
+
+    def refresh():
+        cinvs, not_pd = whitening_factors(wm.structure, alpha, data)
+        k, ill, g = assemble(beta, cinvs)
+        return k, g, cinvs, not (ill or not_pd.any())
+
+    kernel = cinvs = None
+    converged, reason, steps = False, "max_iter", []
+    for it in range(1, opts.max_iter + 1):
+        if kernel is None:
+            k, g, c, ok = refresh()
+            if not ok:
+                reason = "singular_information"
+                break
+            kernel, cinvs = k, c
+        if wm.estimates_dispersion or wm.estimates_alpha:
+            if wm.estimates_dispersion:
+                phi = estimate_phi(kernel)
+            if wm.estimates_alpha:
+                alpha = estimate_alpha(kernel)
+            if alpha[0] != kernel.alpha[0] or phi[0] != kernel.phi[0]:
+                k, g, c, ok = refresh()
+                if not ok:
+                    reason = "singular_information"
+                    break
+                kernel, cinvs = k, c
+        gnorm = np.sqrt(np.sum(g * g, axis=-1))[0]
+        step = (kernel.info_inv @ g[:, :, None])[:, :, 0]
+        start, best, taken = beta, np.inf, None
+        for h in range(MAX_HALVINGS + 1):
+            cand = start + 0.5**h * step
+            k, ill, gc = assemble(cand, cinvs)
+            cn = np.inf if ill else np.sqrt(np.sum(gc * gc, axis=-1))[0]
+            if cn < best:
+                best, beta, kernel, g, taken = cn, cand, k, gc, h
+            if not cn >= gnorm:
+                break
+        steps.append((taken, bool(best < gnorm)))
+        if best == np.inf:
+            reason = "singular_information"
+            break
+        if np.max(np.abs(beta)) > BETA_CAP:
+            reason = "beta_cap"
+            break
+        if np.max(np.abs(beta - start)) < opts.tol:
+            converged, reason = True, None
+            break
+    return LiteralFit(
+        beta[0], float(alpha[0]), float(phi[0]), converged, it, reason, kernel, tuple(steps)
     )

@@ -21,7 +21,7 @@ from pgee import (
 )
 
 from conftest import intercept_only_dataset, random_dataset
-from oracle import with_residuals
+from oracle import literal_fit, with_residuals
 
 
 def _fit_independence(ds, penalized=True, **kw):
@@ -50,6 +50,32 @@ class TestFitClosedForms:
         assert not res.converged
         assert res.diverged_reason == "beta_cap"
 
+    def test_singular_at_start_is_a_result(self):
+        # two equal covariates: the information is singular at beta = 0
+        rows = [(i, float((i + j) % 2), (float(j), float(j)), None)
+                for i in range(10) for j in range(3)]
+        wm = WorkingModel(structure="exchangeable", alpha="estimate", dispersion=1.0)
+        res = fit(validate_dataset(rows), wm)
+        assert not res.converged and res.kernel is None
+        assert (res.diverged_reason, res.iterations) == ("singular_information", 1)
+
+    def test_singular_mid_fit_matches_literal_fit(self):
+        # x2 is 1 only on some events: unpenalized, its coefficient runs
+        # off until every halving candidate is ill-conditioned
+        rows = []
+        for i in range(10):
+            for j in range(3):
+                y = (i * 3 + j) % 3 == 0 or (i + j) % 4 == 0
+                rows.append((i, float(y), (float(j), float(y and i < 3)), None))
+        ds = validate_dataset(rows)
+        wm = WorkingModel(structure="independence", alpha=0.0, dispersion=1.0)
+        opts = FitOptions(penalized=False)
+        res, ref = fit(ds, wm, opts), literal_fit(ds, ds.y, wm, opts)
+        assert (res.diverged_reason, ref.reason) == ("singular_information",) * 2
+        assert res.iterations == ref.iterations > 1
+        assert np.array_equal(res.beta, ref.beta)
+        assert np.array_equal(res.kernel.info_inv, ref.kernel.info_inv[0])
+
     def test_score_small_at_root(self, rng):
         ds = random_dataset(rng, n_clusters=12)
         wm = WorkingModel(structure="exchangeable", alpha=0.2, dispersion=1.0)
@@ -74,19 +100,33 @@ class TestAssemblies:
         "structure,alpha", [("independence", 0.0), ("exchangeable", "estimate")]
     )
     def test_no_parameter_point_assembled_twice(self, rng, monkeypatch, structure, alpha):
-        # the accepted step-halving kernel is the next iteration's base
-        points = []
-        real = pgee.fitting.assemble_block
+        # inside the loop every kernel is evaluated at a new (beta, alpha,
+        # phi): an alpha refresh reuses the beta stage at a new alpha, and
+        # the accepted step-halving candidate is the next iteration's base;
+        # after the loop one assembly repeats the final point once
+        evaluated, final = [], []
+        real_whiten, real_assemble = pgee.fitting.whiten_block, pgee.fitting.assemble_block
 
-        def recording(beta, structure, alpha, phi, data, ys, cinvs):
-            points.extend(zip(map(tuple, beta), alpha, phi))
-            return real(beta, structure, alpha, phi, data, ys, cinvs)
+        def points(beta, alpha, phi):
+            return list(zip(map(tuple, beta), alpha, phi))
 
-        monkeypatch.setattr(pgee.fitting, "assemble_block", recording)
+        def whitening(beta, structure, alpha, phi, *rest):
+            evaluated.extend(points(beta, alpha, phi))
+            return real_whiten(beta, structure, alpha, phi, *rest)
+
+        def assembling(beta, structure, alpha, phi, *rest):
+            final.extend(points(beta, alpha, phi))
+            return real_assemble(beta, structure, alpha, phi, *rest)
+
+        monkeypatch.setattr(pgee.fitting, "whiten_block", whitening)
+        monkeypatch.setattr(pgee.fitting, "assemble_block", assembling)
         ds = random_dataset(rng, n_clusters=12)
         res = fit(ds, WorkingModel(structure=structure, alpha=alpha, dispersion=1.0))
         assert res.converged and res.iterations >= 3
-        assert len(set(points)) == len(points)
+        assert len(set(evaluated)) == len(evaluated)
+        k = res.kernel
+        assert final == [(tuple(k.beta), k.alpha, k.phi)]
+        assert final[0] in evaluated
 
 
 class TestFitInvariances:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -29,13 +30,15 @@ from pgee.harness import (
     MAX_ATTEMPTS,
     RESULTS_COLUMNS,
     EstimatorCell,
+    _working_model,
     draw_block,
     draw_dataset,
     run_block,
 )
 from pgee.datagen import ClfDesign
+from pgee.fitting import fit_block
 
-from oracle import literal_clf_dataset
+from oracle import literal_cells, literal_clf_dataset, literal_fit
 
 FAST_ESTIMATORS = [EstimatorId.LZ, EstimatorId.KC, EstimatorId.AR, EstimatorId.PAN]
 
@@ -119,7 +122,8 @@ _PARITY_CELLS = {
 def test_block_matches_single_replications(cell):
     kw, max_iter = _PARITY_CELLS[cell]
     spec = _spec(**kw)
-    reps = range(3, 3 + 2 * BLOCK_SIZE)
+    # one block of 64, each replication of it rerun alone
+    reps = range(3, 3 + 64)
     seen = set()
     for opts in (FitOptions(), FitOptions(max_iter=max_iter)):
         block = run_block(spec, reps, fit_options=opts)
@@ -147,6 +151,66 @@ def test_block_matches_single_replications(cell):
         assert {"invalid", "valid"} <= seen
     if cell == "unbalanced":
         assert "UnbalancedPooling" in seen
+
+
+#: Replications of the unbalanced 2/6 scenario of a grid at base seed 1
+#: that run to max_iter with every halving tried, accepting a later
+#: halving that improves or the first best of them all.
+_STRAGGLER_CONFIG = "[unbalanced]\nN = 10\nn = 2/6\nevent_rate = 0.2\nrho = 0.2\ntrue = exchangeable\n"
+_STRAGGLERS = (345, 431, 1007)
+
+
+@pytest.mark.parametrize("cell", [*sorted(_PARITY_CELLS), "stragglers"])
+def test_fit_block_matches_literal_fit(cell):
+    if cell == "stragglers":
+        spec = parse_config(_STRAGGLER_CONFIG, base_seed=1)[0]
+        reps, options = _STRAGGLERS, (FitOptions(),)
+    else:
+        kw, max_iter = _PARITY_CELLS[cell]
+        spec = _spec(**kw)
+        reps, options = range(3, 51), (FitOptions(), FitOptions(max_iter=max_iter))
+    scen = spec.scenario
+    design, y, invalid = draw_block(scen, reps, calibrate_intercept(scen))
+    y = y[invalid < MAX_ATTEMPTS]
+    wm = _working_model(scen)
+    steps = set()
+    for opts in options:
+        res = fit_block(design, y, wm, opts)
+        for r, yr in enumerate(y):
+            ref = literal_fit(design, yr, wm, opts)
+            assert np.array_equal(res.beta[r], ref.beta), r
+            got = (res.alpha[r], res.phi[r], res.converged[r], res.iterations[r],
+                   res.diverged_reason[r])
+            assert got == (ref.alpha, ref.phi, ref.converged, ref.iterations, ref.reason), r
+            assert ref.kernel is not None
+            assert np.array_equal(res.kernel.info_inv[r], ref.kernel.info_inv[0]), r
+            assert np.array_equal(res.kernel.score[r], ref.kernel.score[0]), r
+            steps.update((h > 0, improved) for h, improved in ref.steps if h is not None)
+    if cell == "stragglers":
+        assert set(res.diverged_reason) == {"max_iter"}
+        assert {(True, True), (True, False)} <= steps
+
+
+def test_aggregate_matches_literal_cells():
+    # estimators that share a computable set are reduced together: two
+    # tested coefficients, the pooling estimators (UnbalancedPooling),
+    # ZeroSE entries and cells of 0, 1 and 2 computable replications
+    spec = ScenarioSpec(
+        id="cells", scenario=_spec(n_pattern=(2, 6)).scenario, test_coefs=("beta1", "beta2")
+    )
+    records = run_block(spec, range(40))
+    converged = [r for r in records if r["converged"]]
+    for tag, keep in (("LZ", {0}), ("DF", {3, 5}), ("KC", set())):
+        for k, rec in enumerate(converged):
+            if k not in keep:
+                rec["estimators"][tag] = {"computable": False, "reason": "ZeroSE"}
+    converged[7]["estimators"]["MD"] = {"computable": False, "reason": "ZeroSE"}
+    estimators = list(EstimatorId)
+    res = aggregate(records, spec, estimators, min_converged=10)
+    assert pickle.dumps(res.cells) == pickle.dumps(literal_cells(records, spec, estimators))
+    n = {c.estimator: c.n_computable for c in res.cells}
+    assert (n["LZ"], n["DF"], n["KC"], n["PAN"]) == (1, 2, 0, 0)
+    assert n["MD"] == len(converged) - 1
 
 
 class TestDrawDataset:
