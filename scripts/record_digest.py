@@ -14,8 +14,13 @@ what it prints (``diff`` of the two outputs).  It digests:
 - ``results.csv`` and ``summary.json`` of ``pgee simulate`` on the
   ``perfbench`` grid at ``--workers 1`` and ``2``;
 - the text and ``--json`` reports of ``pgee fit`` on the four CSVs of the
-  ``fit-csv`` workload (seed 1) and on three fits that stop early: at
-  ``max_iter``, at ``beta_cap`` and with a singular information matrix.
+  ``fit-csv`` workload (seed 1), on three fits that stop early: at
+  ``max_iter``, at ``beta_cap`` and with a singular information matrix,
+  and on a fit whose diagnostic is not computable (only cluster c0 has
+  x1 = 1);
+- the text and ``--json`` reports of ``pgee diagnose`` on the four
+  ``fit-csv`` CSVs, with and without ``--treatment-col treat``, and on the
+  CSV whose diagnostic is not computable (exit 2).
 
 Run from the repository root:
 
@@ -124,15 +129,31 @@ def _fit_inputs(fit_csvs: int, work: Path) -> dict:
         for i in range(10) for j in range(3)
         for y in [(i * 3 + j) % 3 == 0 or (i + j) % 4 == 0]))
     cases["singular_information"] = (quasi, ["--no-penalty", "--corr", "ind", "--alpha", "0"])
+    # only c0 has x1 = 1: the other clusters carry no information on x1
+    owned = work / "owned.csv"
+    owned.write_text("cluster,y,x1\n" + "".join(
+        f"c{i},{int((i + 2 * j) % 3 == 0)},{float(i == 0)}\n" for i in range(10) for j in range(2)))
+    cases["singular_leverage"] = (owned, [])
     return cases
 
 
+def _digest(command: str, name: str, argv: list) -> None:
+    """Print the digest of the text and ``--json`` reports of one command."""
+    for form in ([], ["--json"]):
+        code, out = _run([command, *argv, *form])
+        label = "json" if form else "text"
+        print(f"{command} {name} {label} exit={code} {_md5(out.encode())}")
+
+
 def fit_digests(fit_csvs: int, work: Path) -> None:
-    for name, (path, flags) in _fit_inputs(fit_csvs, work).items():
-        for form in ([], ["--json"]):
-            code, out = _run(["fit", str(path), *flags, *form])
-            label = "json" if form else "text"
-            print(f"fit {name} {label} exit={code} {_md5(out.encode())}")
+    cases = _fit_inputs(fit_csvs, work)
+    for name, (path, flags) in cases.items():
+        _digest("fit", name, [str(path), *flags])
+    for name in [f"fit-csv-{k}" for k in range(fit_csvs)]:
+        path = str(cases[name][0])
+        _digest("diagnose", name, [path])
+        _digest("diagnose", f"{name}-treat", [path, "--treatment-col", "treat"])
+    _digest("diagnose", "singular_leverage", [str(cases["singular_leverage"][0])])
 
 
 def main(argv=None) -> int:

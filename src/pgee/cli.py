@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import EstimatorId, normalize_structure, read_csv, write_csv
+from .data import EstimatorId, WorkingModel, normalize_structure, read_csv, write_csv
 from .datagen import Scenario, calibrate_intercept
 from .errors import DatasetError, PgeeError, SingularLeverage, ZeroSE
 from .fitting import FitOptions, PgeeFit, fit
@@ -32,7 +32,6 @@ from .harness import (
     summary_json,
 )
 from .variance import estimate_variance, overcorrection_diagnostic, wald_test
-from .data import WorkingModel
 
 JSON_SCHEMA_VERSION = "1"
 
@@ -105,6 +104,13 @@ def _fit_header_lines(dataset, wm, result: PgeeFit) -> list:
 def _rho_line(diag, colnames) -> str:
     parts = [f"{r:.2f} ({name})" for r, name in zip(diag.ratios, colnames)]
     return "rho_s: " + ", ".join(parts)
+
+
+def _overcorrection_report(diag, colnames) -> dict:
+    return {
+        "rho": {n: float(r) for n, r in zip(colnames, diag.ratios)},
+        "eigenvalues": [float(v) for v in diag.eigenvalues],
+    }
 
 
 def _unavailable_row(est: EstimatorId, reason: str) -> str:
@@ -187,12 +193,7 @@ def cmd_fit(args) -> int:
             diag = overcorrection_diagnostic(result.kernel)
             lines.append("")
             lines.append(_rho_line(diag, dataset.colnames))
-            report["overcorrection"] = {
-                "rho": {
-                    n: float(r) for n, r in zip(dataset.colnames, diag.ratios)
-                },
-                "eigenvalues": [float(v) for v in diag.eigenvalues],
-            }
+            report["overcorrection"] = _overcorrection_report(diag, dataset.colnames)
         except SingularLeverage as exc:
             lines.append("")
             lines.append(f"rho_s: not computable ({exc})")
@@ -229,10 +230,7 @@ def cmd_diagnose(args) -> int:
         + ", ".join(f"{v:.4f}" for v in diag.eigenvalues)
     )
     lines.append(_rho_line(diag, dataset.colnames))
-    report["overcorrection"] = {
-        "rho": {n: float(r) for n, r in zip(dataset.colnames, diag.ratios)},
-        "eigenvalues": [float(v) for v in diag.eigenvalues],
-    }
+    report["overcorrection"] = _overcorrection_report(diag, dataset.colnames)
 
     if args.treatment_col:
         name = args.treatment_col

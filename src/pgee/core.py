@@ -30,10 +30,10 @@ stages: ``beta_stage`` (eta -> mu, w, r and the unwhitened
 ``z = [W^{1/2} X | W^{-1/2} r]``) and ``whiten_block`` (z, the factors and
 phi -> the Gram matrix, info, ``info_inv`` and dt), so a new alpha or phi
 at an unchanged beta reuses the beta stage; ``assemble_block`` is the two
-in sequence.  A single dataset is a block of one: ``assemble_kernel`` and
-``FitKernel.take(r)`` return a one-replication view whose arrays drop
-that axis and whose computations run on the block it came from, so a
-replication gives the same numbers alone and inside a block.
+in sequence.  Every kernel is a block, whose arrays and computations keep
+the replication axis: one dataset is a block of one, marked ``single`` by
+``assemble_kernel``, and ``FitKernel.take`` selects replications as a
+block, so a replication gives the same numbers alone and inside a block.
 
 The kernel keeps the summed information and score and its inverse, and
 computes on demand the per-cluster informations and scores (in cluster
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -119,10 +119,10 @@ class KernelGroup(NamedTuple):
     """Kernel arrays of one size group, stacked over its N_s clusters.
 
     ``idx`` and ``X`` (N_s, n, p) are the design's.  The others carry the
-    replication axis of a block in front (a one-replication view drops it):
-    ``cinv`` (n, n) is the inverse Cholesky factor of R(alpha) for this
-    size; ``dt`` (N_s, n, p) and ``rt`` (N_s, n) are the whitened
-    derivative matrices and residuals.
+    replication axis R in front: ``cinv`` (R, n, n) is the inverse Cholesky
+    factor of R(alpha) for this size; ``mu``, ``w`` and ``resid`` are
+    (R, N_s, n); ``dt`` (R, N_s, n, p) and ``rt`` (R, N_s, n) are the
+    whitened derivative matrices and residuals.
     """
 
     idx: np.ndarray
@@ -172,26 +172,28 @@ def _rows(a: np.ndarray) -> np.ndarray:
 class FitKernel:
     """Assembled kernel: size-group arrays plus the sensitivity matrix.
 
-    For a block, ``beta`` is (R, p), ``alpha`` and ``phi`` are (R,), the
-    group arrays carry the replication axis, ``score`` (R, p) and ``info``
-    (R, p, p) are the summed cluster scores and informations and
-    ``info_inv`` the inverses.  A one-replication view (``source`` set)
-    holds the same fields without that axis and computes through its
-    source block.  ``scores`` (N, p) and ``infos`` (N, p, p), in cluster
-    order, the geometry and the corrected scores are computed on first use;
-    ``hat_block`` is the only per-cluster accessor.
+    Every kernel is a block of R replications: ``beta`` is (R, p),
+    ``alpha`` and ``phi`` are (R,), the group arrays carry the replication
+    axis, ``score`` (R, p) and ``info`` (R, p, p) are the summed cluster
+    scores and informations and ``info_inv`` the inverses.  ``scores``
+    (R, N, p) and ``infos`` (R, N, p, p), in cluster order, the geometry
+    and the corrected scores are computed on first use; ``hat_block`` is
+    the only per-cluster accessor.  ``single`` marks the block of one that
+    ``assemble_kernel`` or ``fit`` returns for one dataset: its arrays keep
+    the axis, and ``estimate_variance`` and ``overcorrection_diagnostic``
+    return its results without it.
     """
 
     beta: np.ndarray
     structure: str
-    alpha: object
-    phi: object
+    alpha: np.ndarray
+    phi: np.ndarray
     data: LongitudinalDataset
     groups: tuple
     score: np.ndarray
     info: np.ndarray
     info_inv: np.ndarray
-    source: Optional["FitKernel"] = None
+    single: bool = False
     _corrections: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -217,26 +219,8 @@ class FitKernel:
         return self.data.balanced
 
     def take(self, index) -> "FitKernel":
-        """Kernel of the replications ``index`` selects on the block's
-        leading axis; an integer gives that replication's one-replication
-        view."""
-        if isinstance(index, (int, np.integer)):
-            block = self.take([index])
-            return FitKernel(
-                beta=block.beta[0],
-                structure=self.structure,
-                alpha=float(block.alpha[0]),
-                phi=float(block.phi[0]),
-                data=self.data,
-                groups=tuple(
-                    g._replace(**{f: getattr(g, f)[0] for f in _REPLICATED})
-                    for g in block.groups
-                ),
-                score=block.score[0],
-                info=block.info[0],
-                info_inv=block.info_inv[0],
-                source=block,
-            )
+        """Kernel of the replications ``index`` (an index array or a
+        slice) selects on the block's leading axis."""
         return replace(
             self,
             beta=self.beta[index],
@@ -254,8 +238,6 @@ class FitKernel:
     @cached_property
     def scores(self) -> np.ndarray:
         """Cluster score contributions dt' rt, in cluster order."""
-        if self.source is not None:
-            return self.source.scores[0]
         return _cluster_order(
             self, [(g.dt.swapaxes(-1, -2) @ g.rt[..., None])[..., 0] for g in self.groups],
             (self.p,),
@@ -264,8 +246,6 @@ class FitKernel:
     @cached_property
     def infos(self) -> np.ndarray:
         """Cluster informations dt' dt, in cluster order."""
-        if self.source is not None:
-            return self.source.infos[0]
         return _cluster_order(
             self, [g.dt.swapaxes(-1, -2) @ g.dt for g in self.groups], (self.p, self.p)
         )
@@ -273,8 +253,6 @@ class FitKernel:
     @cached_property
     def geometry(self) -> tuple[LeverageGeometry, ...]:
         """Per-group :class:`LeverageGeometry`, in the order of ``groups``."""
-        if self.source is not None:
-            return tuple(LeverageGeometry(g.lam[0], g.Q[0]) for g in self.source.geometry)
         out = []
         for g in self.groups:
             t = g.dt @ self.info_inv[:, None]
@@ -284,8 +262,6 @@ class FitKernel:
     @cached_property
     def max_leverage(self) -> np.ndarray:
         """(R, N) largest hat eigenvalue of each cluster, in cluster order."""
-        if self.source is not None:
-            return self.source.max_leverage[0]
         return _cluster_order(self, [geo.lam[..., -1] for geo in self.geometry], ())
 
     @cached_property
@@ -295,26 +271,20 @@ class FitKernel:
 
     @cached_property
     def regular(self) -> "FitKernel":
-        """The block of the replications without a singular (I - H); a
-        one-replication view gives its source's."""
-        if self.source is not None:
-            return self.source.regular
+        """The block of the replications without a singular (I - H)."""
         return self.take(np.flatnonzero(~self.singular_leverage))
 
     def corrected(self, c: float) -> tuple:
         """Scores and whitened residuals corrected by (I - H)^{-c}.
 
-        Returns (f, u): f is the (N, p) array, in cluster order, whose rows
-        are dmat' vinv (I - H)^{-c} r, and u holds one (N_s, n) array per
-        group of ``L^{-1} (I - H)^{-c} r`` (both with the replication axis
-        in front for a block).  c = 0 gives ``scores`` and the ``rt``.
+        Returns (f, u): f is the (R, N, p) array, in cluster order, whose
+        rows are dmat' vinv (I - H)^{-c} r, and u holds one (R, N_s, n)
+        array per group of ``L^{-1} (I - H)^{-c} r``.  c = 0 gives
+        ``scores`` and the ``rt``.
         Each exponent is solved once per kernel.  Raises SingularLeverage,
         naming the first such cluster in cluster order (of the first such
         replication), when c > 0 and some (I - H) is numerically singular.
         """
-        if self.source is not None:
-            f, us = self.source.corrected(c)
-            return f[0], tuple(u[0] for u in us)
         if c == 0.0:
             return self.scores, tuple(g.rt for g in self.groups)
         if c not in self._corrections:
@@ -341,7 +311,7 @@ class FitKernel:
         return self._corrections[c]
 
     def hat_block(self, i: int) -> np.ndarray:
-        """Hat-matrix block of cluster i of a one-replication view,
+        """Hat-matrix block of cluster i of replication 0,
         dmat @ info_inv @ dmat' @ vinv.
 
         With vinv = L^{-T} L^{-1} this is dmat @ info_inv @ dt' @ L^{-1},
@@ -349,17 +319,10 @@ class FitKernel:
         """
         g = next(g for g in self.groups if i in g.idx)
         k = int(np.searchsorted(g.idx, i))
-        dmat = g.w[k][:, None] * g.X[k]
-        linv = g.cinv / np.sqrt(self.phi * g.w[k])
-        return dmat @ self.info_inv @ g.dt[k].T @ linv
-
-
-def as_block(kernel: FitKernel) -> tuple:
-    """(block, single): the block a kernel computes on and whether the
-    kernel is a one-replication view of it."""
-    if kernel.source is not None:
-        return kernel.source, True
-    return kernel, False
+        w = g.w[0, k]
+        dmat = w[:, None] * g.X[k]
+        linv = g.cinv[0] / np.sqrt(self.phi[0] * w)
+        return dmat @ self.info_inv[0] @ g.dt[0, k].T @ linv
 
 
 class BetaStage(NamedTuple):
@@ -466,7 +429,8 @@ def assemble_kernel(
     phi: float,
     data: LongitudinalDataset,
 ) -> FitKernel:
-    """Assemble the kernel of one dataset at one parameter point.
+    """Assemble the kernel of one dataset at one parameter point: a block
+    of one, marked ``single``.
 
     Raises SingularV when some working covariance is not positive definite
     and SingularInformation when the summed information is not positive
@@ -490,16 +454,18 @@ def assemble_kernel(
             f"sensitivity matrix ill-conditioned (eigenvalues {eig[0]:.3e}"
             f" .. {eig[-1]:.3e})"
         )
-    return kernel.take(0)
+    return replace(kernel, single=True)
 
 
 def gee_score(kernel: FitKernel) -> np.ndarray:
-    """Estimating-function value: sum of per-cluster score contributions."""
+    """Estimating-function value: sum of per-cluster score contributions,
+    (R, p)."""
     return kernel.score
 
 
 def firth_penalty(kernel: FitKernel) -> np.ndarray:
-    """Bias-reduction penalty b with b_r = trace(info_inv @ d info/d beta_r) / 2.
+    """Bias-reduction penalty b with b_r = trace(info_inv @ d info/d beta_r) / 2,
+    (R, p).
 
     The derivative of the sensitivity matrix is taken analytically in beta
     with alpha and phi held constant, using the chain rule through the
@@ -515,13 +481,11 @@ def firth_penalty(kernel: FitKernel) -> np.ndarray:
     The penalty is invariant to the fixed dispersion because info_inv and
     the derivative scale inversely.
     """
-    block, single = as_block(kernel)
     b = 0.0
-    for g in block.groups:
-        x = g.X.reshape(-1, block.p)
-        xd = x @ block.info_inv
+    for g in kernel.groups:
+        x = g.X.reshape(-1, kernel.p)
+        xd = x @ kernel.info_inv
         ct = _rows(g.cinv.swapaxes(-1, -2)[:, None] @ g.dt)
         v = (np.sqrt(g.w) * (1.0 - 2.0 * g.mu)).reshape(xd.shape[:2])
         b = b + ((v * np.sum(ct * xd, axis=-1))[:, None] @ x)[:, 0]
-    b = 0.5 * b / np.sqrt(block.phi)[:, None]
-    return b[0] if single else b
+    return 0.5 * b / np.sqrt(kernel.phi)[:, None]

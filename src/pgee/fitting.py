@@ -26,7 +26,8 @@ step for every replication, then, for those it does not improve, the
 other MAX_HALVINGS candidates in one evaluation, from which each takes
 the candidate that sequential halving would take.  After the loop one
 assembly builds every replication's final kernel at its point and
-factors.  ``fit`` is this loop on a block of one dataset.
+factors.  ``fit`` is this loop on a block of one dataset, and its kernel
+is that block of one, marked ``single`` (see ``core.FitKernel``).
 
 Non-convergence is a result state, not an exception: fits that exceed the
 parameter cap, exhaust iterations, or hit a singular information matrix
@@ -37,7 +38,7 @@ can condition on convergence.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -45,7 +46,6 @@ import numpy as np
 from .core import (
     BetaStage,
     FitKernel,
-    as_block,
     assemble_block,
     assemble_kernel,  # noqa: F401  (re-exported: perfbench/spans.py resolves this name)
     beta_stage,
@@ -94,7 +94,9 @@ class PgeeFit:
     ``iterations`` and ``diverged_reason`` (R,); ``kernel`` is the block
     kernel, whose entry for a replication is its final kernel: at its last
     accepted beta, with the alpha and phi of its last factors (a
-    replication that stopped at its first assembly has none).
+    replication that stopped at its first assembly has none).  From
+    ``fit`` the fields are one replication's and ``kernel`` is its block
+    of one.
     """
 
     beta: np.ndarray
@@ -113,15 +115,13 @@ def estimate_alpha(kernel: FitKernel, structure: Optional[str] = None):
     Pearson residuals e = r / sqrt(w * phi) feed the lag products; the
     denominators carry the usual (pairs - p) correction.  The estimate is
     clamped to the admissible open interval shrunk by ALPHA_MARGIN; a
-    non-positive denominator yields 0 with a warning.  A block gives one
-    estimate per replication.
+    non-positive denominator yields 0 with a warning.  Returns one
+    estimate per replication, (R,).
     """
-    block, single = as_block(kernel)
-    alpha = _alpha_moment(
-        structure or block.structure, block.data,
-        [g.resid for g in block.groups], [g.w for g in block.groups], block.phi,
+    return _alpha_moment(
+        structure or kernel.structure, kernel.data,
+        [g.resid for g in kernel.groups], [g.w for g in kernel.groups], kernel.phi,
     )
-    return float(alpha[0]) if single else alpha
 
 
 def _alpha_moment(structure, data, resids, ws, phi) -> np.ndarray:
@@ -156,10 +156,8 @@ def _alpha_moment(structure, data, resids, ws, phi) -> np.ndarray:
 
 def estimate_phi(kernel: FitKernel):
     """Pearson plug-in dispersion: sum of e_ij^2 over (n_total - p), e at
-    phi = 1; one per replication for a block."""
-    block, single = as_block(kernel)
-    phi = _phi_moment(block.data, [g.resid for g in block.groups], [g.w for g in block.groups])
-    return float(phi[0]) if single else phi
+    phi = 1; one per replication, (R,)."""
+    return _phi_moment(kernel.data, [g.resid for g in kernel.groups], [g.w for g in kernel.groups])
 
 
 def _phi_moment(data, resids, ws) -> np.ndarray:
@@ -229,7 +227,7 @@ def fit(
         phi=float(res.phi[0]),
         converged=bool(res.converged[0]),
         iterations=int(res.iterations[0]),
-        kernel=res.kernel.take(0) if has_kernel[0] else None,
+        kernel=replace(res.kernel, single=True) if has_kernel[0] else None,
         diverged_reason=res.diverged_reason[0],
         penalized=res.penalized,
     )

@@ -42,10 +42,11 @@ eigenvalues in [0, 1), and ``(I - H)^{-c} r = L Q (1-lam)^{-c} Q' L^{-1} r``.
 The eigendecompositions are ``FitKernel.geometry``, batched per cluster
 size, and ``FitKernel.corrected(c)`` solves each exponent once per kernel.
 
-Every middle carries the replication axis of a block kernel in front, so
-one table evaluates an estimator for all replications of a block at once;
-a one-replication kernel is evaluated through its block of one.  Wald
-tests work elementwise on arrays of estimates and standard errors.
+Every kernel is a block and every middle carries its replication axis in
+front, so one table evaluates an estimator for all replications of a block
+at once; ``estimate_variance`` and ``overcorrection_diagnostic`` drop that
+axis for a ``single`` kernel (one dataset).  Wald tests work elementwise on
+arrays of estimates and standard errors.
 
 Pooling estimators require equal cluster sizes; on unbalanced data they
 are reported as not computable (never a wrong number).  A cluster whose
@@ -61,7 +62,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import stdtr, stdtrit
 
-from .core import FitKernel, as_block
+from .core import FitKernel
 from .data import EstimatorId, POOLING_IDS
 from .errors import SingularLeverage, ZeroSE
 
@@ -82,7 +83,9 @@ class VarianceEstimate:
 
     For a block kernel every field but ``id`` carries the replication
     axis: ``cov`` and ``se`` hold NaN where they are not available, and
-    ``computable`` and ``incomputable_reason`` are (R,) arrays.
+    ``computable`` and ``incomputable_reason`` are (R,) arrays.  For a
+    ``single`` kernel they are one replication's: ``cov`` (p, p) and ``se``
+    (p,), None where not available, and ``computable`` a bool.
     """
 
     id: EstimatorId
@@ -95,7 +98,8 @@ class VarianceEstimate:
 @dataclass(frozen=True)
 class OvercorrectionDiagnostic:
     """Leverage-overcorrection matrix, per-parameter ratios, and the
-    eigenvalues of info_inv @ matrix."""
+    eigenvalues of info_inv @ matrix: (R, p, p), (R, p) and (R, p) for a
+    block, (p, p), (p,) and (p,) for a ``single`` kernel."""
 
     matrix: np.ndarray
     ratios: np.ndarray
@@ -210,7 +214,7 @@ _RIDGES = {
 
 
 def _block_estimate(block: FitKernel, estimator: EstimatorId) -> VarianceEstimate:
-    """One estimator at a block kernel."""
+    """One estimator at a kernel, with the replication axis."""
     n_reps, p = block.beta.shape
     reasons = np.full(n_reps, None, dtype=object)
     if estimator in POOLING_IDS and not block.balanced:
@@ -257,9 +261,8 @@ def estimate_variance(kernel: FitKernel, estimator: EstimatorId) -> VarianceEsti
     an indefinite FZ middle with a negative variance diagonal is flagged
     likewise rather than reporting an invalid standard error.
     """
-    block, single = as_block(kernel)
-    ve = _block_estimate(block, estimator)
-    if not single:
+    ve = _block_estimate(kernel, estimator)
+    if not kernel.single:
         return ve
     reason = ve.incomputable_reason[0]
     return VarianceEstimate(
@@ -289,16 +292,18 @@ def overcorrection_diagnostic(kernel: FitKernel) -> OvercorrectionDiagnostic:
     the sensitivity matrix; ``eigenvalues`` are those of info_inv times
     the matrix (computed on a symmetric similar form, so real).
     Raises SingularLeverage when some (I0 - A_i) is singular, i.e. one
-    cluster carries all information in some direction.
+    cluster carries all information in some direction, naming the first
+    such cluster in (replication, cluster) order.
     """
-    rest = kernel.info - kernel.infos
+    rest = kernel.info[:, None] - kernel.infos
     try:
         chol = np.linalg.cholesky(rest)
     except np.linalg.LinAlgError:
-        for r, cluster_id in zip(rest, kernel.data.ids):
+        for r, i in np.ndindex(rest.shape[:2]):
             try:
-                np.linalg.cholesky(r)
+                np.linalg.cholesky(rest[r, i])
             except np.linalg.LinAlgError as exc:
+                cluster_id = kernel.data.ids[i]
                 raise SingularLeverage(
                     f"cluster {cluster_id}: remaining information singular",
                     cluster_id=cluster_id,
@@ -306,11 +311,13 @@ def overcorrection_diagnostic(kernel: FitKernel) -> OvercorrectionDiagnostic:
         raise
     # A_i (I0 - A_i)^{-1} A_i = z_i' z_i with z_i = chol_i^{-1} A_i.
     z = np.linalg.solve(chol, kernel.infos)
-    blev = np.einsum("sap,saq->pq", z, z)
-    ratios = np.diag(blev) / np.diag(kernel.info)
+    blev = np.einsum("rsap,rsaq->rpq", z, z)
+    ratios = np.diagonal(blev, axis1=-2, axis2=-1) / np.diagonal(kernel.info, axis1=-2, axis2=-1)
     l0 = np.linalg.cholesky(kernel.info)
-    sim = np.linalg.solve(l0, np.linalg.solve(l0, blev).T)
-    eigenvalues = np.linalg.eigvalsh(0.5 * (sim + sim.T))
+    sim = np.linalg.solve(l0, np.linalg.solve(l0, blev).swapaxes(-1, -2))
+    eigenvalues = np.linalg.eigvalsh(0.5 * (sim + sim.swapaxes(-1, -2)))
+    if kernel.single:
+        blev, ratios, eigenvalues = blev[0], ratios[0], eigenvalues[0]
     return OvercorrectionDiagnostic(matrix=blev, ratios=ratios, eigenvalues=eigenvalues)
 
 

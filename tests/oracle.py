@@ -93,9 +93,10 @@ def literal_clusters(beta, structure, alpha, phi, data) -> list:
 
 
 def kernel_literals(kernel) -> list:
-    """``literal_clusters`` at an assembled kernel's parameter point."""
+    """``literal_clusters`` at the parameter point of replication 0 of an
+    assembled kernel."""
     return literal_clusters(
-        kernel.beta, kernel.structure, kernel.alpha, kernel.phi, kernel.data
+        kernel.beta[0], kernel.structure, kernel.alpha[0], kernel.phi[0], kernel.data
     )
 
 
@@ -133,20 +134,19 @@ def literal_leverage_score(q: LiteralCluster, info_inv, c) -> np.ndarray:
 
 
 def with_residuals(kernel, residuals):
-    """Copy of a one-replication ``kernel`` with its residuals, given in
+    """Copy of a block-of-one ``kernel`` with its residuals, given in
     cluster order, and its scores replaced; means, covariances and
     informations are kept.  Evaluates estimator middles on externally
     constructed residuals."""
-    block = kernel.source
     groups = []
-    score = np.zeros_like(block.score)
-    for g in block.groups:
+    score = np.zeros_like(kernel.score)
+    for g in kernel.groups:
         r = np.array([residuals[i] for i in g.idx], dtype=float)[None]
-        linv = g.cinv / np.sqrt(block.phi)[:, None, None]
+        linv = g.cinv / np.sqrt(kernel.phi)[:, None, None]
         rt = np.einsum("rij,rsj->rsi", linv, r / np.sqrt(g.w))
         score += np.einsum("rsnp,rsn->rp", g.dt, rt)
         groups.append(g._replace(resid=r, rt=rt))
-    return replace(block, groups=tuple(groups), score=score).take(0)
+    return replace(kernel, groups=tuple(groups), score=score)
 
 
 def literal_clf_dataset(scenario, rng, intercept=None):

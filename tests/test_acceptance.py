@@ -123,7 +123,7 @@ def test_c01_algebraic_identities(fitted_corpus):
 
         def sandwich(scores):
             m = sum(np.outer(f, f) for f in scores)
-            return kern.info_inv @ m @ kern.info_inv
+            return kern.info_inv[0] @ m @ kern.info_inv[0]
 
         def relerr(a, b):
             return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
@@ -132,16 +132,16 @@ def test_c01_algebraic_identities(fitted_corpus):
             tag: estimate_variance(kern, EstimatorId[tag]).cov
             for tag in ("LZ", "KC", "MD", "FW", "DF", "AR")
         }
-        worst = max(worst, relerr(v["LZ"], sandwich(kern.corrected(0.0)[0])))
-        worst = max(worst, relerr(v["KC"], sandwich(kern.corrected(0.5)[0])))
-        worst = max(worst, relerr(v["MD"], sandwich(kern.corrected(1.0)[0])))
+        worst = max(worst, relerr(v["LZ"], sandwich(kern.corrected(0.0)[0][0])))
+        worst = max(worst, relerr(v["KC"], sandwich(kern.corrected(0.5)[0][0])))
+        worst = max(worst, relerr(v["MD"], sandwich(kern.corrected(1.0)[0][0])))
         worst = max(worst, relerr(v["FW"], 0.5 * (v["KC"] + v["MD"])))
         worst = max(worst, relerr(v["DF"], n_cl / (n_cl - p) * v["LZ"]))
-        f = kern.corrected(1.0)[0]
+        f = kern.corrected(1.0)[0][0]
         fbar = np.mean(f, axis=0)
         m_md = sum(np.outer(x, x) for x in f)
         c_n = (n_star - 1) / (n_star - p) * n_cl / (n_cl - 1)
-        m_ar = kern.info @ v["AR"] @ kern.info
+        m_ar = kern.info[0] @ v["AR"] @ kern.info[0]
         worst = max(worst, relerr(m_ar, c_n * (m_md - n_cl * np.outer(fbar, fbar))))
     runtime = elapsed + (time.time() - t0)
     ok = worst < 1e-12 and runtime < 10.0
@@ -189,7 +189,7 @@ def test_c03_pushthrough_and_trace(fitted_corpus):
             hat = kern.hat_block(i)
             total += np.trace(hat)
             lhs = np.linalg.solve(np.eye(n) - hat, q.dmat)
-            rhs = q.dmat @ np.linalg.solve(kern.info - kern.infos[i], kern.info)
+            rhs = q.dmat @ np.linalg.solve(kern.info[0] - kern.infos[0, i], kern.info[0])
             scale = max(np.max(np.abs(rhs)), 1e-300)
             worst_push = max(worst_push, np.max(np.abs(lhs - rhs)) / scale)
         worst_trace = max(worst_trace, abs(total - kern.p))
@@ -232,9 +232,9 @@ def test_c05_morel_term_dispersion_invariance():
     worst = 0.0
     for phi in (1.0, 0.5, 2.0, 10.0):
         kern = assemble_kernel(beta, "exchangeable", 0.2, phi, ds)
-        scores = kern.scores
+        scores = kern.scores[0]
         centered = scores - scores.mean(axis=0)
-        term = kern.info_inv @ (centered.T @ centered) @ kern.info_inv
+        term = kern.info_inv[0] @ (centered.T @ centered) @ kern.info_inv[0]
         if ref is None:
             ref = term
         else:
@@ -268,7 +268,7 @@ def test_c06_expectation_identities_monte_carlo():
             for k in range(sizes[i]):
                 res = [np.zeros(sizes[j]) for j in range(n_cl)]
                 res[i][k] = 1.0
-                cols.append((i, k, with_residuals(kern, res).corrected(c)[0][i]))
+                cols.append((i, k, with_residuals(kern, res).corrected(c)[0][0, i]))
         mats = [np.zeros((p, sizes[i])) for i in range(n_cl)]
         for i, k, col in cols:
             mats[i][:, k] = col
@@ -283,15 +283,15 @@ def test_c06_expectation_identities_monte_carlo():
         qi = literals[i]
         for l in range(n_cl):
             ql = literals[l]
-            block = qi.dmat @ kern.info_inv @ ql.dmat.T @ ql.vinv
+            block = qi.dmat @ kern.info_inv[0] @ ql.dmat.T @ ql.vinv
             rows_i = slice(offsets[i], offsets[i + 1])
             cols_l = slice(offsets[l], offsets[l + 1])
             tmat[rows_i, cols_l] = (np.eye(sizes[i]) - block) if l == i else -block
 
     mu = np.concatenate([q.mu for q in literals])
     blev = overcorrection_diagnostic(kern).matrix
-    target_md = kern.info + blev
-    target_lz = kern.info - sum(a @ kern.info_inv @ a for a in kern.infos)
+    target_md = kern.info[0] + blev
+    target_lz = kern.info[0] - sum(a @ kern.info_inv[0] @ a for a in kern.infos[0])
 
     reps = 200_000
     rng = np.random.default_rng(20260806)

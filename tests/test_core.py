@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import pgee.core
 from pgee import (
     assemble_kernel,
     firth_penalty,
@@ -11,6 +12,7 @@ from pgee import (
     validate_dataset,
     working_correlation,
 )
+from pgee.core import assemble_block, whitening_factors
 from pgee.errors import SingularInformation, SingularLeverage, SingularV
 
 from conftest import intercept_only_dataset, random_dataset, random_kernel
@@ -54,8 +56,8 @@ class TestClusterQuantities:
         for g in kern.groups:
             for k, i in enumerate(g.idx):
                 X = g.X[k]
-                assert np.allclose(kern.infos[i], X.T @ (g.w[k][:, None] * X), rtol=1e-12)
-                assert np.allclose(kern.scores[i], X.T @ g.resid[k], rtol=1e-12)
+                assert np.allclose(kern.infos[0, i], X.T @ (g.w[0, k][:, None] * X), rtol=1e-12)
+                assert np.allclose(kern.scores[0, i], X.T @ g.resid[0, k], rtol=1e-12)
 
     def test_exchangeable_hand_value(self):
         # mu = (1/2, 1/2), alpha = 0.3, phi = 1:
@@ -63,7 +65,7 @@ class TestClusterQuantities:
         # cluster's information is (1/16) 1' V^{-1} 1 = (1/16)(2 / 0.325) = 5/13
         ds = intercept_only_dataset([0, 1, 1, 0, 0, 1], cluster_size=2)
         kern = assemble_kernel(np.zeros(1), "exchangeable", 0.3, 1.0, ds)
-        assert np.allclose(kern.infos[:, 0, 0], 5.0 / 13.0, rtol=1e-14)
+        assert np.allclose(kern.infos[0, :, 0, 0], 5.0 / 13.0, rtol=1e-14)
         assert np.allclose(kern.info, 15.0 / 13.0, rtol=1e-14)
         for q in kernel_literals(kern):
             assert np.allclose(q.vmat, [[0.25, 0.075], [0.075, 0.25]], atol=1e-15)
@@ -111,7 +113,7 @@ class TestKernel:
             rows.extend([(i, 0.0, (0.5,), None), (i, 1.0, (-0.25,), None)])
         ds = validate_dataset(rows)
         kern = assemble_kernel(np.array([0.2, 0.1]), "exchangeable", 0.2, 1.0, ds)
-        assert np.allclose(kern.info, n_clusters * kern.infos[0])
+        assert np.allclose(kern.info[0], n_clusters * kern.infos[0, 0])
         eigs = np.linalg.eigvals(kern.hat_block(0))
         nonzero = np.sort(np.abs(eigs))[-2:]
         assert np.allclose(nonzero, 1.0 / n_clusters, atol=1e-10)
@@ -136,7 +138,7 @@ class TestKernel:
         for i, q in enumerate(kernel_literals(kern)):
             n = q.mu.shape[0]
             lhs = np.linalg.solve(np.eye(n) - kern.hat_block(i), q.dmat)
-            rhs = q.dmat @ np.linalg.solve(kern.info - kern.infos[i], kern.info)
+            rhs = q.dmat @ np.linalg.solve(kern.info[0] - kern.infos[0, i], kern.info[0])
             assert np.allclose(lhs, rhs, rtol=1e-8, atol=1e-10)
 
     def test_info_positive_definite(self, rng):
@@ -152,15 +154,26 @@ class TestKernel:
         with pytest.raises(SingularInformation):
             assemble_kernel(np.zeros(2), "independence", 0.0, 1.0, ds)
 
-    def test_view_leverage_matches_source_entry(self, rng):
-        kern = random_kernel(rng, n_clusters=10)
-        assert kern.p == 3
-        block = kern.source
-        assert kern.max_leverage.shape == (10,)
-        assert np.array_equal(kern.max_leverage, block.max_leverage[0])
-        assert kern.singular_leverage == block.singular_leverage[0]
-        assert kern.singular_leverage.shape == ()
-        assert np.array_equal(kern.regular.beta, block.regular.beta)
+    def test_take_keeps_row_leverage(self, rng, monkeypatch):
+        # a block of three replications at different betas; a tolerance
+        # between the two smallest leverage gaps makes exactly one singular
+        ds = random_dataset(rng, n_clusters=10)
+        beta = rng.normal(scale=0.5, size=(3, ds.p))
+        alpha, phi = np.full(3, 0.25), np.ones(3)
+        cinvs, _ = whitening_factors("exchangeable", alpha, ds)
+        ys = tuple(np.repeat(g.y[None], 3, axis=0) for g in ds.size_groups)
+        block, ill = assemble_block(beta, "exchangeable", alpha, phi, ds, ys, cinvs)
+        assert not ill.any()
+        gap = np.sort(1.0 - block.max_leverage.max(axis=1))
+        monkeypatch.setattr(pgee.core, "LEVERAGE_TOL", gap[:2].mean())
+        assert block.singular_leverage.sum() == 1
+        for r in range(3):
+            row = block.take([r])
+            assert row.max_leverage.shape == (1, 10)
+            assert np.array_equal(row.max_leverage[0], block.max_leverage[r])
+            assert row.singular_leverage[0] == block.singular_leverage[r]
+            regular = beta[:0] if block.singular_leverage[r] else beta[[r]]
+            assert np.array_equal(row.regular.beta, regular)
 
     def test_with_residuals_replaces_scores(self, rng):
         kern = random_kernel(rng)
@@ -285,19 +298,19 @@ class TestSizeGroupParity:
             for k, i in enumerate(g.idx):
                 assert np.array_equal(g.X[k], ref[i].X), i
                 for name in ("mu", "w", "resid"):
-                    assert close(getattr(g, name)[k], getattr(ref[i], name)), (i, name)
+                    assert close(getattr(g, name)[0, k], getattr(ref[i], name)), (i, name)
         for i, r in enumerate(ref):
-            assert close(kern.infos[i], r.info), i
-            assert close(kern.scores[i], r.score), i
+            assert close(kern.infos[0, i], r.info), i
+            assert close(kern.scores[0, i], r.score), i
         info = sum(r.info for r in ref)
         info_inv = np.linalg.inv(info)
-        assert close(kern.info, info)
+        assert close(kern.info[0], info)
         assert close(gee_score(kern), sum(r.score for r in ref))
         assert close(
             firth_penalty(kern), literal_penalty(ref, info_inv, structure, alpha, phi)
         )
         for c in (0.5, 1.0):
-            scores = kern.corrected(c)[0]
+            scores = kern.corrected(c)[0][0]
             for i, r in enumerate(ref):
                 assert close(kern.hat_block(i), literal_hat(r, info_inv))
                 assert close(scores[i], literal_leverage_score(r, info_inv, c), 1e-8)

@@ -11,12 +11,14 @@ from pgee import (
     Scenario,
     WorkingModel,
     assemble_kernel,
+    estimate_all,
     estimate_alpha,
     estimate_phi,
     firth_penalty,
     fit,
     gee_score,
     generate_dataset,
+    overcorrection_diagnostic,
     validate_dataset,
 )
 
@@ -74,7 +76,7 @@ class TestFitClosedForms:
         assert (res.diverged_reason, ref.reason) == ("singular_information",) * 2
         assert res.iterations == ref.iterations > 1
         assert np.array_equal(res.beta, ref.beta)
-        assert np.array_equal(res.kernel.info_inv, ref.kernel.info_inv[0])
+        assert np.array_equal(res.kernel.info_inv[0], ref.kernel.info_inv[0])
 
     def test_score_small_at_root(self, rng):
         ds = random_dataset(rng, n_clusters=12)
@@ -82,7 +84,7 @@ class TestFitClosedForms:
         res = fit(ds, wm, FitOptions(penalized=False))
         assert res.converged
         u = gee_score(res.kernel)
-        bound = 10 * 1e-6 * max(1.0, np.linalg.norm(res.kernel.info, np.inf))
+        bound = 10 * 1e-6 * max(1.0, np.linalg.norm(res.kernel.info[0], np.inf))
         assert np.max(np.abs(u)) <= bound
 
     def test_penalized_root_satisfies_equation(self, rng):
@@ -91,7 +93,7 @@ class TestFitClosedForms:
         res = fit(ds, wm)
         assert res.converged
         g = gee_score(res.kernel) + firth_penalty(res.kernel)
-        bound = 10 * 1e-6 * max(1.0, np.linalg.norm(res.kernel.info, np.inf))
+        bound = 10 * 1e-6 * max(1.0, np.linalg.norm(res.kernel.info[0], np.inf))
         assert np.max(np.abs(g)) <= bound
 
 
@@ -125,7 +127,7 @@ class TestAssemblies:
         assert res.converged and res.iterations >= 3
         assert len(set(evaluated)) == len(evaluated)
         k = res.kernel
-        assert final == [(tuple(k.beta), k.alpha, k.phi)]
+        assert final == [(tuple(k.beta[0]), k.alpha[0], k.phi[0])]
         assert final[0] in evaluated
 
 
@@ -194,7 +196,7 @@ class TestMomentEstimators:
         # denominator = pairs - p = 2 - 1 = 1; one unit pair -> raw alpha = 1
         ds = intercept_only_dataset([0, 1, 0, 1], cluster_size=2)
         kern = assemble_kernel(np.zeros(1), "exchangeable", 0.0, 1.0, ds)
-        sw = np.sqrt(kern.groups[0].w[0])
+        sw = np.sqrt(kern.groups[0].w[0, 0])
         kern = with_residuals(kern, [1.0 * sw, 0.0 * sw])
         a = estimate_alpha(kern)
         assert a < 1.0
@@ -289,3 +291,26 @@ class TestConvergenceCensus:
             if fit(ds, wm).converged:
                 converged += 1
         assert converged / total >= 0.85
+
+
+def test_fit_kernel_is_a_block_of_one(rng):
+    # what the CLI and a dense check of one fit read from its kernel: the
+    # variance results and the diagnostic of one replication, the kernel
+    # functions with the replication axis
+    ds = random_dataset(rng, n_clusters=12)
+    res = fit(ds, WorkingModel(structure="exchangeable", alpha="estimate", dispersion=1.0))
+    kern, p = res.kernel, ds.p
+    assert res.converged and kern.single
+    estimates = estimate_all(kern).values()
+    assert any(ve.computable for ve in estimates)
+    for ve in estimates:
+        assert type(ve.computable) is bool
+        if ve.computable:
+            assert ve.se.shape == (p,) and ve.cov.shape == (p, p)
+    diag = overcorrection_diagnostic(kern)
+    assert diag.matrix.shape == (p, p)
+    assert diag.ratios.shape == diag.eigenvalues.shape == (p,)
+    for i, n in enumerate(ds.cluster_sizes):
+        assert kern.hat_block(i).shape == (n, n)
+    assert firth_penalty(kern).shape == gee_score(kern).shape == (1, p)
+    assert estimate_alpha(kern).shape == estimate_phi(kern).shape == (1,)

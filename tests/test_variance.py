@@ -9,15 +9,20 @@ from pgee import (
     EstimatorId,
     FitKernel,
     POOLING_IDS,
+    Scenario,
+    WorkingModel,
     assemble_kernel,
+    calibrate_intercept,
     estimate_all,
     estimate_variance,
+    fit_block,
     overcorrection_diagnostic,
     validate_dataset,
     wald_test,
 )
 from pgee.core import assemble_block, whitening_factors
 from pgee.errors import SingularLeverage, ZeroSE
+from pgee.harness import MAX_ATTEMPTS, draw_block
 
 from conftest import balanced_dataset, random_kernel, two_arm_dataset
 from oracle import kernel_literals, literal_leverage_score, with_residuals
@@ -32,10 +37,10 @@ def _balanced_kernel(rng, **kw):
 class TestLeverageScores:
     def test_c_zero_is_plain_scores(self, rng):
         kern = random_kernel(rng)
-        f = kern.corrected(0.0)[0]
-        assert np.array_equal(f, kern.scores)
+        f = kern.corrected(0.0)[0][0]
+        assert np.array_equal(f, kern.scores[0])
         for fi, q in zip(f, kernel_literals(kern)):
-            assert np.allclose(fi, literal_leverage_score(q, kern.info_inv, 0.0), rtol=1e-10)
+            assert np.allclose(fi, literal_leverage_score(q, kern.info_inv[0], 0.0), rtol=1e-10)
 
     def test_identical_clusters_scalar_factor(self):
         # p = 1 identical clusters: hat eigenvalue 1/N, so c = 1 scales
@@ -58,7 +63,7 @@ class TestLeverageScores:
     def test_dense_inverse_oracle(self, rng):
         kern = random_kernel(rng, n_clusters=6)
         for c in (0.5, 1.0):
-            scores = kern.corrected(c)[0]
+            scores = kern.corrected(c)[0][0]
             for i, q in enumerate(kernel_literals(kern)):
                 n = q.mu.shape[0]
                 m = np.eye(n) - kern.hat_block(i)
@@ -117,11 +122,11 @@ def test_singular_leverage_flags_only_its_replication(rng, monkeypatch):
     assert block.singular_leverage.sum() == 1
     together = estimate_all(block)
     for r in range(2):
-        alone = estimate_all(block.take(r))
+        alone = estimate_all(block.take([r]))
         for est, ve in alone.items():
-            assert together[est].incomputable_reason[r] == ve.incomputable_reason
-            if ve.computable:
-                assert np.array_equal(together[est].se[r], ve.se)
+            assert together[est].incomputable_reason[r] == ve.incomputable_reason[0]
+            if ve.computable[0]:
+                assert np.array_equal(together[est].se[r], ve.se[0])
     assert set(together[EstimatorId.MD].incomputable_reason) == {"SingularLeverage", None}
 
 
@@ -138,11 +143,11 @@ class TestEstimatorCatalog:
 
         def sandwich(scores):
             m = sum(np.outer(f, f) for f in scores)
-            return kern.info_inv @ m @ kern.info_inv
+            return kern.info_inv[0] @ m @ kern.info_inv[0]
 
-        assert np.allclose(v[EstimatorId.LZ].cov, sandwich(kern.corrected(0.0)[0]), rtol=1e-12)
-        assert np.allclose(v[EstimatorId.KC].cov, sandwich(kern.corrected(0.5)[0]), rtol=1e-12)
-        assert np.allclose(v[EstimatorId.MD].cov, sandwich(kern.corrected(1.0)[0]), rtol=1e-12)
+        assert np.allclose(v[EstimatorId.LZ].cov, sandwich(kern.corrected(0.0)[0][0]), rtol=1e-12)
+        assert np.allclose(v[EstimatorId.KC].cov, sandwich(kern.corrected(0.5)[0][0]), rtol=1e-12)
+        assert np.allclose(v[EstimatorId.MD].cov, sandwich(kern.corrected(1.0)[0][0]), rtol=1e-12)
         assert np.allclose(
             v[EstimatorId.DF].cov, n_cl / (n_cl - p) * v[EstimatorId.LZ].cov, rtol=1e-12
         )
@@ -154,12 +159,14 @@ class TestEstimatorCatalog:
 
     def test_ar_centering_identity(self, rng):
         kern = _balanced_kernel(rng)
-        f = kern.corrected(1.0)[0]
+        f = kern.corrected(1.0)[0][0]
         n_cl, p, n_star = kern.n_clusters, kern.p, kern.n_total
         fbar = np.mean(f, axis=0)
         m_md = sum(np.outer(x, x) for x in f)
         c_n = (n_star - 1) / (n_star - p) * n_cl / (n_cl - 1)
-        expected = kern.info_inv @ (c_n * (m_md - n_cl * np.outer(fbar, fbar))) @ kern.info_inv
+        expected = (
+            kern.info_inv[0] @ (c_n * (m_md - n_cl * np.outer(fbar, fbar))) @ kern.info_inv[0]
+        )
         assert np.allclose(estimate_variance(kern, EstimatorId.AR).cov, expected, rtol=1e-10)
 
     def test_ar_equals_scaled_md_when_scores_centered(self, rng):
@@ -174,7 +181,7 @@ class TestEstimatorCatalog:
         base = [q.resid for q in kernel_literals(kern)]
         mirrored = [base[0], -base[0], base[2], -base[2], base[4], -base[4]]
         k2 = with_residuals(kern, mirrored)
-        f = k2.corrected(1.0)[0]
+        f = k2.corrected(1.0)[0][0]
         assert np.allclose(np.sum(f, axis=0), 0.0, atol=1e-12)
         n_cl, p, n_star = k2.n_clusters, k2.p, k2.n_total
         c_n = (n_star - 1) / (n_star - p) * n_cl / (n_cl - 1)
@@ -189,21 +196,21 @@ class TestEstimatorCatalog:
         kern = assemble_kernel(rng.normal(scale=0.3, size=3), "exchangeable", 0.2, 1.0, ds)
         c_n = (40 - 1) / (40 - 3) * 10 / 9
         assert c_n - 1 == pytest.approx(0.171, abs=5e-4)
-        f = kern.corrected(1.0)[0]
+        f = kern.corrected(1.0)[0][0]
         m_md = sum(np.outer(x, x) for x in f)
         fbar = np.mean(f, axis=0)
-        m_ar = kern.info @ estimate_variance(kern, EstimatorId.AR).cov @ kern.info
+        m_ar = kern.info[0] @ estimate_variance(kern, EstimatorId.AR).cov @ kern.info[0]
         assert np.allclose(m_ar, c_n * (m_md - 10 * np.outer(fbar, fbar)), rtol=1e-8)
 
     def test_fg_literal_formula(self, rng):
         # g_i = (1 - min(0.75, diag(A_i info_inv)))^{-1/2} * U_i
         kern = random_kernel(rng, n_clusters=6)
         m = np.zeros((kern.p, kern.p))
-        for info, score in zip(kern.infos, kern.scores):
-            lev = np.array([(info @ kern.info_inv)[s, s] for s in range(kern.p)])
+        for info, score in zip(kern.infos[0], kern.scores[0]):
+            lev = np.array([(info @ kern.info_inv[0])[s, s] for s in range(kern.p)])
             g = (1.0 - np.minimum(0.75, lev)) ** -0.5 * score
             m += np.outer(g, g)
-        expected = kern.info_inv @ m @ kern.info_inv
+        expected = kern.info_inv[0] @ m @ kern.info_inv[0]
         got = estimate_variance(kern, EstimatorId.FG)
         assert got.computable
         assert np.allclose(got.cov, expected, rtol=1e-12, atol=0)
@@ -220,26 +227,28 @@ class TestEstimatorCatalog:
         rows += [(b, y, (0.0,), None) for b in "bcd" for y in (1.0, 0.0)]
         rows += [("e", 1.0, (1.0,), None), ("e", 0.0, (0.0,), None)]
         kern = assemble_kernel(np.zeros(2), "independence", 0.0, 1.0, validate_dataset(rows))
-        lev = np.diag(kern.infos[0] @ kern.info_inv)
-        assert lev.max() > 0.75 and np.all(kern.scores[0] != 0)
+        lev = np.diag(kern.infos[0, 0] @ kern.info_inv[0])
+        assert lev.max() > 0.75 and np.all(kern.scores[0, 0] != 0)
         m = np.zeros((2, 2))
-        for info, score in zip(kern.infos, kern.scores):
-            g = (1.0 - np.minimum(0.75, np.diag(info @ kern.info_inv))) ** -0.5 * score
+        for info, score in zip(kern.infos[0], kern.scores[0]):
+            g = (1.0 - np.minimum(0.75, np.diag(info @ kern.info_inv[0]))) ** -0.5 * score
             m += np.outer(g, g)
-        expected = kern.info_inv @ m @ kern.info_inv
+        expected = kern.info_inv[0] @ m @ kern.info_inv[0]
         assert np.allclose(estimate_variance(kern, EstimatorId.FG).cov, expected, rtol=1e-12)
 
     def test_mbn_literal_formula(self, rng):
         # c_N info_inv C info_inv + kappa delta_N info_inv, C centered outer
         for kern in (random_kernel(rng, n_clusters=7), _balanced_kernel(rng, n_clusters=12)):
             n_cl, p, n_star = kern.n_clusters, kern.p, kern.n_total
-            u = kern.scores
+            u = kern.scores[0]
             ubar = u.mean(axis=0)
             c = sum(np.outer(x - ubar, x - ubar) for x in u)
             c_n = (n_star - 1) / (n_star - p) * n_cl / (n_cl - 1)
-            kappa = max(1.0, np.trace(kern.info_inv @ c) / p)
+            kappa = max(1.0, np.trace(kern.info_inv[0] @ c) / p)
             delta_n = min(0.5, p / (n_cl - p))
-            expected = c_n * kern.info_inv @ c @ kern.info_inv + kappa * delta_n * kern.info_inv
+            expected = (
+                c_n * kern.info_inv[0] @ c @ kern.info_inv[0] + kappa * delta_n * kern.info_inv[0]
+            )
             got = estimate_variance(kern, EstimatorId.MBN)
             assert got.computable
             assert np.allclose(got.cov, expected, rtol=1e-12, atol=0)
@@ -248,11 +257,11 @@ class TestEstimatorCatalog:
         kern = _balanced_kernel(rng, n_clusters=10)
         p, n_cl = kern.p, kern.n_clusters
         delta_n = min(0.5, p / (n_cl - p))
-        arr = kern.scores
+        arr = kern.scores[0]
         centered = arr - arr.mean(axis=0)
         i1c = centered.T @ centered
-        kappa = max(1.0, float(np.trace(kern.info_inv @ i1c)) / p)
-        ridge = kappa * delta_n * kern.info_inv
+        kappa = max(1.0, float(np.trace(kern.info_inv[0] @ i1c)) / p)
+        ridge = kappa * delta_n * kern.info_inv[0]
         assert np.linalg.eigvalsh(ridge).min() >= 0
         assert delta_n == p / (n_cl - p)  # below the 0.5 clip at N = 10
         big = _balanced_kernel(np.random.default_rng(5), n_clusters=60)
@@ -283,17 +292,17 @@ class TestEstimatorCatalog:
             for q in literals:
                 tmat = q.dmat.T @ q.vinv @ np.diag(np.sqrt(q.w))
                 m += tmat @ ru @ tmat.T
-            return kern.info_inv @ m @ kern.info_inv
+            return kern.info_inv[0] @ m @ kern.info_inv[0]
 
         assert np.allclose(v[EstimatorId.PAN].cov, pooled(0.0, n_cl), rtol=1e-8)
         assert np.allclose(v[EstimatorId.GST].cov, pooled(0.0, n_cl - p), rtol=1e-8)
         assert np.allclose(v[EstimatorId.WL].cov, pooled(1.0, n_cl), rtol=1e-8)
         assert np.allclose(v[EstimatorId.WB].cov, pooled(0.5, n_cl), rtol=1e-8)
         # RS = PAN + ridge
-        m_pan = kern.info @ v[EstimatorId.PAN].cov @ kern.info
-        d_det = max(1.0, abs(np.linalg.det(kern.info_inv @ m_pan)) ** (1 / p))
+        m_pan = kern.info[0] @ v[EstimatorId.PAN].cov @ kern.info[0]
+        d_det = max(1.0, abs(np.linalg.det(kern.info_inv[0] @ m_pan)) ** (1 / p))
         delta_n = min(0.5, p / (n_cl - p))
-        expected = v[EstimatorId.PAN].cov + delta_n * d_det * kern.info_inv
+        expected = v[EstimatorId.PAN].cov + delta_n * d_det * kern.info_inv[0]
         assert np.allclose(v[EstimatorId.RS].cov, expected, rtol=1e-8)
 
     def test_pooling_refuses_unbalanced(self, rng):
@@ -318,11 +327,11 @@ class TestEstimatorCatalog:
             for j, qj in enumerate(literals):
                 if j == i:
                     continue
-                h_ij = qi.dmat @ kern.info_inv @ qj.dmat.T @ qj.vinv
+                h_ij = qi.dmat @ kern.info_inv[0] @ qj.dmat.T @ qj.vinv
                 inner -= h_ij @ np.outer(qj.resid, qj.resid) @ h_ij.T
             g_i = qi.dmat.T @ qi.vinv @ np.linalg.inv(np.eye(n) - kern.hat_block(i))
             m += g_i @ inner @ g_i.T
-        oracle = kern.info_inv @ m @ kern.info_inv
+        oracle = kern.info_inv[0] @ m @ kern.info_inv[0]
         got = estimate_variance(kern, EstimatorId.FZ)
         assert np.allclose(got.cov, 0.5 * (oracle + oracle.T), rtol=1e-8)
 
@@ -345,9 +354,9 @@ class TestEstimatorCatalog:
         ref = None
         for phi in (0.5, 1.0, 2.0, 10.0):
             kern = assemble_kernel(beta, "exchangeable", 0.2, phi, ds)
-            scores = kern.scores
+            scores = kern.scores[0]
             centered = scores - scores.mean(axis=0)
-            term = kern.info_inv @ (centered.T @ centered) @ kern.info_inv
+            term = kern.info_inv[0] @ (centered.T @ centered) @ kern.info_inv[0]
             if ref is None:
                 ref = term
             else:
@@ -362,7 +371,7 @@ class TestOvercorrectionDiagnostic:
         )
         kern = assemble_kernel(np.array([0.2]), "exchangeable", 0.1, 1.0, ds)
         diag = overcorrection_diagnostic(kern)
-        a = kern.infos[0, 0, 0]
+        a = kern.infos[0, 0, 0, 0]
         assert diag.matrix[0, 0] == pytest.approx(n_clusters * a / (n_clusters - 1), rel=1e-10)
         assert diag.ratios[0] == pytest.approx(1.0 / (n_clusters - 1), rel=1e-10)
 
@@ -405,6 +414,34 @@ class TestOvercorrectionDiagnostic:
         with pytest.raises(SingularLeverage) as err:
             overcorrection_diagnostic(kern)
         assert err.value.cluster_id == "a"
+        assert str(err.value) == "cluster a: remaining information singular"
+        # a block names the first such cluster of its first such replication
+        alpha, phi = np.zeros(2), np.ones(2)
+        cinvs, _ = whitening_factors("independence", alpha, ds)
+        ys = tuple(np.stack([g.y, g.y]) for g in ds.size_groups)
+        beta = np.array([[0.0, 0.0], [0.3, -0.2]])
+        block, ill = assemble_block(beta, "independence", alpha, phi, ds, ys, cinvs)
+        assert not ill.any()
+        with pytest.raises(SingularLeverage) as err:
+            overcorrection_diagnostic(block)
+        assert str(err.value) == "cluster a: remaining information singular"
+
+    @pytest.mark.parametrize("n_pattern", [(4,), (2, 3, 4, 5, 6, 7, 8)])
+    def test_block_rows_match_replications_alone(self, n_pattern):
+        # each row of a 32-replication block's diagnostic is, bitwise, the
+        # diagnostic of that replication taken alone
+        scen = Scenario(n_clusters=28, n_pattern=n_pattern, event_rate=0.3, rho=0.2, seed=3)
+        design, y, invalid = draw_block(scen, range(32), calibrate_intercept(scen))
+        assert np.all(invalid < MAX_ATTEMPTS)
+        wm = WorkingModel(structure="exchangeable", alpha="estimate", dispersion=1.0)
+        res = fit_block(design, y, wm)
+        assert res.converged.all()
+        diag = overcorrection_diagnostic(res.kernel)
+        assert diag.matrix.shape == (32, design.p, design.p)
+        for r in range(32):
+            alone = overcorrection_diagnostic(res.kernel.take([r]))
+            for name in ("matrix", "ratios", "eigenvalues"):
+                assert np.array_equal(getattr(diag, name)[r], getattr(alone, name)[0]), (r, name)
 
 
 def _t_cdf_quadrature(x, dof):
