@@ -33,9 +33,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import expit
 
-from .core import working_correlation
+from .core import expit, working_correlation
 from .data import LongitudinalDataset, normalize_structure
 from .errors import BracketFailure, SingularR
 

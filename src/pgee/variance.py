@@ -48,6 +48,14 @@ at once; ``estimate_variance`` and ``overcorrection_diagnostic`` drop that
 axis for a ``single`` kernel (one dataset).  Wald tests work elementwise on
 arrays of estimates and standard errors.
 
+The t(N - p) reference is computed here from the math module alone.
+``t_tail`` is the two-sided tail for an integer dof, the regularized
+incomplete beta I_{dof/(dof+t^2)}(dof/2, 1/2) by continued fraction, within
+1e-12 relative of the exact value for dof up to 1e5; its log-beta is taken
+from Stirling's series at large dof, where lgamma differences cancel.
+``t_critical`` inverts it by Newton's method, within 1e-13 of the tabled
+quantiles for dof up to 1e4, and is cached per dof and level.
+
 Pooling estimators require equal cluster sizes; on unbalanced data they
 are reported as not computable (never a wrong number).  A cluster whose
 leverage is numerically singular marks leverage-requiring estimators as
@@ -56,11 +64,12 @@ not computable, for its replication only, instead of aborting.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
 
 from .core import FitKernel
 from .data import EstimatorId, POOLING_IDS
@@ -321,6 +330,119 @@ def overcorrection_diagnostic(kernel: FitKernel) -> OvercorrectionDiagnostic:
     return OvercorrectionDiagnostic(matrix=blev, ratios=ratios, eigenvalues=eigenvalues)
 
 
+#: log Gamma(1/2) = log sqrt(pi).
+_LGAMMA_HALF = 0.5 * math.log(math.pi)
+
+#: Coefficients B_2k / (2k (2k - 1)) of Stirling's series for log Gamma.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+#: Floor of the modified Lentz recurrences, which divide by their terms.
+_TINY = 1e-300
+
+
+def _stirling(x: float) -> float:
+    """log Gamma(x) - ((x - 1/2) log x - x + log sqrt(2 pi)), for x >= 10."""
+    z = 1.0 / (x * x)
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * z + c
+    return acc / x
+
+
+def _log_beta_half(a: float) -> float:
+    """log B(a, 1/2).
+
+    For large a, lgamma(a) and lgamma(a + 1/2) are O(a log a) and their
+    difference only O(log a), so the rounding of each would cost about
+    a * 1e-16 of relative accuracy; from a = 10 on the difference is taken
+    from Stirling's series instead, where nothing large cancels.
+    """
+    if a < 10.0:
+        return math.lgamma(a) + _LGAMMA_HALF - math.lgamma(a + 0.5)
+    return (_LGAMMA_HALF - 0.5 * math.log(a) - a * math.log1p(0.5 / a) + 0.5
+            + _stirling(a) - _stirling(a + 0.5))
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
+    """Continued fraction f with I_x(a, b) = x^a y^b / (B(a, b) f), y = 1 - x.
+
+    This is the fraction of DiDonato and Morris (1992, BFRAC), evaluated by
+    the modified Lentz method.  Its terms take x and y separately, so none
+    of them cancels near x = 1.  It converges quickly for x < (a + 1) /
+    (a + b + 2), in under 70 terms for every dof up to 1e12 when b = 1/2.
+    """
+    c0 = a * y - b * x + 1.0
+    f = a * c0 / (a + 1.0)
+    c, d = f, 0.0
+    for m in range(1, 1000):
+        den = a + 2 * m - 1
+        an = (m * (a + m - 1) / den) * ((a + b + m - 1) / den) * (b - m) * x * x
+        bn = m + m * (b - m) * x / den + (a + m) * (c0 + m * (2.0 - x)) / (den + 2)
+        d = bn + an * d
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = bn + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) <= 2.2e-16:
+            break
+    return f
+
+
+def t_tail(t: float, dof: int) -> float:
+    """Two-sided tail P(|T| >= |t|) of Student's t with ``dof`` degrees of
+    freedom: the regularized incomplete beta I_x(dof/2, 1/2) at
+    x = dof / (dof + t^2).
+
+    Within 1e-12 relative of the exact value for dof up to 1e5 and |t| up
+    to 1e4 (down to 1e-300).  x and 1 - x are formed from r = t^2 / dof or
+    its inverse, whichever is at most 1, so neither cancels or overflows.
+    """
+    t = abs(t)
+    if math.isnan(t):
+        return math.nan
+    if t == 0.0:
+        return 1.0
+    if math.isinf(t):
+        return 0.0
+    a, b = 0.5 * dof, 0.5
+    log_ratio = 2.0 * math.log(t) - math.log(dof)  # log(t^2 / dof)
+    if log_ratio < 0.0:
+        r = t / dof * t
+        log_x, log_y = -math.log1p(r), log_ratio - math.log1p(r)
+        x, y = 1.0 / (1.0 + r), r / (1.0 + r)
+    else:
+        r = dof / t / t
+        log_x, log_y = -log_ratio - math.log1p(r), -math.log1p(r)
+        x, y = r / (1.0 + r), 1.0 / (1.0 + r)
+    front = math.exp(a * log_x + b * log_y - _log_beta_half(a))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front / _beta_fraction(a, b, x, y)
+    return 1.0 - front / _beta_fraction(b, a, y, x)
+
+
+@functools.cache
+def t_critical(dof: int, level: float) -> float:
+    """The t with t_tail(t, dof) = level: the 1 - level/2 quantile of t(dof).
+
+    Newton's method from t = 0.  The tail is convex and decreasing in t > 0,
+    so every step lands at or below the root and the iterates rise to it
+    monotonically, in at most a dozen steps at level 0.05.  Cached: each
+    (dof, level) is solved once per process.
+    """
+    log_norm = 0.5 * math.log(dof) + _log_beta_half(0.5 * dof)
+    t = 0.0
+    for _ in range(100):
+        # the tail falls at twice the t density, (1 + t^2/dof)^(-(dof+1)/2) / (sqrt(dof) B)
+        slope = 2.0 * math.exp(-0.5 * (dof + 1) * math.log1p(t / dof * t) - log_norm)
+        step = (t_tail(t, dof) - level) / slope
+        t += step
+        if step <= 4e-16 * t:
+            break
+    return t
+
+
 def wald_test(
     estimate,
     se,
@@ -340,14 +462,15 @@ def wald_test(
         )
     dof = n_clusters - n_params
     tstat = (estimate - null_value) / se
-    crit = stdtrit(dof, 0.975)
+    crit = t_critical(dof, 0.05)
+    p_value = np.reshape([t_tail(t, dof) for t in np.ravel(tstat).tolist()], np.shape(tstat))
     out = float if np.ndim(tstat) == 0 else np.asarray
     return WaldResult(
         estimate=out(estimate),
         se=out(se),
         t=out(tstat),
         dof=dof,
-        p_value=out(2.0 * stdtr(dof, -np.abs(tstat))),
+        p_value=out(p_value),
         ci_low=out(estimate - crit * se),
         ci_high=out(estimate + crit * se),
     )

@@ -1,7 +1,10 @@
 """Kernel quantities: means, working covariance, score, hat blocks, penalty."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.special
 
 import pgee.core
 from pgee import (
@@ -32,6 +35,24 @@ def _slope_dataset(clusters):
     return validate_dataset(
         [(i, y, (x,), None) for i, rows in enumerate(clusters) for y, x in rows]
     )
+
+
+class TestExpit:
+    def test_matches_scipy(self):
+        # Both compute 1 / (1 + exp(-x)): exp within 1 ulp of the C
+        # library's moves the result by at most eps relative, and the sum
+        # and the quotient round once each on either side.
+        x = np.linspace(-pgee.core.ETA_CAP, pgee.core.ETA_CAP, 1_400_001)
+        got, want = pgee.core.expit(x), scipy.special.expit(x)
+        assert np.all(np.abs(got - want) <= 3 * np.finfo(float).eps * want)
+
+    def test_centre_and_clamp_ends(self):
+        assert pgee.core.expit(0.0) == 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = pgee.core.expit(np.array([-pgee.core.ETA_CAP, pgee.core.ETA_CAP]))
+        assert 0.0 < ends[0] < 1e-300
+        assert ends[1] == 1.0
 
 
 class TestClusterQuantities:

@@ -23,12 +23,14 @@ from pgee import (
     run_replication,
     run_scenario,
     summary_json,
+    wald_test,
 )
 from pgee.errors import ConfigError, TooFewConverged
 from pgee.harness import (
     BLOCK_SIZE,
     MAX_ATTEMPTS,
     RESULTS_COLUMNS,
+    TEST_LEVEL,
     EstimatorCell,
     _working_model,
     draw_block,
@@ -82,8 +84,18 @@ class TestRunReplication:
         assert pan["reason"] == "UnbalancedPooling"
 
     def test_reject_flag_matches_level(self):
-        rec = run_replication(_spec(), 3, estimators=[EstimatorId.LZ])
-        assert isinstance(rec["estimators"]["LZ"]["reject"][0], bool)
+        # the block rejects by critical value; each flag is the p-value test
+        spec = ScenarioSpec(id="both", scenario=_spec(beta1=math.log(2)).scenario,
+                            test_coefs=("beta1", "beta2"))
+        flags = []
+        for rec in run_block(spec, range(64), estimators=FAST_ESTIMATORS):
+            for entry in rec.get("estimators", {}).values():
+                if entry["computable"]:
+                    wr = wald_test(np.array(rec["beta"])[[1, 2]], np.array(entry["se"]), 10, 3)
+                    assert entry["reject"] == (wr.p_value < TEST_LEVEL).tolist()
+                    flags += entry["reject"]
+        assert all(isinstance(f, bool) for f in flags)
+        assert 0 < sum(flags) < len(flags)
 
     def test_tests_both_coefficients_when_asked(self):
         spec = ScenarioSpec(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import stdtr, stdtrit
 
 import pgee.core
 from pgee import (
@@ -23,6 +24,7 @@ from pgee import (
 from pgee.core import assemble_block, whitening_factors
 from pgee.errors import SingularLeverage, ZeroSE
 from pgee.harness import MAX_ATTEMPTS, draw_block
+from pgee.variance import t_critical, t_tail
 
 from conftest import balanced_dataset, random_kernel, two_arm_dataset
 from oracle import kernel_literals, literal_leverage_score, with_residuals
@@ -453,6 +455,15 @@ def _t_cdf_quadrature(x, dof):
     return val
 
 
+#: Relative tolerance of Wald p-values and confidence limits against
+#: scipy.stats.t, the one ``check_wald`` in perfbench/reference.py applies.
+WALD_TOL = 1e-10
+
+#: dof and |t| over which the t tail is checked.
+TAIL_DOFS = [*range(1, 61), 97, 200, 997, 2000, 10**4, 10**5]
+TAIL_TS = np.logspace(-8, 4, 61).tolist()
+
+
 class TestWald:
     def test_null_value_gives_unit_p(self):
         wr = wald_test(0.4, 0.2, 12, 3, null_value=0.4)
@@ -497,6 +508,45 @@ class TestWald:
                 assert getattr(wr, name)[i] == getattr(one, name)
         with pytest.raises(ZeroSE):
             wald_test(est, np.where(est > 0, se, 0.0), 12, 3)
+
+    def test_tail_matches_scipy(self):
+        for dof in TAIL_DOFS:
+            for t in TAIL_TS:
+                want = 2.0 * stdtr(dof, -t)
+                # below 1e-300 the tail runs into subnormals; at dof 1 and
+                # |t| < 1e-6 stdtr itself is off by up to 3e-9 (checked
+                # against mpmath in the next test)
+                if want < 1e-300 or (dof == 1 and t < 1e-6):
+                    continue
+                got = t_tail(t, dof)
+                assert abs(got - want) <= WALD_TOL * want, (dof, t, got, want)
+                assert t_tail(-t, dof) == got
+
+    def test_tail_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for dof in TAIL_DOFS:
+                for t in TAIL_TS:
+                    if 2.0 * stdtr(dof, -t) < 1e-300:
+                        continue
+                    got = t_tail(t, dof)
+                    x = mpmath.mpf(dof) / (dof + mpmath.mpf(t) ** 2)
+                    want = mpmath.betainc(dof / 2, 0.5, 0, x, regularized=True)
+                    assert abs(got - want) <= 1e-12 * want, (dof, t, got, want)
+
+    def test_critical_value_matches_scipy(self):
+        for dof in [*range(1, 101), *np.unique(np.logspace(2, 4, 40).astype(int)).tolist()]:
+            want = stdtrit(dof, 0.975)
+            assert abs(t_critical(dof, 0.05) - want) <= 1e-13 * want, dof
+
+    def test_tail_special_values(self):
+        assert t_tail(0.0, 5) == 1.0
+        assert t_tail(np.inf, 5) == 0.0
+        assert t_tail(-np.inf, 5) == 0.0
+        assert np.isnan(t_tail(np.nan, 5))
+        wr = wald_test(np.array([0.0, np.inf, np.nan]), np.ones(3), 12, 3)
+        assert wr.p_value[:2].tolist() == [1.0, 0.0]
+        assert np.isnan(wr.p_value[2])
 
     def test_zero_se_rejected(self):
         with pytest.raises(ZeroSE):
