@@ -9,8 +9,10 @@ what it prints (``diff`` of the two outputs).  It digests:
 - the pickled ``harness.run_block`` records of replications 0 .. reps-1,
   run in blocks of ``BLOCK_SIZE`` as ``run_scenario`` runs them, on the
   two scenarios of the ``perfbench`` grid at base seeds 1, 7 and 1000,
-  on the c09 and c11 acceptance cells and on an invalid-retry cell
-  (N = 10, sizes 2/8, 10% events, rho 0.7, seed 11);
+  on the c09 and c11 acceptance cells, on an invalid-retry cell
+  (N = 10, sizes 2/8, 10% events, rho 0.7, seed 11) and on two cells with
+  one treated cluster (N = 10, gamma 0.1, seed 15, sizes 4 and 2/6), whose
+  (I - H) is singular in every replication;
 - ``results.csv`` and ``summary.json`` of ``pgee simulate`` on the
   ``perfbench`` grid at ``--workers 1`` and ``2``;
 - the text and ``--json`` reports of ``pgee fit`` on the four CSVs of the
@@ -98,6 +100,11 @@ def _cells(grid_config: str) -> dict:
         n_clusters=50, event_rate=0.2, rho=0.1, beta1=float(np.log(2)), seed=20260811))
     cells["retry"] = ScenarioSpec("retry", Scenario(
         n_clusters=10, n_pattern=(2, 8), event_rate=0.1, rho=0.7, seed=11))
+    # one treated cluster carries all the information on treat, so (I - H)
+    # is singular in every replication and the leverage estimators are flagged
+    for name, pattern in (("one-treated", (4,)), ("one-treated-2/6", (2, 6))):
+        cells[name] = ScenarioSpec(name, Scenario(
+            n_clusters=10, n_pattern=pattern, gamma=0.1, seed=15))
     return cells
 
 

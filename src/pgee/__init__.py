@@ -10,6 +10,7 @@ scenario grids for type I error / power / SE-calibration studies.
 from .data import (
     Cluster,
     EstimatorId,
+    LEVERAGE_IDS,
     LongitudinalDataset,
     POOLING_IDS,
     WorkingModel,
@@ -64,6 +65,7 @@ __all__ = [
     "EstimatorId",
     "FitKernel",
     "FitOptions",
+    "LEVERAGE_IDS",
     "LongitudinalDataset",
     "OvercorrectionDiagnostic",
     "POOLING_IDS",

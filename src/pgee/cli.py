@@ -297,26 +297,25 @@ def cmd_generate(args) -> int:
 def cmd_simulate(args) -> int:
     specs = parse_config(Path(args.config).read_text(encoding="utf-8"), base_seed=args.seed)
     estimators = _parse_estimators(args.estimators)
-    reps = 5000 if args.full else args.reps
-    if reps < 0:
-        raise ValueError(f"--reps must be non-negative, got {reps}")
+    if args.reps < 0:
+        raise ValueError(f"--reps must be non-negative, got {args.reps}")
     out_dir = Path(args.out_dir)
     workers = effective_workers(args.workers)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = run_grid(
         specs,
-        reps,
+        args.reps,
         workers=workers,
         estimators=estimators,
         min_converged=args.min_converged,
     )
     (out_dir / "results.csv").write_text(results_csv(results), encoding="utf-8")
     (out_dir / "summary.json").write_text(
-        summary_json(specs, results, base_seed=args.seed, reps=reps),
+        summary_json(specs, results, base_seed=args.seed, reps=args.reps),
         encoding="utf-8",
     )
     print(
-        f"{len(specs)} scenario(s) x {reps} replications "
+        f"{len(specs)} scenario(s) x {args.reps} replications "
         f"(seed {args.seed}, workers {workers})"
     )
     for res in results:
@@ -328,8 +327,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser (and subparsers) whose usage errors are ValueErrors:
+    input errors (exit 1), not argparse's exit 2, the non-convergence code."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pgee",
         description=(
             "Penalized GEE for clustered binary outcomes: fitting, sandwich "
@@ -377,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a scenario grid")
     p_sim.add_argument("--config", required=True, help="grid config file")
     p_sim.add_argument("--reps", type=int, default=1000)
-    p_sim.add_argument("--full", action="store_true", help="use 5000 replications")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--estimators", default="all")
@@ -391,10 +397,10 @@ def main(argv: Optional[list] = None) -> int:
     """Run one command.  An input, config or file error ends it with one
     ``error:`` line and exit 1; Python warnings are collected and printed
     after it as one ``note:`` line per distinct message, with its count."""
-    args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            args = build_parser().parse_args(argv)
             return args.func(args)
         except (PgeeError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

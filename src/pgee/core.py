@@ -38,9 +38,10 @@ block, so a replication gives the same numbers alone and inside a block.
 
 The kernel keeps the summed information and score and its inverse, and
 computes on demand the per-cluster informations and scores (in cluster
-order), the leverage geometry and the leverage-corrected scores.  Its only
-per-cluster accessor is ``FitKernel.hat_block``, which rebuilds one
-cluster's hat block from the group arrays for checks.
+order), the leverage geometry and gaps and the leverage-corrected scores;
+the gaps of a replication with a singular (I - H) are all 1, so they stay
+finite.  Its only per-cluster accessor is ``FitKernel.hat_block``, which
+rebuilds one cluster's hat block from the group arrays for checks.
 
 The bias-reduction penalty is one half the trace of ``info_inv`` times the
 analytic derivative of the sensitivity matrix in each coordinate, treating
@@ -56,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import LongitudinalDataset
-from .errors import SingularInformation, SingularLeverage, SingularV
+from .errors import SingularInformation, SingularV
 
 #: Linear predictors are clamped to +/- this value before exponentiation.
 ETA_CAP = 700.0
@@ -97,32 +98,29 @@ def working_correlation(structure: str, alpha, n: int) -> np.ndarray:
     raise ValueError(f"unknown structure {structure!r}")
 
 
-def _inverse_factors(R: np.ndarray) -> tuple:
-    """Inverse Cholesky factors of a stack of matrices, and the mask of those
-    that are not positive definite (their factor is the identity)."""
+def masked_cholesky(a: np.ndarray) -> tuple:
+    """Cholesky factors of a stack of matrices, and the mask of those that
+    are not positive definite (their factor is the identity)."""
+    bad = np.zeros(a.shape[:-2], bool)
     try:
-        return np.linalg.inv(np.linalg.cholesky(R)), np.zeros(R.shape[:-2], bool)
+        return np.linalg.cholesky(a), bad
     except np.linalg.LinAlgError:
-        n = R.shape[-1]
-        cinv = np.empty(R.shape)
-        bad = np.zeros(R.shape[:-2], bool)
+        chol = np.empty(a.shape)
         for k in np.ndindex(bad.shape):
             try:
-                cinv[k] = np.linalg.inv(np.linalg.cholesky(R[k]))
+                chol[k] = np.linalg.cholesky(a[k])
             except np.linalg.LinAlgError:
-                cinv[k], bad[k] = np.eye(n), True
-        return cinv, bad
+                chol[k], bad[k] = np.eye(a.shape[-1]), True
+        return chol, bad
 
 
 def whitening_factors(structure: str, alpha: np.ndarray, data: LongitudinalDataset):
     """Inverse Cholesky factors of R(alpha), one (R, n, n) stack per size
     group of ``data`` for the (R,) alphas, and the (R, groups) mask of the
     sizes whose R(alpha) is not positive definite."""
-    out = [
-        _inverse_factors(working_correlation(structure, alpha, g.X.shape[1]))
-        for g in data.size_groups
-    ]
-    return tuple(c for c, _ in out), np.stack([b for _, b in out], axis=-1)
+    sizes = [g.X.shape[1] for g in data.size_groups]
+    out = [masked_cholesky(working_correlation(structure, alpha, n)) for n in sizes]
+    return tuple(np.linalg.inv(c) for c, _ in out), np.stack([b for _, b in out], axis=-1)
 
 
 class KernelGroup(NamedTuple):
@@ -280,9 +278,12 @@ class FitKernel:
         return np.any(1.0 - self.max_leverage <= LEVERAGE_TOL, axis=-1)
 
     @cached_property
-    def regular(self) -> "FitKernel":
-        """The block of the replications without a singular (I - H)."""
-        return self.take(np.flatnonzero(~self.singular_leverage))
+    def gaps(self) -> tuple:
+        """Per-group (R, N_s, n) leverage gaps 1 - lam; all 1 in the
+        replications with ``singular_leverage``, whose corrections are then
+        finite (``LEVERAGE_IDS`` estimators are flagged there)."""
+        singular = self.singular_leverage[:, None, None]
+        return tuple(_readonly(np.where(singular, 1.0, 1.0 - geo.lam)) for geo in self.geometry)
 
     def corrected(self, c: float) -> tuple:
         """Scores and whitened residuals corrected by (I - H)^{-c}.
@@ -290,28 +291,17 @@ class FitKernel:
         Returns (f, u): f is the (R, N, p) array, in cluster order, whose
         rows are dmat' vinv (I - H)^{-c} r, and u holds one (R, N_s, n)
         array per group of ``L^{-1} (I - H)^{-c} r``.  c = 0 gives
-        ``scores`` and the ``rt``.
-        Each exponent is solved once per kernel.  Raises SingularLeverage,
-        naming the first such cluster in cluster order (of the first such
-        replication), when c > 0 and some (I - H) is numerically singular.
+        ``scores`` and the ``rt``.  Each exponent is solved once per
+        kernel, from ``gaps``: in a replication with ``singular_leverage``
+        the corrected scores are the uncorrected ones.
         """
         if c == 0.0:
             return self.scores, tuple(g.rt for g in self.groups)
         if c not in self._corrections:
-            lmax = self.max_leverage
-            singular = np.argwhere(1.0 - lmax <= LEVERAGE_TOL)
-            if singular.size:
-                r, i = singular[0]
-                cluster_id = self.data.ids[i]
-                raise SingularLeverage(
-                    f"cluster {cluster_id}: (I - H) numerically singular "
-                    f"(max hat eigenvalue {lmax[r, i]:.12g})",
-                    cluster_id=cluster_id,
-                )
             us = []
-            for g, geo in zip(self.groups, self.geometry):
+            for g, geo, gap in zip(self.groups, self.geometry, self.gaps):
                 z = (geo.Q.swapaxes(-1, -2) @ g.rt[..., None])[..., 0]
-                us.append(_readonly((geo.Q @ (z * (1.0 - geo.lam) ** (-c))[..., None])[..., 0]))
+                us.append(_readonly((geo.Q @ (z * gap ** (-c))[..., None])[..., 0]))
             f = _cluster_order(
                 self,
                 [(g.dt.swapaxes(-1, -2) @ u[..., None])[..., 0] for g, u in zip(self.groups, us)],

@@ -316,6 +316,10 @@ POOLING_IDS = frozenset(
     {EstimatorId.PAN, EstimatorId.GST, EstimatorId.WL, EstimatorId.WB, EstimatorId.RS}
 )
 
+#: Estimators that read the leverage gaps of (I - H), and therefore are not
+#: computable in a replication where some (I - H) is numerically singular.
+LEVERAGE_IDS = frozenset(EstimatorId[e] for e in ("KC", "MD", "WL", "WB", "FW", "FZ", "AR"))
+
 
 def _grouped(cids: list, table: np.ndarray, xnames, has_time: bool):
     """Dataset from long-format columns.

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import expit, working_correlation
+from .core import ETA_CAP, expit, working_correlation
 from .data import LongitudinalDataset, normalize_structure
 from .errors import BracketFailure, SingularR
 
@@ -128,8 +128,8 @@ def design_columns(scenario: Scenario) -> tuple:
 def calibrate_intercept(scenario: Scenario, tol: float = 1e-8) -> float:
     """Intercept making the design-average event probability hit the target.
 
-    Bisection on [-20, 20]; raises BracketFailure when the target rate is
-    unreachable there.
+    Bisection on [-20, 20], linear predictors clamped to +/- ETA_CAP;
+    raises BracketFailure when the target rate is unreachable there.
     """
     _, treat, time = design_columns(scenario)
     shift = scenario.beta1 * treat
@@ -137,7 +137,8 @@ def calibrate_intercept(scenario: Scenario, tol: float = 1e-8) -> float:
         shift = shift + scenario.beta2 * time
 
     def excess(b0: float) -> float:
-        return float(np.mean(expit(b0 + shift))) - scenario.event_rate
+        eta = np.clip(b0 + shift, -ETA_CAP, ETA_CAP)
+        return float(np.mean(expit(eta))) - scenario.event_rate
 
     lo, hi = -20.0, 20.0
     f_lo, f_hi = excess(lo), excess(hi)
@@ -254,7 +255,9 @@ class ClfDesign(NamedTuple):
 def clf_design(scenario: Scenario, intercept: Optional[float] = None) -> ClfDesign:
     """The design of a scenario's datasets: sizes, X, the means of each
     (size, arm) group and one weight table per cluster size.  Passing a
-    pre-calibrated ``intercept`` skips re-calibration."""
+    pre-calibrated ``intercept`` skips re-calibration.  The linear
+    predictor is clamped to +/- ETA_CAP; a mean of 1 in floating point
+    (weight w = 0, so the CLF weights divide 0 by 0) raises ValueError."""
     if intercept is None:
         intercept = calibrate_intercept(scenario)
     sizes, treat, time = design_columns(scenario)
@@ -264,7 +267,9 @@ def clf_design(scenario: Scenario, intercept: Optional[float] = None) -> ClfDesi
     eta = intercept + scenario.beta1 * treat
     if full:
         eta = eta + scenario.beta2 * time
-    mu = expit(eta)
+    mu = expit(np.clip(eta, -ETA_CAP, ETA_CAP))
+    if np.any(mu == 1.0):
+        raise ValueError(f"marginal mean 1 at linear predictor {eta.max():.6g}: CLF draw undefined")
     groups = []
     for n in np.unique(sizes):
         coef = clf_coefficients(np.empty(n), scenario.true_structure, scenario.rho)

@@ -34,7 +34,7 @@ class SingularInformation(PgeeError):
 
 
 class SingularLeverage(PgeeError):
-    """(I - H_ii) or (I0 - A_i) is numerically singular for some cluster."""
+    """(I0 - A_i), or (I - H_ii) as an estimator's reason, is numerically singular."""
 
     def __init__(self, message: str, cluster_id=None):
         super().__init__(message)

@@ -49,17 +49,18 @@ axis for a ``single`` kernel (one dataset).  Wald tests work elementwise on
 arrays of estimates and standard errors.
 
 The t(N - p) reference is computed here from the math module alone.
-``t_tail`` is the two-sided tail for an integer dof, the regularized
-incomplete beta I_{dof/(dof+t^2)}(dof/2, 1/2) by continued fraction, within
+``t_tail`` is the two-sided tail for an integer dof, the incomplete beta
+ratio I_{dof/(dof+t^2)}(dof/2, 1/2) by continued fraction, within
 1e-12 relative of the exact value for dof up to 1e5; its log-beta is taken
 from Stirling's series at large dof, where lgamma differences cancel.
 ``t_critical`` inverts it by Newton's method, within 1e-13 of the tabled
 quantiles for dof up to 1e4, and is cached per dof and level.
 
-Pooling estimators require equal cluster sizes; on unbalanced data they
-are reported as not computable (never a wrong number).  A cluster whose
-leverage is numerically singular marks leverage-requiring estimators as
-not computable, for its replication only, instead of aborting.
+Computability is decided by masks before a middle is evaluated, once per
+block.  Pooling estimators (``POOLING_IDS``) require equal cluster sizes;
+on unbalanced data they are reported as not computable (never a wrong
+number).  A numerically singular (I - H) marks the ``LEVERAGE_IDS``
+estimators as not computable, for its replication only.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FitKernel
-from .data import EstimatorId, POOLING_IDS
+from .core import FitKernel, masked_cholesky
+from .data import EstimatorId, LEVERAGE_IDS, POOLING_IDS
 from .errors import SingularLeverage, ZeroSE
 
 #: Pooled leverage exponent of the WB estimator.
@@ -176,9 +177,9 @@ def _fz(kernel: FitKernel) -> np.ndarray:
     """
     f = kernel.corrected(1.0)[0]
     pmat = np.empty_like(kernel.infos)
-    for g, geo in zip(kernel.groups, kernel.geometry):
+    for g, geo, gap in zip(kernel.groups, kernel.geometry, kernel.gaps):
         qd = geo.Q.swapaxes(-1, -2) @ g.dt
-        pmat[:, g.idx] = qd.swapaxes(-1, -2) @ (qd / (1.0 - geo.lam)[..., None])
+        pmat[:, g.idx] = qd.swapaxes(-1, -2) @ (qd / gap[..., None])
     a = pmat @ kernel.info_inv[:, None]
     v = (a @ kernel.scores[..., None])[..., 0]
     spread = np.sum(a @ _gram(kernel.scores)[:, None] @ a.swapaxes(-1, -2), axis=1)
@@ -228,26 +229,22 @@ def _block_estimate(block: FitKernel, estimator: EstimatorId) -> VarianceEstimat
     reasons = np.full(n_reps, None, dtype=object)
     if estimator in POOLING_IDS and not block.balanced:
         reasons[:] = _REASON_UNBALANCED
-        middle = None
-    else:
-        try:
-            middle = _MIDDLES[estimator](block)
-        except SingularLeverage:
-            # a singular (I - H) flags only its own replications
-            singular = block.singular_leverage
-            reasons[singular] = _REASON_SINGULAR
-            middle = None
-            if not singular.all():
-                middle = np.full((n_reps, p, p), np.nan)
-                middle[~singular] = _MIDDLES[estimator](block.regular)
-    if middle is None:
+    elif estimator in LEVERAGE_IDS:
+        # a singular (I - H) flags only its own replications
+        reasons[block.singular_leverage] = _REASON_SINGULAR
+    n_flagged = np.count_nonzero(reasons)  # a reason is truthy, None is not
+    if n_flagged == n_reps:
         cov = np.full((n_reps, p, p), np.nan)
         return VarianceEstimate(estimator, cov, cov[..., 0], np.zeros(n_reps, bool), reasons)
+    middle = _MIDDLES[estimator](block)
     cov = block.info_inv @ middle @ block.info_inv
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
     if estimator in _RIDGES:
         # info_inv is exactly symmetric, so the ridge keeps cov symmetric.
         cov = cov + _RIDGES[estimator](block, middle)[:, None, None] * block.info_inv
+    if n_flagged:
+        # NaN rows compare false below, so they keep their reason
+        cov[np.not_equal(reasons, None)] = np.nan
     diag = np.diagonal(cov, axis1=-2, axis2=-1)
     roundoff = 1e-12 * (1.0 + np.max(np.abs(diag), axis=-1))
     # Only FZ can produce an indefinite middle; its covariance is reported
@@ -304,20 +301,12 @@ def overcorrection_diagnostic(kernel: FitKernel) -> OvercorrectionDiagnostic:
     cluster carries all information in some direction, naming the first
     such cluster in (replication, cluster) order.
     """
-    rest = kernel.info[:, None] - kernel.infos
-    try:
-        chol = np.linalg.cholesky(rest)
-    except np.linalg.LinAlgError:
-        for r, i in np.ndindex(rest.shape[:2]):
-            try:
-                np.linalg.cholesky(rest[r, i])
-            except np.linalg.LinAlgError as exc:
-                cluster_id = kernel.data.ids[i]
-                raise SingularLeverage(
-                    f"cluster {cluster_id}: remaining information singular",
-                    cluster_id=cluster_id,
-                ) from exc
-        raise
+    chol, bad = masked_cholesky(kernel.info[:, None] - kernel.infos)
+    if bad.any():
+        cluster_id = kernel.data.ids[np.argwhere(bad)[0, 1]]
+        raise SingularLeverage(
+            f"cluster {cluster_id}: remaining information singular", cluster_id=cluster_id
+        )
     # A_i (I0 - A_i)^{-1} A_i = z_i' z_i with z_i = chol_i^{-1} A_i.
     z = np.linalg.solve(chol, kernel.infos)
     blev = np.einsum("rsap,rsaq->rpq", z, z)
@@ -392,7 +381,7 @@ def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
 
 def t_tail(t: float, dof: int) -> float:
     """Two-sided tail P(|T| >= |t|) of Student's t with ``dof`` degrees of
-    freedom: the regularized incomplete beta I_x(dof/2, 1/2) at
+    freedom: the incomplete beta ratio I_x(dof/2, 1/2) at
     x = dof / (dof + t^2).
 
     Within 1e-12 relative of the exact value for dof up to 1e5 and |t| up

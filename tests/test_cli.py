@@ -65,6 +65,36 @@ def _assert_one_error_line(capsys, message):
     assert len(err.strip().splitlines()) == 1
 
 
+def _assert_only_error_line(capsys, message):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fit", "--bogus", "x.csv"], "unrecognized arguments: --bogus"),
+            (["simulate", "--reps", "abc"], "invalid int value: 'abc'"),
+            ([], "required: command"),
+            (["fit"], "required: data"),
+            (["simulate", "--config", "x.cfg", "--full"], "unrecognized arguments: --full"),
+        ],
+    )
+    def test_exit_1_with_one_error_line(self, capsys, argv, message):
+        # usage errors are input errors: exit 1, not the non-convergence 2
+        assert main(argv) == 1
+        _assert_only_error_line(capsys, message)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: pgee" in capsys.readouterr().out
+
+
 class TestFit:
     def test_balanced_full_table(self, balanced_csv, capsys):
         code = main(["fit", str(balanced_csv)])
@@ -425,3 +455,31 @@ class TestSimulate:
                      "--min-converged", "1", "--out-dir", str(cfg / "out")])
         assert code == 1
         _assert_one_error_line(capsys, "grid.cfg")
+
+
+class TestExtremeLinearPredictor:
+    """Linear predictors beyond exp's range are clamped to +/- ETA_CAP; a
+    design whose marginal mean is 1 in floating point is refused."""
+
+    def _run(self, command, tmp_path, rate, beta1):
+        if command == "generate":
+            return main(["generate", "--N", "10", "--rate", rate, "--beta1", beta1,
+                         "--out", str(tmp_path / "x.csv")])
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"[x]\nN = 10\nn = 4\nevent_rate = {rate}\nrho = 0.2\n"
+                       f"true = exchangeable\nbeta1 = {beta1}\n")
+        return main(["simulate", "--config", str(cfg), "--reps", "200", "--seed", "1",
+                     "--out-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("command", ["generate", "simulate"])
+    def test_far_negative_runs_without_notes(self, tmp_path, capsys, command):
+        assert self._run(command, tmp_path, "0.2", "-800") == 0
+        assert capsys.readouterr().err == ""
+        if command == "simulate":
+            summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+            assert summary["scenarios"][0]["b_effective"] == 200
+
+    @pytest.mark.parametrize("command", ["generate", "simulate"])
+    def test_mean_of_one_is_one_error_line(self, tmp_path, capsys, command):
+        assert self._run(command, tmp_path, "0.5", "60") == 1
+        _assert_only_error_line(capsys, "marginal mean 1")

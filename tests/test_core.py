@@ -193,8 +193,10 @@ class TestKernel:
             assert row.max_leverage.shape == (1, 10)
             assert np.array_equal(row.max_leverage[0], block.max_leverage[r])
             assert row.singular_leverage[0] == block.singular_leverage[r]
-            regular = beta[:0] if block.singular_leverage[r] else beta[[r]]
-            assert np.array_equal(row.regular.beta, regular)
+            for row_gap, block_gap, geo in zip(row.gaps, block.gaps, block.geometry):
+                assert np.array_equal(row_gap[0], block_gap[r])
+                want = 1.0 if block.singular_leverage[r] else 1.0 - geo.lam[r]
+                assert np.array_equal(row_gap[0], np.broadcast_to(want, row_gap[0].shape))
 
     def test_with_residuals_replaces_scores(self, rng):
         kern = random_kernel(rng)
@@ -348,9 +350,6 @@ class TestSizeGroupParity:
         # (size 2, in the first group) alone carries the 5th.
         ds = _interleaved_dataset(rng, (2, 3, 2, 2, 2, 3, 2), owners={1: 0, 3: 1})
         kern = assemble_kernel(np.zeros(ds.p), "independence", 0.0, 1.0, ds)
-        with pytest.raises(SingularLeverage) as err:
-            kern.corrected(1.0)
-        assert err.value.cluster_id == "c1"
         with pytest.raises(SingularLeverage) as err:
             overcorrection_diagnostic(kern)
         assert err.value.cluster_id == "c1"

@@ -1,5 +1,7 @@
 """Covariance estimators: catalog identities, oracles, diagnostic, Wald."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +11,7 @@ import pgee.core
 from pgee import (
     EstimatorId,
     FitKernel,
+    LEVERAGE_IDS,
     POOLING_IDS,
     Scenario,
     WorkingModel,
@@ -16,6 +19,7 @@ from pgee import (
     calibrate_intercept,
     estimate_all,
     estimate_variance,
+    fit,
     fit_block,
     overcorrection_diagnostic,
     validate_dataset,
@@ -74,18 +78,26 @@ class TestLeverageScores:
                 assert np.allclose(scores[i], oracle, rtol=1e-8, atol=1e-12)
 
     def test_exponent_domain(self, rng, monkeypatch):
-        # the catalog corrects by (I - H)^{-c} only for c in {0, 1/2, 1}
+        # the catalog corrects by (I - H)^{-c} only for c in {0, 1/2, 1},
+        # and an estimator asks for some c > 0 exactly when it is one of
+        # LEVERAGE_IDS, the estimators flagged by a singular (I - H)
         kern = _balanced_kernel(rng)
-        seen = set()
+        seen = {}
+        asked = set()
         corrected = FitKernel.corrected
 
         def recording(self, c):
-            seen.add(c)
+            asked.add(c)
             return corrected(self, c)
 
         monkeypatch.setattr(FitKernel, "corrected", recording)
-        assert all(ve.computable for ve in estimate_all(kern).values())
-        assert seen == {0.0, 0.5, 1.0}
+        for est in EstimatorId:
+            asked.clear()
+            assert estimate_variance(kern, est).computable
+            seen[est] = set(asked)
+        assert set().union(*seen.values()) == {0.0, 0.5, 1.0}
+        for est, cs in seen.items():
+            assert any(c > 0 for c in cs) == (est in LEVERAGE_IDS), est
 
     def test_singular_leverage_detected(self):
         # covariate present only in cluster "a": the rest of the design
@@ -100,8 +112,8 @@ class TestLeverageScores:
         ]
         ds = validate_dataset(rows)
         kern = assemble_kernel(np.zeros(2), "independence", 0.0, 1.0, ds)
-        with pytest.raises(SingularLeverage):
-            kern.corrected(1.0)
+        assert kern.singular_leverage[0]
+        assert np.isfinite(kern.corrected(1.0)[0]).all()
         ve = estimate_variance(kern, EstimatorId.MD)
         assert not ve.computable
         assert ve.incomputable_reason == "SingularLeverage"
@@ -122,14 +134,42 @@ def test_singular_leverage_flags_only_its_replication(rng, monkeypatch):
     assert gap[0] != gap[1]
     monkeypatch.setattr(pgee.core, "LEVERAGE_TOL", gap.mean())
     assert block.singular_leverage.sum() == 1
-    together = estimate_all(block)
-    for r in range(2):
-        alone = estimate_all(block.take([r]))
-        for est, ve in alone.items():
-            assert together[est].incomputable_reason[r] == ve.incomputable_reason[0]
-            if ve.computable[0]:
-                assert np.array_equal(together[est].se[r], ve.se[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = estimate_all(block)
+        for r in range(2):
+            alone = estimate_all(block.take([r]))
+            for est, ve in alone.items():
+                assert together[est].incomputable_reason[r] == ve.incomputable_reason[0]
+                if ve.computable[0]:
+                    assert np.array_equal(together[est].se[r], ve.se[0])
+                else:
+                    assert np.isnan(together[est].cov[r]).all()
     assert set(together[EstimatorId.MD].incomputable_reason) == {"SingularLeverage", None}
+    for est, ve in together.items():
+        flagged = block.singular_leverage & (est in LEVERAGE_IDS)
+        assert np.array_equal(ve.computable, ~flagged), est
+
+
+def test_owned_direction_flags_leverage_ids_without_warnings():
+    # only cluster c0 has x1 = 1, so the other clusters carry no
+    # information on x1 and (I - H) of c0 is singular at the fit
+    rows = [(f"c{i}", float((i + 2 * j) % 3 == 0), (float(i == 0),), None)
+            for i in range(10) for j in range(2)]
+    wm = WorkingModel(structure="exchangeable", alpha="estimate", dispersion=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kern = fit(validate_dataset(rows), wm).kernel
+        assert kern.single and kern.singular_leverage[0]
+        for c in (0.5, 1.0):
+            assert np.isfinite(kern.corrected(c)[0]).all()
+        for est, ve in estimate_all(kern).items():
+            if est in LEVERAGE_IDS:
+                assert (ve.computable, ve.incomputable_reason) == (False, "SingularLeverage")
+                assert ve.cov is None and ve.se is None
+            else:
+                assert ve.computable, est
+                assert np.isfinite(ve.se).all()
 
 
 def _principal_inv_sqrt(m):
