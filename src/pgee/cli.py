@@ -301,7 +301,6 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--reps must be non-negative, got {args.reps}")
     out_dir = Path(args.out_dir)
     workers = effective_workers(args.workers)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = run_grid(
         specs,
         args.reps,
@@ -309,6 +308,7 @@ def cmd_simulate(args) -> int:
         estimators=estimators,
         min_converged=args.min_converged,
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "results.csv").write_text(results_csv(results), encoding="utf-8")
     (out_dir / "summary.json").write_text(
         summary_json(specs, results, base_seed=args.seed, reps=args.reps),

@@ -37,11 +37,15 @@ the replication axis: one dataset is a block of one, marked ``single`` by
 block, so a replication gives the same numbers alone and inside a block.
 
 The kernel keeps the summed information and score and its inverse, and
-computes on demand the per-cluster informations and scores (in cluster
-order), the leverage geometry and gaps and the leverage-corrected scores;
-the gaps of a replication with a singular (I - H) are all 1, so they stay
-finite.  Its only per-cluster accessor is ``FitKernel.hat_block``, which
-rebuilds one cluster's hat block from the group arrays for checks.
+computes on demand, in cluster order, the cluster informations A_i and
+scores U_i, and the leverage: with info = L0 L0', one p x p
+eigendecomposition Q diag(lam) Q' per cluster of B_i = L0^{-1} A_i L0^{-T},
+whose eigenvalues are the hat block's nonzero ones.  By push-through the
+leverage-corrected rows g_c,i = info_inv dmat' vinv (I - H)^{-c} r are
+L0^{-T} Q (1 - lam)^{-c} Q' L0^{-1} U_i, or (info - A_i)^{-1} U_i at c = 1.
+The gaps 1 - lam of a replication with a singular (I - H) are all 1, so
+its rows stay finite.  ``FitKernel.hat_block`` rebuilds one cluster's hat
+block for checks.
 
 The bias-reduction penalty is one half the trace of ``info_inv`` times the
 analytic derivative of the sensitivity matrix in each coordinate, treating
@@ -69,8 +73,8 @@ MU_EPS = 1e-12
 #: treated as singular.
 COND_LIMIT = 1e12
 
-#: (I - H) is declared singular when 1 - max eigenvalue of the symmetrized
-#: hat block falls at or below this threshold.
+#: (I - H) is declared singular when 1 - max eigenvalue of the cluster's
+#: B_i (its hat block's largest) falls at or below this threshold.
 LEVERAGE_TOL = 1e-10
 
 
@@ -147,15 +151,6 @@ class KernelGroup(NamedTuple):
 _REPLICATED = ("mu", "w", "resid", "cinv", "dt", "rt")
 
 
-class LeverageGeometry(NamedTuple):
-    """Eigendecomposition ``lam``, ``Q`` of the symmetric hat forms
-    ``dt @ info_inv @ dt'`` of one size group, each similar to its
-    cluster's hat block."""
-
-    lam: np.ndarray
-    Q: np.ndarray
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     """Mark an array the kernel caches and hands out as read-only."""
     a.setflags(write=False)
@@ -184,8 +179,8 @@ class FitKernel:
     ``alpha`` and ``phi`` are (R,), the group arrays carry the replication
     axis, ``score`` (R, p) and ``info`` (R, p, p) are the summed cluster
     scores and informations and ``info_inv`` the inverses.  ``scores``
-    (R, N, p) and ``infos`` (R, N, p, p), in cluster order, the geometry
-    and the corrected scores are computed on first use; ``hat_block`` is
+    (R, N, p) and ``infos`` (R, N, p, p), in cluster order, the leverage
+    and the corrected rows are computed on first use; ``hat_block`` is
     the only per-cluster accessor.  ``single`` marks the block of one that
     ``assemble_kernel`` or ``fit`` returns for one dataset: its arrays keep
     the axis, and ``estimate_variance`` and ``overcorrection_diagnostic``
@@ -259,55 +254,51 @@ class FitKernel:
         )
 
     @cached_property
-    def geometry(self) -> tuple[LeverageGeometry, ...]:
-        """Per-group :class:`LeverageGeometry`, in the order of ``groups``."""
-        out = []
-        for g in self.groups:
-            t = g.dt @ self.info_inv[:, None]
-            out.append(LeverageGeometry(*np.linalg.eigh(t @ g.dt.swapaxes(-1, -2))))
-        return tuple(out)
+    def leverage(self) -> tuple:
+        """(lam, Q, l0inv): the eigendecompositions of the B_i, (R, N, p)
+        and (R, N, p, p) in cluster order, and L0^{-1} (R, p, p)."""
+        l0inv = np.linalg.inv(masked_cholesky(self.info)[0])
+        lam, q = np.linalg.eigh(l0inv[:, None] @ self.infos @ l0inv.swapaxes(-1, -2)[:, None])
+        return _readonly(lam), _readonly(q), _readonly(l0inv)
 
     @cached_property
     def max_leverage(self) -> np.ndarray:
         """(R, N) largest hat eigenvalue of each cluster, in cluster order."""
-        return _cluster_order(self, [geo.lam[..., -1] for geo in self.geometry], ())
+        return self.leverage[0][..., -1]
+
+    @cached_property
+    def singular_clusters(self) -> np.ndarray:
+        """(R, N) mask of the clusters with a numerically singular (I - H)."""
+        return 1.0 - self.max_leverage <= LEVERAGE_TOL
 
     @cached_property
     def singular_leverage(self) -> np.ndarray:
         """(R,) mask of the replications with a numerically singular (I - H)."""
-        return np.any(1.0 - self.max_leverage <= LEVERAGE_TOL, axis=-1)
+        return np.any(self.singular_clusters, axis=-1)
 
     @cached_property
-    def gaps(self) -> tuple:
-        """Per-group (R, N_s, n) leverage gaps 1 - lam; all 1 in the
-        replications with ``singular_leverage``, whose corrections are then
-        finite (``LEVERAGE_IDS`` estimators are flagged there)."""
+    def gaps(self) -> np.ndarray:
+        """(R, N, p) leverage gaps 1 - lam, all 1 in the replications with
+        ``singular_leverage`` so that their corrections stay finite."""
         singular = self.singular_leverage[:, None, None]
-        return tuple(_readonly(np.where(singular, 1.0, 1.0 - geo.lam)) for geo in self.geometry)
+        return _readonly(np.where(singular, 1.0, 1.0 - self.leverage[0]))
 
-    def corrected(self, c: float) -> tuple:
-        """Scores and whitened residuals corrected by (I - H)^{-c}.
+    def spectral_rows(self, weights: np.ndarray) -> np.ndarray:
+        """(R, N, p) rows L0^{-T} Q diag(weights) Q' L0^{-1} U_i, for
+        (R, N, p) ``weights`` of the eigenvalues of each B_i."""
+        _, q, l0inv = self.leverage
+        z = (self.scores @ l0inv.swapaxes(-1, -2))[..., None]
+        z = q @ (weights[..., None] * (q.swapaxes(-1, -2) @ z))
+        return z[..., 0] @ l0inv
 
-        Returns (f, u): f is the (R, N, p) array, in cluster order, whose
-        rows are dmat' vinv (I - H)^{-c} r, and u holds one (R, N_s, n)
-        array per group of ``L^{-1} (I - H)^{-c} r``.  c = 0 gives
-        ``scores`` and the ``rt``.  Each exponent is solved once per
-        kernel, from ``gaps``: in a replication with ``singular_leverage``
-        the corrected scores are the uncorrected ones.
-        """
-        if c == 0.0:
-            return self.scores, tuple(g.rt for g in self.groups)
+    def corrected(self, c: float) -> np.ndarray:
+        """(R, N, p) rows g_c,i in cluster order: ``scores @ info_inv`` for
+        c = 0, else ``spectral_rows`` of gaps^{-c}.  Each exponent is solved
+        once per kernel; in a replication with ``singular_leverage`` the
+        rows are the uncorrected ones."""
         if c not in self._corrections:
-            us = []
-            for g, geo, gap in zip(self.groups, self.geometry, self.gaps):
-                z = (geo.Q.swapaxes(-1, -2) @ g.rt[..., None])[..., 0]
-                us.append(_readonly((geo.Q @ (z * gap ** (-c))[..., None])[..., 0]))
-            f = _cluster_order(
-                self,
-                [(g.dt.swapaxes(-1, -2) @ u[..., None])[..., 0] for g, u in zip(self.groups, us)],
-                (self.p,),
-            )
-            self._corrections[c] = (f, tuple(us))
+            g = self.scores @ self.info_inv if c == 0.0 else self.spectral_rows(self.gaps ** -c)
+            self._corrections[c] = _readonly(g)
         return self._corrections[c]
 
     def hat_block(self, i: int) -> np.ndarray:

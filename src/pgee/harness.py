@@ -276,7 +276,10 @@ def run_block(
     scen = spec.scenario
     if intercept is None:
         intercept = calibrate_intercept(scen)
-    design, y, invalid = draw_block(scen, reps, intercept)
+    try:
+        design, y, invalid = draw_block(scen, reps, intercept)
+    except ValueError as exc:
+        raise ConfigError(f"scenario {spec.id}: {exc}") from exc
     records = [_no_result(rep, int(n)) for rep, n in zip(reps, invalid)]
     drawn = np.flatnonzero(invalid < MAX_ATTEMPTS)
     if not drawn.size:

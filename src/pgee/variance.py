@@ -1,14 +1,16 @@
 """Sandwich covariance estimators, overcorrection diagnostic, Wald inference.
 
 Fourteen estimators are indexed by :class:`~pgee.data.EstimatorId`.  Each
-is ``info_inv @ M @ info_inv + r * info_inv``, symmetrized once, where the
-middle M is one entry of the table ``_MIDDLES`` and the ridge scalar r is
-zero except for the two entries of ``_RIDGES``.  Every entry is a short
-formula over shared ingredients:
+is ``info_inv @ M @ info_inv + r * info_inv``, where the middle M is below
+and the ridge scalar r is zero except for the two entries of ``_RIDGES``.
+The table ``_COVARIANCES`` computes the first term, symmetrized once, as
+sums of outer products of rows already scaled by info_inv.  Every middle
+is a short formula over shared ingredients:
 
-    f_c      cluster scores corrected by (I - H)^{-c}, c in {0, 1/2, 1}, as
-             an (N, p) array (f_0 are the plain scores U_i); outer(f) is
-             sum_i f_i f_i' and centered(f) the same after mean-centering
+    f_c      cluster scores corrected by (I - H)^{-c}, c in {0, 1/2, 1}
+             (f_0 are the plain scores U_i), held as the (N, p) rows
+             g_c = info_inv f_c; outer(f) is sum_i f_i f_i' and
+             centered(f) the same after mean-centering
     RU_c     pooled correlation of the corrected residuals
              W^{-1/2} (I - H)^{-c} r, with T_i = dmat_i' vinv_i W_i^{1/2}
     factors  N / (N - p); c_N = (n* - 1) / (n* - p) * N / (N - 1), the
@@ -35,14 +37,14 @@ formula over shared ingredients:
     AR   c_N * centered(f_1): the score-level leverage correction kept,
          then the finite-sample translation
 
-Leverage powers are computed on a symmetric similar form: with the
-Cholesky factor L of the cluster covariance and ``dt = L^{-1} dmat``, the
-matrix ``S = dt @ info_inv @ dt'`` is symmetric positive semidefinite with
-eigenvalues in [0, 1), and ``(I - H)^{-c} r = L Q (1-lam)^{-c} Q' L^{-1} r``.
-The eigendecompositions are ``FitKernel.geometry``, batched per cluster
-size, and ``FitKernel.corrected(c)`` solves each exponent once per kernel.
+Leverage corrections are p x p algebra on ``FitKernel.leverage``, one
+eigendecomposition per cluster (see ``pgee.core``): FZ's E_i = info_inv
+P_i info_inv is L0^{-T} Q lam / (1 - lam) Q' L0^{-1}, and the
+overcorrection matrix is L0 (sum_i Q lam^2 / (1 - lam) Q') L0'.  Scaling
+rows before the outer products keeps the digits that forming M first loses
+when info is ill conditioned.
 
-Every kernel is a block and every middle carries its replication axis in
+Every kernel is a block and every covariance carries its replication axis in
 front, so one table evaluates an estimator for all replications of a block
 at once; ``estimate_variance`` and ``overcorrection_diagnostic`` drop that
 axis for a ``single`` kernel (one dataset).  Wald tests work elementwise on
@@ -56,8 +58,8 @@ from Stirling's series at large dof, where lgamma differences cancel.
 ``t_critical`` inverts it by Newton's method, within 1e-13 of the tabled
 quantiles for dof up to 1e4, and is cached per dof and level.
 
-Computability is decided by masks before a middle is evaluated, once per
-block.  Pooling estimators (``POOLING_IDS``) require equal cluster sizes;
+Computability is decided by masks before a covariance is evaluated, once
+per block.  Pooling estimators (``POOLING_IDS``) require equal cluster sizes;
 on unbalanced data they are reported as not computable (never a wrong
 number).  A numerically singular (I - H) marks the ``LEVERAGE_IDS``
 estimators as not computable, for its replication only.
@@ -130,60 +132,56 @@ class WaldResult:
     ci_high: float
 
 
-def _gram(f: np.ndarray) -> np.ndarray:
-    """sum_i f_i f_i' over the rows of each replication's f."""
-    return f.swapaxes(-1, -2) @ f
-
-
-def _outer(kernel: FitKernel, c: float) -> np.ndarray:
-    """sum_i f_i f_i' over the scores corrected with exponent c."""
-    return _gram(kernel.corrected(c)[0])
+def _gram(g: np.ndarray) -> np.ndarray:
+    """sum_i g_i g_i' over the rows of each replication's g."""
+    return g.swapaxes(-1, -2) @ g
 
 
 def _centered(kernel: FitKernel, c: float) -> np.ndarray:
-    """Outer-product sum of the corrected scores after mean-centering."""
-    f = kernel.corrected(c)[0]
-    return _gram(f - f.mean(axis=-2, keepdims=True))
+    """Outer-product sum of the corrected rows after mean-centering."""
+    g = kernel.corrected(c)
+    return _gram(g - g.mean(axis=-2, keepdims=True))
 
 
 def _pooled(kernel: FitKernel, c: float, denom: float) -> np.ndarray:
-    """sum_i T_i RU T_i' for the pooled correlation RU of the corrected
-    residuals scaled by W^{-1/2}, with T_i = dmat' vinv W^{1/2}.
-
-    Pooling needs one cluster size, so there is one group, and with
-    u = L^{-1} (I - H)^{-c} r the sum is sum_i dt_i' (sum_j u_j u_j') dt_i
-    over denom: the Cholesky factor of R cancels between T_i and RU.
-    """
+    """info_inv (sum_i T_i RU T_i') info_inv over denom: with one cluster
+    size (one group) and u = L^{-1} (I - H)^{-c} r, the Cholesky factor of
+    R cancels and this is sum_i e_i' (sum_j u_j u_j') e_i, e_i = dt_i info_inv.
+    By push-through u = rt + dt L0^{-T} Q h(lam) Q' L0^{-1} U_i with
+    h(lam) = ((1 - lam)^{-c} - 1) / lam, and h(0) = c."""
     (g,) = kernel.groups
-    (u,) = kernel.corrected(c)[1]
-    spread = (_gram(u) / denom)[:, None] @ g.dt
-    rows = g.dt.reshape(spread.shape[0], -1, kernel.p)
+    u = g.rt
+    if c:
+        lam = 1.0 - kernel.gaps
+        h = np.divide(np.expm1(-c * np.log(kernel.gaps)), lam, out=np.full_like(lam, c),
+                      where=lam != 0.0)
+        u = u + (g.dt @ kernel.spectral_rows(h)[:, g.idx, :, None])[..., 0]
+    e = g.dt @ kernel.info_inv[:, None]
+    spread = (_gram(u) / denom)[:, None] @ e
+    rows = e.reshape(spread.shape[0], -1, kernel.p)
     return rows.swapaxes(-1, -2) @ spread.reshape(rows.shape)
 
 
 def _fg(kernel: FitKernel) -> np.ndarray:
-    """Scores inflated by (1 - min(FG_CLIP, diag(A_i info_inv)))^{-1/2}."""
+    """Scores inflated by (1 - min(FG_CLIP, diag(A_i info_inv)))^{-1/2}, times info_inv."""
     lev = np.sum(kernel.infos * kernel.info_inv.swapaxes(-1, -2)[:, None], axis=-1)
-    return _gram((1.0 - np.minimum(FG_CLIP, lev)) ** -0.5 * kernel.scores)
+    return _gram((1.0 - np.minimum(FG_CLIP, lev)) ** -0.5 * kernel.scores @ kernel.info_inv)
 
 
 def _fz(kernel: FitKernel) -> np.ndarray:
-    """MD middle minus each cluster's cross-cluster contamination
-    P_i info_inv (sum_{j != i} U_j U_j') info_inv P_i', with
-    P_i = dmat' vinv (I - H)^{-1} dmat = dt' (I - S)^{-1} dt.
+    """MD covariance minus each cluster's cross-cluster contamination
+    E_i (sum_{j != i} U_j U_j') E_i', E_i = info_inv P_i info_inv.
 
-    With A_i = P_i info_inv the contamination sums to
-    sum_i A_i outer(U) A_i' - sum_i (A_i U_i)(A_i U_i)'.
+    The contamination sums to sum_i E_i outer(U) E_i' - outer(E_i U_i).
+    With F_i = Q lam / (1 - lam) Q' and z_i = L0^{-1} U_i, E_i = L0^{-T}
+    F_i L0^{-1} and the first term is L0^{-T} (sum_i F_i outer(z) F_i) L0^{-1}.
     """
-    f = kernel.corrected(1.0)[0]
-    pmat = np.empty_like(kernel.infos)
-    for g, geo, gap in zip(kernel.groups, kernel.geometry, kernel.gaps):
-        qd = geo.Q.swapaxes(-1, -2) @ g.dt
-        pmat[:, g.idx] = qd.swapaxes(-1, -2) @ (qd / gap[..., None])
-    a = pmat @ kernel.info_inv[:, None]
-    v = (a @ kernel.scores[..., None])[..., 0]
-    spread = np.sum(a @ _gram(kernel.scores)[:, None] @ a.swapaxes(-1, -2), axis=1)
-    return _gram(f) - spread + _gram(v)
+    _, q, l0inv = kernel.leverage
+    ratio = (1.0 - kernel.gaps) / kernel.gaps
+    f = (q * ratio[..., None, :]) @ q.swapaxes(-1, -2)
+    z = kernel.scores @ l0inv.swapaxes(-1, -2)
+    spread = l0inv.swapaxes(-1, -2) @ np.sum(f @ _gram(z)[:, None] @ f, axis=1) @ l0inv
+    return _gram(kernel.corrected(1.0)) - spread + _gram(kernel.spectral_rows(ratio))
 
 
 def _fpc_bessel(kernel: FitKernel) -> float:
@@ -195,12 +193,12 @@ def _delta_n(kernel: FitKernel) -> float:
     return min(0.5, kernel.p / (kernel.n_clusters - kernel.p))
 
 
-#: Middle matrix M of each estimator.
-_MIDDLES = {
-    EstimatorId.LZ: lambda k: _outer(k, 0.0),
-    EstimatorId.DF: lambda k: k.n_clusters / (k.n_clusters - k.p) * _outer(k, 0.0),
-    EstimatorId.KC: lambda k: _outer(k, 0.5),
-    EstimatorId.MD: lambda k: _outer(k, 1.0),
+#: Covariance of each estimator before its ridge.
+_COVARIANCES = {
+    EstimatorId.LZ: lambda k: _gram(k.corrected(0.0)),
+    EstimatorId.DF: lambda k: k.n_clusters / (k.n_clusters - k.p) * _gram(k.corrected(0.0)),
+    EstimatorId.KC: lambda k: _gram(k.corrected(0.5)),
+    EstimatorId.MD: lambda k: _gram(k.corrected(1.0)),
     EstimatorId.FG: _fg,
     EstimatorId.MBN: lambda k: _fpc_bessel(k) * _centered(k, 0.0),
     EstimatorId.PAN: lambda k: _pooled(k, 0.0, k.n_clusters),
@@ -208,18 +206,18 @@ _MIDDLES = {
     EstimatorId.WL: lambda k: _pooled(k, 1.0, k.n_clusters),
     EstimatorId.WB: lambda k: _pooled(k, WB_EXPONENT, k.n_clusters),
     EstimatorId.RS: lambda k: _pooled(k, 0.0, k.n_clusters),
-    EstimatorId.FW: lambda k: 0.5 * (_outer(k, 0.5) + _outer(k, 1.0)),
+    EstimatorId.FW: lambda k: 0.5 * (_gram(k.corrected(0.5)) + _gram(k.corrected(1.0))),
     EstimatorId.FZ: _fz,
     EstimatorId.AR: lambda k: _fpc_bessel(k) * _centered(k, 1.0),
 }
 
-#: Ridge scalar r of the estimators that add r * info_inv, given the
-#: kernel and the middle.
+#: Ridge scalar r of the estimators that add r * info_inv, given the kernel
+#: and C = info_inv M info_inv: C info is similar to info_inv M.
 _RIDGES = {
-    EstimatorId.MBN: lambda k, m: _delta_n(k)
-    * np.maximum(1.0, np.trace(k.info_inv @ _centered(k, 0.0), axis1=-2, axis2=-1) / k.p),
-    EstimatorId.RS: lambda k, m: _delta_n(k)
-    * np.maximum(1.0, np.abs(np.linalg.det(k.info_inv @ m)) ** (1.0 / k.p)),
+    EstimatorId.MBN: lambda k, cov: _delta_n(k)
+    * np.maximum(1.0, np.trace(_centered(k, 0.0) @ k.info, axis1=-2, axis2=-1) / k.p),
+    EstimatorId.RS: lambda k, cov: _delta_n(k)
+    * np.maximum(1.0, np.abs(np.linalg.det(cov @ k.info)) ** (1.0 / k.p)),
 }
 
 
@@ -236,12 +234,11 @@ def _block_estimate(block: FitKernel, estimator: EstimatorId) -> VarianceEstimat
     if n_flagged == n_reps:
         cov = np.full((n_reps, p, p), np.nan)
         return VarianceEstimate(estimator, cov, cov[..., 0], np.zeros(n_reps, bool), reasons)
-    middle = _MIDDLES[estimator](block)
-    cov = block.info_inv @ middle @ block.info_inv
+    cov = _COVARIANCES[estimator](block)
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
     if estimator in _RIDGES:
         # info_inv is exactly symmetric, so the ridge keeps cov symmetric.
-        cov = cov + _RIDGES[estimator](block, middle)[:, None, None] * block.info_inv
+        cov = cov + _RIDGES[estimator](block, cov)[:, None, None] * block.info_inv
     if n_flagged:
         # NaN rows compare false below, so they keep their reason
         cov[np.not_equal(reasons, None)] = np.nan
@@ -297,23 +294,24 @@ def overcorrection_diagnostic(kernel: FitKernel) -> OvercorrectionDiagnostic:
     ``ratios[s]`` divides the diagonal of the matrix by the diagonal of
     the sensitivity matrix; ``eigenvalues`` are those of info_inv times
     the matrix (computed on a symmetric similar form, so real).
-    Raises SingularLeverage when some (I0 - A_i) is singular, i.e. one
-    cluster carries all information in some direction, naming the first
-    such cluster in (replication, cluster) order.
+    Raises SingularLeverage when some (I - H) is numerically singular, by
+    the criterion of ``FitKernel.singular_leverage`` (one cluster carries
+    all information in some direction), naming the first such cluster in
+    (replication, cluster) order.
     """
-    chol, bad = masked_cholesky(kernel.info[:, None] - kernel.infos)
-    if bad.any():
-        cluster_id = kernel.data.ids[np.argwhere(bad)[0, 1]]
+    if kernel.singular_leverage.any():
+        cluster_id = kernel.data.ids[np.argwhere(kernel.singular_clusters)[0, 1]]
         raise SingularLeverage(
             f"cluster {cluster_id}: remaining information singular", cluster_id=cluster_id
         )
-    # A_i (I0 - A_i)^{-1} A_i = z_i' z_i with z_i = chol_i^{-1} A_i.
-    z = np.linalg.solve(chol, kernel.infos)
-    blev = np.einsum("rsap,rsaq->rpq", z, z)
+    # A_i (I0 - A_i)^{-1} A_i = L0 Q lam^2 / (1 - lam) Q' L0', and the sum of
+    # the brackets is v' v for the rows |lam_k| / sqrt(1 - lam_k) q_k' of v.
+    lam, q, _ = kernel.leverage
+    v = (q * (np.abs(lam) / np.sqrt(kernel.gaps))[..., None, :]).swapaxes(-1, -2)
+    v = v.reshape(v.shape[0], -1, kernel.p)
+    blev = _gram(v @ masked_cholesky(kernel.info)[0].swapaxes(-1, -2))
     ratios = np.diagonal(blev, axis1=-2, axis2=-1) / np.diagonal(kernel.info, axis1=-2, axis2=-1)
-    l0 = np.linalg.cholesky(kernel.info)
-    sim = np.linalg.solve(l0, np.linalg.solve(l0, blev).swapaxes(-1, -2))
-    eigenvalues = np.linalg.eigvalsh(0.5 * (sim + sim.swapaxes(-1, -2)))
+    eigenvalues = np.linalg.eigvalsh(_gram(v))
     if kernel.single:
         blev, ratios, eigenvalues = blev[0], ratios[0], eigenvalues[0]
     return OvercorrectionDiagnostic(matrix=blev, ratios=ratios, eigenvalues=eigenvalues)

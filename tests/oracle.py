@@ -133,6 +133,85 @@ def literal_leverage_score(q: LiteralCluster, info_inv, c) -> np.ndarray:
     return q.dmat.T @ q.vinv @ power @ q.resid
 
 
+def whitened_clusters(kernel, r=0) -> tuple:
+    """The whitened (dt_i, rt_i) of replication ``r`` of a kernel, as two
+    lists in cluster order."""
+    dt, rt = [None] * kernel.n_clusters, [None] * kernel.n_clusters
+    for g in kernel.groups:
+        for k, i in enumerate(g.idx):
+            dt[i], rt[i] = g.dt[r, k], g.rt[r, k]
+    return dt, rt
+
+
+def literal_covariances(dt, rt, n_total, dps=60) -> dict:
+    """LZ, DF, MBN, KC, MD, FW, AR and FZ covariances of one replication from
+    its whitened (dt_i, rt_i), taken as exact inputs, by their
+    observation-space definitions in ``mpmath`` at ``dps`` digits.
+
+    With info = sum dt_i' dt_i, K = info^{-1} and the symmetric hat forms
+    S_i = dt_i K dt_i', the corrected scores are f_c,i = dt_i' (I - S_i)^{-c}
+    rt_i, the power taken through an eigendecomposition of S_i, and each
+    covariance is K M K (MBN adds its ridge delta_N kappa K).  FZ's middle is sum_i T_i (rt_i rt_i' -
+    sum_{j != i} H_ij rt_j rt_j' H_ij') T_i' with T_i = dt_i' (I - S_i)^{-1}
+    and H_ij = dt_i K dt_j'.  Leverage estimators are left out when some
+    S_i has an eigenvalue at or above 1.  Returns float (p, p) arrays by tag.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        d = [mpmath.matrix(x.tolist()) for x in dt]
+        r = [mpmath.matrix(x.tolist()) for x in rt]
+        n_cl, p = len(d), d[0].cols
+        info = mpmath.zeros(p, p)
+        for x in d:
+            info += x.T * x
+        k = mpmath.inverse(info)
+
+        eig = [mpmath.eigsy(x * k * x.T) for x in d]
+
+        def power(i, c):
+            lam, q = eig[i]
+            return q * mpmath.diag([(1 - e) ** -c for e in lam]) * q.T
+
+        def gram(rows):
+            m = mpmath.zeros(p, p)
+            for f in rows:
+                m += f * f.T
+            return m
+
+        def cov(m):
+            return np.array((k * m * k).tolist(), dtype=float)
+
+        def centered(rows):
+            fbar = sum(rows, mpmath.zeros(p, 1)) / n_cl
+            return gram(x - fbar for x in rows)
+
+        c_n = mpmath.mpf(n_total - 1) / (n_total - p) * n_cl / (n_cl - 1)
+        delta_n = min(mpmath.mpf(1) / 2, mpmath.mpf(p) / (n_cl - p))
+        u = [x.T * y for x, y in zip(d, r)]
+        kappa = max(1, sum((k * centered(u))[s, s] for s in range(p)) / p)
+        out = {"LZ": cov(gram(u))}
+        out["DF"] = n_cl / (n_cl - p) * out["LZ"]
+        out["MBN"] = cov(c_n * centered(u) + delta_n * kappa * info)
+        if max(max(lam) for lam, _ in eig) >= 1:
+            return out
+        f = {c: [d[i].T * power(i, c) * r[i] for i in range(n_cl)] for c in (0.5, 1)}
+        out["KC"], out["MD"] = cov(gram(f[0.5])), cov(gram(f[1]))
+        out["FW"] = 0.5 * (out["KC"] + out["MD"])
+        out["AR"] = cov(c_n * centered(f[1]))
+        fz = mpmath.zeros(p, p)
+        for i in range(n_cl):
+            inner = r[i] * r[i].T
+            for j in range(n_cl):
+                if j != i:
+                    h = d[i] * k * d[j].T * r[j]
+                    inner -= h * h.T
+            t = d[i].T * power(i, 1)
+            fz += t * inner * t.T
+        out["FZ"] = cov(fz)
+    return out
+
+
 def with_residuals(kernel, residuals):
     """Copy of a block-of-one ``kernel`` with its residuals, given in
     cluster order, and its scores replaced; means, covariances and

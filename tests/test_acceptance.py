@@ -121,9 +121,8 @@ def test_c01_algebraic_identities(fitted_corpus):
         kern = res.kernel
         n_cl, p, n_star = kern.n_clusters, kern.p, kern.n_total
 
-        def sandwich(scores):
-            m = sum(np.outer(f, f) for f in scores)
-            return kern.info_inv[0] @ m @ kern.info_inv[0]
+        def gram(rows):
+            return sum(np.outer(g, g) for g in rows)
 
         def relerr(a, b):
             return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
@@ -132,17 +131,15 @@ def test_c01_algebraic_identities(fitted_corpus):
             tag: estimate_variance(kern, EstimatorId[tag]).cov
             for tag in ("LZ", "KC", "MD", "FW", "DF", "AR")
         }
-        worst = max(worst, relerr(v["LZ"], sandwich(kern.corrected(0.0)[0][0])))
-        worst = max(worst, relerr(v["KC"], sandwich(kern.corrected(0.5)[0][0])))
-        worst = max(worst, relerr(v["MD"], sandwich(kern.corrected(1.0)[0][0])))
+        worst = max(worst, relerr(v["LZ"], gram(kern.corrected(0.0)[0])))
+        worst = max(worst, relerr(v["KC"], gram(kern.corrected(0.5)[0])))
+        worst = max(worst, relerr(v["MD"], gram(kern.corrected(1.0)[0])))
         worst = max(worst, relerr(v["FW"], 0.5 * (v["KC"] + v["MD"])))
         worst = max(worst, relerr(v["DF"], n_cl / (n_cl - p) * v["LZ"]))
-        f = kern.corrected(1.0)[0][0]
-        fbar = np.mean(f, axis=0)
-        m_md = sum(np.outer(x, x) for x in f)
+        g = kern.corrected(1.0)[0]
+        gbar = np.mean(g, axis=0)
         c_n = (n_star - 1) / (n_star - p) * n_cl / (n_cl - 1)
-        m_ar = kern.info[0] @ v["AR"] @ kern.info[0]
-        worst = max(worst, relerr(m_ar, c_n * (m_md - n_cl * np.outer(fbar, fbar))))
+        worst = max(worst, relerr(v["AR"], c_n * (gram(g) - n_cl * np.outer(gbar, gbar))))
     runtime = elapsed + (time.time() - t0)
     ok = worst < 1e-12 and runtime < 10.0
     _report(1, ok, f"50 fits, worst identity relerr {worst:.2e}, {runtime:.1f}s")
@@ -261,14 +258,16 @@ def test_c06_expectation_identities_monte_carlo():
     n_tot = offsets[-1]
     n_cl = kern.n_clusters
 
-    # extract score maps through the package's own leverage path
+    # extract score maps through the package's own leverage path: its rows
+    # are info_inv times the corrected scores
     def score_map(c):
         cols = []
         for i in range(n_cl):
             for k in range(sizes[i]):
                 res = [np.zeros(sizes[j]) for j in range(n_cl)]
                 res[i][k] = 1.0
-                cols.append((i, k, with_residuals(kern, res).corrected(c)[0][0, i]))
+                rows = with_residuals(kern, res).corrected(c)[0]
+                cols.append((i, k, kern.info[0] @ rows[i]))
         mats = [np.zeros((p, sizes[i])) for i in range(n_cl)]
         for i, k, col in cols:
             mats[i][:, k] = col

@@ -483,3 +483,20 @@ class TestExtremeLinearPredictor:
     def test_mean_of_one_is_one_error_line(self, tmp_path, capsys, command):
         assert self._run(command, tmp_path, "0.5", "60") == 1
         _assert_only_error_line(capsys, "marginal mean 1")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_draw_names_its_scenario_and_writes_nothing(self, tmp_path, capsys, workers):
+        # the second of two sections cannot be drawn: the one error line
+        # names it, and the output directory is never created
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("[fine]\nN = 10\nn = 4\nevent_rate = 0.2\nrho = 0.2\n"
+                       "true = exchangeable\n\n[extreme]\nN = 10\nn = 4\n"
+                       "event_rate = 0.5\nrho = 0.2\ntrue = exchangeable\nbeta1 = 60\n")
+        out_dir = tmp_path / "out"
+        # 300 replications make two blocks, so two workers run a pool
+        assert main(["simulate", "--config", str(cfg), "--reps", "300", "--workers", workers,
+                     "--min-converged", "1", "--out-dir", str(out_dir)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: scenario extreme-N10-") and "marginal mean 1" in err
+        assert not out_dir.exists()

@@ -193,10 +193,10 @@ class TestKernel:
             assert row.max_leverage.shape == (1, 10)
             assert np.array_equal(row.max_leverage[0], block.max_leverage[r])
             assert row.singular_leverage[0] == block.singular_leverage[r]
-            for row_gap, block_gap, geo in zip(row.gaps, block.gaps, block.geometry):
-                assert np.array_equal(row_gap[0], block_gap[r])
-                want = 1.0 if block.singular_leverage[r] else 1.0 - geo.lam[r]
-                assert np.array_equal(row_gap[0], np.broadcast_to(want, row_gap[0].shape))
+            assert row.gaps.shape == (1, 10, ds.p)
+            assert np.array_equal(row.gaps[0], block.gaps[r])
+            want = 1.0 if block.singular_leverage[r] else 1.0 - block.leverage[0][r]
+            assert np.array_equal(row.gaps[0], np.broadcast_to(want, row.gaps[0].shape))
 
     def test_with_residuals_replaces_scores(self, rng):
         kern = random_kernel(rng)
@@ -333,10 +333,10 @@ class TestSizeGroupParity:
             firth_penalty(kern), literal_penalty(ref, info_inv, structure, alpha, phi)
         )
         for c in (0.5, 1.0):
-            scores = kern.corrected(c)[0][0]
+            rows = kern.corrected(c)[0]
             for i, r in enumerate(ref):
                 assert close(kern.hat_block(i), literal_hat(r, info_inv))
-                assert close(scores[i], literal_leverage_score(r, info_inv, c), 1e-8)
+                assert close(rows[i], info_inv @ literal_leverage_score(r, info_inv, c), 1e-8)
 
     def test_singular_v_names_first_cluster_in_order(self, rng):
         # alpha = -0.28 is admissible for n <= 4 only; the size-6 cluster at

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import stdtr, stdtrit
 
 import pgee.core
+import pgee.variance
 from pgee import (
     EstimatorId,
     FitKernel,
@@ -22,6 +23,7 @@ from pgee import (
     fit,
     fit_block,
     overcorrection_diagnostic,
+    parse_config,
     validate_dataset,
     wald_test,
 )
@@ -31,7 +33,13 @@ from pgee.harness import MAX_ATTEMPTS, draw_block
 from pgee.variance import t_critical, t_tail
 
 from conftest import balanced_dataset, random_kernel, two_arm_dataset
-from oracle import kernel_literals, literal_leverage_score, with_residuals
+from oracle import (
+    kernel_literals,
+    literal_covariances,
+    literal_leverage_score,
+    whitened_clusters,
+    with_residuals,
+)
 
 
 def _balanced_kernel(rng, **kw):
@@ -43,10 +51,11 @@ def _balanced_kernel(rng, **kw):
 class TestLeverageScores:
     def test_c_zero_is_plain_scores(self, rng):
         kern = random_kernel(rng)
-        f = kern.corrected(0.0)[0][0]
-        assert np.array_equal(f, kern.scores[0])
-        for fi, q in zip(f, kernel_literals(kern)):
-            assert np.allclose(fi, literal_leverage_score(q, kern.info_inv[0], 0.0), rtol=1e-10)
+        g = kern.corrected(0.0)[0]
+        assert np.array_equal(g, kern.scores[0] @ kern.info_inv[0])
+        for gi, q in zip(g, kernel_literals(kern)):
+            want = kern.info_inv[0] @ literal_leverage_score(q, kern.info_inv[0], 0.0)
+            assert np.allclose(gi, want, rtol=1e-10)
 
     def test_identical_clusters_scalar_factor(self):
         # p = 1 identical clusters: hat eigenvalue 1/N, so c = 1 scales
@@ -69,32 +78,41 @@ class TestLeverageScores:
     def test_dense_inverse_oracle(self, rng):
         kern = random_kernel(rng, n_clusters=6)
         for c in (0.5, 1.0):
-            scores = kern.corrected(c)[0][0]
+            rows = kern.corrected(c)[0]
             for i, q in enumerate(kernel_literals(kern)):
                 n = q.mu.shape[0]
                 m = np.eye(n) - kern.hat_block(i)
                 power = np.linalg.inv(m) if c == 1.0 else _principal_inv_sqrt(m)
-                oracle = q.dmat.T @ q.vinv @ power @ q.resid
-                assert np.allclose(scores[i], oracle, rtol=1e-8, atol=1e-12)
+                oracle = kern.info_inv[0] @ q.dmat.T @ q.vinv @ power @ q.resid
+                assert np.allclose(rows[i], oracle, rtol=1e-8, atol=1e-12)
 
     def test_exponent_domain(self, rng, monkeypatch):
         # the catalog corrects by (I - H)^{-c} only for c in {0, 1/2, 1},
-        # and an estimator asks for some c > 0 exactly when it is one of
-        # LEVERAGE_IDS, the estimators flagged by a singular (I - H)
+        # through the corrected rows or the pooled residuals, and an
+        # estimator asks for some c > 0, and reads the leverage
+        # factorization, exactly when it is one of LEVERAGE_IDS, the
+        # estimators flagged by a singular (I - H)
         kern = _balanced_kernel(rng)
         seen = {}
         asked = set()
-        corrected = FitKernel.corrected
+        corrected, pooled = FitKernel.corrected, pgee.variance._pooled
 
         def recording(self, c):
             asked.add(c)
             return corrected(self, c)
 
+        def recording_pooled(kernel, c, denom):
+            asked.add(c)
+            return pooled(kernel, c, denom)
+
         monkeypatch.setattr(FitKernel, "corrected", recording)
+        monkeypatch.setattr(pgee.variance, "_pooled", recording_pooled)
         for est in EstimatorId:
             asked.clear()
-            assert estimate_variance(kern, est).computable
+            fresh = kern.take(slice(None))
+            assert estimate_variance(fresh, est).computable
             seen[est] = set(asked)
+            assert ("leverage" in fresh.__dict__) == (est in LEVERAGE_IDS), est
         assert set().union(*seen.values()) == {0.0, 0.5, 1.0}
         for est, cs in seen.items():
             assert any(c > 0 for c in cs) == (est in LEVERAGE_IDS), est
@@ -151,15 +169,19 @@ def test_singular_leverage_flags_only_its_replication(rng, monkeypatch):
         assert np.array_equal(ve.computable, ~flagged), est
 
 
-def test_owned_direction_flags_leverage_ids_without_warnings():
+def _owned_direction_fit():
     # only cluster c0 has x1 = 1, so the other clusters carry no
     # information on x1 and (I - H) of c0 is singular at the fit
     rows = [(f"c{i}", float((i + 2 * j) % 3 == 0), (float(i == 0),), None)
             for i in range(10) for j in range(2)]
     wm = WorkingModel(structure="exchangeable", alpha="estimate", dispersion=1.0)
+    return fit(validate_dataset(rows), wm)
+
+
+def test_owned_direction_flags_leverage_ids_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kern = fit(validate_dataset(rows), wm).kernel
+        kern = _owned_direction_fit().kernel
         assert kern.single and kern.singular_leverage[0]
         for c in (0.5, 1.0):
             assert np.isfinite(kern.corrected(c)[0]).all()
@@ -170,6 +192,86 @@ def test_owned_direction_flags_leverage_ids_without_warnings():
             else:
                 assert ve.computable, est
                 assert np.isfinite(ve.se).all()
+
+
+#: The [unbalanced] section of the perfbench grid (base seed 1) and two
+#: cells whose one treated cluster (id 1) makes (I - H) singular in every
+#: replication.
+NEAR_SINGULAR_CELLS = {
+    "unbalanced": parse_config(
+        "[unbalanced]\nN = 10\nn = 2/6\nevent_rate = 0.2\nrho = 0.2\ntrue = exchangeable\n",
+        base_seed=1,
+    )[0].scenario,
+    "one-treated": Scenario(n_clusters=10, gamma=0.1, seed=15),
+    "one-treated-2/6": Scenario(n_clusters=10, n_pattern=(2, 6), gamma=0.1, seed=15),
+}
+
+#: Relative SE error allowed against the 60-digit literal covariances.
+NEAR_SINGULAR_TOL = 1e-8
+
+
+def _cell_block(cell, reps):
+    """The fit of replications ``reps`` of a NEAR_SINGULAR_CELLS cell, as
+    the harness draws and fits them."""
+    scen = NEAR_SINGULAR_CELLS[cell]
+    design, y, invalid = draw_block(scen, reps, calibrate_intercept(scen))
+    assert np.all(invalid < MAX_ATTEMPTS)
+    return fit_block(design, y, WorkingModel(scen.working_structure, "estimate", 1.0))
+
+
+@pytest.mark.parametrize(
+    "cell,rep",
+    # 1 - max hat eigenvalue is 3.2e-6 and 4.7e-6 at unbalanced reps 135
+    # and 774, where alpha sits at its clamp; the one-treated reps are
+    # singular, so only LZ, DF and MBN are defined there
+    [("unbalanced", 135), ("unbalanced", 774), ("one-treated-2/6", 195),
+     ("one-treated-2/6", 549)],
+)
+def test_near_singular_matches_mpmath(cell, rep):
+    # dt and rt are taken as exact, so only the estimator layer is checked;
+    # an exact covariance with a negative variance must be flagged, and so
+    # must the leverage estimators that are undefined
+    pytest.importorskip("mpmath")
+    res = _cell_block(cell, [rep])
+    assert res.converged[0]
+    kern = res.kernel
+    exact = literal_covariances(*whitened_clusters(kern), kern.n_total)
+    got = estimate_all(kern)
+    for tag, cov in exact.items():
+        ve = got[EstimatorId[tag]]
+        if np.any(np.diag(cov) < 0):
+            assert ve.incomputable_reason[0] == "NegativeDiagonal", tag
+            continue
+        err = np.max(np.abs(ve.se[0] / np.sqrt(np.diag(cov)) - 1.0))
+        assert err <= NEAR_SINGULAR_TOL, (tag, err)
+    undefined = LEVERAGE_IDS - POOLING_IDS - {EstimatorId[tag] for tag in exact}
+    assert bool(undefined) == bool(kern.singular_leverage[0])
+    for est in undefined:
+        assert got[est].incomputable_reason[0] == "SingularLeverage", est
+
+
+@pytest.mark.parametrize("cell", ["one-treated", "one-treated-2/6", "unbalanced", "owned"])
+def test_diagnostic_singular_exactly_when_leverage_is(cell):
+    # one criterion: the diagnostic raises SingularLeverage for a
+    # replication exactly when its leverage estimators are flagged, naming
+    # the cluster that owns the direction
+    if cell == "owned":
+        kern, owner = _owned_direction_fit().kernel, "c0"
+    else:
+        reps = [135, 774] if cell == "unbalanced" else range(32)
+        kern, owner = _cell_block(cell, reps).kernel, 1
+    flagged = 0
+    for r in range(kern.beta.shape[0]):
+        row = kern.take([r])
+        if row.singular_leverage[0]:
+            flagged += 1
+            with pytest.raises(SingularLeverage) as err:
+                overcorrection_diagnostic(row)
+            assert err.value.cluster_id == owner
+            assert str(err.value) == f"cluster {owner}: remaining information singular"
+        else:
+            assert np.all(np.isfinite(overcorrection_diagnostic(row).matrix))
+    assert flagged == (0 if cell == "unbalanced" else kern.beta.shape[0])
 
 
 def _principal_inv_sqrt(m):
@@ -183,13 +285,12 @@ class TestEstimatorCatalog:
         v = estimate_all(kern)
         n_cl, p = kern.n_clusters, kern.p
 
-        def sandwich(scores):
-            m = sum(np.outer(f, f) for f in scores)
-            return kern.info_inv[0] @ m @ kern.info_inv[0]
+        def gram(rows):
+            return sum(np.outer(g, g) for g in rows)
 
-        assert np.allclose(v[EstimatorId.LZ].cov, sandwich(kern.corrected(0.0)[0][0]), rtol=1e-12)
-        assert np.allclose(v[EstimatorId.KC].cov, sandwich(kern.corrected(0.5)[0][0]), rtol=1e-12)
-        assert np.allclose(v[EstimatorId.MD].cov, sandwich(kern.corrected(1.0)[0][0]), rtol=1e-12)
+        assert np.allclose(v[EstimatorId.LZ].cov, gram(kern.corrected(0.0)[0]), rtol=1e-12)
+        assert np.allclose(v[EstimatorId.KC].cov, gram(kern.corrected(0.5)[0]), rtol=1e-12)
+        assert np.allclose(v[EstimatorId.MD].cov, gram(kern.corrected(1.0)[0]), rtol=1e-12)
         assert np.allclose(
             v[EstimatorId.DF].cov, n_cl / (n_cl - p) * v[EstimatorId.LZ].cov, rtol=1e-12
         )
@@ -201,14 +302,12 @@ class TestEstimatorCatalog:
 
     def test_ar_centering_identity(self, rng):
         kern = _balanced_kernel(rng)
-        f = kern.corrected(1.0)[0][0]
+        g = kern.corrected(1.0)[0]
         n_cl, p, n_star = kern.n_clusters, kern.p, kern.n_total
-        fbar = np.mean(f, axis=0)
-        m_md = sum(np.outer(x, x) for x in f)
+        gbar = np.mean(g, axis=0)
+        v_md = sum(np.outer(x, x) for x in g)
         c_n = (n_star - 1) / (n_star - p) * n_cl / (n_cl - 1)
-        expected = (
-            kern.info_inv[0] @ (c_n * (m_md - n_cl * np.outer(fbar, fbar))) @ kern.info_inv[0]
-        )
+        expected = c_n * (v_md - n_cl * np.outer(gbar, gbar))
         assert np.allclose(estimate_variance(kern, EstimatorId.AR).cov, expected, rtol=1e-10)
 
     def test_ar_equals_scaled_md_when_scores_centered(self, rng):
@@ -223,8 +322,8 @@ class TestEstimatorCatalog:
         base = [q.resid for q in kernel_literals(kern)]
         mirrored = [base[0], -base[0], base[2], -base[2], base[4], -base[4]]
         k2 = with_residuals(kern, mirrored)
-        f = k2.corrected(1.0)[0][0]
-        assert np.allclose(np.sum(f, axis=0), 0.0, atol=1e-12)
+        g = k2.corrected(1.0)[0]
+        assert np.allclose(np.sum(g, axis=0), 0.0, atol=1e-12)
         n_cl, p, n_star = k2.n_clusters, k2.p, k2.n_total
         c_n = (n_star - 1) / (n_star - p) * n_cl / (n_cl - 1)
         v_md = estimate_variance(k2, EstimatorId.MD).cov
@@ -238,11 +337,11 @@ class TestEstimatorCatalog:
         kern = assemble_kernel(rng.normal(scale=0.3, size=3), "exchangeable", 0.2, 1.0, ds)
         c_n = (40 - 1) / (40 - 3) * 10 / 9
         assert c_n - 1 == pytest.approx(0.171, abs=5e-4)
-        f = kern.corrected(1.0)[0][0]
-        m_md = sum(np.outer(x, x) for x in f)
-        fbar = np.mean(f, axis=0)
-        m_ar = kern.info[0] @ estimate_variance(kern, EstimatorId.AR).cov @ kern.info[0]
-        assert np.allclose(m_ar, c_n * (m_md - 10 * np.outer(fbar, fbar)), rtol=1e-8)
+        g = kern.corrected(1.0)[0]
+        v_md = sum(np.outer(x, x) for x in g)
+        gbar = np.mean(g, axis=0)
+        v_ar = estimate_variance(kern, EstimatorId.AR).cov
+        assert np.allclose(v_ar, c_n * (v_md - 10 * np.outer(gbar, gbar)), rtol=1e-8)
 
     def test_fg_literal_formula(self, rng):
         # g_i = (1 - min(0.75, diag(A_i info_inv)))^{-1/2} * U_i
