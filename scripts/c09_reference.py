@@ -42,23 +42,20 @@ def main() -> None:
     )
     spec = ScenarioSpec(id="c09", scenario=scenario)
     estimators = [EstimatorId[t] for t in TAGS]
-    records = []
-    for start in range(0, REPS, BLOCK_SIZE):
-        records += run_block(spec, range(start, min(start + BLOCK_SIZE, REPS)),
-                             estimators=estimators)
-    converged = [r for r in records if r["converged"]]
-    beta1 = np.array([r["beta"][1] for r in converged])
-    print(f"c09: {len(converged)} of {REPS} replications converged; mean beta1 "
+    blocks = [run_block(spec, range(start, min(start + BLOCK_SIZE, REPS)), estimators=estimators)
+              for start in range(0, REPS, BLOCK_SIZE)]
+    conv = np.concatenate([b.converged for b in blocks])
+    beta1 = np.concatenate([b.beta[:, 1] for b in blocks])[conv]
+    se = np.concatenate([b.se[:, :, 0] for b in blocks])[conv]  # (converged, estimators)
+    print(f"c09: {conv.sum()} of {REPS} replications converged; mean beta1 "
           f"{beta1.mean():.3f} (MC SE {beta1.std(ddof=1) / math.sqrt(beta1.size):.3f})")
     print()
     print("| reference | " + " | ".join(TAGS) + " |")
     print("| --- |" + " --- |" * len(TAGS))
     for name, p_value in REFERENCES.items():
-        rates = []
-        for tag in TAGS:
-            stats = [r["beta"][1] / r["estimators"][tag]["se"][0] for r in converged
-                     if r["estimators"][tag]["computable"]]
-            rates.append(np.mean([p_value(t) < TEST_LEVEL for t in stats]))
+        # an SE is NaN where its estimator is not computable
+        rates = [np.mean(p_value(stats[~np.isnan(stats)]) < TEST_LEVEL)
+                 for stats in (beta1[:, None] / se).T]
         print(f"| {name} | " + " | ".join(f"{x:.3f}" for x in rates) + " |")
 
 

@@ -6,8 +6,10 @@ records and the same files, so a change meant to keep every output
 bitwise the same is checked by running this script in both and comparing
 what it prints (``diff`` of the two outputs).  It digests:
 
-- the pickled ``harness.run_block`` records of replications 0 .. reps-1,
-  run in blocks of ``BLOCK_SIZE`` as ``run_scenario`` runs them, on the
+- the records of replications 0 .. reps-1, run in blocks of
+  ``BLOCK_SIZE`` as ``run_scenario`` runs them, each block's rows pickled
+  as the per-replication dicts of ``run_replication``
+  (``harness.block_records``), on the
   two scenarios of the ``perfbench`` grid at base seeds 1, 7 and 1000,
   on the c09 and c11 acceptance cells, on an invalid-retry cell
   (N = 10, sizes 2/8, 10% events, rho 0.7, seed 11) and on two cells with
@@ -66,7 +68,9 @@ from pgee import (
     FitOptions, Scenario, ScenarioSpec, WorkingModel, fit_block, generate_dataset, write_csv,
 )
 from pgee.cli import main as pgee_main
-from pgee.harness import BLOCK_SIZE, calibrate_intercept, draw_block, parse_config, run_block
+from pgee.harness import (
+    BLOCK_SIZE, block_records, calibrate_intercept, draw_block, parse_config, run_block,
+)
 
 #: SE changes above this (relative) are listed with the fit's leverage.
 SE_TOL = 1e-10
@@ -115,7 +119,8 @@ def record_cells(grid_config: str, reps: int) -> dict:
         intercept = calibrate_intercept(spec.scenario)
         records = []
         for start in range(0, reps, BLOCK_SIZE):
-            records += run_block(spec, range(start, min(start + BLOCK_SIZE, reps)), intercept)
+            block = range(start, min(start + BLOCK_SIZE, reps))
+            records += block_records(run_block(spec, block, intercept), block)
         print(f"records {name} reps={reps} {_md5(pickle.dumps(records, protocol=4))}")
         cells[name] = (spec, intercept, records)
     return cells

@@ -12,6 +12,7 @@ import json
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -24,7 +25,7 @@ from .fitting import FitOptions, PgeeFit, fit
 from .harness import (
     MAX_ATTEMPTS,
     ZERO_SE,
-    draw_dataset,
+    draw_block,
     effective_workers,
     parse_config,
     results_csv,
@@ -282,12 +283,12 @@ def cmd_generate(args) -> int:
         seed=args.seed,
     )
     intercept = calibrate_intercept(scenario)
-    dataset, invalid = draw_dataset(scenario, 0, intercept)
-    if dataset is None:
+    design, y, (invalid,) = draw_block(scenario, [0], intercept)
+    if invalid == MAX_ATTEMPTS:
         raise PgeeError(f"no valid draw in {MAX_ATTEMPTS} attempts")
-    write_csv(dataset, args.out)
+    write_csv(replace(design, y=y[0]), args.out)
     print(
-        f"wrote {dataset.n_clusters} clusters ({dataset.n_total} rows) to "
+        f"wrote {design.n_clusters} clusters ({design.n_total} rows) to "
         f"{args.out}; intercept {intercept:.6g}; invalid draws {invalid}; "
         f"seed {scenario.seed}"
     )

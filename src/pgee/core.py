@@ -180,7 +180,7 @@ class FitKernel:
     axis, ``score`` (R, p) and ``info`` (R, p, p) are the summed cluster
     scores and informations and ``info_inv`` the inverses.  ``scores``
     (R, N, p) and ``infos`` (R, N, p, p), in cluster order, the leverage
-    and the corrected rows are computed on first use; ``hat_block`` is
+    and the corrected rows are computed on first use (``memo``); ``hat_block`` is
     the only per-cluster accessor.  ``single`` marks the block of one that
     ``assemble_kernel`` or ``fit`` returns for one dataset: its arrays keep
     the axis, and ``estimate_variance`` and ``overcorrection_diagnostic``
@@ -197,9 +197,7 @@ class FitKernel:
     info: np.ndarray
     info_inv: np.ndarray
     single: bool = False
-    _corrections: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_clusters(self) -> int:
@@ -291,15 +289,19 @@ class FitKernel:
         z = q @ (weights[..., None] * (q.swapaxes(-1, -2) @ z))
         return z[..., 0] @ l0inv
 
+    def memo(self, key, compute) -> np.ndarray:
+        """``compute()``, evaluated once per kernel and ``key`` and kept read-only."""
+        if key not in self._memo:
+            self._memo[key] = _readonly(compute())
+        return self._memo[key]
+
     def corrected(self, c: float) -> np.ndarray:
         """(R, N, p) rows g_c,i in cluster order: ``scores @ info_inv`` for
         c = 0, else ``spectral_rows`` of gaps^{-c}.  Each exponent is solved
         once per kernel; in a replication with ``singular_leverage`` the
         rows are the uncorrected ones."""
-        if c not in self._corrections:
-            g = self.scores @ self.info_inv if c == 0.0 else self.spectral_rows(self.gaps ** -c)
-            self._corrections[c] = _readonly(g)
-        return self._corrections[c]
+        return self.memo(c, lambda: self.scores @ self.info_inv if c == 0.0
+                         else self.spectral_rows(self.gaps ** -c))
 
     def hat_block(self, i: int) -> np.ndarray:
         """Hat-matrix block of cluster i of replication 0,

@@ -24,10 +24,10 @@ draws of a scenario share the design, so a block builds it once
 pending replications and draws their responses in one pass, and only the
 replications whose draw was invalid go on to the next attempt.  The
 block's responses are fitted in lockstep, and its converged replications
-are estimated and tested together; ``run_replication`` is a block of one.
-The process pool is handed whole blocks, so the blocks, and every output,
-are identical for any worker count, and a replication's record does not
-depend on the block it is run in.  ``aggregate`` reduces the estimators
+are estimated and tested together, into one ``BlockResult`` of arrays;
+``run_replication`` is a block of one.  The process pool is handed whole
+blocks, so the blocks, and every output, are identical for any worker
+count.  ``aggregate`` concatenates the blocks and reduces the estimators
 that are computable on the same replications together, one axis-wise call
 per statistic.
 
@@ -60,9 +60,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -185,58 +185,51 @@ def draw_block(scenario: Scenario, reps: Sequence[int], intercept: float) -> tup
     return design.data, y, invalid
 
 
-def draw_dataset(scenario: Scenario, rep_index: int, intercept: float) -> tuple:
-    """Dataset of one replication and the number of invalid draws before
-    it: :func:`draw_block` on ``[rep_index]``.  The dataset is None when all
-    MAX_ATTEMPTS draws are invalid."""
-    design, y, invalid = draw_block(scenario, [rep_index], intercept)
-    n_invalid = int(invalid[0])
-    return (None if n_invalid == MAX_ATTEMPTS else replace(design, y=y[0])), n_invalid
-
-
 def _working_model(scenario: Scenario) -> WorkingModel:
     return WorkingModel(
         structure=scenario.working_structure, alpha="estimate", dispersion=1.0
     )
 
 
-def _no_result(rep_index: int, invalid: int) -> dict:
-    """Record of a replication before its fit: no valid draw as yet."""
-    return {
-        "rep": rep_index, "invalid": invalid, "converged": False, "iterations": 0,
-        "reason": NO_VALID_DRAW,
-    }
+class BlockResult(NamedTuple):
+    """A block's results, replication axis first: ``invalid`` (the invalid
+    draws before the dataset), ``converged``, ``iterations`` and ``reason``
+    (the fit's, or ``no_valid_draw``) (R,); ``beta`` (R, p), NaN unless
+    converged; ``computable`` and its reason ``why`` (R, E) per estimator
+    column; ``se`` and ``reject`` (R, E, T) per tested coefficient, NaN and
+    False where not computable."""
+
+    invalid: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    reason: np.ndarray
+    beta: np.ndarray
+    computable: np.ndarray
+    why: np.ndarray
+    se: np.ndarray
+    reject: np.ndarray
 
 
-def _add_tests(spec, records, beta, kernel, estimators) -> None:
-    """Fill in the estimates and Wald tests of converged replications:
-    ``records`` and the rows of ``beta`` (C, p) follow the block
-    ``kernel`` of their final kernels.  An estimate with a tested SE that
-    is not positive cannot be tested: it is recorded as not computable,
-    with reason ``ZeroSE``."""
-    estimates = list(estimate_all(kernel, estimators).values())
-    idx = [_COEF_INDEX[name] for name in spec.test_coefs]
-    se = np.stack([ve.se[:, idx] for ve in estimates])  # (estimators, C, tested)
-    computable = np.stack([ve.computable for ve in estimates])
-    zero_se = computable & ~np.all(se > 0, axis=-1)
-    computable &= ~zero_se
-    tstat = np.broadcast_to(beta[:, idx], se.shape)[computable] / se[computable]
-    reject = np.zeros(se.shape, bool)
-    reject[computable] = np.abs(tstat) > t_critical(kernel.n_clusters - kernel.p, TEST_LEVEL)
-    reasons = np.stack([ve.incomputable_reason for ve in estimates])
-    reasons[zero_se] = ZERO_SE
-    names = [ve.id.name for ve in estimates]
-    # one conversion to Python objects per block, replication-major
-    for rec, b, ok, why, ses, rejects in zip(
-        records, beta.tolist(), computable.T.tolist(), reasons.T.tolist(),
-        se.swapaxes(0, 1).tolist(), reject.swapaxes(0, 1).tolist(),
-    ):
-        rec["beta"] = b
-        rec["estimators"] = {
-            name: {"computable": c, "reason": r, "se": s, "reject": j} if c
-            else {"computable": c, "reason": r}
-            for name, c, r, s, j in zip(names, ok, why, ses, rejects)
-        }
+def _estimator_ids(estimators: Optional[Sequence[EstimatorId]]) -> list:
+    """A block's estimator columns: ``estimators`` (default all), each once."""
+    return list(dict.fromkeys(EstimatorId if estimators is None else estimators))
+
+
+def block_records(block: BlockResult, reps: Sequence[int], estimators=None) -> list:
+    """The rows of ``block`` (replications ``reps``) as dicts: ``rep``,
+    ``invalid``, ``converged``, ``iterations`` and ``reason``, and for a
+    converged replication ``beta`` and one entry per estimator."""
+    names = [est.name for est in _estimator_ids(estimators)]
+    records = []
+    for rep, invalid, ok, its, reason, beta, *ests in zip(reps, *(a.tolist() for a in block)):
+        records.append(dict(rep=rep, invalid=invalid, converged=ok, iterations=its, reason=reason))
+        if ok:
+            records[-1].update(beta=beta, estimators={
+                name: {"computable": c, "reason": r, "se": s, "reject": j} if c
+                else {"computable": c, "reason": r}
+                for name, c, r, s, j in zip(names, *ests)
+            })
+    return records
 
 
 def run_replication(
@@ -246,15 +239,10 @@ def run_replication(
     estimators: Optional[Sequence[EstimatorId]] = None,
     fit_options: Optional[FitOptions] = None,
 ) -> dict:
-    """Generate, fit, estimate, test: one Monte Carlo replication record.
-
-    The record holds the replication index, the number of invalid draws,
-    ``converged``, the fit's ``iterations`` and ``reason`` (its
-    ``diverged_reason``, or ``no_valid_draw`` when every attempt was
-    invalid); a converged replication adds ``beta`` and one entry per
-    estimator.  This is :func:`run_block` on a block of one.
-    """
-    return run_block(spec, [rep_index], intercept, estimators, fit_options)[0]
+    """Generate, fit, estimate, test: one Monte Carlo replication, as the
+    ``block_records`` dict of :func:`run_block` on a block of one."""
+    block = run_block(spec, [rep_index], intercept, estimators, fit_options)
+    return block_records(block, [rep_index], estimators)[0]
 
 
 def run_block(
@@ -263,15 +251,16 @@ def run_block(
     intercept: Optional[float] = None,
     estimators: Optional[Sequence[EstimatorId]] = None,
     fit_options: Optional[FitOptions] = None,
-) -> list:
-    """The records of replications ``reps``, drawn, fitted and estimated
+) -> BlockResult:
+    """The results of replications ``reps``, drawn, fitted and estimated
     as one block.
 
     All draws of a scenario share the design, so the block's responses are
     drawn in one pass (``draw_block``), fitted in lockstep
     (``fit_block``), and the converged ones are estimated and tested
-    together.  A replication's record does not depend on the block it is
-    run in.
+    together.  An estimate with a tested SE that is not positive cannot be
+    tested: it is not computable, with reason ``ZeroSE``.  A replication's
+    row does not depend on the block it is run in.
     """
     scen = spec.scenario
     if intercept is None:
@@ -280,22 +269,37 @@ def run_block(
         design, y, invalid = draw_block(scen, reps, intercept)
     except ValueError as exc:
         raise ConfigError(f"scenario {spec.id}: {exc}") from exc
-    records = [_no_result(rep, int(n)) for rep, n in zip(reps, invalid)]
+    ids, idx = _estimator_ids(estimators), [_COEF_INDEX[name] for name in spec.test_coefs]
+    n, e, t = len(invalid), len(ids), len(idx)
+    block = BlockResult(
+        invalid, np.zeros(n, bool), np.zeros(n, int), np.full(n, NO_VALID_DRAW, object),
+        np.full((n, design.p), np.nan), np.zeros((n, e), bool), np.full((n, e), None, object),
+        np.full((n, e, t), np.nan), np.zeros((n, e, t), bool),
+    )
     drawn = np.flatnonzero(invalid < MAX_ATTEMPTS)
-    if not drawn.size:
-        return records
-    result = fit_block(design, y[drawn], _working_model(scen), fit_options or FitOptions())
-    for k, converged, iterations, reason in zip(
-        drawn, result.converged, result.iterations, result.diverged_reason
-    ):
-        records[k].update(converged=bool(converged), iterations=int(iterations), reason=reason)
-    conv = np.flatnonzero(result.converged)
-    if conv.size:
-        _add_tests(
-            spec, [records[drawn[c]] for c in conv], result.beta[conv],
-            result.kernel.take(conv), estimators,
-        )
-    return records
+    if drawn.size:
+        result = fit_block(design, y[drawn], _working_model(scen), fit_options or FitOptions())
+        block.converged[drawn] = result.converged
+        block.iterations[drawn] = result.iterations
+        block.reason[drawn] = result.diverged_reason
+    if not block.converged.any():
+        return block
+    fitted = np.flatnonzero(result.converged)
+    conv = drawn[fitted]
+    block.beta[conv] = result.beta[fitted]
+    estimates = estimate_all(result.kernel.take(fitted), ids).values()
+    se = np.stack([ve.se[:, idx] for ve in estimates], axis=1)
+    ok = np.stack([ve.computable for ve in estimates], axis=1)
+    why = np.stack([ve.incomputable_reason for ve in estimates], axis=1)
+    testable = np.all(se > 0, axis=-1)
+    why[ok & ~testable] = ZERO_SE
+    ok &= testable
+    se[~ok] = np.nan
+    crit = t_critical(result.kernel.n_clusters - result.kernel.p, TEST_LEVEL)
+    block.computable[conv], block.why[conv], block.se[conv] = ok, why, se
+    # a NaN SE compares false: only computable estimates can reject
+    block.reject[conv] = np.abs(block.beta[conv][:, None, idx] / se) > crit
+    return block
 
 
 def _cells(pairs: list, ses: np.ndarray, rejects: np.ndarray, sim_se: dict) -> list:
@@ -342,60 +346,52 @@ def _cells(pairs: list, ses: np.ndarray, rejects: np.ndarray, sim_se: dict) -> l
 
 
 def aggregate(
-    records: Sequence[dict],
+    blocks: Sequence[BlockResult],
     spec: ScenarioSpec,
     estimators: Optional[Sequence[EstimatorId]] = None,
     min_converged: int = 100,
 ) -> ScenarioResult:
-    """Reduce replication records to per-cell operating characteristics.
+    """Reduce a scenario's blocks, in replication order, to per-cell
+    operating characteristics; their estimator columns are ``estimators``
+    (default all), each once.
 
     The estimators computable on the same replications are reduced
     together, with one axis-wise call per statistic."""
     if estimators is None:
         estimators = list(EstimatorId)
-    records = sorted(records, key=lambda r: r["rep"])
-    b_total = len(records)
-    converged = [r for r in records if r["converged"]]
-    b_eff = len(converged)
+    b_eff = sum(int(np.count_nonzero(b.converged)) for b in blocks)
     need = max(min_converged, 1)
     if b_eff < need:
-        raise TooFewConverged(
-            f"{spec.id}: only {b_eff} converged replications (need {need})"
-        )
-    invalid_draws = sum(r["invalid"] for r in records)
+        raise TooFewConverged(f"{spec.id}: only {b_eff} converged replications (need {need})")
+    block = BlockResult(*map(np.concatenate, zip(*blocks)))
+    betas, computable, ses, rejects = (
+        a[block.converged] for a in (block.beta, block.computable, block.se, block.reject)
+    )
+    sim_se = {name: float(np.std(betas[:, _COEF_INDEX[name]], ddof=1)) for name in spec.test_coefs}
 
-    betas = np.array([r["beta"] for r in converged])
-    sim_se = {
-        name: float(np.std(betas[:, _COEF_INDEX[name]], ddof=1))
-        for name in spec.test_coefs
-    }
-
-    # estimators grouped by the replications they are computable on
+    # estimator columns grouped by the replications they are computable on
+    names = [est.name for est in _estimator_ids(estimators)]
     groups = {}
-    for est in dict.fromkeys(estimators):
-        entries = [r["estimators"][est.name] for r in converged]
-        usable = tuple(k for k, e in enumerate(entries) if e["computable"])
-        groups.setdefault(usable, []).append((est.name, [entries[k] for k in usable]))
+    for col, usable in enumerate(computable.T):
+        groups.setdefault(usable.tobytes(), []).append(col)
     cells = {}
-    for usable, members in groups.items():
-        pairs = [(tag, name) for tag, _ in members for name in spec.test_coefs]
-        shape = (len(members), len(usable), len(spec.test_coefs))
-        # one contiguous row of SEs and of reject flags per pair (a strided
-        # row would be reduced in another order)
-        ses, rejects = (
-            np.ascontiguousarray(
-                np.array([[e[key] for e in es] for _, es in members], float)
-                .reshape(shape).swapaxes(1, 2)
-            ).reshape(len(pairs), len(usable))
-            for key in ("se", "reject")
+    for cols in groups.values():
+        usable = computable[:, cols[0]]
+        pairs = [(names[col], name) for col in cols for name in spec.test_coefs]
+        # one contiguous row of SEs and of 0/1 reject flags per pair (a
+        # strided row would be reduced in another order)
+        se, reject = (
+            np.ascontiguousarray(a[usable][:, cols].transpose(1, 2, 0), float)
+            .reshape(len(pairs), -1)
+            for a in (ses, rejects)
         )
-        cells.update(zip(pairs, _cells(pairs, ses, rejects, sim_se)))
+        cells.update(zip(pairs, _cells(pairs, se, reject, sim_se)))
     return ScenarioResult(
         scenario_id=spec.id,
-        b_total=b_total,
+        b_total=len(block.converged),
         b_effective=b_eff,
-        convergence_rate=b_eff / b_total,
-        invalid_draws=invalid_draws,
+        convergence_rate=b_eff / len(block.converged),
+        invalid_draws=int(block.invalid.sum()),
         sim_se=sim_se,
         cells=tuple(cells[est.name, name] for est in estimators for name in spec.test_coefs),
     )
@@ -416,11 +412,11 @@ def run_scenario(
     job = partial(run_block, spec, intercept=intercept, estimators=estimators)
     workers = min(workers, len(blocks))
     if workers <= 1:
-        records = [rec for result in map(job, blocks) for rec in result]
+        results = list(map(job, blocks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [rec for result in pool.map(job, blocks) for rec in result]
-    return aggregate(records, spec, estimators, min_converged=min_converged)
+            results = list(pool.map(job, blocks))
+    return aggregate(results, spec, estimators, min_converged=min_converged)
 
 
 def effective_workers(requested: int) -> int:

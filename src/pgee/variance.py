@@ -201,11 +201,11 @@ _COVARIANCES = {
     EstimatorId.MD: lambda k: _gram(k.corrected(1.0)),
     EstimatorId.FG: _fg,
     EstimatorId.MBN: lambda k: _fpc_bessel(k) * _centered(k, 0.0),
-    EstimatorId.PAN: lambda k: _pooled(k, 0.0, k.n_clusters),
+    EstimatorId.PAN: lambda k: k.memo("PAN", lambda: _pooled(k, 0.0, k.n_clusters)),
     EstimatorId.GST: lambda k: _pooled(k, 0.0, k.n_clusters - k.p),
     EstimatorId.WL: lambda k: _pooled(k, 1.0, k.n_clusters),
     EstimatorId.WB: lambda k: _pooled(k, WB_EXPONENT, k.n_clusters),
-    EstimatorId.RS: lambda k: _pooled(k, 0.0, k.n_clusters),
+    EstimatorId.RS: lambda k: _COVARIANCES[EstimatorId.PAN](k),  # PAN's, evaluated once
     EstimatorId.FW: lambda k: 0.5 * (_gram(k.corrected(0.5)) + _gram(k.corrected(1.0))),
     EstimatorId.FZ: _fz,
     EstimatorId.AR: lambda k: _fpc_bessel(k) * _centered(k, 1.0),
@@ -281,7 +281,7 @@ def estimate_all(kernel: FitKernel, estimators=None) -> dict:
     """Evaluate several estimators at one kernel (or block).
 
     The leverage corrections they share are solved once per exponent by
-    ``FitKernel.corrected``.
+    ``FitKernel.corrected``, and the PAN covariance once for PAN and RS.
     """
     if estimators is None:
         estimators = list(EstimatorId)

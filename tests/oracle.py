@@ -29,7 +29,7 @@ from pgee import (
     firth_penalty,
     working_correlation,
 )
-from pgee.core import ETA_CAP, MU_EPS, assemble_block, whitening_factors
+from pgee.core import ETA_CAP, LEVERAGE_TOL, MU_EPS, assemble_block, whitening_factors
 from pgee.datagen import TIME_STEP
 from pgee.fitting import BETA_CAP, MAX_HALVINGS
 from pgee.harness import _COEF_INDEX, EstimatorCell
@@ -143,18 +143,39 @@ def whitened_clusters(kernel, r=0) -> tuple:
     return dt, rt
 
 
-def literal_covariances(dt, rt, n_total, dps=60) -> dict:
-    """LZ, DF, MBN, KC, MD, FW, AR and FZ covariances of one replication from
-    its whitened (dt_i, rt_i), taken as exact inputs, by their
-    observation-space definitions in ``mpmath`` at ``dps`` digits.
+def whitening(kernel, r=0) -> tuple:
+    """The whitening of replication ``r`` of a kernel: the variance weights
+    w_i and inverse Cholesky factors C^{-1} of R(alpha), as two lists in
+    cluster order, and phi.  The whitening is L_i^{-1} = C^{-1} W_i^{-1/2}
+    / sqrt(phi), so dmat_i = L_i dt_i, r_i = L_i rt_i and V_i = L_i L_i'."""
+    w, cinv = [None] * kernel.n_clusters, [None] * kernel.n_clusters
+    for g in kernel.groups:
+        for k, i in enumerate(g.idx):
+            w[i], cinv[i] = g.w[r, k], g.cinv[r]
+    return w, cinv, float(kernel.phi[r])
+
+
+def literal_covariances(dt, rt, n_total, factors=None, dps=60) -> dict:
+    """LZ, DF, FG, MBN, KC, MD, FW, AR and FZ covariances of one
+    replication from its whitened (dt_i, rt_i), and with the ``whitening``
+    ``factors`` of a balanced replication also PAN, GST, RS, WL and WB,
+    taken as exact inputs, by their observation-space definitions in
+    ``mpmath`` at ``dps`` digits.
 
     With info = sum dt_i' dt_i, K = info^{-1} and the symmetric hat forms
     S_i = dt_i K dt_i', the corrected scores are f_c,i = dt_i' (I - S_i)^{-c}
     rt_i, the power taken through an eigendecomposition of S_i, and each
-    covariance is K M K (MBN adds its ridge delta_N kappa K).  FZ's middle is sum_i T_i (rt_i rt_i' -
-    sum_{j != i} H_ij rt_j rt_j' H_ij') T_i' with T_i = dt_i' (I - S_i)^{-1}
-    and H_ij = dt_i K dt_j'.  Leverage estimators are left out when some
-    S_i has an eigenvalue at or above 1.  Returns float (p, p) arrays by tag.
+    covariance is K M K (MBN and RS add their ridges r K).  FG scales U_i
+    elementwise by (1 - min(0.75, diag(A_i K)))^{-1/2}, A_i = dt_i' dt_i.
+    FZ's middle is sum_i T_i (rt_i rt_i' - sum_{j != i} H_ij rt_j rt_j' H_ij')
+    T_i' with T_i = dt_i' (I - S_i)^{-1} and H_ij = dt_i K dt_j'.  The
+    pooling middles are sum_i P_i RU_c P_i' with P_i = dmat_i' V_i^{-1}
+    W_i^{1/2} and RU_c = sum_j e_j e_j' / denom over the observation-space
+    residuals e_j = W_j^{-1/2} (I - H_jj)^{-c} r_j, H_jj = dmat_j K dmat_j'
+    V_j^{-1}, its power taken by an inverse and a matrix square root.
+    Leverage estimators are left out when some S_i has an eigenvalue
+    within LEVERAGE_TOL of 1 or above, the criterion of
+    ``FitKernel.singular_leverage``.  Returns float (p, p) arrays by tag.
     """
     import mpmath
 
@@ -192,9 +213,43 @@ def literal_covariances(dt, rt, n_total, dps=60) -> dict:
         kappa = max(1, sum((k * centered(u))[s, s] for s in range(p)) / p)
         out = {"LZ": cov(gram(u))}
         out["DF"] = n_cl / (n_cl - p) * out["LZ"]
+        lev = [x.T * x * k for x in d]
+        clip = mpmath.mpf(3) / 4
+        out["FG"] = cov(gram(
+            mpmath.diag([(1 - min(clip, a[s, s])) ** -0.5 for s in range(p)]) * y
+            for a, y in zip(lev, u)
+        ))
         out["MBN"] = cov(c_n * centered(u) + delta_n * kappa * info)
-        if max(max(lam) for lam, _ in eig) >= 1:
+        if factors is not None and len({x.rows for x in d}) == 1:
+            w, cinv, phi = factors
+            sw = [mpmath.diag([mpmath.sqrt(v) for v in x]) for x in w]
+            lmat = [mpmath.sqrt(phi) * s * mpmath.inverse(mpmath.matrix(c.tolist()))
+                    for s, c in zip(sw, cinv)]
+            dmat = [lm * x for lm, x in zip(lmat, d)]
+            resid = [lm * y for lm, y in zip(lmat, r)]
+            vinv = [mpmath.inverse(lm * lm.T) for lm in lmat]
+            n = d[0].rows
+            gap = [mpmath.eye(n) - x * k * x.T * vi for x, vi in zip(dmat, vinv)]
+
+            def pooled(c, denom):
+                pw = {0: lambda m: mpmath.eye(n), 1: mpmath.inverse,
+                      0.5: lambda m: mpmath.inverse(mpmath.sqrtm(m))}[c]
+                e = [mpmath.inverse(s) * pw(g) * y for s, g, y in zip(sw, gap, resid)]
+                ru = sum((x * x.T for x in e), mpmath.zeros(n, n)) / denom
+                m = mpmath.zeros(p, p)
+                for x, vi, s in zip(dmat, vinv, sw):
+                    t = x.T * vi * s
+                    m += t * ru * t.T
+                return m
+
+            m_pan = pooled(0, n_cl)
+            out["PAN"], out["GST"] = cov(m_pan), cov(pooled(0, n_cl - p))
+            ridge = delta_n * max(1, abs(mpmath.det(k * m_pan)) ** (mpmath.mpf(1) / p))
+            out["RS"] = cov(m_pan + ridge * info)
+        if 1 - max(max(lam) for lam, _ in eig) <= LEVERAGE_TOL:
             return out
+        if "PAN" in out:
+            out["WL"], out["WB"] = cov(pooled(1, n_cl)), cov(pooled(0.5, n_cl))
         f = {c: [d[i].T * power(i, c) * r[i] for i in range(n_cl)] for c in (0.5, 1)}
         out["KC"], out["MD"] = cov(gram(f[0.5])), cov(gram(f[1]))
         out["FW"] = 0.5 * (out["KC"] + out["MD"])
@@ -302,18 +357,18 @@ def literal_cell(tag, name, ses, rejects, sim_se) -> EstimatorCell:
     )
 
 
-def literal_cells(records, spec, estimators) -> tuple:
-    """``aggregate``'s cells, one (estimator, coefficient) pair at a time."""
-    converged = [r for r in records if r["converged"]]
-    betas = np.array([r["beta"] for r in converged])
+def literal_cells(blocks, spec, estimators) -> tuple:
+    """``aggregate``'s cells, one (estimator, coefficient) pair and one
+    replication at a time; the blocks' estimator columns are ``estimators``."""
+    rows = [(b, k) for b in blocks for k in range(len(b.converged)) if b.converged[k]]
+    betas = np.array([b.beta[k] for b, k in rows])
     cells = []
-    for est in estimators:
-        usable = [r["estimators"][est.name] for r in converged]
-        usable = [e for e in usable if e["computable"]]
+    for col, est in enumerate(estimators):
+        usable = [(b, k) for b, k in rows if b.computable[k, col]]
         for ci, name in enumerate(spec.test_coefs):
             sim_se = float(np.std(betas[:, _COEF_INDEX[name]], ddof=1))
-            ses = np.array([e["se"][ci] for e in usable], float)
-            rejects = np.array([e["reject"][ci] for e in usable], float)
+            ses = np.array([b.se[k, col, ci] for b, k in usable], float)
+            rejects = np.array([b.reject[k, col, ci] for b, k in usable], float)
             cells.append(literal_cell(est.name, name, ses, rejects, sim_se))
     return tuple(cells)
 

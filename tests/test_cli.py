@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import json
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -397,12 +396,10 @@ class TestSimulate:
         for name in ("results.csv", "summary.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         spec, = parse_config(ZERO_SE_CONFIG, base_seed=1)
-        records = run_block(spec, range(200))  # records do not depend on the blocks
-        zero = Counter(
-            tag for r in records for tag, e in r["estimators"].items() if e["reason"] == "ZeroSE"
-        )
+        block = run_block(spec, range(200))  # rows do not depend on the blocks
+        zero = dict(zip((e.name for e in EstimatorId), np.sum(block.why == "ZeroSE", axis=0)))
         assert sum(zero.values()) > 0
-        b_eff = sum(r["converged"] for r in records)
+        b_eff = block.converged.sum()
         rows = list(csv.DictReader((outs[0] / "results.csv").open()))
         assert len(rows) == 2 * len(EstimatorId)
         for row in rows:

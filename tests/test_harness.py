@@ -1,4 +1,4 @@
-"""Monte Carlo harness: records, aggregation, config expansion, determinism."""
+"""Monte Carlo harness: block results, aggregation, config expansion, determinism."""
 
 import dataclasses
 import math
@@ -31,10 +31,11 @@ from pgee.harness import (
     MAX_ATTEMPTS,
     RESULTS_COLUMNS,
     TEST_LEVEL,
+    BlockResult,
     EstimatorCell,
     _working_model,
+    block_records,
     draw_block,
-    draw_dataset,
     run_block,
 )
 from pgee.datagen import ClfDesign
@@ -75,27 +76,29 @@ class TestRunReplication:
         lz = rec["estimators"]["LZ"]
         assert lz["computable"]
         assert len(lz["se"]) == 1 and len(lz["reject"]) == 1
+        block = run_block(_spec(), range(5), estimators=[*FAST_ESTIMATORS, EstimatorId.LZ])
+        shapes = [a.shape for a in block]
+        assert shapes == [(5,)] * 4 + [(5, 3), (5, 4), (5, 4), (5, 4, 1), (5, 4, 1)]
 
     def test_unbalanced_flags_pooling(self):
-        rec = run_replication(_spec(n_pattern=(2, 6)), 0, estimators=FAST_ESTIMATORS)
-        assert rec["converged"]
-        pan = rec["estimators"]["PAN"]
-        assert not pan["computable"]
-        assert pan["reason"] == "UnbalancedPooling"
+        block = run_block(_spec(n_pattern=(2, 6)), range(4), estimators=FAST_ESTIMATORS)
+        assert block.converged.all()
+        pan = FAST_ESTIMATORS.index(EstimatorId.PAN)
+        assert not block.computable[:, pan].any()
+        assert set(block.why[:, pan]) == {"UnbalancedPooling"}
+        assert np.isnan(block.se[:, pan]).all() and not block.reject[:, pan].any()
 
     def test_reject_flag_matches_level(self):
         # the block rejects by critical value; each flag is the p-value test
         spec = ScenarioSpec(id="both", scenario=_spec(beta1=math.log(2)).scenario,
                             test_coefs=("beta1", "beta2"))
-        flags = []
-        for rec in run_block(spec, range(64), estimators=FAST_ESTIMATORS):
-            for entry in rec.get("estimators", {}).values():
-                if entry["computable"]:
-                    wr = wald_test(np.array(rec["beta"])[[1, 2]], np.array(entry["se"]), 10, 3)
-                    assert entry["reject"] == (wr.p_value < TEST_LEVEL).tolist()
-                    flags += entry["reject"]
-        assert all(isinstance(f, bool) for f in flags)
-        assert 0 < sum(flags) < len(flags)
+        block = run_block(spec, range(64), estimators=FAST_ESTIMATORS)
+        ok = block.computable
+        assert ok.any() and not block.reject[~ok].any()
+        beta = np.broadcast_to(block.beta[:, None, 1:], block.se.shape)
+        wr = wald_test(beta[ok], block.se[ok], 10, 3)
+        assert np.array_equal(block.reject[ok], wr.p_value < TEST_LEVEL)
+        assert 0 < block.reject.sum() < block.reject[ok].size
 
     def test_tests_both_coefficients_when_asked(self):
         spec = ScenarioSpec(
@@ -103,17 +106,22 @@ class TestRunReplication:
         )
         rec = run_replication(spec, 0, estimators=[EstimatorId.LZ])
         assert len(rec["estimators"]["LZ"]["se"]) == 2
-
+        assert run_block(spec, [0], estimators=[EstimatorId.LZ]).se.shape == (1, 1, 2)
 
     def test_reason_is_recorded(self, monkeypatch):
         rec = run_replication(_spec(), 0, estimators=FAST_ESTIMATORS)
         assert rec["reason"] is None and rec["iterations"] > 0
         rec = run_replication(_spec(), 0, fit_options=FitOptions(max_iter=2))
         assert not rec["converged"] and rec["reason"] == "max_iter"
+        assert "beta" not in rec
         monkeypatch.setattr(ClfDesign, "draw", _all_invalid)
-        for rec in (run_replication(_spec(), 0), run_block(_spec(), [0])[0]):
-            assert rec["invalid"] == MAX_ATTEMPTS
-            assert not rec["converged"] and rec["reason"] == "no_valid_draw"
+        rec = run_replication(_spec(), 0)
+        assert rec["invalid"] == MAX_ATTEMPTS
+        assert not rec["converged"] and rec["reason"] == "no_valid_draw"
+        block = run_block(_spec(), [0, 1])
+        assert block.invalid.tolist() == [MAX_ATTEMPTS] * 2
+        assert not block.converged.any() and block.reason.tolist() == ["no_valid_draw"] * 2
+        assert np.isnan(block.beta).all() and not block.computable.any()
 
 
 #: Cells of the block parity test, each with a max_iter that leaves some
@@ -134,30 +142,19 @@ _PARITY_CELLS = {
 def test_block_matches_single_replications(cell):
     kw, max_iter = _PARITY_CELLS[cell]
     spec = _spec(**kw)
-    # one block of 64, each replication of it rerun alone
+    # one block of 64, each replication of it rerun alone: every row of the
+    # block, as a dict, is the record of run_replication
     reps = range(3, 3 + 64)
     seen = set()
     for opts in (FitOptions(), FitOptions(max_iter=max_iter)):
         block = run_block(spec, reps, fit_options=opts)
-        assert [r["rep"] for r in block] == list(reps)
-        for rec in block:
+        for rec in block_records(block, reps):
             one = run_replication(spec, rec["rep"], fit_options=opts)
-            for key in ("invalid", "converged", "iterations", "reason"):
-                assert rec[key] == one[key], (rec["rep"], key)
+            assert rec == one, rec["rep"]
+            assert pickle.dumps(rec) == pickle.dumps(one), rec["rep"]
             seen.add(rec["reason"])
             seen.add("invalid" if rec["invalid"] else "valid")
-            if not one["converged"]:
-                assert "beta" not in rec
-                continue
-            np.testing.assert_allclose(rec["beta"], one["beta"], rtol=1e-12, atol=0)
-            assert rec["estimators"].keys() == one["estimators"].keys()
-            for tag, entry in one["estimators"].items():
-                got = rec["estimators"][tag]
-                assert (got["computable"], got["reason"]) == (entry["computable"], entry["reason"])
-                seen.add(entry["reason"])
-                if entry["computable"]:
-                    np.testing.assert_allclose(got["se"], entry["se"], rtol=1e-12, atol=0)
-                    assert got["reject"] == entry["reject"]
+            seen.update(e["reason"] for e in rec.get("estimators", {}).values())
     assert {None, "max_iter"} <= seen
     if cell == "balanced":
         assert {"invalid", "valid"} <= seen
@@ -210,22 +207,30 @@ def test_aggregate_matches_literal_cells():
     spec = ScenarioSpec(
         id="cells", scenario=_spec(n_pattern=(2, 6)).scenario, test_coefs=("beta1", "beta2")
     )
-    records = run_block(spec, range(40))
-    converged = [r for r in records if r["converged"]]
-    for tag, keep in (("LZ", {0}), ("DF", {3, 5}), ("KC", set())):
-        for k, rec in enumerate(converged):
-            if k not in keep:
-                rec["estimators"][tag] = {"computable": False, "reason": "ZeroSE"}
-    converged[7]["estimators"]["MD"] = {"computable": False, "reason": "ZeroSE"}
     estimators = list(EstimatorId)
-    res = aggregate(records, spec, estimators, min_converged=10)
-    assert pickle.dumps(res.cells) == pickle.dumps(literal_cells(records, spec, estimators))
+    blocks = [run_block(spec, range(0, 25)), run_block(spec, range(25, 40))]
+    converged = [(b, k) for b in blocks for k in np.flatnonzero(b.converged)]
+
+    def zero_se(b, k, tag):
+        col = estimators.index(EstimatorId[tag])
+        b.computable[k, col], b.why[k, col], b.se[k, col] = False, "ZeroSE", np.nan
+        b.reject[k, col] = False
+
+    for tag, keep in (("LZ", {0}), ("DF", {3, 5}), ("KC", set())):
+        for i, (b, k) in enumerate(converged):
+            if i not in keep:
+                zero_se(b, k, tag)
+    zero_se(*converged[7], "MD")
+    res = aggregate(blocks, spec, estimators, min_converged=10)
+    assert pickle.dumps(res.cells) == pickle.dumps(literal_cells(blocks, spec, estimators))
     n = {c.estimator: c.n_computable for c in res.cells}
     assert (n["LZ"], n["DF"], n["KC"], n["PAN"]) == (1, 2, 0, 0)
     assert n["MD"] == len(converged) - 1
 
 
 class TestDrawDataset:
+    """One replication's dataset is ``draw_block`` on a block of one."""
+
     def test_regenerates_on_next_substream(self):
         # negative correlation at a 60% event rate makes some draws invalid
         scen = Scenario(
@@ -237,12 +242,10 @@ class TestDrawDataset:
             rng = np.random.default_rng(np.random.SeedSequence((scen.seed, 2, a)))
             return generate_dataset(scen, rng, intercept=intercept)
 
-        dataset, invalid = draw_dataset(scen, 2, intercept)
+        _, y, (invalid,) = draw_block(scen, [2], intercept)
         assert invalid > 0
         assert all(attempt(a) is None for a in range(invalid))
-        expected = attempt(invalid)
-        for c, e in zip(dataset.clusters, expected.clusters, strict=True):
-            assert np.array_equal(c.y, e.y)
+        assert y[0].tobytes() == attempt(invalid).y.tobytes()
 
     def test_gives_up_after_max_attempts(self, monkeypatch):
         calls = []
@@ -252,7 +255,8 @@ class TestDrawDataset:
             return _all_invalid(design, unif)
 
         monkeypatch.setattr(ClfDesign, "draw", counted)
-        assert draw_dataset(_spec().scenario, 0, 0.0) == (None, MAX_ATTEMPTS)
+        _, _, invalid = draw_block(_spec().scenario, [0], 0.0)
+        assert invalid.tolist() == [MAX_ATTEMPTS]
         assert calls == [1] * MAX_ATTEMPTS
 
 
@@ -288,37 +292,35 @@ def test_block_draw_matches_one_dataset_per_replication(cell):
         assert invalid.sum() > 0
 
 
-class TestAggregate:
-    def _records(self, n=120, converged=None, reject=False, se=1.0):
-        recs = []
-        for r in range(n):
-            ok = True if converged is None else converged[r]
-            rec = {"rep": r, "invalid": 0, "converged": ok}
-            if ok:
-                rec["beta"] = [0.0, float(np.sin(r)), 0.0]
-                rec["estimators"] = {
-                    "LZ": {
-                        "computable": True,
-                        "reason": None,
-                        "se": [se],
-                        "reject": [reject],
-                    }
-                }
-            recs.append(rec)
-        return recs
+def _lz_block(n=120, converged=None, reject=False, se=1.0, tested=1, columns=1):
+    """Block of n replications with ``columns`` estimator columns and
+    ``tested`` tested coefficients: beta1 = sin(r), every converged
+    replication computable with the given SE and reject flag."""
+    conv = np.ones(n, bool) if converged is None else np.array(converged)
+    beta = np.zeros((n, 3))
+    beta[:, 1] = np.sin(np.arange(n))
+    beta[~conv] = np.nan
+    shape = (n, columns, tested)
+    return BlockResult(
+        invalid=np.zeros(n, int), converged=conv, iterations=np.ones(n, int),
+        reason=np.full(n, None, dtype=object), beta=beta,
+        computable=np.repeat(conv[:, None], columns, axis=1),
+        why=np.full((n, columns), None, dtype=object),
+        se=np.where(conv[:, None, None], np.full(shape, se), np.nan),
+        reject=np.full(shape, reject) & conv[:, None, None],
+    )
 
+
+class TestAggregate:
     def test_all_reject_flags_false_gives_zero(self):
-        res = aggregate(self._records(), _spec(), estimators=[EstimatorId.LZ])
+        res = aggregate([_lz_block()], _spec(), estimators=[EstimatorId.LZ])
         cell = res.cells[0]
         assert cell.rejection_rate == 0.0
         assert cell.n_computable == 120
 
     def test_constant_se_equal_simse(self):
-        recs = self._records()
-        sim_se = np.std([r["beta"][1] for r in recs], ddof=1)
-        for r in recs:
-            r["estimators"]["LZ"]["se"] = [sim_se]
-        res = aggregate(recs, _spec(), estimators=[EstimatorId.LZ])
+        sim_se = np.std(_lz_block().beta[:, 1], ddof=1)
+        res = aggregate([_lz_block(se=sim_se)], _spec(), estimators=[EstimatorId.LZ])
         cell = res.cells[0]
         assert cell.median_se_ratio == pytest.approx(1.0)
         assert cell.cv_se == pytest.approx(0.0, abs=1e-12)
@@ -327,25 +329,20 @@ class TestAggregate:
     def test_too_few_converged(self):
         conv = [r < 50 for r in range(120)]
         with pytest.raises(TooFewConverged):
-            aggregate(
-                self._records(converged=conv), _spec(), estimators=[EstimatorId.LZ]
-            )
+            aggregate([_lz_block(converged=conv)], _spec(), estimators=[EstimatorId.LZ])
 
     def test_no_converged_replications_raise(self):
         # even when no minimum is asked for, there is nothing to aggregate
-        recs = self._records(n=3, converged=[False] * 3)
+        block = _lz_block(n=3, converged=[False] * 3)
         with pytest.raises(TooFewConverged):
-            aggregate(recs, _spec(), estimators=[EstimatorId.LZ], min_converged=0)
+            aggregate([block], _spec(), estimators=[EstimatorId.LZ], min_converged=0)
         with pytest.raises(TooFewConverged):
             aggregate([], _spec(), estimators=[EstimatorId.LZ], min_converged=0)
 
     def test_non_converged_excluded_everywhere(self):
         conv = [r % 2 == 0 for r in range(300)]
-        res = aggregate(
-            self._records(n=300, converged=conv),
-            _spec(),
-            estimators=[EstimatorId.LZ],
-        )
+        blocks = [_lz_block(n=256, converged=conv[:256]), _lz_block(n=44, converged=conv[256:])]
+        res = aggregate(blocks, _spec(), estimators=[EstimatorId.LZ])
         assert res.b_effective == 150
         assert res.convergence_rate == pytest.approx(0.5)
         assert res.cells[0].n_computable == 150
@@ -354,12 +351,14 @@ class TestAggregate:
         spec = ScenarioSpec(
             id="two", scenario=_spec().scenario, test_coefs=("beta1", "beta2")
         )
-        recs = self._records()
-        for r, rec in enumerate(recs):
-            rec["beta"][2] = float(np.cos(r))
-            rec["estimators"]["LZ"].update(se=[1.0 + r % 3, 2.0], reject=[r % 4 == 0, False])
-            rec["estimators"]["PAN"] = {"computable": False, "reason": "UnbalancedPooling"}
-        res = aggregate(recs, spec, estimators=[EstimatorId.LZ, EstimatorId.PAN])
+        block = _lz_block(tested=2, columns=2)
+        r = np.arange(120)
+        block.beta[:, 2] = np.cos(r)
+        block.se[:, 0, 0], block.se[:, 0, 1] = 1.0 + r % 3, 2.0
+        block.reject[:, 0, 0] = r % 4 == 0
+        block.computable[:, 1], block.why[:, 1] = False, "UnbalancedPooling"
+        block.se[:, 1], block.reject[:, 1] = np.nan, False
+        res = aggregate([block], spec, estimators=[EstimatorId.LZ, EstimatorId.PAN])
         assert [(c.estimator, c.coefficient) for c in res.cells] == [
             ("LZ", "beta1"), ("LZ", "beta2"), ("PAN", "beta1"), ("PAN", "beta2")
         ]
@@ -376,7 +375,7 @@ class TestAggregate:
         assert len(rows[3].split(",")) == len(RESULTS_COLUMNS)
 
     def test_mc_se_bound(self):
-        res = aggregate(self._records(), _spec(), estimators=[EstimatorId.LZ])
+        res = aggregate([_lz_block()], _spec(), estimators=[EstimatorId.LZ])
         cell = res.cells[0]
         assert cell.mc_se == pytest.approx(0.0)  # rate 0 -> zero binomial SE
         # at B = 5000 the binomial SE of a rate near 0.05 stays within 0.0031

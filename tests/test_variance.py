@@ -38,6 +38,7 @@ from oracle import (
     literal_covariances,
     literal_leverage_score,
     whitened_clusters,
+    whitening,
     with_residuals,
 )
 
@@ -194,36 +195,60 @@ def test_owned_direction_flags_leverage_ids_without_warnings():
                 assert np.isfinite(ve.se).all()
 
 
-#: The [unbalanced] section of the perfbench grid (base seed 1) and two
-#: cells whose one treated cluster (id 1) makes (I - H) singular in every
-#: replication.
-NEAR_SINGULAR_CELLS = {
+#: The [unbalanced] section of the perfbench grid (base seed 1), two cells
+#: whose one treated cluster (id 1) makes (I - H) singular in every
+#: replication, and the c09 acceptance cell (N = 10 clusters of 4).
+LITERAL_CELLS = {
     "unbalanced": parse_config(
         "[unbalanced]\nN = 10\nn = 2/6\nevent_rate = 0.2\nrho = 0.2\ntrue = exchangeable\n",
         base_seed=1,
     )[0].scenario,
     "one-treated": Scenario(n_clusters=10, gamma=0.1, seed=15),
     "one-treated-2/6": Scenario(n_clusters=10, n_pattern=(2, 6), gamma=0.1, seed=15),
+    "c09": Scenario(n_clusters=10, event_rate=0.1, rho=0.2, beta1=0.0, seed=20260808),
 }
 
 #: Relative SE error allowed against the 60-digit literal covariances.
-NEAR_SINGULAR_TOL = 1e-8
+LITERAL_TOL = 1e-8
 
 
 def _cell_block(cell, reps):
-    """The fit of replications ``reps`` of a NEAR_SINGULAR_CELLS cell, as
-    the harness draws and fits them."""
-    scen = NEAR_SINGULAR_CELLS[cell]
+    """The fit of replications ``reps`` of a LITERAL_CELLS cell, as the
+    harness draws and fits them."""
+    scen = LITERAL_CELLS[cell]
     design, y, invalid = draw_block(scen, reps, calibrate_intercept(scen))
     assert np.all(invalid < MAX_ATTEMPTS)
     return fit_block(design, y, WorkingModel(scen.working_structure, "estimate", 1.0))
+
+
+def _check_literal(kern, exact):
+    """Every estimator of the block of one ``kern`` against its ``exact``
+    literal covariance: SEs within LITERAL_TOL, a negative exact variance
+    flagged NegativeDiagonal, and every estimator the literal leaves out
+    flagged with its reason (only the leverage estimators, and only when
+    (I - H) is singular; the pooling ones on unbalanced data)."""
+    got = estimate_all(kern)
+    for tag, cov in exact.items():
+        ve = got[EstimatorId[tag]]
+        if np.any(np.diag(cov) < 0):
+            assert ve.incomputable_reason[0] == "NegativeDiagonal", tag
+            continue
+        err = np.max(np.abs(ve.se[0] / np.sqrt(np.diag(cov)) - 1.0))
+        assert err <= LITERAL_TOL, (tag, err)
+    pooling = set() if kern.balanced else POOLING_IDS
+    undefined = set(EstimatorId) - pooling - {EstimatorId[tag] for tag in exact}
+    assert undefined == (LEVERAGE_IDS - pooling if kern.singular_leverage[0] else set())
+    for est in undefined:
+        assert got[est].incomputable_reason[0] == "SingularLeverage", est
+    for est in pooling:
+        assert got[est].incomputable_reason[0] == "UnbalancedPooling", est
 
 
 @pytest.mark.parametrize(
     "cell,rep",
     # 1 - max hat eigenvalue is 3.2e-6 and 4.7e-6 at unbalanced reps 135
     # and 774, where alpha sits at its clamp; the one-treated reps are
-    # singular, so only LZ, DF and MBN are defined there
+    # singular, so only LZ, DF, FG and MBN are defined there
     [("unbalanced", 135), ("unbalanced", 774), ("one-treated-2/6", 195),
      ("one-treated-2/6", 549)],
 )
@@ -235,19 +260,26 @@ def test_near_singular_matches_mpmath(cell, rep):
     res = _cell_block(cell, [rep])
     assert res.converged[0]
     kern = res.kernel
-    exact = literal_covariances(*whitened_clusters(kern), kern.n_total)
-    got = estimate_all(kern)
-    for tag, cov in exact.items():
-        ve = got[EstimatorId[tag]]
-        if np.any(np.diag(cov) < 0):
-            assert ve.incomputable_reason[0] == "NegativeDiagonal", tag
-            continue
-        err = np.max(np.abs(ve.se[0] / np.sqrt(np.diag(cov)) - 1.0))
-        assert err <= NEAR_SINGULAR_TOL, (tag, err)
-    undefined = LEVERAGE_IDS - POOLING_IDS - {EstimatorId[tag] for tag in exact}
-    assert bool(undefined) == bool(kern.singular_leverage[0])
-    for est in undefined:
-        assert got[est].incomputable_reason[0] == "SingularLeverage", est
+    _check_literal(kern, literal_covariances(*whitened_clusters(kern), kern.n_total))
+
+
+@pytest.mark.parametrize(
+    "cell,rep",
+    # the one-treated reps are singular, so WL and WB must be flagged
+    # there; the c09 reps are regular, and all fourteen are checked
+    [("one-treated", 195), ("one-treated", 549), ("c09", 0), ("c09", 1), ("c09", 2)],
+)
+def test_balanced_matches_mpmath(cell, rep):
+    # the pooling estimators and FG against their observation-space
+    # definitions, from the whitened dt, rt and whitening factors
+    pytest.importorskip("mpmath")
+    res = _cell_block(cell, [rep])
+    assert res.converged[0]
+    kern = res.kernel
+    assert kern.balanced and kern.singular_leverage[0] == (cell == "one-treated")
+    exact = literal_covariances(*whitened_clusters(kern), kern.n_total, whitening(kern))
+    assert {EstimatorId[tag] for tag in exact} >= POOLING_IDS - LEVERAGE_IDS | {EstimatorId.FG}
+    _check_literal(kern, exact)
 
 
 @pytest.mark.parametrize("cell", ["one-treated", "one-treated-2/6", "unbalanced", "owned"])
