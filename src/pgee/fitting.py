@@ -15,19 +15,23 @@ each alpha/phi refresh and each halving stage is one kernel evaluation
 over the replications it concerns.  Every replication keeps its own beta,
 alpha, phi, iteration count, step-halving choices and stopping reason,
 exactly as if it were fitted alone: a replication that has converged or
-diverged is masked out of later iterations.  The loop carries only what
-it reads per replication: beta, the alpha and phi of its current R(alpha)
+diverged leaves the loop.  The loop carries the state of its active
+replications only: beta, the alpha and phi of its current R(alpha)
 factors, the current ``info_inv`` and penalized score, and per size group
-the factor and the beta stage (``core.beta_stage``: mu, w, r and the
-unwhitened z).  A refresh whitens the beta stage it already has at the
-new alpha and phi; a halving candidate forms its own beta stage and
-whitens it with the current factors.  Halving runs in two stages: the full
-step for every replication, then, for those it does not improve, the
-other MAX_HALVINGS candidates in one evaluation, from which each takes
-the candidate that sequential halving would take.  After the loop one
-assembly builds every replication's final kernel at its point and
-factors.  ``fit`` is this loop on a block of one dataset, and its kernel
-is that block of one, marked ``single`` (see ``core.FitKernel``).
+the factor, the beta stage (``core.beta_stage``: mu, w, r and the
+unwhitened z) and the responses.  When replications stop, their final
+values are written to the (R,) outputs and the state is compacted to the
+others, so an iteration in which none stops indexes nothing: a full
+refresh and a step whose every candidate improves are bound as the new
+state.  A refresh whitens the beta stage it already has at the new alpha
+and phi; a halving candidate forms its own beta stage and whitens it with
+the current factors.  Halving runs in two stages: the full step for every
+replication, then, for those it does not improve, the other MAX_HALVINGS
+candidates in one evaluation, from which each takes the candidate that
+sequential halving would take.  After the loop one assembly builds every
+replication's final kernel at its point and last factors.  ``fit`` is
+this loop on a block of one dataset, and its kernel is that block of one,
+marked ``single`` (see ``core.FitKernel``).
 
 Non-convergence is a result state, not an exception: fits that exceed the
 parameter cap, exhaust iterations, or hit a singular information matrix
@@ -94,9 +98,9 @@ class PgeeFit:
     ``iterations`` and ``diverged_reason`` (R,); ``kernel`` is the block
     kernel, whose entry for a replication is its final kernel: at its last
     accepted beta, with the alpha and phi of its last factors (a
-    replication that stopped at its first assembly has none).  From
-    ``fit`` the fields are one replication's and ``kernel`` is its block
-    of one.
+    replication that stopped in its first iteration, before its step, has
+    none).  From ``fit`` the fields are one replication's and ``kernel``
+    is its block of one.
     """
 
     beta: np.ndarray
@@ -239,7 +243,6 @@ def _lockstep(data, y, wm, opts) -> tuple:
     n_reps, p = y.shape[0], data.p
     structure = wm.structure
     ys = tuple(y[:, g.rows] for g in data.size_groups)
-    beta = np.zeros((n_reps, p))
     if wm.estimates_alpha:
         alpha = np.zeros(n_reps)
     else:
@@ -247,159 +250,178 @@ def _lockstep(data, y, wm, opts) -> tuple:
         alpha = np.full(n_reps, float(wm.alpha))
     phi = np.ones(n_reps) if wm.estimates_dispersion else np.full(n_reps, float(wm.dispersion))
 
-    # The state of each replication: its point beta; the alpha and phi of
-    # its current R(alpha) factors and kernel (``kalpha``, ``kphi``; the
-    # estimates ``alpha`` and ``phi`` move ahead of them); that kernel's
-    # ``info_inv`` and penalized ``score``; and per size group the factor
-    # and the BetaStage at beta.  Rows are overwritten as replications move.
-    kalpha, kphi = alpha.copy(), phi.copy()
-    stages = beta_stage(beta, data, ys)
-    factors, info_inv, score = None, None, None
-    active = np.ones(n_reps, bool)
+    # What a replication leaves when it stops: its point, estimates, the
+    # alpha and phi of its last factors and those factors, (R,) first.
+    out_beta, out_alpha, out_phi = np.empty((n_reps, p)), np.empty(n_reps), np.empty(n_reps)
+    out_kalpha, out_kphi = np.empty(n_reps), np.empty(n_reps)
+    out_factors = tuple(np.empty((n_reps, n, n)) for n in (g.X.shape[1] for g in data.size_groups))
     has_kernel = np.zeros(n_reps, bool)
     converged = np.zeros(n_reps, bool)
     iterations = np.zeros(n_reps, int)
     reason = np.full(n_reps, None, dtype=object)
 
-    def stop(rows, why):
-        if rows.size:
-            reason[rows] = why
-            active[rows] = False
+    # The state of the active replications ``ids`` only: the point beta;
+    # the alpha and phi of its current R(alpha) factors and kernel
+    # (``kalpha``, ``kphi``; the estimates ``alpha`` and ``phi`` move
+    # ahead of them); that kernel's ``info_inv`` and penalized ``score``;
+    # and per size group the factor, the BetaStage at beta and the
+    # responses.  The state is rebound, never written in place, except
+    # for arrays made in the same step.
+    ids = np.arange(n_reps)
+    beta = np.zeros((n_reps, p))
+    kalpha, kphi = alpha, phi
+    stages = beta_stage(beta, data, ys)
+    act_ys = ys
+    factors, info_inv, score = None, None, None
 
-    def at(arrays, rows):
-        """The rows ``rows`` of each array of a tuple."""
-        return arrays if rows.size == n_reps else tuple(a[rows] for a in arrays)
+    def finish(gone, why, it, with_kernel):
+        """Write the final values of the active replications ``gone`` (a
+        mask) to the outputs, with reasons ``why`` (None is converged),
+        and drop them from the state."""
+        nonlocal ids, beta, alpha, phi, kalpha, kphi, info_inv, score, stages, factors, act_ys
+        rows = ids[gone]
+        out_beta[rows], out_alpha[rows], out_phi[rows] = beta[gone], alpha[gone], phi[gone]
+        out_kalpha[rows], out_kphi[rows] = kalpha[gone], kphi[gone]
+        for o, f in zip(out_factors, factors):
+            o[rows] = f[gone]
+        iterations[rows], has_kernel[rows] = it, with_kernel
+        reason[rows] = why if np.ndim(why) == 0 else why[gone]
+        converged[rows] = np.equal(reason[rows], None)
+        keep = ~gone
+        ids, beta, alpha, phi = ids[keep], beta[keep], alpha[keep], phi[keep]
+        kalpha, kphi, info_inv, score = kalpha[keep], kphi[keep], info_inv[keep], score[keep]
+        stages = tuple(BetaStage._make(a[keep] for a in st) for st in stages)
+        factors = tuple(f[keep] for f in factors)
+        act_ys = tuple(a[keep] for a in act_ys)
 
-    def stages_at(rows):
-        """The rows ``rows`` of each group's BetaStage."""
-        if rows.size == n_reps:
-            return stages
-        return tuple(BetaStage._make(at(st, rows)) for st in stages)
-
-    def evaluate(rows, point, st, cinvs):
-        """Kernel of candidates ``point`` (one per entry of ``rows``) at
-        their replications' alpha and phi: (kernel, ill, penalized score)."""
-        k, ill = whiten_block(point, structure, alpha[rows], phi[rows], data, st, cinvs)
+    def evaluate(point, a, ph, st, cinvs):
+        """Kernel of the candidates ``point`` at alphas ``a`` and phis
+        ``ph``: (kernel, ill, penalized score)."""
+        k, ill = whiten_block(point, structure, a, ph, data, st, cinvs)
         return k, ill, _penalized_score(k, opts.penalized)
 
-    def store(rows, k, g, sel, point=None, st=None, cinvs=None):
-        """Make the candidates ``sel`` of an evaluation the state of
-        ``rows``: its info_inv and score, and the given point, stages and
-        factors.  A call whose every row is taken is bound, not copied."""
-        nonlocal beta, stages, factors, info_inv, score
-        if rows.size == n_reps == len(k.info_inv):  # sel is then every row, in order
-            info_inv, score = k.info_inv, g
-            beta = beta if point is None else point
-            stages = stages if st is None else st
-            factors = factors if cinvs is None else cinvs
-            return
+    def refresh(moved, first):
+        """Kernels at the current points of the replications ``moved`` (a
+        mask) with fresh R(alpha) factors; returns the mask of those that
+        fail, or None when none does.  The first refresh sets every
+        replication's factors."""
+        nonlocal kalpha, kphi, info_inv, score, factors
+        if moved.all():
+            cinvs, not_pd = whitening_factors(structure, alpha, data)
+            k, ill, g = evaluate(beta, alpha, phi, stages, cinvs)
+            failed = ill | not_pd.any(axis=-1)
+            some = failed.any()
+            if first or not some:
+                kalpha, kphi, info_inv, score, factors = alpha, phi, k.info_inv, g, cinvs
+                return failed if some else None
+            sel = ~failed
+            rows = np.flatnonzero(sel)
+        else:
+            rows = np.flatnonzero(moved)
+            cinvs, not_pd = whitening_factors(structure, alpha[rows], data)
+            k, ill, g = evaluate(
+                beta[rows], alpha[rows], phi[rows],
+                tuple(BetaStage._make(a[rows] for a in st) for st in stages), cinvs,
+            )
+            sel = ~(ill | not_pd.any(axis=-1))
+            rows = rows[sel]
+        kalpha, kphi, info_inv, score = kalpha.copy(), kphi.copy(), info_inv.copy(), score.copy()
+        kalpha[rows], kphi[rows] = alpha[rows], phi[rows]
         info_inv[rows], score[rows] = k.info_inv[sel], g[sel]
-        if point is not None:
-            beta[rows] = point[sel]
-        if st is not None:
-            for dst, src in zip(stages, st):
-                for a, b in zip(dst, src):
-                    a[rows] = b[sel]
-        if cinvs is not None:
-            for a, b in zip(factors, cinvs):
-                a[rows] = b[sel]
+        factors = tuple(f.copy() for f in factors)
+        for f, c in zip(factors, cinvs):
+            f[rows] = c[sel]
+        failed = moved.copy()
+        failed[rows] = False
+        return failed if failed.any() else None
 
-    def refresh(rows):
-        """Kernels at the current points of ``rows`` with fresh R(alpha)
-        factors; the rows that fail stop as singular.  The first refresh
-        sets every row's state, so each has factors."""
-        cinvs, not_pd = whitening_factors(structure, alpha[rows], data)
-        k, ill, g = evaluate(rows, beta[rows], stages_at(rows), cinvs)
-        ok = ~(ill | not_pd.any(axis=-1))
-        sel = np.arange(rows.size) if factors is None else np.flatnonzero(ok)
-        store(rows[sel], k, g, sel, cinvs=cinvs)
-        kalpha[rows[ok]], kphi[rows[ok]] = alpha[rows[ok]], phi[rows[ok]]
-        stop(rows[~ok], "singular_information")
-
+    failed = refresh(np.ones(n_reps, bool), True)
+    if failed is not None:
+        finish(failed, "singular_information", 1, False)
     halvings = np.array([0.5**h for h in range(1, MAX_HALVINGS + 1)])
     for it in range(1, opts.max_iter + 1):
-        rows = np.flatnonzero(active)
-        if not rows.size:
-            break
-        iterations[rows] = it
-        if factors is None:
-            refresh(rows)
-            rows = np.flatnonzero(active)
-        if wm.estimates_dispersion or wm.estimates_alpha:
-            resids = at(tuple(st.resid for st in stages), rows)
-            ws = at(tuple(st.w for st in stages), rows)
+        if ids.size and (wm.estimates_dispersion or wm.estimates_alpha):
+            resids, ws = tuple(st.resid for st in stages), tuple(st.w for st in stages)
             if wm.estimates_dispersion:
-                phi[rows] = _phi_moment(data, resids, ws)
+                phi = _phi_moment(data, resids, ws)
             if wm.estimates_alpha:
-                alpha[rows] = _alpha_moment(structure, data, resids, ws, kphi[rows])
-            moved = (alpha[rows] != kalpha[rows]) | (phi[rows] != kphi[rows])
+                alpha = _alpha_moment(structure, data, resids, ws, kphi)
+            moved = (alpha != kalpha) | (phi != kphi)
             if moved.any():
-                refresh(rows[moved])
-                rows = np.flatnonzero(active)
-        if not rows.size:
+                failed = refresh(moved, False)
+                if failed is not None:
+                    finish(failed, "singular_information", it, it > 1)
+        if not ids.size:
             break
-        has_kernel[rows] = True
 
-        g = score[rows]
-        gnorm = _norm(g)
-        step = (info_inv[rows] @ g[:, :, None])[:, :, 0]
-        start = beta[rows]
-        cinvs = at(factors, rows)
-        ys_rows = at(ys, rows)
+        gnorm = _norm(score)
+        step = (info_inv @ score[:, :, None])[:, :, 0]
+        start = beta
 
         # Step halving: each replication accepts its first candidate that
         # reduces the penalized score norm, else the first best it tried
         # (an ill candidate counts as infinite).  The full step is tried
-        # for every row; the rows it does not improve try the other
+        # for every replication; those it does not improve try the other
         # MAX_HALVINGS candidates in one evaluation, and the choice is the
-        # one sequential halving makes.
+        # one sequential halving makes.  When every full step is finite
+        # and improves, it is bound as the new state.
         cand = start + 0.5**0 * step
-        st = beta_stage(cand, data, ys_rows)
-        k, ill, gc = evaluate(rows, cand, st, cinvs)
+        st = beta_stage(cand, data, act_ys)
+        k, ill, gc = evaluate(cand, alpha, phi, st, factors)
         cn = np.where(ill, np.inf, _norm(gc))
-        best = np.where(cn < np.inf, cn, np.inf)
-        choice = np.where(cn < np.inf, 0, -1)
-        late = np.flatnonzero(cn >= gnorm)
-        if late.size:
-            sub = np.repeat(rows[late], MAX_HALVINGS)
-            cand_h = (start[late, None] + halvings[:, None] * step[late, None]).reshape(-1, p)
-            st_h = beta_stage(
-                cand_h, data, tuple(np.repeat(yg[late], MAX_HALVINGS, axis=0) for yg in ys_rows)
-            )
-            k_h, ill_h, gc_h = evaluate(
-                sub, cand_h, st_h,
-                tuple(np.repeat(c[late], MAX_HALVINGS, axis=0) for c in cinvs),
-            )
-            cn_h = np.where(ill_h, np.inf, _norm(gc_h)).reshape(late.size, MAX_HALVINGS)
-            b, ch = best[late], choice[late]
-            todo = np.ones(late.size, bool)
-            for h in range(1, MAX_HALVINGS + 1):
-                c = cn_h[:, h - 1]
-                better = todo & (c < b)
-                b, ch = np.where(better, c, b), np.where(better, h, ch)
-                todo &= c >= gnorm[late]
-            best[late], choice[late] = b, ch
-            took = np.flatnonzero(choice > 0)
-            sel = np.searchsorted(late, took) * MAX_HALVINGS + choice[took] - 1
-            store(rows[took], k_h, gc_h, sel, cand_h, st_h)
-        took = np.flatnonzero(choice == 0)
-        store(rows[took], k, gc, took, cand, st)
+        beta, stages, info_inv, score = cand, st, k.info_inv, gc
+        if not np.all(cn < gnorm):
+            late = np.flatnonzero(cn >= gnorm)
+            best = np.where(cn < np.inf, cn, np.inf)
+            choice = np.where(cn < np.inf, 0, -1)
+            if late.size:
+                cand_h = (start[late, None] + halvings[:, None] * step[late, None]).reshape(-1, p)
+                st_h = beta_stage(
+                    cand_h, data, tuple(np.repeat(a[late], MAX_HALVINGS, axis=0) for a in act_ys)
+                )
+                k_h, ill_h, gc_h = evaluate(
+                    cand_h, np.repeat(alpha[late], MAX_HALVINGS),
+                    np.repeat(phi[late], MAX_HALVINGS), st_h,
+                    tuple(np.repeat(f[late], MAX_HALVINGS, axis=0) for f in factors),
+                )
+                cn_h = np.where(ill_h, np.inf, _norm(gc_h)).reshape(late.size, MAX_HALVINGS)
+                b, ch = best[late], choice[late]
+                todo = np.ones(late.size, bool)
+                for h in range(1, MAX_HALVINGS + 1):
+                    c = cn_h[:, h - 1]
+                    better = todo & (c < b)
+                    b, ch = np.where(better, c, b), np.where(better, h, ch)
+                    todo &= c >= gnorm[late]
+                best[late], choice[late] = b, ch
+                took = np.flatnonzero(choice > 0)
+                sel = np.searchsorted(late, took) * MAX_HALVINGS + choice[took] - 1
+                beta[took], info_inv[took], score[took] = cand_h[sel], k_h.info_inv[sel], gc_h[sel]
+                for dst, src in zip(stages, st_h):
+                    for a, b in zip(dst, src):
+                        a[took] = b[sel]
+            stepped = best < np.inf
+            beta[~stepped] = start[~stepped]
+        else:
+            stepped = np.ones(ids.size, bool)
 
-        stepped = best < np.inf
-        stop(rows[~stepped], "singular_information")
-        capped = stepped & (np.max(np.abs(beta[rows]), axis=-1) > BETA_CAP)
-        stop(rows[capped], "beta_cap")
-        done = stepped & ~capped & (np.max(np.abs(beta[rows] - start), axis=-1) < opts.tol)
-        converged[rows[done]] = True
-        active[rows[done]] = False
-    reason[active] = "max_iter"
+        capped = stepped & (np.max(np.abs(beta), axis=-1) > BETA_CAP)
+        done = stepped & ~capped & (np.max(np.abs(beta - start), axis=-1) < opts.tol)
+        gone = ~stepped | capped | done
+        if gone.any():
+            why = np.full(ids.size, None, dtype=object)
+            why[~stepped], why[capped] = "singular_information", "beta_cap"
+            finish(gone, why, it, True)
+            if not ids.size:
+                break
+    if ids.size:
+        finish(np.ones(ids.size, bool), "max_iter", opts.max_iter, True)
 
-    # every replication's final kernel, at its point and current factors
-    kernel, _ = assemble_block(beta, structure, kalpha, kphi, data, ys, factors)
+    # every replication's final kernel, at its point and last factors
+    kernel, _ = assemble_block(out_beta, structure, out_kalpha, out_kphi, data, ys, out_factors)
     result = PgeeFit(
-        beta=beta,
-        alpha=alpha,
-        phi=phi,
+        beta=out_beta,
+        alpha=out_alpha,
+        phi=out_phi,
         converged=converged,
         iterations=iterations,
         kernel=kernel,

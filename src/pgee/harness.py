@@ -73,8 +73,8 @@ from .fitting import FitOptions, fit_block
 # Re-exported, not called: perfbench/spans.py resolves these names here.
 from .datagen import generate_dataset  # noqa: F401
 from .fitting import fit  # noqa: F401
-from .variance import wald_test  # noqa: F401
-from .variance import estimate_all, t_critical
+from .variance import estimate_all, wald_test  # noqa: F401
+from .variance import estimator_table, t_critical
 
 #: Nominal level of the Wald tests.
 TEST_LEVEL = 0.05
@@ -287,10 +287,8 @@ def run_block(
     fitted = np.flatnonzero(result.converged)
     conv = drawn[fitted]
     block.beta[conv] = result.beta[fitted]
-    estimates = estimate_all(result.kernel.take(fitted), ids).values()
-    se = np.stack([ve.se[:, idx] for ve in estimates], axis=1)
-    ok = np.stack([ve.computable for ve in estimates], axis=1)
-    why = np.stack([ve.incomputable_reason for ve in estimates], axis=1)
+    _, se, ok, why = estimator_table(result.kernel.take(fitted), ids)
+    se = se[..., idx]
     testable = np.all(se > 0, axis=-1)
     why[ok & ~testable] = ZERO_SE
     ok &= testable

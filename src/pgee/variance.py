@@ -45,10 +45,15 @@ rows before the outer products keeps the digits that forming M first loses
 when info is ill conditioned.
 
 Every kernel is a block and every covariance carries its replication axis in
-front, so one table evaluates an estimator for all replications of a block
-at once; ``estimate_variance`` and ``overcorrection_diagnostic`` drop that
-axis for a ``single`` kernel (one dataset).  Wald tests work elementwise on
-arrays of estimates and standard errors.
+front.  ``estimator_table`` evaluates the requested estimators in one pass
+over the (R, E) table of replications and estimators: each middle once
+(with its ridge) for all replications, stacked to (R, E, p, p), then the
+symmetrization, the NaN masks, the ``NegativeDiagonal`` test and the
+standard errors once over the table.  ``harness.run_block`` reads the
+table; ``estimate_all`` and ``estimate_variance`` are views of its
+columns, and they and ``overcorrection_diagnostic`` drop the replication
+axis for a ``single`` kernel (one dataset).  Wald tests work elementwise
+on arrays of estimates and standard errors.
 
 The t(N - p) reference is computed here from the math module alone.
 ``t_tail`` is the two-sided tail for an integer dof, the incomplete beta
@@ -58,10 +63,11 @@ from Stirling's series at large dof, where lgamma differences cancel.
 ``t_critical`` inverts it by Newton's method, within 1e-13 of the tabled
 quantiles for dof up to 1e4, and is cached per dof and level.
 
-Computability is decided by masks before a covariance is evaluated, once
-per block.  Pooling estimators (``POOLING_IDS``) require equal cluster sizes;
-on unbalanced data they are reported as not computable (never a wrong
-number).  A numerically singular (I - H) marks the ``LEVERAGE_IDS``
+Computability is decided by masks over the table before a covariance is
+evaluated, and an estimator flagged for every replication is not
+evaluated.  Pooling estimators (``POOLING_IDS``) require equal cluster
+sizes; on unbalanced data they are reported as not computable (never a
+wrong number).  A numerically singular (I - H) marks the ``LEVERAGE_IDS``
 estimators as not computable, for its replication only.
 """
 
@@ -138,9 +144,12 @@ def _gram(g: np.ndarray) -> np.ndarray:
 
 
 def _centered(kernel: FitKernel, c: float) -> np.ndarray:
-    """Outer-product sum of the corrected rows after mean-centering."""
-    g = kernel.corrected(c)
-    return _gram(g - g.mean(axis=-2, keepdims=True))
+    """Outer-product sum of the corrected rows after mean-centering,
+    evaluated once per kernel and exponent."""
+    def compute():
+        g = kernel.corrected(c)
+        return _gram(g - g.mean(axis=-2, keepdims=True))
+    return kernel.memo(("centered", c), compute)
 
 
 def _pooled(kernel: FitKernel, c: float, denom: float) -> np.ndarray:
@@ -221,37 +230,76 @@ _RIDGES = {
 }
 
 
-def _block_estimate(block: FitKernel, estimator: EstimatorId) -> VarianceEstimate:
-    """One estimator at a kernel, with the replication axis."""
-    n_reps, p = block.beta.shape
-    reasons = np.full(n_reps, None, dtype=object)
-    if estimator in POOLING_IDS and not block.balanced:
-        reasons[:] = _REASON_UNBALANCED
-    elif estimator in LEVERAGE_IDS:
-        # a singular (I - H) flags only its own replications
-        reasons[block.singular_leverage] = _REASON_SINGULAR
-    n_flagged = np.count_nonzero(reasons)  # a reason is truthy, None is not
-    if n_flagged == n_reps:
-        cov = np.full((n_reps, p, p), np.nan)
-        return VarianceEstimate(estimator, cov, cov[..., 0], np.zeros(n_reps, bool), reasons)
-    cov = _COVARIANCES[estimator](block)
+def estimator_table(kernel: FitKernel, estimators) -> tuple:
+    """The estimators ``estimators`` (distinct) at a kernel, in one pass
+    over the (R, E) table of replications and estimators.
+
+    Returns ``cov`` (R, E, p, p), ``se`` (R, E, p), ``computable`` and the
+    reasons ``why`` (R, E).  The reasons are decided by masks first; each
+    estimator that is computable somewhere is evaluated once, its ridge
+    added to its symmetrized covariance, and the symmetrization, the NaN
+    masks, the ``NegativeDiagonal`` test and the SEs then run once over
+    the table.  ``cov`` and ``se`` are NaN where not available, but a
+    ``NegativeDiagonal`` covariance is kept.
+    """
+    n_reps, p = kernel.beta.shape
+    estimators = list(estimators)
+    why = np.full((n_reps, len(estimators)), None, dtype=object)
+    pooling = [e in POOLING_IDS for e in estimators]
+    unbalanced = any(pooling) and not kernel.balanced
+    if unbalanced:
+        why[:, pooling] = _REASON_UNBALANCED
+    # a singular (I - H) flags only its own replications
+    leverage = [e in LEVERAGE_IDS and not (pool and unbalanced)
+                for e, pool in zip(estimators, pooling)]
+    if any(leverage) and kernel.singular_leverage.any():
+        why[np.ix_(kernel.singular_leverage, leverage)] = _REASON_SINGULAR
+    flagged = np.not_equal(why, None)  # a reason is truthy, None is not
+    needed = np.any(~flagged, axis=0).tolist()
+    cov = np.full((n_reps, len(estimators), p, p), np.nan)
+    if not any(needed):
+        return cov, cov[..., 0], np.zeros(flagged.shape, bool), why
+    for j, estimator in enumerate(estimators):
+        if not needed[j]:
+            continue
+        c = _COVARIANCES[estimator](kernel)
+        if estimator in _RIDGES:
+            # symmetrized before the ridge reads it; info_inv is exactly
+            # symmetric, so the ridge keeps it symmetric and the table's
+            # symmetrization below leaves it unchanged
+            c = 0.5 * (c + c.swapaxes(-1, -2))
+            c = c + _RIDGES[estimator](kernel, c)[:, None, None] * kernel.info_inv
+        cov[:, j] = c
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
-    if estimator in _RIDGES:
-        # info_inv is exactly symmetric, so the ridge keeps cov symmetric.
-        cov = cov + _RIDGES[estimator](block, cov)[:, None, None] * block.info_inv
-    if n_flagged:
+    if flagged.any():
         # NaN rows compare false below, so they keep their reason
-        cov[np.not_equal(reasons, None)] = np.nan
+        cov[flagged] = np.nan
     diag = np.diagonal(cov, axis1=-2, axis2=-1)
     roundoff = 1e-12 * (1.0 + np.max(np.abs(diag), axis=-1))
     # Only FZ can produce an indefinite middle; its covariance is reported
     # but its standard errors are flagged as unavailable.
-    reasons[np.any(diag < -roundoff[:, None], axis=-1)] = _REASON_NEGDIAG
-    computable = np.equal(reasons, None)
+    why[np.any(diag < -roundoff[..., None], axis=-1)] = _REASON_NEGDIAG
+    computable = np.equal(why, None)
     se = np.sqrt(np.clip(diag, 0.0, None))
     if not computable.all():
         se[~computable] = np.nan
-    return VarianceEstimate(estimator, cov, se, computable, reasons)
+    return cov, se, computable, why
+
+
+def _estimate(table: tuple, j: int, estimator: EstimatorId, single: bool) -> VarianceEstimate:
+    """Column ``j`` of an ``estimator_table``, as a VarianceEstimate of a
+    block, or of one replication when ``single``."""
+    cov, se, computable, why = (a[:, j] for a in table)
+    if not single:
+        return VarianceEstimate(estimator, cov, se, computable, why)
+    reason = why[0]
+    return VarianceEstimate(
+        id=estimator,
+        cov=cov[0] if reason in (None, _REASON_NEGDIAG) else None,
+        se=se[0] if reason is None else None,
+        computable=reason is None,
+        incomputable_reason=reason,
+    )
 
 
 def estimate_variance(kernel: FitKernel, estimator: EstimatorId) -> VarianceEstimate:
@@ -264,28 +312,19 @@ def estimate_variance(kernel: FitKernel, estimator: EstimatorId) -> VarianceEsti
     an indefinite FZ middle with a negative variance diagonal is flagged
     likewise rather than reporting an invalid standard error.
     """
-    ve = _block_estimate(kernel, estimator)
-    if not kernel.single:
-        return ve
-    reason = ve.incomputable_reason[0]
-    return VarianceEstimate(
-        id=estimator,
-        cov=ve.cov[0] if reason in (None, _REASON_NEGDIAG) else None,
-        se=ve.se[0] if reason is None else None,
-        computable=reason is None,
-        incomputable_reason=reason,
-    )
+    return _estimate(estimator_table(kernel, [estimator]), 0, estimator, kernel.single)
 
 
 def estimate_all(kernel: FitKernel, estimators=None) -> dict:
-    """Evaluate several estimators at one kernel (or block).
+    """Evaluate several estimators at one kernel (or block), as the
+    columns of one ``estimator_table``.
 
     The leverage corrections they share are solved once per exponent by
     ``FitKernel.corrected``, and the PAN covariance once for PAN and RS.
     """
-    if estimators is None:
-        estimators = list(EstimatorId)
-    return {e: estimate_variance(kernel, e) for e in estimators}
+    estimators = list(dict.fromkeys(EstimatorId if estimators is None else estimators))
+    table = estimator_table(kernel, estimators)
+    return {e: _estimate(table, j, e, kernel.single) for j, e in enumerate(estimators)}
 
 
 def overcorrection_diagnostic(kernel: FitKernel) -> OvercorrectionDiagnostic:

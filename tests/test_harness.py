@@ -168,33 +168,58 @@ def test_block_matches_single_replications(cell):
 _STRAGGLER_CONFIG = "[unbalanced]\nN = 10\nn = 2/6\nevent_rate = 0.2\nrho = 0.2\ntrue = exchangeable\n"
 _STRAGGLERS = (345, 431, 1007)
 
+#: A rare-event cell whose unpenalized fits stop by convergence, at
+#: beta_cap and at max_iter: at these max_iter a convergence and a
+#: beta_cap stop the loop in the same iteration, and other replications
+#: stop in other iterations.
+_STOPS_CELL = (dict(event_rate=0.1), (8, 12))
 
-@pytest.mark.parametrize("cell", [*sorted(_PARITY_CELLS), "stragglers"])
+
+@pytest.mark.parametrize("cell", [*sorted(_PARITY_CELLS), "stragglers", "stops"])
 def test_fit_block_matches_literal_fit(cell):
+    # the block drops each replication from its state when it stops, so
+    # every stop, alone or with others, must leave the others' fits as
+    # they are alone; unpenalized, the unbalanced cell's rep 37 stops at
+    # an alpha refresh whose information is ill-conditioned
     if cell == "stragglers":
         spec = parse_config(_STRAGGLER_CONFIG, base_seed=1)[0]
         reps, options = _STRAGGLERS, (FitOptions(),)
+    elif cell == "stops":
+        kw, max_iters = _STOPS_CELL
+        spec = _spec(**kw)
+        reps, options = range(3, 51), tuple(FitOptions(penalized=False, max_iter=m) for m in max_iters)
     else:
         kw, max_iter = _PARITY_CELLS[cell]
         spec = _spec(**kw)
-        reps, options = range(3, 51), (FitOptions(), FitOptions(max_iter=max_iter))
+        reps = range(3, 51)
+        options = (FitOptions(), FitOptions(max_iter=max_iter), FitOptions(penalized=False))
     scen = spec.scenario
     design, y, invalid = draw_block(scen, reps, calibrate_intercept(scen))
     y = y[invalid < MAX_ATTEMPTS]
-    wm = _working_model(scen)
+    wms = [_working_model(scen)]
+    if cell != "stragglers":
+        wms.append(dataclasses.replace(wms[0], dispersion="pearson-plugin"))
     steps = set()
-    for opts in options:
-        res = fit_block(design, y, wm, opts)
-        for r, yr in enumerate(y):
-            ref = literal_fit(design, yr, wm, opts)
-            assert np.array_equal(res.beta[r], ref.beta), r
-            got = (res.alpha[r], res.phi[r], res.converged[r], res.iterations[r],
-                   res.diverged_reason[r])
-            assert got == (ref.alpha, ref.phi, ref.converged, ref.iterations, ref.reason), r
-            assert ref.kernel is not None
-            assert np.array_equal(res.kernel.info_inv[r], ref.kernel.info_inv[0]), r
-            assert np.array_equal(res.kernel.score[r], ref.kernel.score[0]), r
-            steps.update((h > 0, improved) for h, improved in ref.steps if h is not None)
+    for wm in wms:
+        for opts in options:
+            res = fit_block(design, y, wm, opts)
+            for r, yr in enumerate(y):
+                ref = literal_fit(design, yr, wm, opts)
+                assert np.array_equal(res.beta[r], ref.beta), r
+                got = (res.alpha[r], res.phi[r], res.converged[r], res.iterations[r],
+                       res.diverged_reason[r])
+                assert got == (ref.alpha, ref.phi, ref.converged, ref.iterations, ref.reason), r
+                if ref.kernel is not None:
+                    assert np.array_equal(res.kernel.info_inv[r], ref.kernel.info_inv[0]), r
+                    assert np.array_equal(res.kernel.score[r], ref.kernel.score[0]), r
+                steps.update((h > 0, improved) for h, improved in ref.steps if h is not None)
+            if cell == "stops":
+                reasons = {}
+                for it, why in zip(res.iterations, res.diverged_reason):
+                    reasons.setdefault(it, set()).add(why)
+                assert set().union(*reasons.values()) >= {None, "beta_cap", "max_iter"}
+                assert any({None, "beta_cap"} <= why for why in reasons.values())
+                assert len(reasons) > 1
     if cell == "stragglers":
         assert set(res.diverged_reason) == {"max_iter"}
         assert {(True, True), (True, False)} <= steps

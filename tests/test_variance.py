@@ -306,6 +306,49 @@ def test_diagnostic_singular_exactly_when_leverage_is(cell):
     assert flagged == (0 if cell == "unbalanced" else kern.beta.shape[0])
 
 
+@pytest.mark.parametrize(
+    "cell,reps",
+    # unbalanced reps 135 and 774 sit beside ordinary ones; FZ is
+    # NegativeDiagonal at 774.  The one-treated reps have their own
+    # design, so they form their own blocks: every rep is singular, on
+    # unbalanced (2/6) and on balanced clusters
+    [("unbalanced", [135, 0, 774, 1, 2, 3]), ("one-treated-2/6", [195, 549, 0, 1]),
+     ("one-treated", [195, 549, 0, 1]), ("c09", [0, 1, 2, 3])],
+)
+def test_table_columns_match_each_replication_alone(monkeypatch, cell, reps):
+    # one pass over the (R, E) table gives each replication's estimates
+    # bitwise as it has them alone, with the same reasons and NaNs
+    kern = _cell_block(cell, reps).kernel
+    if cell == "unbalanced":
+        # a tolerance between the gaps of reps 135 and 774 makes 135
+        # singular in the block where 774's FZ is NegativeDiagonal
+        gap = 1.0 - kern.max_leverage.max(axis=1)
+        monkeypatch.setattr(pgee.core, "LEVERAGE_TOL", 0.5 * (gap[0] + gap[2]))
+    ids = list(EstimatorId)
+    cov, se, computable, why = pgee.variance.estimator_table(kern, ids)
+    seen = set()
+    for r in range(len(reps)):
+        row = kern.take([r])
+        for j, est in enumerate(ids):
+            ve = estimate_variance(row, est)
+            assert (ve.computable[0], ve.incomputable_reason[0]) == (computable[r, j], why[r, j])
+            assert ve.cov[0].tobytes() == cov[r, j].tobytes(), (r, est)
+            assert ve.se[0].tobytes() == se[r, j].tobytes(), (r, est)
+            seen.add(why[r, j])
+    assert np.array_equal(np.isnan(se).all(axis=-1), ~computable)
+    expected = {
+        "unbalanced": {None, "UnbalancedPooling", "SingularLeverage", "NegativeDiagonal"},
+        "one-treated-2/6": {None, "UnbalancedPooling", "SingularLeverage"},
+        "one-treated": {None, "SingularLeverage"},
+        "c09": {None},
+    }[cell]
+    assert seen == expected
+    if cell == "unbalanced":
+        fz = why[:, ids.index(EstimatorId.FZ)]
+        assert (fz[0], fz[2]) == ("SingularLeverage", "NegativeDiagonal")
+        assert not np.isnan(cov[2, ids.index(EstimatorId.FZ)]).any()
+
+
 def _principal_inv_sqrt(m):
     vals, vecs = np.linalg.eig(np.linalg.inv(m))
     return (vecs @ np.diag(np.sqrt(vals)) @ np.linalg.inv(vecs)).real
