@@ -14,6 +14,14 @@ replication of each stage, "test" being the rest of ``run_block``, and
 per ``fit_block`` call the mean Fisher iterations of a replication and
 the ``whiten_block`` calls.
 
+The ``fit-csv`` cell is the fit of ``pgee fit`` on a CSV of the
+``fit-csv`` workload: one dataset of 1000 clusters of sizes 2..8 (20%
+events, rho 0.2), drawn in-process at a fixed seed as ``pgee generate``
+draws it, fitted by ``fitting.fit`` with the cli's default working model,
+then all 14 estimators by one ``variance.estimator_table`` on a fresh
+copy of the fit's kernel.  It prints the medians of the fit and of the
+table, the iterations and the ``whiten_block`` calls per fit.
+
 Each checkout runs in a fresh interpreter with its own ``src`` on the
 path; with several checkouts the runs alternate between them, so that a
 drifting machine speed falls on both.  The header gives the BLAS thread
@@ -56,7 +64,35 @@ def _sim_spec():
     return module.sim_spec
 
 
-def worker(reps: int, blocks: int, seed: int) -> dict:
+def fit_csv_cell(fits: int, seed: int, counts: dict) -> dict:
+    """The fit-csv cell: {stage: [seconds per fit], ...}."""
+    from dataclasses import replace
+
+    import pgee.fitting
+    import pgee.harness as harness
+    from pgee.data import EstimatorId, WorkingModel
+    from pgee.datagen import Scenario
+    from pgee.variance import estimator_table
+
+    scen = Scenario(n_clusters=1000, n_pattern=tuple(range(2, 9)), event_rate=0.2, rho=0.2,
+                    seed=100 * seed)
+    design, y, _ = harness.draw_block(scen, [0], harness.calibrate_intercept(scen))
+    data, wm = replace(design, y=y[0]), WorkingModel("exchangeable", "estimate", 1.0)
+    rows = defaultdict(list)
+    for _ in range(fits):
+        counts.clear()
+        t0 = time.perf_counter()
+        result = pgee.fitting.fit(data, wm)
+        t1 = time.perf_counter()
+        estimator_table(replace(result.kernel), list(EstimatorId))
+        rows["fit"].append(t1 - t0)
+        rows["estimate"].append(time.perf_counter() - t1)
+        rows["iterations"].append(float(result.iterations))
+        rows["whiten_block"].append(float(counts["whiten"]))
+    return dict(rows)
+
+
+def worker(reps: int, blocks: int, fits: int, seed: int) -> dict:
     """Stage times of this interpreter's pgee: {"cell/R": {stage: [seconds
     per replication, one per run_block call], ...}}."""
     import pgee.fitting
@@ -103,6 +139,7 @@ def worker(reps: int, blocks: int, seed: int) -> dict:
                 rows["iterations"].append(float(result.iterations.sum()) / max(drawn, 1))
                 rows["whiten_block"].append(float(counts["whiten"]))
             out[f"{cell}/R={size}"] = dict(rows)
+    out["fit-csv/R=1"] = fit_csv_cell(fits, seed, counts)
     return out
 
 
@@ -121,12 +158,13 @@ def main(argv=None) -> int:
                         help="blocks of one replication per cell and run")
     parser.add_argument("--blocks", type=int, default=4,
                         help="blocks of BLOCK_SIZE replications per cell and run")
+    parser.add_argument("--fits", type=int, default=20, help="fit-csv fits per run")
     parser.add_argument("--rounds", type=int, default=3, help="runs per checkout")
     parser.add_argument("--seed", type=int, default=1, help="the perfbench scenario seed")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        print(json.dumps(worker(args.reps, args.blocks, args.seed)))
+        print(json.dumps(worker(args.reps, args.blocks, args.fits, args.seed)))
         return 0
     checkouts = [c.resolve() for c in (args.checkout or [ROOT])]
     samples = {c: defaultdict(lambda: defaultdict(list)) for c in checkouts}
@@ -134,19 +172,22 @@ def main(argv=None) -> int:
         for c in (checkouts if turn % 2 == 0 else checkouts[::-1]):
             env = dict(os.environ, PYTHONPATH=str(c / "src"))
             argv = [sys.executable, __file__, "--worker", "--reps", str(args.reps),
-                    "--blocks", str(args.blocks), "--seed", str(args.seed)]
+                    "--blocks", str(args.blocks), "--fits", str(args.fits),
+                    "--seed", str(args.seed)]
             run = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
             for key, rows in json.loads(run.stdout).items():
                 for stage, values in rows.items():
                     samples[c][key][stage].extend(values)
     print(f"env: {_environment()}; {args.rounds} runs per checkout, "
-          f"{args.reps} blocks of 1 and {args.blocks} of 256 per cell and run")
+          f"{args.reps} blocks of 1 and {args.blocks} of 256 per cell and run, "
+          f"{args.fits} fit-csv fits per run (times per replication or per fit)")
     print(f"{'checkout':<28} {'cell/R':<24}" + "".join(f"{s + ' ms':>13}" for s in STAGES)
           + f"{'iterations':>12}{'whiten_block':>14}")
     for key in samples[checkouts[0]]:
         for c in checkouts:
             rows = samples[c][key]
-            times = "".join(f"{1e3 * statistics.median(rows[s]):>13.3f}" for s in STAGES)
+            times = "".join(f"{1e3 * statistics.median(rows[s]):>13.3f}" if s in rows
+                            else f"{'-':>13}" for s in STAGES)
             print(f"{str(c)[-28:]:<28} {key:<24}{times}"
                   f"{statistics.mean(rows['iterations']):>12.2f}"
                   f"{statistics.mean(rows['whiten_block']):>14.2f}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import EstimatorId, WorkingModel, normalize_structure, read_csv, write_csv
 from .datagen import Scenario, calibrate_intercept
-from .errors import DatasetError, PgeeError, SingularLeverage, ZeroSE
+from .errors import DatasetError, PgeeError, SingularLeverage
 from .fitting import FitOptions, PgeeFit, fit
 from .harness import (
     MAX_ATTEMPTS,
@@ -32,7 +32,8 @@ from .harness import (
     run_grid,
     summary_json,
 )
-from .variance import estimate_variance, overcorrection_diagnostic, wald_test
+from .variance import estimate_variance  # noqa: F401  (re-exported: perfbench/spans.py resolves this name)
+from .variance import estimator_table, overcorrection_diagnostic, wald_test
 
 JSON_SCHEMA_VERSION = "1"
 
@@ -144,7 +145,16 @@ def cmd_fit(args) -> int:
     lines = _fit_header_lines(dataset, wm, result)
     if result.kernel is not None:
         n_cl, p = dataset.n_clusters, dataset.p
-        estimates = {est: estimate_variance(result.kernel, est) for est in estimators}
+        # one table for the distinct estimators and one Wald test over its
+        # computable, positive SEs; a zero SE keeps its row as ZeroSE
+        column = {est: j for j, est in enumerate(dict.fromkeys(estimators))}
+        _, se, computable, why = (a[0] for a in estimator_table(result.kernel, list(column)))
+        testable = computable[:, None] & (se > 0)
+        wald = np.full((4, *se.shape), np.nan)
+        if testable.any():
+            wr = wald_test(np.broadcast_to(result.beta, se.shape)[testable], se[testable],
+                           n_cl, p, null_value=args.null)
+            wald[:, testable] = wr.t, wr.p_value, wr.ci_low, wr.ci_high
         est_report = {}
         for coef_idx, name in enumerate(dataset.colnames):
             lines.append("")
@@ -157,37 +167,26 @@ def cmd_fit(args) -> int:
                 f"{'95% CI':>26}"
             )
             for est in estimators:
-                ve = estimates[est]
+                j = column[est]
                 entry = est_report.setdefault(
                     est.name,
-                    {
-                        "computable": bool(ve.computable),
-                        "reason": ve.incomputable_reason,
-                        "coefficients": {},
-                    },
+                    {"computable": bool(computable[j]), "reason": why[j], "coefficients": {}},
                 )
-                if not ve.computable:
-                    lines.append(_unavailable_row(est, ve.incomputable_reason))
+                if not computable[j]:
+                    lines.append(_unavailable_row(est, why[j]))
                     continue
-                se = float(ve.se[coef_idx])
-                try:
-                    wr = wald_test(
-                        result.beta[coef_idx], se, n_cl, p, null_value=args.null
-                    )
-                except ZeroSE:
-                    entry["coefficients"][name] = {"se": se, "reason": ZERO_SE}
+                se_j = float(se[j, coef_idx])
+                if not testable[j, coef_idx]:
+                    entry["coefficients"][name] = {"se": se_j, "reason": ZERO_SE}
                     lines.append(_unavailable_row(est, ZERO_SE))
                     continue
+                t, p_value, ci_low, ci_high = wald[:, j, coef_idx].tolist()
                 entry["coefficients"][name] = {
-                    "se": wr.se,
-                    "t": wr.t,
-                    "p": wr.p_value,
-                    "ci": [wr.ci_low, wr.ci_high],
+                    "se": se_j, "t": t, "p": p_value, "ci": [ci_low, ci_high],
                 }
                 lines.append(
-                    f"  {est.name:<10}{wr.se:>12.4g}{wr.t:>10.3f}"
-                    f"{wr.p_value:>10.4f}"
-                    f"{'[' + f'{wr.ci_low:.4g}, {wr.ci_high:.4g}' + ']':>26}"
+                    f"  {est.name:<10}{se_j:>12.4g}{t:>10.3f}{p_value:>10.4f}"
+                    f"{'[' + f'{ci_low:.4g}, {ci_high:.4g}' + ']':>26}"
                 )
         report["estimators"] = est_report
         try:

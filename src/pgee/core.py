@@ -10,11 +10,9 @@ For a cluster with n observations and p covariates (canonical logit link):
     info    cluster information dmat' vmat^{-1} dmat (p x p)
     score   cluster score contribution dmat' vmat^{-1} (y - mu)
 
-All clusters of one size share R(alpha), so the kernel works on the
-dataset's size groups (``LongitudinalDataset.size_groups``): arrays stacked
-over the clusters of each distinct size.  With C the Cholesky factor of R,
-the Cholesky factor of vmat is ``L = sqrt(phi) W^{1/2} C``, so one n x n
-factorization per size whitens every cluster of that size:
+All clusters of one size share R(alpha).  With C the Cholesky factor of
+R, the Cholesky factor of vmat is ``L = sqrt(phi) W^{1/2} C``, so one
+n x n factorization per size whitens every cluster of that size:
 
     dt      L^{-1} dmat = C^{-1} W^{1/2} X / sqrt(phi)
     rt      L^{-1} (y - mu)
@@ -23,13 +21,21 @@ factorization per size whitens every cluster of that size:
 vmat is positive definite exactly when R is, so an inadmissible alpha is
 reported for the first cluster, in cluster order, of a size whose R fails.
 
+The kernel keeps its per-observation arrays as flat rows in kernel order
+(``LongitudinalDataset.kernel_rows``): by cluster size, then
+position-major, so each size is one slice whose (R, n, N_s, k) reshape
+puts the position in front.  Each stage is one pass over all rows, C^{-1}
+whitens a size in one (n x n) @ (n x N_s k) product, and ``groups`` are
+(R, N_s, n, k) views of the rows per size.
+
 A kernel is assembled for a block of R replications that share the design
 (X and the cluster sizes) and differ in y, beta, alpha and phi: every
 per-replication array carries the replication axis in front, and each
 replication has its own R(alpha) factor per size.  Assembly runs in two
 stages: ``beta_stage`` (eta -> mu, w, r and the unwhitened
 ``z = [W^{1/2} X | W^{-1/2} r]``) and ``whiten_block`` (z, the factors and
-phi -> the Gram matrix, info, ``info_inv`` and dt), so a new alpha or phi
+phi -> the whitened rows ``[dt | rt]`` and their one Gram matrix, which
+holds info and the score, then ``info_inv``), so a new alpha or phi
 at an unchanged beta reuses the beta stage; ``assemble_block`` is the two
 in sequence.  Every kernel is a block, whose arrays and computations keep
 the replication axis: one dataset is a block of one, marked ``single`` by
@@ -134,7 +140,7 @@ class KernelGroup(NamedTuple):
     replication axis R in front: ``cinv`` (R, n, n) is the inverse Cholesky
     factor of R(alpha) for this size; ``mu``, ``w`` and ``resid`` are
     (R, N_s, n); ``dt`` (R, N_s, n, p) and ``rt`` (R, N_s, n) are the
-    whitened derivative matrices and residuals.
+    whitened derivative matrices and residuals, views of the flat rows.
     """
 
     idx: np.ndarray
@@ -147,8 +153,8 @@ class KernelGroup(NamedTuple):
     rt: np.ndarray
 
 
-#: The KernelGroup fields that hold one entry per replication.
-_REPLICATED = ("mu", "w", "resid", "cinv", "dt", "rt")
+#: The FitKernel fields that hold one entry per replication, besides ``cinvs``.
+_REPLICATED = ("beta", "alpha", "phi", "mu", "w", "resid", "zt", "score", "info", "info_inv")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -157,27 +163,37 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cluster_order(kernel, per_group: list, trailing: tuple) -> np.ndarray:
-    """Scatter per-group (R, N_s, *trailing) arrays into a read-only
-    (R, N, *trailing) array in cluster order."""
-    out = np.empty((kernel.beta.shape[0], kernel.n_clusters, *trailing))
-    for g, a in zip(kernel.groups, per_group):
-        out[:, g.idx] = a
+def _cluster_sums(data: LongitudinalDataset, rows: np.ndarray) -> np.ndarray:
+    """Sums of (R, n_total, ...) row terms in kernel order over each
+    cluster's rows: a read-only (R, N, ...) array in cluster order."""
+    out = np.empty((rows.shape[0], data.n_clusters, *rows.shape[2:]))
+    for g in data.size_groups:
+        out[:, g.idx] = rows[:, g.span].reshape(rows.shape[0], *g.rows.T.shape, *rows.shape[2:]).sum(1)
     return _readonly(out)
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """(R, N_s, n, k) group array as (R, N_s * n, k) stacked rows."""
-    return a.reshape(a.shape[0], -1, a.shape[-1])
+def _per_size(data: LongitudinalDataset, factors, rows: np.ndarray) -> np.ndarray:
+    """(R, n_total, k) rows in kernel order with each size's rows
+    multiplied by its (R, n, n) factor: one product per size, whose
+    position-major slice is (R, n, N_s k)."""
+    out = np.empty(rows.shape)
+    for g, f in zip(data.size_groups, factors):
+        n_s, n = g.rows.shape
+        shape = (rows.shape[0], n, n_s * rows.shape[-1])
+        np.matmul(f, rows[:, g.span].reshape(shape), out=out[:, g.span].reshape(shape))
+    return out
 
 
 @dataclass(frozen=True)
 class FitKernel:
-    """Assembled kernel: size-group arrays plus the sensitivity matrix.
+    """Assembled kernel: flat rows, R(alpha) factors and the sensitivity matrix.
 
     Every kernel is a block of R replications: ``beta`` is (R, p),
-    ``alpha`` and ``phi`` are (R,), the group arrays carry the replication
-    axis, ``score`` (R, p) and ``info`` (R, p, p) are the summed cluster
+    ``alpha`` and ``phi`` are (R,); ``mu``, ``w`` and ``resid`` (R, n_total)
+    and the whitened rows ``zt = [dt | rt]`` (R, n_total, p + 1) are in
+    kernel order, ``cinvs`` holds one (R, n, n) inverse Cholesky factor of
+    R(alpha) per size group, and ``groups`` views them per size.
+    ``score`` (R, p) and ``info`` (R, p, p) are the summed cluster
     scores and informations and ``info_inv`` the inverses.  ``scores``
     (R, N, p) and ``infos`` (R, N, p, p), in cluster order, the leverage
     and the corrected rows are computed on first use (``memo``); ``hat_block`` is
@@ -192,7 +208,11 @@ class FitKernel:
     alpha: np.ndarray
     phi: np.ndarray
     data: LongitudinalDataset
-    groups: tuple
+    mu: np.ndarray
+    w: np.ndarray
+    resid: np.ndarray
+    cinvs: tuple
+    zt: np.ndarray
     score: np.ndarray
     info: np.ndarray
     info_inv: np.ndarray
@@ -223,33 +243,32 @@ class FitKernel:
         """Kernel of the replications ``index`` (an index array or a
         slice) selects on the block's leading axis."""
         return replace(
-            self,
-            beta=self.beta[index],
-            alpha=self.alpha[index],
-            phi=self.phi[index],
-            groups=tuple(
-                g._replace(**{f: getattr(g, f)[index] for f in _REPLICATED})
-                for g in self.groups
-            ),
-            score=self.score[index],
-            info=self.info[index],
-            info_inv=self.info_inv[index],
+            self, cinvs=tuple(c[index] for c in self.cinvs),
+            **{f: getattr(self, f)[index] for f in _REPLICATED},
+        )
+
+    @cached_property
+    def groups(self) -> tuple:
+        """One :class:`KernelGroup` per size group, its arrays views of the flat rows."""
+        def view(a, g):  # (R, span, ...) as (R, N_s, n, ...)
+            return a[:, g.span].reshape(a.shape[0], *g.rows.T.shape, *a.shape[2:]).swapaxes(1, 2)
+
+        return tuple(
+            KernelGroup(g.idx, g.X, *(view(a, g) for a in (self.mu, self.w, self.resid)), cinv,
+                        view(self.zt[..., :-1], g), view(self.zt[..., -1], g))
+            for g, cinv in zip(self.data.size_groups, self.cinvs)
         )
 
     @cached_property
     def scores(self) -> np.ndarray:
         """Cluster score contributions dt' rt, in cluster order."""
-        return _cluster_order(
-            self, [(g.dt.swapaxes(-1, -2) @ g.rt[..., None])[..., 0] for g in self.groups],
-            (self.p,),
-        )
+        return _cluster_sums(self.data, self.zt[..., :-1] * self.zt[..., -1:])
 
     @cached_property
     def infos(self) -> np.ndarray:
         """Cluster informations dt' dt, in cluster order."""
-        return _cluster_order(
-            self, [g.dt.swapaxes(-1, -2) @ g.dt for g in self.groups], (self.p, self.p)
-        )
+        dt = self.zt[..., :-1]
+        return _cluster_sums(self.data, dt[..., :, None] * dt[..., None, :])
 
     @cached_property
     def leverage(self) -> tuple:
@@ -319,9 +338,9 @@ class FitKernel:
 
 
 class BetaStage(NamedTuple):
-    """What a kernel's size group takes from beta alone: the means ``mu``,
-    weights ``w`` and residuals ``resid`` (R, N_s, n), and the unwhitened
-    ``z = [W^{1/2} X | W^{-1/2} r]`` (R, N_s, n, p + 1)."""
+    """What a kernel takes from beta alone, in kernel order: the means
+    ``mu``, weights ``w`` and residuals ``resid`` (R, n_total), and the
+    unwhitened rows ``z = [W^{1/2} X | W^{-1/2} r]`` (R, n_total, p + 1)."""
 
     mu: np.ndarray
     w: np.ndarray
@@ -329,21 +348,20 @@ class BetaStage(NamedTuple):
     z: np.ndarray
 
 
-def beta_stage(beta: np.ndarray, data: LongitudinalDataset, ys: tuple) -> tuple:
-    """The :class:`BetaStage` of each size group of ``data`` at (R, p)
-    ``beta``, given each group's (R, N_s, n) responses ``ys``."""
-    n_reps, p = beta.shape
-    stages = []
-    for group, y in zip(data.size_groups, ys):
-        n_s, n, _ = group.X.shape
-        eta = (group.X.reshape(n_s * n, p) @ beta[:, :, None]).reshape(n_reps, n_s, n)
-        mu = np.clip(expit(np.clip(eta, -ETA_CAP, ETA_CAP)), MU_EPS, 1.0 - MU_EPS)
-        w = mu * (1.0 - mu)
-        resid = y - mu
-        sw = np.sqrt(w)
-        z = np.concatenate((sw[..., None] * group.X, (resid / sw)[..., None]), axis=-1)
-        stages.append(BetaStage(mu, w, resid, z))
-    return tuple(stages)
+def beta_stage(beta: np.ndarray, data: LongitudinalDataset, y: np.ndarray) -> BetaStage:
+    """The :class:`BetaStage` of ``data`` at (R, p) ``beta``, given the
+    (R, n_total) responses ``y`` in kernel order."""
+    x = data.kernel_X
+    p = x.shape[1]
+    eta = (x @ beta[:, :, None])[..., 0]
+    mu = np.clip(expit(np.clip(eta, -ETA_CAP, ETA_CAP)), MU_EPS, 1.0 - MU_EPS)
+    w = mu * (1.0 - mu)
+    resid = y - mu
+    sw = np.sqrt(w)
+    z = np.empty((*w.shape, p + 1))
+    np.multiply(sw[..., None], x, out=z[..., :p])
+    np.divide(resid, sw, out=z[..., p])
+    return BetaStage(mu, w, resid, z)
 
 
 def whiten_block(
@@ -352,11 +370,11 @@ def whiten_block(
     alpha: np.ndarray,
     phi: np.ndarray,
     data: LongitudinalDataset,
-    stages: tuple,
+    stage: BetaStage,
     cinvs: tuple,
 ) -> tuple:
-    """Kernel of a block of R replications from each size group's
-    :class:`BetaStage` at (R, p) ``beta`` and R(alpha) factor ``cinvs``
+    """Kernel of a block of R replications from the :class:`BetaStage`
+    at (R, p) ``beta`` and each size group's R(alpha) factor ``cinvs``
     (see ``whitening_factors``), at (R,) ``alpha`` and ``phi``.
 
     Returns (kernel, ill): ``ill`` (R,) marks the replications whose
@@ -365,35 +383,19 @@ def whiten_block(
     """
     p = beta.shape[1]
     root_phi = np.sqrt(phi)[:, None, None]
-    groups = []
-    gram = 0.0
-    for group, st, cinv in zip(data.size_groups, stages, cinvs):
-        # whiten z in one product; its Gram matrix holds the information
-        # and, in its last column, the score
-        zt = (cinv / root_phi)[:, None] @ st.z
-        rows = _rows(zt)
-        gram = gram + rows.swapaxes(-1, -2) @ rows
-        # contiguous copies: a block and the replications taken from it
-        # then run the same (bitwise) products
-        dt, rt = np.ascontiguousarray(zt[..., :p]), np.ascontiguousarray(zt[..., p])
-        groups.append(KernelGroup(group.idx, group.X, st.mu, st.w, st.resid, cinv, dt, rt))
+    # whiten z, one product per size; the Gram matrix of the whitened rows
+    # holds the information and, in its last column, the score
+    zt = _per_size(data, [c / root_phi for c in cinvs], stage.z)
+    gram = zt.swapaxes(-1, -2) @ zt
     info = gram[:, :p, :p]
     info = 0.5 * (info + info.swapaxes(-1, -2))
     eig = np.linalg.eigvalsh(info)
     ill = (eig[:, 0] <= 0) | (eig[:, -1] > COND_LIMIT * eig[:, 0])
     info_inv = np.linalg.inv(np.where(ill[:, None, None], np.eye(p), info) if ill.any() else info)
     info_inv = 0.5 * (info_inv + info_inv.swapaxes(-1, -2))
-    kernel = FitKernel(
-        beta=beta,
-        structure=structure,
-        alpha=alpha,
-        phi=phi,
-        data=data,
-        groups=tuple(groups),
-        score=gram[:, :p, p],
-        info=info,
-        info_inv=info_inv,
-    )
+    kernel = FitKernel(beta=beta, structure=structure, alpha=alpha, phi=phi, data=data,
+                       mu=stage.mu, w=stage.w, resid=stage.resid, cinvs=cinvs, zt=zt,
+                       score=gram[:, :p, p], info=info, info_inv=info_inv)
     return kernel, ill
 
 
@@ -403,16 +405,17 @@ def assemble_block(
     alpha: np.ndarray,
     phi: np.ndarray,
     data: LongitudinalDataset,
-    ys: tuple,
+    y: np.ndarray,
     cinvs: tuple,
 ) -> tuple:
     """Kernel of a block of R replications at (R, p) ``beta`` and (R,)
-    ``alpha`` and ``phi``, given each size group's (R, N_s, n) responses
-    ``ys`` and R(alpha) factors ``cinvs``: :func:`beta_stage`, then
-    :func:`whiten_block`, whose (kernel, ill) it returns.
+    ``alpha`` and ``phi``, given the (R, n_total) responses ``y`` in kernel
+    order and each size group's R(alpha) factors ``cinvs``:
+    :func:`beta_stage`, then :func:`whiten_block`, whose (kernel, ill) it
+    returns.
     """
-    stages = beta_stage(beta, data, ys)
-    return whiten_block(beta, structure, alpha, phi, data, stages, cinvs)
+    stage = beta_stage(beta, data, y)
+    return whiten_block(beta, structure, alpha, phi, data, stage, cinvs)
 
 
 def assemble_kernel(
@@ -438,9 +441,9 @@ def assemble_kernel(
         raise SingularV(
             f"cluster {data.ids[first]}: working covariance not positive definite"
         )
-    ys = tuple(g.y[None] for g in data.size_groups)
+    y = data.y[data.kernel_rows][None]
     beta = np.asarray(beta, dtype=float)[None]
-    kernel, ill = assemble_block(beta, structure, alpha, phi, data, ys, cinvs)
+    kernel, ill = assemble_block(beta, structure, alpha, phi, data, y, cinvs)
     if ill[0]:
         eig = np.linalg.eigvalsh(kernel.info[0])
         raise SingularInformation(
@@ -466,19 +469,19 @@ def firth_penalty(kernel: FitKernel) -> np.ndarray:
 
         d W^{1/2} / d beta_r = W^{-1/2} diag{w * (1 - 2 mu) * x_r} / 2
 
-    Collapsing the traces leaves one weighted column sum per cluster:
+    Collapsing the traces leaves one weighted column sum over the rows:
 
         b = X' diag{w^{1/2} (1 - 2 mu)} q / (2 sqrt(phi)),
         q_j = (C^{-T} dt)_j . (X info_inv)_j
 
-    The penalty is invariant to the fixed dispersion because info_inv and
-    the derivative scale inversely.
+    taken over all rows in kernel order, with C^{-T} applied to each size
+    in one product (to the whole whitened rows, whose last column q does
+    not read).  The penalty is invariant to the fixed dispersion because
+    info_inv and the derivative scale inversely.
     """
-    b = 0.0
-    for g in kernel.groups:
-        x = g.X.reshape(-1, kernel.p)
-        xd = x @ kernel.info_inv
-        ct = _rows(g.cinv.swapaxes(-1, -2)[:, None] @ g.dt)
-        v = (np.sqrt(g.w) * (1.0 - 2.0 * g.mu)).reshape(xd.shape[:2])
-        b = b + ((v * np.sum(ct * xd, axis=-1))[:, None] @ x)[:, 0]
-    return 0.5 * b / np.sqrt(kernel.phi)[:, None]
+    p, x = kernel.p, kernel.data.kernel_X
+    ct = _per_size(kernel.data, [c.swapaxes(-1, -2) for c in kernel.cinvs], kernel.zt)
+    v = np.sqrt(kernel.w) * (1.0 - 2.0 * kernel.mu)
+    xd = x @ kernel.info_inv
+    q = sum(ct[..., s] * xd[..., s] for s in range(p))  # faster than a reduce over p
+    return 0.5 * ((v * q)[:, None] @ x)[:, 0] / np.sqrt(kernel.phi)[:, None]

@@ -8,7 +8,9 @@ intercept.  The canonical file format is a long-format CSV with header
 ``cluster,y,x1..xk[,t]``: the intercept column is synthesized on read, and
 a trailing ``t`` column is the within-cluster time covariate (it enters
 ``X`` as the last column).  The kernel reads the dataset through
-``size_groups``, the rows of all clusters of one size stacked into arrays.
+``size_groups``, the rows of all clusters of one size stacked into arrays,
+in its row order ``kernel_rows``: by cluster size and, within a size,
+position-major (position j of every cluster of the size, then j + 1).
 
 All types are immutable after construction; arrays are marked read-only so
 instances can be shared freely across threads and processes.
@@ -75,7 +77,7 @@ class SizeGroup(NamedTuple):
     idx: np.ndarray  # (N_s,) positions of the clusters in the dataset
     rows: np.ndarray  # (N_s, n) their row indices into y and X
     X: np.ndarray  # (N_s, n, p)
-    y: np.ndarray  # (N_s, n)
+    span: slice  # their rows in kernel order: kernel_rows[span] is rows.T.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,13 +195,25 @@ class LongitudinalDataset:
         for n in np.unique(self.sizes):
             idx = np.flatnonzero(self.sizes == n)
             rows = self.offsets[idx, None] + np.arange(n)
-            arrays = (idx, rows, self.X[rows], self.y[rows])
+            arrays = (idx, rows, self.X[rows])
             for a in arrays:
                 a.setflags(write=False)
-            groups.append(SizeGroup(*arrays))
+            start = int(self.sizes[self.sizes < n].sum())
+            groups.append(SizeGroup(*arrays, slice(start, start + rows.size)))
         return tuple(groups)
 
-    @property
+    @cached_property
+    def kernel_rows(self) -> np.ndarray:
+        """(n_total,) row indices in kernel order: by cluster size, then
+        position-major within a size (see ``SizeGroup.span``)."""
+        return _readonly(np.concatenate([g.rows.T.ravel() for g in self.size_groups]), np.intp)
+
+    @cached_property
+    def kernel_X(self) -> np.ndarray:
+        """(n_total, p) X in kernel order."""
+        return _readonly(self.X[self.kernel_rows], float)
+
+    @cached_property
     def balanced(self) -> bool:
         return len(set(self.cluster_sizes)) == 1
 

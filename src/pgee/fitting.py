@@ -17,9 +17,9 @@ alpha, phi, iteration count, step-halving choices and stopping reason,
 exactly as if it were fitted alone: a replication that has converged or
 diverged leaves the loop.  The loop carries the state of its active
 replications only: beta, the alpha and phi of its current R(alpha)
-factors, the current ``info_inv`` and penalized score, and per size group
-the factor, the beta stage (``core.beta_stage``: mu, w, r and the
-unwhitened z) and the responses.  When replications stop, their final
+factors (one per size group), the current ``info_inv`` and penalized
+score, the beta stage (``core.beta_stage``: mu, w, r and the unwhitened
+z) and the responses.  When replications stop, their final
 values are written to the (R,) outputs and the state is compacted to the
 others, so an iteration in which none stops indexes nothing: a full
 refresh and a step whose every candidate improves are bound as the new
@@ -32,6 +32,13 @@ sequential halving would take.  After the loop one assembly builds every
 replication's final kernel at its point and last factors.  ``fit`` is
 this loop on a block of one dataset, and its kernel is that block of one,
 marked ``single`` (see ``core.FitKernel``).
+
+The responses are put in the kernel's row order once per fit
+(``LongitudinalDataset.kernel_rows``: by cluster size, then
+position-major), so the beta stage, the penalty and the phi moment each
+take all clusters in one pass over flat rows, the whitening takes one
+product per size, and the alpha moment reads each size as an
+(R, n, N_s) slice of the rows.
 
 Non-convergence is a result state, not an exception: fits that exceed the
 parameter cap, exhaust iterations, or hit a singular information matrix
@@ -122,27 +129,25 @@ def estimate_alpha(kernel: FitKernel, structure: Optional[str] = None):
     non-positive denominator yields 0 with a warning.  Returns one
     estimate per replication, (R,).
     """
-    return _alpha_moment(
-        structure or kernel.structure, kernel.data,
-        [g.resid for g in kernel.groups], [g.w for g in kernel.groups], kernel.phi,
-    )
+    return _alpha_moment(structure or kernel.structure, kernel.data, kernel.resid, kernel.w,
+                         kernel.phi)
 
 
-def _alpha_moment(structure, data, resids, ws, phi) -> np.ndarray:
-    """``estimate_alpha`` from each size group's (R, N_s, n) residuals and
-    weights at (R,) dispersions ``phi``."""
+def _alpha_moment(structure, data, resid, w, phi) -> np.ndarray:
+    """``estimate_alpha`` from (R, n_total) residuals and weights in kernel
+    order at (R,) dispersions ``phi``."""
     if structure == "independence":
         return np.zeros(phi.shape)
-    num = 0.0
-    den = -float(data.p)
-    for resid, w in zip(resids, ws):
-        e = resid / np.sqrt(w * phi[:, None, None])
-        _, n_s, n = e.shape
+    e = resid / np.sqrt(w * phi[:, None])
+    num, den = 0.0, -data.p
+    for g in data.size_groups:
+        n_s, n = g.rows.shape
+        es = e[:, g.span].reshape(-1, n, n_s)  # (R, position, cluster)
         if structure == "exchangeable":
-            num = num + 0.5 * np.sum(e.sum(axis=-1) ** 2 - np.sum(e**2, axis=-1), axis=-1)
-            den += 0.5 * n_s * n * (n - 1)
+            num = num + 0.5 * np.sum(es.sum(axis=1) ** 2 - np.sum(es**2, axis=1), axis=-1)
+            den += n_s * n * (n - 1) // 2
         else:  # ar1
-            num = num + np.sum(e[..., :-1] * e[..., 1:], axis=(-2, -1))
+            num = num + np.sum(es[:, :-1] * es[:, 1:], axis=(-2, -1))
             den += n_s * (n - 1)
     if den <= 0:
         warnings.warn(
@@ -161,13 +166,12 @@ def _alpha_moment(structure, data, resids, ws, phi) -> np.ndarray:
 def estimate_phi(kernel: FitKernel):
     """Pearson plug-in dispersion: sum of e_ij^2 over (n_total - p), e at
     phi = 1; one per replication, (R,)."""
-    return _phi_moment(kernel.data, [g.resid for g in kernel.groups], [g.w for g in kernel.groups])
+    return _phi_moment(kernel.data, kernel.resid, kernel.w)
 
 
-def _phi_moment(data, resids, ws) -> np.ndarray:
-    """``estimate_phi`` from each size group's (R, N_s, n) residuals and weights."""
-    num = sum(np.sum(resid**2 / w, axis=(-2, -1)) for resid, w in zip(resids, ws))
-    phi = num / (data.n_total - data.p)
+def _phi_moment(data, resid, w) -> np.ndarray:
+    """``estimate_phi`` from (R, n_total) residuals and weights."""
+    phi = np.sum(resid**2 / w, axis=-1) / (data.n_total - data.p)
     if np.any(phi < PHI_FLOOR):
         warnings.warn(
             f"estimated dispersion fell below {PHI_FLOOR} and was floored there",
@@ -242,7 +246,7 @@ def _lockstep(data, y, wm, opts) -> tuple:
     (R,) mask of replications that have a kernel."""
     n_reps, p = y.shape[0], data.p
     structure = wm.structure
-    ys = tuple(y[:, g.rows] for g in data.size_groups)
+    y = y[:, data.kernel_rows]
     if wm.estimates_alpha:
         alpha = np.zeros(n_reps)
     else:
@@ -254,7 +258,7 @@ def _lockstep(data, y, wm, opts) -> tuple:
     # alpha and phi of its last factors and those factors, (R,) first.
     out_beta, out_alpha, out_phi = np.empty((n_reps, p)), np.empty(n_reps), np.empty(n_reps)
     out_kalpha, out_kphi = np.empty(n_reps), np.empty(n_reps)
-    out_factors = tuple(np.empty((n_reps, n, n)) for n in (g.X.shape[1] for g in data.size_groups))
+    out_factors = tuple(np.empty((n_reps, n, n)) for n in (g.rows.shape[1] for g in data.size_groups))
     has_kernel = np.zeros(n_reps, bool)
     converged = np.zeros(n_reps, bool)
     iterations = np.zeros(n_reps, int)
@@ -264,21 +268,21 @@ def _lockstep(data, y, wm, opts) -> tuple:
     # the alpha and phi of its current R(alpha) factors and kernel
     # (``kalpha``, ``kphi``; the estimates ``alpha`` and ``phi`` move
     # ahead of them); that kernel's ``info_inv`` and penalized ``score``;
-    # and per size group the factor, the BetaStage at beta and the
-    # responses.  The state is rebound, never written in place, except
-    # for arrays made in the same step.
+    # the factors per size group, the BetaStage at beta and the responses.
+    # The state is rebound, never written in place, except for arrays made
+    # in the same step.
     ids = np.arange(n_reps)
     beta = np.zeros((n_reps, p))
     kalpha, kphi = alpha, phi
-    stages = beta_stage(beta, data, ys)
-    act_ys = ys
+    stage = beta_stage(beta, data, y)
+    act_y = y
     factors, info_inv, score = None, None, None
 
     def finish(gone, why, it, with_kernel):
         """Write the final values of the active replications ``gone`` (a
         mask) to the outputs, with reasons ``why`` (None is converged),
         and drop them from the state."""
-        nonlocal ids, beta, alpha, phi, kalpha, kphi, info_inv, score, stages, factors, act_ys
+        nonlocal ids, beta, alpha, phi, kalpha, kphi, info_inv, score, stage, factors, act_y
         rows = ids[gone]
         out_beta[rows], out_alpha[rows], out_phi[rows] = beta[gone], alpha[gone], phi[gone]
         out_kalpha[rows], out_kphi[rows] = kalpha[gone], kphi[gone]
@@ -290,9 +294,9 @@ def _lockstep(data, y, wm, opts) -> tuple:
         keep = ~gone
         ids, beta, alpha, phi = ids[keep], beta[keep], alpha[keep], phi[keep]
         kalpha, kphi, info_inv, score = kalpha[keep], kphi[keep], info_inv[keep], score[keep]
-        stages = tuple(BetaStage._make(a[keep] for a in st) for st in stages)
+        stage = BetaStage._make(a[keep] for a in stage)
         factors = tuple(f[keep] for f in factors)
-        act_ys = tuple(a[keep] for a in act_ys)
+        act_y = act_y[keep]
 
     def evaluate(point, a, ph, st, cinvs):
         """Kernel of the candidates ``point`` at alphas ``a`` and phis
@@ -308,7 +312,7 @@ def _lockstep(data, y, wm, opts) -> tuple:
         nonlocal kalpha, kphi, info_inv, score, factors
         if moved.all():
             cinvs, not_pd = whitening_factors(structure, alpha, data)
-            k, ill, g = evaluate(beta, alpha, phi, stages, cinvs)
+            k, ill, g = evaluate(beta, alpha, phi, stage, cinvs)
             failed = ill | not_pd.any(axis=-1)
             some = failed.any()
             if first or not some:
@@ -320,8 +324,7 @@ def _lockstep(data, y, wm, opts) -> tuple:
             rows = np.flatnonzero(moved)
             cinvs, not_pd = whitening_factors(structure, alpha[rows], data)
             k, ill, g = evaluate(
-                beta[rows], alpha[rows], phi[rows],
-                tuple(BetaStage._make(a[rows] for a in st) for st in stages), cinvs,
+                beta[rows], alpha[rows], phi[rows], BetaStage._make(a[rows] for a in stage), cinvs
             )
             sel = ~(ill | not_pd.any(axis=-1))
             rows = rows[sel]
@@ -341,11 +344,10 @@ def _lockstep(data, y, wm, opts) -> tuple:
     halvings = np.array([0.5**h for h in range(1, MAX_HALVINGS + 1)])
     for it in range(1, opts.max_iter + 1):
         if ids.size and (wm.estimates_dispersion or wm.estimates_alpha):
-            resids, ws = tuple(st.resid for st in stages), tuple(st.w for st in stages)
             if wm.estimates_dispersion:
-                phi = _phi_moment(data, resids, ws)
+                phi = _phi_moment(data, stage.resid, stage.w)
             if wm.estimates_alpha:
-                alpha = _alpha_moment(structure, data, resids, ws, kphi)
+                alpha = _alpha_moment(structure, data, stage.resid, stage.w, kphi)
             moved = (alpha != kalpha) | (phi != kphi)
             if moved.any():
                 failed = refresh(moved, False)
@@ -366,19 +368,17 @@ def _lockstep(data, y, wm, opts) -> tuple:
         # one sequential halving makes.  When every full step is finite
         # and improves, it is bound as the new state.
         cand = start + 0.5**0 * step
-        st = beta_stage(cand, data, act_ys)
+        st = beta_stage(cand, data, act_y)
         k, ill, gc = evaluate(cand, alpha, phi, st, factors)
         cn = np.where(ill, np.inf, _norm(gc))
-        beta, stages, info_inv, score = cand, st, k.info_inv, gc
+        beta, stage, info_inv, score = cand, st, k.info_inv, gc
         if not np.all(cn < gnorm):
             late = np.flatnonzero(cn >= gnorm)
             best = np.where(cn < np.inf, cn, np.inf)
             choice = np.where(cn < np.inf, 0, -1)
             if late.size:
                 cand_h = (start[late, None] + halvings[:, None] * step[late, None]).reshape(-1, p)
-                st_h = beta_stage(
-                    cand_h, data, tuple(np.repeat(a[late], MAX_HALVINGS, axis=0) for a in act_ys)
-                )
+                st_h = beta_stage(cand_h, data, np.repeat(act_y[late], MAX_HALVINGS, axis=0))
                 k_h, ill_h, gc_h = evaluate(
                     cand_h, np.repeat(alpha[late], MAX_HALVINGS),
                     np.repeat(phi[late], MAX_HALVINGS), st_h,
@@ -396,9 +396,8 @@ def _lockstep(data, y, wm, opts) -> tuple:
                 took = np.flatnonzero(choice > 0)
                 sel = np.searchsorted(late, took) * MAX_HALVINGS + choice[took] - 1
                 beta[took], info_inv[took], score[took] = cand_h[sel], k_h.info_inv[sel], gc_h[sel]
-                for dst, src in zip(stages, st_h):
-                    for a, b in zip(dst, src):
-                        a[took] = b[sel]
+                for a, b in zip(stage, st_h):
+                    a[took] = b[sel]
             stepped = best < np.inf
             beta[~stepped] = start[~stepped]
         else:
@@ -417,7 +416,7 @@ def _lockstep(data, y, wm, opts) -> tuple:
         finish(np.ones(ids.size, bool), "max_iter", opts.max_iter, True)
 
     # every replication's final kernel, at its point and last factors
-    kernel, _ = assemble_block(out_beta, structure, out_kalpha, out_kphi, data, ys, out_factors)
+    kernel, _ = assemble_block(out_beta, structure, out_kalpha, out_kphi, data, y, out_factors)
     result = PgeeFit(
         beta=out_beta,
         alpha=out_alpha,

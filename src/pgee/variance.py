@@ -154,20 +154,22 @@ def _centered(kernel: FitKernel, c: float) -> np.ndarray:
 
 def _pooled(kernel: FitKernel, c: float, denom: float) -> np.ndarray:
     """info_inv (sum_i T_i RU T_i') info_inv over denom: with one cluster
-    size (one group) and u = L^{-1} (I - H)^{-c} r, the Cholesky factor of
-    R cancels and this is sum_i e_i' (sum_j u_j u_j') e_i, e_i = dt_i info_inv.
+    size and u = L^{-1} (I - H)^{-c} r, the Cholesky factor of R cancels
+    and this is sum_i e_i' (sum_j u_j u_j') e_i, e_i = dt_i info_inv.
     By push-through u = rt + dt L0^{-T} Q h(lam) Q' L0^{-1} U_i with
-    h(lam) = ((1 - lam)^{-c} - 1) / lam, and h(0) = c."""
-    (g,) = kernel.groups
-    u = g.rt
+    h(lam) = ((1 - lam)^{-c} - 1) / lam, and h(0) = c.  The kernel's rows
+    of one size are position-major: (R, n, N, .) with clusters in order."""
+    n_reps, p = kernel.beta.shape
+    dt = kernel.zt[..., :p].reshape(n_reps, kernel.cluster_sizes[0], kernel.n_clusters, p)
+    u = kernel.zt[..., p].reshape(dt.shape[:3])
     if c:
         lam = 1.0 - kernel.gaps
         h = np.divide(np.expm1(-c * np.log(kernel.gaps)), lam, out=np.full_like(lam, c),
                       where=lam != 0.0)
-        u = u + (g.dt @ kernel.spectral_rows(h)[:, g.idx, :, None])[..., 0]
-    e = g.dt @ kernel.info_inv[:, None]
-    spread = (_gram(u) / denom)[:, None] @ e
-    rows = e.reshape(spread.shape[0], -1, kernel.p)
+        u = u + (dt.swapaxes(1, 2) @ kernel.spectral_rows(h)[..., None])[..., 0].swapaxes(1, 2)
+    e = dt @ kernel.info_inv[:, None]
+    spread = (u @ u.swapaxes(-1, -2) / denom) @ e.reshape(*dt.shape[:2], -1)
+    rows = e.reshape(n_reps, -1, p)
     return rows.swapaxes(-1, -2) @ spread.reshape(rows.shape)
 
 

@@ -272,15 +272,14 @@ def with_residuals(kernel, residuals):
     cluster order, and its scores replaced; means, covariances and
     informations are kept.  Evaluates estimator middles on externally
     constructed residuals."""
-    groups = []
+    resid = np.concatenate(residuals).astype(float)[kernel.data.kernel_rows][None]
+    kernel = replace(kernel, resid=resid, zt=kernel.zt.copy())
     score = np.zeros_like(kernel.score)
-    for g in kernel.groups:
-        r = np.array([residuals[i] for i in g.idx], dtype=float)[None]
+    for g in kernel.groups:  # g.rt is a view of the copied zt
         linv = g.cinv / np.sqrt(kernel.phi)[:, None, None]
-        rt = np.einsum("rij,rsj->rsi", linv, r / np.sqrt(g.w))
-        score += np.einsum("rsnp,rsn->rp", g.dt, rt)
-        groups.append(g._replace(resid=r, rt=rt))
-    return replace(kernel, groups=tuple(groups), score=score)
+        g.rt[...] = np.einsum("rij,rsj->rsi", linv, g.resid / np.sqrt(g.w))
+        score += np.einsum("rsnp,rsn->rp", g.dt, g.rt)
+    return replace(kernel, score=score)
 
 
 def literal_clf_dataset(scenario, rng, intercept=None):
@@ -395,13 +394,13 @@ def literal_fit(data, y, wm, opts) -> LiteralFit:
     halving, the accepted h and whether it reduced the norm (else it is
     the first best of all the candidates).
     """
-    ys = tuple(y[None, g.rows] for g in data.size_groups)
+    y = y[None, data.kernel_rows]
     beta = np.zeros((1, data.p))
     alpha = np.zeros(1) if wm.estimates_alpha else np.array([float(wm.alpha)])
     phi = np.ones(1) if wm.estimates_dispersion else np.array([float(wm.dispersion)])
 
     def assemble(at, cinvs):
-        k, ill = assemble_block(at, wm.structure, alpha, phi, data, ys, cinvs)
+        k, ill = assemble_block(at, wm.structure, alpha, phi, data, y, cinvs)
         g = k.score + firth_penalty(k) if opts.penalized else k.score
         return k, bool(ill[0]), g
 

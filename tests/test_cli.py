@@ -1,7 +1,6 @@
 """Command-line surface: exit codes, report content, output determinism."""
 
 import csv
-import dataclasses
 import json
 import warnings
 
@@ -163,29 +162,26 @@ class TestFit:
 
     def test_each_estimator_evaluated_once(self, balanced_csv, capsys, monkeypatch):
         calls = []
-        real = pgee.cli.estimate_variance
+        real = pgee.cli.estimator_table
 
-        def counting(kernel, est):
-            calls.append(est)
-            return real(kernel, est)
+        def counting(kernel, estimators):
+            calls.append(list(estimators))
+            return real(kernel, estimators)
 
-        monkeypatch.setattr(pgee.cli, "estimate_variance", counting)
+        monkeypatch.setattr(pgee.cli, "estimator_table", counting)
         assert main(["fit", str(balanced_csv), "--estimators", "LZ,KC,AR"]) == 0
-        assert calls == [EstimatorId.LZ, EstimatorId.KC, EstimatorId.AR]
+        assert calls == [[EstimatorId.LZ, EstimatorId.KC, EstimatorId.AR]]
 
     def test_zero_se_row_not_available(self, balanced_csv, capsys, monkeypatch):
         # a variance clipped to 0 gives SE 0, which the Wald test refuses
-        real = pgee.cli.estimate_variance
+        real = pgee.cli.estimator_table
 
-        def zero_treat_se(kernel, est):
-            ve = real(kernel, est)
-            if est is EstimatorId.MD:
-                se = ve.se.copy()
-                se[1] = 0.0
-                ve = dataclasses.replace(ve, se=se)
-            return ve
+        def zero_treat_se(kernel, estimators):
+            cov, se, computable, why = real(kernel, estimators)
+            se[:, estimators.index(EstimatorId.MD), 1] = 0.0
+            return cov, se, computable, why
 
-        monkeypatch.setattr(pgee.cli, "estimate_variance", zero_treat_se)
+        monkeypatch.setattr(pgee.cli, "estimator_table", zero_treat_se)
         assert main(["fit", str(balanced_csv)]) == 0
         out = capsys.readouterr().out
         treat_block = out.split("[treat]")[1].split("[t]")[0]

@@ -1,5 +1,6 @@
 """Kernel quantities: means, working covariance, score, hat blocks, penalty."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -182,8 +183,8 @@ class TestKernel:
         beta = rng.normal(scale=0.5, size=(3, ds.p))
         alpha, phi = np.full(3, 0.25), np.ones(3)
         cinvs, _ = whitening_factors("exchangeable", alpha, ds)
-        ys = tuple(np.repeat(g.y[None], 3, axis=0) for g in ds.size_groups)
-        block, ill = assemble_block(beta, "exchangeable", alpha, phi, ds, ys, cinvs)
+        y = np.repeat(ds.y[None], 3, axis=0)[:, ds.kernel_rows]
+        block, ill = assemble_block(beta, "exchangeable", alpha, phi, ds, y, cinvs)
         assert not ill.any()
         gap = np.sort(1.0 - block.max_leverage.max(axis=1))
         monkeypatch.setattr(pgee.core, "LEVERAGE_TOL", gap[:2].mean())
@@ -337,6 +338,46 @@ class TestSizeGroupParity:
             for i, r in enumerate(ref):
                 assert close(kern.hat_block(i), literal_hat(r, info_inv))
                 assert close(rows[i], info_inv @ literal_leverage_score(r, info_inv, c), 1e-8)
+
+    @pytest.mark.parametrize(
+        "structure,alphas",
+        [("independence", (0.0, 0.0, 0.0)), ("exchangeable", (0.25, -0.1, 0.5)),
+         ("ar1", (0.4, -0.3, 0.7))],
+    )
+    def test_block_views_match_literal_loop(self, rng, structure, alphas):
+        # three replications with their own y, beta, alpha and phi on
+        # interleaved sizes: every group view, in every replication, is its
+        # clusters' literal quantities, and so are the sums and the penalty
+        ds = _interleaved_dataset(rng, self.SIZES)
+        n_reps = 3
+        beta = rng.normal(scale=0.5, size=(n_reps, ds.p))
+        alpha, phi = np.array(alphas), np.array([1.3, 0.7, 2.0])
+        y = (rng.random((n_reps, ds.n_total)) < 0.4).astype(float)
+        cinvs, _ = whitening_factors(structure, alpha, ds)
+        kern, ill = assemble_block(beta, structure, alpha, phi, ds, y[:, ds.kernel_rows], cinvs)
+        assert not ill.any()
+        penalty = firth_penalty(kern)
+
+        def close(a, b, tol=1e-12):
+            scale = max(np.max(np.abs(b)), 1e-300)
+            return np.max(np.abs(np.asarray(a) - b)) / scale < tol
+
+        for r in range(n_reps):
+            ref = literal_clusters(beta[r], structure, alpha[r], phi[r],
+                                   dataclasses.replace(ds, y=y[r]))
+            for g in kern.groups:
+                for k, i in enumerate(g.idx):
+                    chol = np.linalg.cholesky(ref[i].vmat)
+                    want = {"mu": ref[i].mu, "w": ref[i].w, "resid": ref[i].resid,
+                            "dt": np.linalg.solve(chol, ref[i].dmat),
+                            "rt": np.linalg.solve(chol, ref[i].resid)}
+                    for name, value in want.items():
+                        assert close(getattr(g, name)[r, k], value), (r, i, name)
+            info = sum(q.info for q in ref)
+            assert close(kern.info[r], info), r
+            assert close(kern.score[r], sum(q.score for q in ref)), r
+            want = literal_penalty(ref, np.linalg.inv(info), structure, alpha[r], phi[r])
+            assert close(penalty[r], want), r
 
     def test_singular_v_names_first_cluster_in_order(self, rng):
         # alpha = -0.28 is admissible for n <= 4 only; the size-6 cluster at

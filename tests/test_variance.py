@@ -146,8 +146,8 @@ def test_singular_leverage_flags_only_its_replication(rng, monkeypatch):
     beta = np.stack([np.zeros(ds.p), rng.normal(scale=0.8, size=ds.p)])
     alpha, phi = np.full(2, 0.2), np.ones(2)
     cinvs, _ = whitening_factors("exchangeable", alpha, ds)
-    ys = tuple(np.stack([g.y, g.y]) for g in ds.size_groups)
-    block, ill = assemble_block(beta, "exchangeable", alpha, phi, ds, ys, cinvs)
+    y = np.stack([ds.y, ds.y])[:, ds.kernel_rows]
+    block, ill = assemble_block(beta, "exchangeable", alpha, phi, ds, y, cinvs)
     assert not ill.any()
     gap = 1.0 - block.max_leverage.max(axis=1)
     assert gap[0] != gap[1]
@@ -634,9 +634,9 @@ class TestOvercorrectionDiagnostic:
         # a block names the first such cluster of its first such replication
         alpha, phi = np.zeros(2), np.ones(2)
         cinvs, _ = whitening_factors("independence", alpha, ds)
-        ys = tuple(np.stack([g.y, g.y]) for g in ds.size_groups)
+        y = np.stack([ds.y, ds.y])[:, ds.kernel_rows]
         beta = np.array([[0.0, 0.0], [0.3, -0.2]])
-        block, ill = assemble_block(beta, "independence", alpha, phi, ds, ys, cinvs)
+        block, ill = assemble_block(beta, "independence", alpha, phi, ds, y, cinvs)
         assert not ill.any()
         with pytest.raises(SingularLeverage) as err:
             overcorrection_diagnostic(block)
