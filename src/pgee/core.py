@@ -168,7 +168,7 @@ def _cluster_sums(data: LongitudinalDataset, rows: np.ndarray) -> np.ndarray:
     cluster's rows: a read-only (R, N, ...) array in cluster order."""
     out = np.empty((rows.shape[0], data.n_clusters, *rows.shape[2:]))
     for g in data.size_groups:
-        out[:, g.idx] = rows[:, g.span].reshape(rows.shape[0], *g.rows.T.shape, *rows.shape[2:]).sum(1)
+        out[:, g.idx] = g.view(rows).sum(1)
     return _readonly(out)
 
 
@@ -180,7 +180,7 @@ def _per_size(data: LongitudinalDataset, factors, rows: np.ndarray) -> np.ndarra
     for g, f in zip(data.size_groups, factors):
         n_s, n = g.rows.shape
         shape = (rows.shape[0], n, n_s * rows.shape[-1])
-        np.matmul(f, rows[:, g.span].reshape(shape), out=out[:, g.span].reshape(shape))
+        np.matmul(f, g.view(rows).reshape(shape), out=g.view(out).reshape(shape))
     return out
 
 
@@ -250,14 +250,12 @@ class FitKernel:
     @cached_property
     def groups(self) -> tuple:
         """One :class:`KernelGroup` per size group, its arrays views of the flat rows."""
-        def view(a, g):  # (R, span, ...) as (R, N_s, n, ...)
-            return a[:, g.span].reshape(a.shape[0], *g.rows.T.shape, *a.shape[2:]).swapaxes(1, 2)
-
-        return tuple(
-            KernelGroup(g.idx, g.X, *(view(a, g) for a in (self.mu, self.w, self.resid)), cinv,
-                        view(self.zt[..., :-1], g), view(self.zt[..., -1], g))
-            for g, cinv in zip(self.data.size_groups, self.cinvs)
-        )
+        rows = (self.mu, self.w, self.resid, self.zt[..., :-1], self.zt[..., -1])
+        groups = []
+        for g, cinv in zip(self.data.size_groups, self.cinvs):
+            mu, w, resid, dt, rt = (g.view(a).swapaxes(1, 2) for a in rows)
+            groups.append(KernelGroup(g.idx, g.X, mu, w, resid, cinv, dt, rt))
+        return tuple(groups)
 
     @cached_property
     def scores(self) -> np.ndarray:

@@ -79,6 +79,11 @@ class SizeGroup(NamedTuple):
     X: np.ndarray  # (N_s, n, p)
     span: slice  # their rows in kernel order: kernel_rows[span] is rows.T.ravel()
 
+    def view(self, a: np.ndarray) -> np.ndarray:
+        """This group's rows of an (R, n_total, ...) array in kernel order,
+        as an (R, n, N_s, ...) view: position j of its cluster k at [:, j, k]."""
+        return a[:, self.span].reshape(a.shape[0], *self.rows.T.shape, *a.shape[2:])
+
 
 @dataclass(frozen=True, eq=False)
 class LongitudinalDataset:

@@ -142,7 +142,7 @@ def _alpha_moment(structure, data, resid, w, phi) -> np.ndarray:
     num, den = 0.0, -data.p
     for g in data.size_groups:
         n_s, n = g.rows.shape
-        es = e[:, g.span].reshape(-1, n, n_s)  # (R, position, cluster)
+        es = g.view(e)  # (R, position, cluster)
         if structure == "exchangeable":
             num = num + 0.5 * np.sum(es.sum(axis=1) ** 2 - np.sum(es**2, axis=1), axis=-1)
             den += n_s * n * (n - 1) // 2

@@ -157,11 +157,11 @@ def _pooled(kernel: FitKernel, c: float, denom: float) -> np.ndarray:
     size and u = L^{-1} (I - H)^{-c} r, the Cholesky factor of R cancels
     and this is sum_i e_i' (sum_j u_j u_j') e_i, e_i = dt_i info_inv.
     By push-through u = rt + dt L0^{-T} Q h(lam) Q' L0^{-1} U_i with
-    h(lam) = ((1 - lam)^{-c} - 1) / lam, and h(0) = c.  The kernel's rows
-    of one size are position-major: (R, n, N, .) with clusters in order."""
+    h(lam) = ((1 - lam)^{-c} - 1) / lam, and h(0) = c.  The rows are
+    (R, n, N, .) views of the one size group, its clusters in order."""
     n_reps, p = kernel.beta.shape
-    dt = kernel.zt[..., :p].reshape(n_reps, kernel.cluster_sizes[0], kernel.n_clusters, p)
-    u = kernel.zt[..., p].reshape(dt.shape[:3])
+    (g,) = kernel.data.size_groups
+    dt, u = g.view(kernel.zt[..., :p]), g.view(kernel.zt[..., p])
     if c:
         lam = 1.0 - kernel.gaps
         h = np.divide(np.expm1(-c * np.log(kernel.gaps)), lam, out=np.full_like(lam, c),
