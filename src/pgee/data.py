@@ -82,7 +82,8 @@ class SizeGroup(NamedTuple):
     def view(self, a: np.ndarray) -> np.ndarray:
         """This group's rows of an (R, n_total, ...) array in kernel order,
         as an (R, n, N_s, ...) view: position j of its cluster k at [:, j, k]."""
-        return a[:, self.span].reshape(a.shape[0], *self.rows.T.shape, *a.shape[2:])
+        n_s, n = self.rows.shape
+        return a[:, self.span].reshape(a.shape[0], n, n_s, *a.shape[2:])
 
 
 @dataclass(frozen=True, eq=False)
