@@ -299,6 +299,67 @@ def _interleaved_dataset(rng, sizes, owners=None):
     return validate_dataset(rows)
 
 
+def _max_rel(a, b) -> np.ndarray:
+    """(R,) largest |a - b| of each replication's (n, k) matrices, relative
+    to the largest |b|."""
+    return np.abs(a - b).max(axis=(-2, -1)) / np.abs(b).max(axis=(-2, -1))
+
+
+def _positive_definite(structure, alpha, n) -> bool:
+    try:
+        np.linalg.cholesky(working_correlation(structure, alpha, n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestWhiteningFactors:
+    """The R(alpha) factors against each size's own factorization."""
+
+    SIZES = (5, 2, 8, 3, 7, 4, 6, 2, 8, 3)
+
+    @pytest.mark.parametrize(
+        "structure,alphas",
+        [("independence", (0.0,)),
+         ("exchangeable", (-1 / 7 + 1e-6, -1 / 7 + 1e-7, -0.1, 0.25, 1 - 1e-6, 1 - 1e-7)),
+         ("ar1", (-1 + 1e-6, -1 + 1e-7, -0.4, 0.4, 1 - 1e-6, 1 - 1e-7))],
+    )
+    def test_each_size_is_whitened_by_its_own_factor(self, rng, structure, alphas):
+        # the factor of size n is inv(cholesky(R_n)) to 1e-13 times its
+        # condition number, which reaches 1.2e4 at 1e-7 from a bound of
+        # alpha; the block's whitened rows are that factor times the
+        # unwhitened rows
+        ds = _interleaved_dataset(rng, self.SIZES)
+        n_reps = len(alphas)
+        alpha, phi = np.array(alphas), np.linspace(0.7, 2.0, n_reps)
+        beta = rng.normal(scale=0.5, size=(n_reps, ds.p))
+        y = (rng.random((n_reps, ds.n_total)) < 0.4).astype(float)[:, ds.kernel_rows]
+        factors, not_pd = whitening_factors(structure, alpha, ds)
+        assert not not_pd.any()
+        kern, _ = assemble_block(beta, structure, alpha, phi, ds, y, factors)
+        z = pgee.core.beta_stage(beta, ds, y).z
+        for s, g in enumerate(ds.size_groups):
+            n = g.rows.shape[1]
+            want = np.linalg.inv(np.linalg.cholesky(working_correlation(structure, alpha, n)))
+            tol = 1e-13 * np.linalg.cond(want)
+            got = factors[s]
+            assert np.all(_max_rel(got, want) <= tol), n
+            whitened = got @ g.view(z).reshape(n_reps, n, -1) / np.sqrt(phi)[:, None, None]
+            assert np.all(_max_rel(g.view(kern.zt).reshape(n_reps, n, -1), whitened) <= tol), n
+
+    @pytest.mark.parametrize("n_max", range(2, 9))
+    def test_mask_is_some_size_not_positive_definite(self, rng, n_max):
+        # exchangeable alphas just below and above -1/(n - 1), the bound of
+        # size n, for every n in 2..8, on clusters of sizes 2..n_max
+        ds = _interleaved_dataset(rng, tuple(range(2, n_max + 1)) * 4)
+        alpha = np.array([-1 / (n - 1) + d for n in range(2, 9) for d in (-1e-9, 1e-9)])
+        _, not_pd = whitening_factors("exchangeable", alpha, ds)
+        want = [not all(_positive_definite("exchangeable", a, n) for n in range(2, n_max + 1))
+                for a in alpha]
+        assert np.array_equal(not_pd.any(axis=-1), want)
+        assert 0 < sum(want) < len(want)
+
+
 class TestSizeGroupParity:
     """The size-grouped arrays against a literal loop over clusters."""
 
