@@ -14,16 +14,19 @@ what it prints (``diff`` of the two outputs).  It digests:
   on the c09 and c11 acceptance cells, on an invalid-retry cell
   (N = 10, sizes 2/8, 10% events, rho 0.7, seed 11) and on two cells with
   one treated cluster (N = 10, gamma 0.1, seed 15, sizes 4 and 2/6), whose
-  (I - H) is singular in every replication;
+  (I - H) is singular in every replication, and on an AR(1) cell of sizes
+  2/6 (N = 20, AR(1) truth and working structure, seed 12);
 - ``results.csv`` and ``summary.json`` of ``pgee simulate`` on the
   ``perfbench`` grid at ``--workers 1`` and ``2``;
 - the text and ``--json`` reports of ``pgee fit`` on the four CSVs of the
-  ``fit-csv`` workload (seed 1), on three fits that stop early: at
+  ``fit-csv`` workload (seed 1), on the first of them with ``--corr ar1``
+  and with ``--corr ind``, on three fits that stop early: at
   ``max_iter``, at ``beta_cap`` and with a singular information matrix,
   and on a fit whose diagnostic is not computable (only cluster c0 has
   x1 = 1);
 - the text and ``--json`` reports of ``pgee diagnose`` on the four
-  ``fit-csv`` CSVs, with and without ``--treatment-col treat``, and on the
+  ``fit-csv`` CSVs, with and without ``--treatment-col treat``, on the
+  first of them with ``--corr ar1`` and with ``--corr ind``, and on the
   CSV whose diagnostic is not computable (exit 2).
 
 A change that moves results by roundoff cannot show equality by
@@ -109,6 +112,9 @@ def _cells(grid_config: str) -> dict:
     for name, pattern in (("one-treated", (4,)), ("one-treated-2/6", (2, 6))):
         cells[name] = ScenarioSpec(name, Scenario(
             n_clusters=10, n_pattern=pattern, gamma=0.1, seed=15))
+    cells["ar1-2/6"] = ScenarioSpec("ar1-2/6", Scenario(
+        n_clusters=20, n_pattern=(2, 6), true_structure="ar1", working_structure="ar1",
+        seed=12))
     return cells
 
 
@@ -161,6 +167,8 @@ def _fit_inputs(fit_csvs: int, work: Path) -> dict:
         _run(["generate", "--N", "1000", "--n", "2/3/4/5/6/7/8", "--rate", "0.2",
               "--rho", "0.2", "--seed", str(100 + k), "--out", str(path)])
         cases[f"fit-csv-{k}"] = (path, [])
+    for corr in ("ar1", "ind"):
+        cases[f"fit-csv-0-{corr}"] = (cases["fit-csv-0"][0], ["--corr", corr])
     balanced = work / "balanced.csv"
     write_csv(generate_dataset(Scenario(n_clusters=10, event_rate=0.3, seed=5),
                                np.random.default_rng(5)), balanced)
@@ -203,6 +211,9 @@ def fit_digests(fit_csvs: int, work: Path, outputs: dict) -> None:
         path = str(cases[name][0])
         _digest("diagnose", name, [path], outputs)
         _digest("diagnose", f"{name}-treat", [path, "--treatment-col", "treat"], outputs)
+    for corr in ("ar1", "ind"):
+        _digest("diagnose", f"fit-csv-0-{corr}", [str(cases["fit-csv-0"][0]), "--corr", corr],
+                outputs)
     _digest("diagnose", "singular_leverage", [str(cases["singular_leverage"][0])], outputs)
 
 

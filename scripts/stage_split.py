@@ -5,14 +5,16 @@
 in lockstep (``fit_block``), evaluates the estimators
 (``estimator_table``, or ``estimate_all`` in trees that call it) and runs
 the Wald tests.  This script wraps those names in ``pgee.harness``, and
-``whiten_block`` in ``pgee.fitting``, and runs ``run_block`` on the cells of
+``whiten_block`` and ``whitening_factors`` in ``pgee.fitting``, and runs
+``run_block`` on the cells of
 the ``sim-small-null`` and ``sim-large-power`` workloads of
 ``perfbench/run.py``: blocks of one replication (R = 1, as
 ``run_replication`` runs them) and blocks of 256 (R = 256, as
 ``run_scenario`` runs them).  Per cell and R it prints the median per
 replication of each stage, "test" being the rest of ``run_block``, and
-per ``fit_block`` call the mean Fisher iterations of a replication and
-the ``whiten_block`` calls.
+per ``fit_block`` call the mean Fisher iterations of a replication, the
+``whiten_block`` calls, and the median time and mean calls of
+``whitening_factors`` (the R(alpha) factors, part of "fit").
 
 The ``fit-csv`` cell is the fit of ``pgee fit`` on a CSV of the
 ``fit-csv`` workload: one dataset of 1000 clusters of sizes 2..8 (20%
@@ -20,7 +22,8 @@ events, rho 0.2), drawn in-process at a fixed seed as ``pgee generate``
 draws it, fitted by ``fitting.fit`` with the cli's default working model,
 then all 14 estimators by one ``variance.estimator_table`` on a fresh
 copy of the fit's kernel.  It prints the medians of the fit and of the
-table, the iterations and the ``whiten_block`` calls per fit.
+table, the iterations and the ``whiten_block`` calls per fit, and the
+median ms and mean calls of ``whitening_factors`` per fit.
 
 Each checkout runs in a fresh interpreter with its own ``src`` on the
 path; with several checkouts the runs alternate between them, so that a
@@ -49,8 +52,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 CELLS = ("sim-small-null", "sim-large-power")
 
-#: Stages timed per replication; "test" is what run_block spends outside the others.
-STAGES = ("draw", "fit", "estimate", "test", "run_block")
+#: Stages timed per replication; "test" is what run_block spends outside the
+#: first three, and "factors" (``whitening_factors``) is part of "fit".
+STAGES = ("draw", "fit", "estimate", "test", "run_block", "factors")
 
 #: Names in pgee.harness wrapped for each stage.
 WRAPPED = {"draw_block": "draw", "fit_block": "fit",
@@ -64,7 +68,7 @@ def _sim_spec():
     return module.sim_spec
 
 
-def fit_csv_cell(fits: int, seed: int, counts: dict) -> dict:
+def fit_csv_cell(fits: int, seed: int, spent: dict, counts: dict) -> dict:
     """The fit-csv cell: {stage: [seconds per fit], ...}."""
     from dataclasses import replace
 
@@ -80,6 +84,7 @@ def fit_csv_cell(fits: int, seed: int, counts: dict) -> dict:
     data, wm = replace(design, y=y[0]), WorkingModel("exchangeable", "estimate", 1.0)
     rows = defaultdict(list)
     for _ in range(fits):
+        spent.clear()
         counts.clear()
         t0 = time.perf_counter()
         result = pgee.fitting.fit(data, wm)
@@ -87,8 +92,10 @@ def fit_csv_cell(fits: int, seed: int, counts: dict) -> dict:
         estimator_table(replace(result.kernel), list(EstimatorId))
         rows["fit"].append(t1 - t0)
         rows["estimate"].append(time.perf_counter() - t1)
+        rows["factors"].append(spent["factors"])
         rows["iterations"].append(float(result.iterations))
         rows["whiten_block"].append(float(counts["whiten"]))
+        rows["factor_calls"].append(float(counts["factors"]))
     return dict(rows)
 
 
@@ -116,6 +123,7 @@ def worker(reps: int, blocks: int, fits: int, seed: int) -> dict:
         if hasattr(harness, name):
             wrap(harness, name, stage)
     wrap(pgee.fitting, "whiten_block", "whiten")
+    wrap(pgee.fitting, "whitening_factors", "factors")
 
     sim_spec = _sim_spec()
     out = {}
@@ -134,12 +142,13 @@ def worker(reps: int, blocks: int, fits: int, seed: int) -> dict:
                 rest = total - spent["draw"] - spent["fit"] - spent["estimate"]
                 for stage, value in (("draw", spent["draw"]), ("fit", spent["fit"]),
                                      ("estimate", spent["estimate"]), ("test", rest),
-                                     ("run_block", total)):
+                                     ("run_block", total), ("factors", spent["factors"])):
                     rows[stage].append(value / size)
                 rows["iterations"].append(float(result.iterations.sum()) / max(drawn, 1))
                 rows["whiten_block"].append(float(counts["whiten"]))
+                rows["factor_calls"].append(float(counts["factors"]))
             out[f"{cell}/R={size}"] = dict(rows)
-    out["fit-csv/R=1"] = fit_csv_cell(fits, seed, counts)
+    out["fit-csv/R=1"] = fit_csv_cell(fits, seed, spent, counts)
     return out
 
 
@@ -182,7 +191,7 @@ def main(argv=None) -> int:
           f"{args.reps} blocks of 1 and {args.blocks} of 256 per cell and run, "
           f"{args.fits} fit-csv fits per run (times per replication or per fit)")
     print(f"{'checkout':<28} {'cell/R':<24}" + "".join(f"{s + ' ms':>13}" for s in STAGES)
-          + f"{'iterations':>12}{'whiten_block':>14}")
+          + f"{'iterations':>12}{'whiten_block':>14}{'factor calls':>14}")
     for key in samples[checkouts[0]]:
         for c in checkouts:
             rows = samples[c][key]
@@ -190,7 +199,8 @@ def main(argv=None) -> int:
                             else f"{'-':>13}" for s in STAGES)
             print(f"{str(c)[-28:]:<28} {key:<24}{times}"
                   f"{statistics.mean(rows['iterations']):>12.2f}"
-                  f"{statistics.mean(rows['whiten_block']):>14.2f}")
+                  f"{statistics.mean(rows['whiten_block']):>14.2f}"
+                  f"{statistics.mean(rows['factor_calls']):>14.2f}")
     return 0
 
 
