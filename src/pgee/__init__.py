@@ -39,7 +39,6 @@ from .datagen import (
     Scenario,
     calibrate_intercept,
     clf_coefficients,
-    clf_sample,
     generate_dataset,
 )
 from .harness import (
@@ -80,7 +79,6 @@ __all__ = [
     "assemble_kernel",
     "calibrate_intercept",
     "clf_coefficients",
-    "clf_sample",
     "errors",
     "estimate_all",
     "estimate_alpha",

@@ -10,28 +10,30 @@ For a cluster with n observations and p covariates (canonical logit link):
     info    cluster information dmat' vmat^{-1} dmat (p x p)
     score   cluster score contribution dmat' vmat^{-1} (y - mu)
 
-All clusters of one size share R(alpha).  With C the Cholesky factor of
-R, the Cholesky factor of vmat is ``L = sqrt(phi) W^{1/2} C``, so one
-n x n factorization per size whitens every cluster of that size:
+With C the Cholesky factor of R(alpha), the Cholesky factor of vmat is
+``L = sqrt(phi) W^{1/2} C``.  For every structure here R_n(alpha) is the
+leading n x n block of R_{n_max}(alpha), so C_n and C_n^{-1} are the
+leading blocks of C_{n_max} and C_{n_max}^{-1}: one n_max x n_max
+factorization whitens every cluster:
 
     dt      L^{-1} dmat = C^{-1} W^{1/2} X / sqrt(phi)
     rt      L^{-1} (y - mu)
     info    dt' dt          score   dt' rt
 
-vmat is positive definite exactly when R is, so an inadmissible alpha is
-reported for the first cluster, in cluster order, of a size whose R fails.
+vmat is positive definite exactly when R is, and every R_n is when
+R_{n_max} is; an inadmissible alpha is reported for the first cluster, in
+cluster order, of a size whose R_n fails.
 
 The kernel keeps its per-observation arrays as flat rows in kernel order
 (``LongitudinalDataset.kernel_rows``): by cluster size, then
 position-major, so each size is one slice whose (R, n, N_s, k) reshape
-puts the position in front.  Each stage is one pass over all rows, C^{-1}
-whitens a size in one (n x n) @ (n x N_s k) product, and ``groups`` are
-(R, N_s, n, k) views of the rows per size.
+puts the position in front.  Each stage is one pass over all rows, and
+C_n^{-1} whitens a size in one (n x n) @ (n x N_s k) product.
 
 A kernel is assembled for a block of R replications that share the design
 (X and the cluster sizes) and differ in y, beta, alpha and phi: every
 per-replication array carries the replication axis in front, and each
-replication has its own R(alpha) factor per size.  Assembly runs in two
+replication has its own R(alpha) factor.  Assembly runs in two
 stages: ``beta_stage`` (eta -> mu, w, r and the unwhitened
 ``z = [W^{1/2} X | W^{-1/2} r]``) and ``whiten_block`` (z, the factors and
 phi -> the whitened rows ``[dt | rt]`` and their one Gram matrix, which
@@ -125,36 +127,17 @@ def masked_cholesky(a: np.ndarray) -> tuple:
 
 
 def whitening_factors(structure: str, alpha: np.ndarray, data: LongitudinalDataset):
-    """Inverse Cholesky factors of R(alpha), one (R, n, n) stack per size
-    group of ``data`` for the (R,) alphas, and the (R, groups) mask of the
-    sizes whose R(alpha) is not positive definite."""
-    sizes = [g.X.shape[1] for g in data.size_groups]
-    out = [masked_cholesky(working_correlation(structure, alpha, n)) for n in sizes]
-    return tuple(np.linalg.inv(c) for c, _ in out), np.stack([b for _, b in out], axis=-1)
+    """The (R, n_max, n_max) inverse Cholesky factors of R_{n_max}(alpha) at
+    the (R,) alphas, n_max the largest cluster size of ``data``, and the
+    (R,) mask of those not positive definite (some size's R_n is not)."""
+    n_max = data.size_groups[-1].rows.shape[1]
+    chol, not_pd = masked_cholesky(working_correlation(structure, alpha, n_max))
+    return np.linalg.inv(chol), not_pd
 
 
-class KernelGroup(NamedTuple):
-    """Kernel arrays of one size group, stacked over its N_s clusters.
-
-    ``idx`` and ``X`` (N_s, n, p) are the design's.  The others carry the
-    replication axis R in front: ``cinv`` (R, n, n) is the inverse Cholesky
-    factor of R(alpha) for this size; ``mu``, ``w`` and ``resid`` are
-    (R, N_s, n); ``dt`` (R, N_s, n, p) and ``rt`` (R, N_s, n) are the
-    whitened derivative matrices and residuals, views of the flat rows.
-    """
-
-    idx: np.ndarray
-    X: np.ndarray
-    mu: np.ndarray
-    w: np.ndarray
-    resid: np.ndarray
-    cinv: np.ndarray
-    dt: np.ndarray
-    rt: np.ndarray
-
-
-#: The FitKernel fields that hold one entry per replication, besides ``cinvs``.
-_REPLICATED = ("beta", "alpha", "phi", "mu", "w", "resid", "zt", "score", "info", "info_inv")
+#: The FitKernel fields that hold one entry per replication.
+_REPLICATED = ("beta", "alpha", "phi", "mu", "w", "resid", "cinv", "zt", "score", "info",
+               "info_inv")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -172,15 +155,15 @@ def _cluster_sums(data: LongitudinalDataset, rows: np.ndarray) -> np.ndarray:
     return _readonly(out)
 
 
-def _per_size(data: LongitudinalDataset, factors, rows: np.ndarray) -> np.ndarray:
+def _per_size(data: LongitudinalDataset, factor: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(R, n_total, k) rows in kernel order with each size's rows
-    multiplied by its (R, n, n) factor: one product per size, whose
-    position-major slice is (R, n, N_s k)."""
+    multiplied by the leading (R, n, n) block of ``factor``: one product
+    per size, whose position-major slice is (R, n, N_s k)."""
     out = np.empty(rows.shape)
-    for g, f in zip(data.size_groups, factors):
+    for g in data.size_groups:
         n_s, n = g.rows.shape
         shape = (rows.shape[0], n, n_s * rows.shape[-1])
-        np.matmul(f, g.view(rows).reshape(shape), out=g.view(out).reshape(shape))
+        np.matmul(factor[:, :n, :n], g.view(rows).reshape(shape), out=g.view(out).reshape(shape))
     return out
 
 
@@ -191,8 +174,8 @@ class FitKernel:
     Every kernel is a block of R replications: ``beta`` is (R, p),
     ``alpha`` and ``phi`` are (R,); ``mu``, ``w`` and ``resid`` (R, n_total)
     and the whitened rows ``zt = [dt | rt]`` (R, n_total, p + 1) are in
-    kernel order, ``cinvs`` holds one (R, n, n) inverse Cholesky factor of
-    R(alpha) per size group, and ``groups`` views them per size.
+    kernel order, and ``cinv`` (R, n_max, n_max) is the inverse Cholesky
+    factor of R_{n_max}(alpha), whose leading n x n block is size n's.
     ``score`` (R, p) and ``info`` (R, p, p) are the summed cluster
     scores and informations and ``info_inv`` the inverses.  ``scores``
     (R, N, p) and ``infos`` (R, N, p, p), in cluster order, the leverage
@@ -211,7 +194,7 @@ class FitKernel:
     mu: np.ndarray
     w: np.ndarray
     resid: np.ndarray
-    cinvs: tuple
+    cinv: np.ndarray
     zt: np.ndarray
     score: np.ndarray
     info: np.ndarray
@@ -240,22 +223,9 @@ class FitKernel:
         return self.data.balanced
 
     def take(self, index) -> "FitKernel":
-        """Kernel of the replications ``index`` (an index array or a
+        """Kernel of the replications that ``index`` (an index array or a
         slice) selects on the block's leading axis."""
-        return replace(
-            self, cinvs=tuple(c[index] for c in self.cinvs),
-            **{f: getattr(self, f)[index] for f in _REPLICATED},
-        )
-
-    @cached_property
-    def groups(self) -> tuple:
-        """One :class:`KernelGroup` per size group, its arrays views of the flat rows."""
-        rows = (self.mu, self.w, self.resid, self.zt[..., :-1], self.zt[..., -1])
-        groups = []
-        for g, cinv in zip(self.data.size_groups, self.cinvs):
-            mu, w, resid, dt, rt = (g.view(a).swapaxes(1, 2) for a in rows)
-            groups.append(KernelGroup(g.idx, g.X, mu, w, resid, cinv, dt, rt))
-        return tuple(groups)
+        return replace(self, **{f: getattr(self, f)[index] for f in _REPLICATED})
 
     @cached_property
     def scores(self) -> np.ndarray:
@@ -327,12 +297,13 @@ class FitKernel:
         With vinv = L^{-T} L^{-1} this is dmat @ info_inv @ dt' @ L^{-1},
         where dmat = W X and L^{-1} = C^{-1} W^{-1/2} / sqrt(phi).
         """
-        g = next(g for g in self.groups if i in g.idx)
+        g = next(g for g in self.data.size_groups if i in g.idx)
         k = int(np.searchsorted(g.idx, i))
-        w = g.w[0, k]
-        dmat = w[:, None] * g.X[k]
-        linv = g.cinv[0] / np.sqrt(self.phi[0] * w)
-        return dmat @ self.info_inv[0] @ g.dt[0, k].T @ linv
+        n = g.rows.shape[1]
+        w = g.view(self.w)[0, :, k]
+        dmat = w[:, None] * self.data.X[g.rows[k]]
+        linv = self.cinv[0, :n, :n] / np.sqrt(self.phi[0] * w)
+        return dmat @ self.info_inv[0] @ g.view(self.zt)[0, :, k, :-1].T @ linv
 
 
 class BetaStage(NamedTuple):
@@ -369,21 +340,20 @@ def whiten_block(
     phi: np.ndarray,
     data: LongitudinalDataset,
     stage: BetaStage,
-    cinvs: tuple,
+    cinv: np.ndarray,
 ) -> tuple:
     """Kernel of a block of R replications from the :class:`BetaStage`
-    at (R, p) ``beta`` and each size group's R(alpha) factor ``cinvs``
-    (see ``whitening_factors``), at (R,) ``alpha`` and ``phi``.
+    at (R, p) ``beta`` and the R(alpha) factor ``cinv`` (see
+    ``whitening_factors``), at (R,) ``alpha`` and ``phi``.
 
     Returns (kernel, ill): ``ill`` (R,) marks the replications whose
     sensitivity matrix is not positive definite or has a condition number
     above COND_LIMIT; their ``info_inv`` is the identity.
     """
     p = beta.shape[1]
-    root_phi = np.sqrt(phi)[:, None, None]
     # whiten z, one product per size; the Gram matrix of the whitened rows
     # holds the information and, in its last column, the score
-    zt = _per_size(data, [c / root_phi for c in cinvs], stage.z)
+    zt = _per_size(data, cinv / np.sqrt(phi)[:, None, None], stage.z)
     gram = zt.swapaxes(-1, -2) @ zt
     info = gram[:, :p, :p]
     info = 0.5 * (info + info.swapaxes(-1, -2))
@@ -392,7 +362,7 @@ def whiten_block(
     info_inv = np.linalg.inv(np.where(ill[:, None, None], np.eye(p), info) if ill.any() else info)
     info_inv = 0.5 * (info_inv + info_inv.swapaxes(-1, -2))
     kernel = FitKernel(beta=beta, structure=structure, alpha=alpha, phi=phi, data=data,
-                       mu=stage.mu, w=stage.w, resid=stage.resid, cinvs=cinvs, zt=zt,
+                       mu=stage.mu, w=stage.w, resid=stage.resid, cinv=cinv, zt=zt,
                        score=gram[:, :p, p], info=info, info_inv=info_inv)
     return kernel, ill
 
@@ -404,16 +374,15 @@ def assemble_block(
     phi: np.ndarray,
     data: LongitudinalDataset,
     y: np.ndarray,
-    cinvs: tuple,
+    cinv: np.ndarray,
 ) -> tuple:
     """Kernel of a block of R replications at (R, p) ``beta`` and (R,)
     ``alpha`` and ``phi``, given the (R, n_total) responses ``y`` in kernel
-    order and each size group's R(alpha) factors ``cinvs``:
-    :func:`beta_stage`, then :func:`whiten_block`, whose (kernel, ill) it
-    returns.
+    order and the R(alpha) factor ``cinv``: :func:`beta_stage`, then
+    :func:`whiten_block`, whose (kernel, ill) it returns.
     """
     stage = beta_stage(beta, data, y)
-    return whiten_block(beta, structure, alpha, phi, data, stage, cinvs)
+    return whiten_block(beta, structure, alpha, phi, data, stage, cinv)
 
 
 def assemble_kernel(
@@ -433,15 +402,16 @@ def assemble_kernel(
     if phi <= 0:
         raise ValueError(f"phi must be positive, got {phi}")
     alpha, phi = np.array([alpha], float), np.array([phi], float)
-    cinvs, not_pd = whitening_factors(structure, alpha, data)
-    if not_pd.any():
-        first = min(g.idx[0] for g, bad in zip(data.size_groups, not_pd[0]) if bad)
+    cinv, not_pd = whitening_factors(structure, alpha, data)
+    if not_pd[0]:
+        first = min(g.idx[0] for g in data.size_groups if masked_cholesky(
+            working_correlation(structure, alpha, g.rows.shape[1]))[1][0])
         raise SingularV(
             f"cluster {data.ids[first]}: working covariance not positive definite"
         )
     y = data.y[data.kernel_rows][None]
     beta = np.asarray(beta, dtype=float)[None]
-    kernel, ill = assemble_block(beta, structure, alpha, phi, data, y, cinvs)
+    kernel, ill = assemble_block(beta, structure, alpha, phi, data, y, cinv)
     if ill[0]:
         eig = np.linalg.eigvalsh(kernel.info[0])
         raise SingularInformation(
@@ -472,13 +442,13 @@ def firth_penalty(kernel: FitKernel) -> np.ndarray:
         b = X' diag{w^{1/2} (1 - 2 mu)} q / (2 sqrt(phi)),
         q_j = (C^{-T} dt)_j . (X info_inv)_j
 
-    taken over all rows in kernel order, with C^{-T} applied to each size
-    in one product (to the whole whitened rows, whose last column q does
-    not read).  The penalty is invariant to the fixed dispersion because
+    taken over all rows in kernel order, with C_n^{-T} applied to each
+    size in one product (to the whole whitened rows, whose last column q
+    does not read).  The penalty is invariant to the fixed dispersion because
     info_inv and the derivative scale inversely.
     """
     p, x = kernel.p, kernel.data.kernel_X
-    ct = _per_size(kernel.data, [c.swapaxes(-1, -2) for c in kernel.cinvs], kernel.zt)
+    ct = _per_size(kernel.data, kernel.cinv.swapaxes(-1, -2), kernel.zt)
     v = np.sqrt(kernel.w) * (1.0 - 2.0 * kernel.mu)
     q = np.einsum("...s,...s->...", ct[..., :p], x @ kernel.info_inv)  # a reduce over p is slower
     return 0.5 * ((v * q)[:, None] @ x)[:, 0] / np.sqrt(kernel.phi)[:, None]

@@ -8,7 +8,7 @@ intercept.  The canonical file format is a long-format CSV with header
 ``cluster,y,x1..xk[,t]``: the intercept column is synthesized on read, and
 a trailing ``t`` column is the within-cluster time covariate (it enters
 ``X`` as the last column).  The kernel reads the dataset through
-``size_groups``, the rows of all clusters of one size stacked into arrays,
+``size_groups``, the row indices of all clusters of one size stacked,
 in its row order ``kernel_rows``: by cluster size and, within a size,
 position-major (position j of every cluster of the size, then j + 1).
 
@@ -76,7 +76,6 @@ class SizeGroup(NamedTuple):
 
     idx: np.ndarray  # (N_s,) positions of the clusters in the dataset
     rows: np.ndarray  # (N_s, n) their row indices into y and X
-    X: np.ndarray  # (N_s, n, p)
     span: slice  # their rows in kernel order: kernel_rows[span] is rows.T.ravel()
 
     def view(self, a: np.ndarray) -> np.ndarray:
@@ -201,11 +200,10 @@ class LongitudinalDataset:
         for n in np.unique(self.sizes):
             idx = np.flatnonzero(self.sizes == n)
             rows = self.offsets[idx, None] + np.arange(n)
-            arrays = (idx, rows, self.X[rows])
-            for a in arrays:
-                a.setflags(write=False)
+            idx.setflags(write=False)
+            rows.setflags(write=False)
             start = int(self.sizes[self.sizes < n].sum())
-            groups.append(SizeGroup(*arrays, slice(start, start + rows.size)))
+            groups.append(SizeGroup(idx, rows, slice(start, start + rows.size)))
         return tuple(groups)
 
     @cached_property

@@ -201,26 +201,6 @@ def _clf_rows(mu: np.ndarray, coef: np.ndarray, unif: np.ndarray) -> tuple:
     return y, invalid
 
 
-def clf_sample(
-    mu: np.ndarray,
-    structure: str,
-    rho: float,
-    rng: np.random.Generator,
-    size: int,
-) -> tuple:
-    """Draw ``size`` correlated binary vectors with the target moments.
-
-    Returns (draws, n_invalid): draws is a (valid, n) 0/1 array containing
-    only rows whose conditional means all stayed inside (0, 1); invalid
-    rows are counted and dropped.  Each row consumes exactly n uniforms,
-    so the stream layout does not depend on the realized values.
-    """
-    mu = np.asarray(mu, dtype=float)
-    coef = clf_coefficients(mu, structure, rho)
-    y, invalid = _clf_rows(mu, coef, rng.random((size, mu.shape[0])))
-    return y[~invalid], int(invalid.sum())
-
-
 class ClfDesign(NamedTuple):
     """A scenario's design, built once for any number of CLF draws.
 
@@ -299,7 +279,7 @@ def generate_dataset(
     One block of ``n_total`` uniforms is drawn and cluster i takes rows
     ``offsets[i]:offsets[i + 1]`` of it, so a dataset consumes exactly
     ``n_total`` uniforms in cluster order, valid or not, the same stream
-    as one ``clf_sample(size=1)`` call per cluster.  This is
+    as one ``rng.random((1, n_i))`` draw per cluster.  This is
     :meth:`ClfDesign.draw` on one row.  The caller decides the retry
     policy for invalid draws (the simulation harness regenerates on the
     next substream and counts the event).  Passing a pre-calibrated

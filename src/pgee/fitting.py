@@ -17,7 +17,8 @@ alpha, phi, iteration count, step-halving choices and stopping reason,
 exactly as if it were fitted alone: a replication that has converged or
 diverged leaves the loop.  The loop carries the state of its active
 replications only: beta, the alpha and phi of its current R(alpha)
-factors (one per size group), the current ``info_inv`` and penalized
+factor (one (n_max, n_max) array per replication, whose leading blocks
+whiten the smaller sizes), the current ``info_inv`` and penalized
 score, the beta stage (``core.beta_stage``: mu, w, r and the unwhitened
 z) and the responses.  When replications stop, their final
 values are written to the (R,) outputs and the state is compacted to the
@@ -25,11 +26,11 @@ others, so an iteration in which none stops indexes nothing: a full
 refresh and a step whose every candidate improves are bound as the new
 state.  A refresh whitens the beta stage it already has at the new alpha
 and phi; a halving candidate forms its own beta stage and whitens it with
-the current factors.  Halving runs in two stages: the full step for every
+the current factor.  Halving runs in two stages: the full step for every
 replication, then, for those it does not improve, the other MAX_HALVINGS
 candidates in one evaluation, from which each takes the candidate that
 sequential halving would take.  After the loop one assembly builds every
-replication's final kernel at its point and last factors.  ``fit`` is
+replication's final kernel at its point and last factor.  ``fit`` is
 this loop on a block of one dataset, and its kernel is that block of one,
 marked ``single`` (see ``core.FitKernel``).
 
@@ -37,8 +38,8 @@ The responses are put in the kernel's row order once per fit
 (``LongitudinalDataset.kernel_rows``: by cluster size, then
 position-major), so the beta stage, the penalty and the phi moment each
 take all clusters in one pass over flat rows, the whitening takes one
-product per size, and the alpha moment reads each size as an
-(R, n, N_s) slice of the rows.
+product per size, by the leading block of the factor, and the alpha
+moment reads each size as an (R, n, N_s) slice of the rows.
 
 Non-convergence is a result state, not an exception: fits that exceed the
 parameter cap, exhaust iterations, or hit a singular information matrix
@@ -104,7 +105,7 @@ class PgeeFit:
     replication axis: ``beta`` (R, p); ``alpha``, ``phi``, ``converged``,
     ``iterations`` and ``diverged_reason`` (R,); ``kernel`` is the block
     kernel, whose entry for a replication is its final kernel: at its last
-    accepted beta, with the alpha and phi of its last factors (a
+    accepted beta, with the alpha and phi of its last factor (a
     replication that stopped in its first iteration, before its step, has
     none).  From ``fit`` the fields are one replication's and ``kernel``
     is its block of one.
@@ -255,20 +256,21 @@ def _lockstep(data, y, wm, opts) -> tuple:
     phi = np.ones(n_reps) if wm.estimates_dispersion else np.full(n_reps, float(wm.dispersion))
 
     # What a replication leaves when it stops: its point, estimates, the
-    # alpha and phi of its last factors and those factors, (R,) first.
+    # alpha and phi of its last factor and that factor, (R,) first.
+    n_max = data.size_groups[-1].rows.shape[1]
     out_beta, out_alpha, out_phi = np.empty((n_reps, p)), np.empty(n_reps), np.empty(n_reps)
     out_kalpha, out_kphi = np.empty(n_reps), np.empty(n_reps)
-    out_factors = tuple(np.empty((n_reps, n, n)) for n in (g.rows.shape[1] for g in data.size_groups))
+    out_factor = np.empty((n_reps, n_max, n_max))
     has_kernel = np.zeros(n_reps, bool)
     converged = np.zeros(n_reps, bool)
     iterations = np.zeros(n_reps, int)
     reason = np.full(n_reps, None, dtype=object)
 
     # The state of the active replications ``ids`` only: the point beta;
-    # the alpha and phi of its current R(alpha) factors and kernel
+    # the alpha and phi of its current R(alpha) factor and kernel
     # (``kalpha``, ``kphi``; the estimates ``alpha`` and ``phi`` move
     # ahead of them); that kernel's ``info_inv`` and penalized ``score``;
-    # the factors per size group, the BetaStage at beta and the responses.
+    # the (n_max, n_max) factor, the BetaStage at beta and the responses.
     # The state is rebound, never written in place, except for arrays made
     # in the same step.
     ids = np.arange(n_reps)
@@ -276,18 +278,16 @@ def _lockstep(data, y, wm, opts) -> tuple:
     kalpha, kphi = alpha, phi
     stage = beta_stage(beta, data, y)
     act_y = y
-    factors, info_inv, score = None, None, None
+    factor, info_inv, score = None, None, None
 
     def finish(gone, why, it, with_kernel):
         """Write the final values of the active replications ``gone`` (a
         mask) to the outputs, with reasons ``why`` (None is converged),
         and drop them from the state."""
-        nonlocal ids, beta, alpha, phi, kalpha, kphi, info_inv, score, stage, factors, act_y
+        nonlocal ids, beta, alpha, phi, kalpha, kphi, info_inv, score, stage, factor, act_y
         rows = ids[gone]
         out_beta[rows], out_alpha[rows], out_phi[rows] = beta[gone], alpha[gone], phi[gone]
-        out_kalpha[rows], out_kphi[rows] = kalpha[gone], kphi[gone]
-        for o, f in zip(out_factors, factors):
-            o[rows] = f[gone]
+        out_kalpha[rows], out_kphi[rows], out_factor[rows] = kalpha[gone], kphi[gone], factor[gone]
         iterations[rows], has_kernel[rows] = it, with_kernel
         reason[rows] = why if np.ndim(why) == 0 else why[gone]
         converged[rows] = np.equal(reason[rows], None)
@@ -295,45 +295,42 @@ def _lockstep(data, y, wm, opts) -> tuple:
         ids, beta, alpha, phi = ids[keep], beta[keep], alpha[keep], phi[keep]
         kalpha, kphi, info_inv, score = kalpha[keep], kphi[keep], info_inv[keep], score[keep]
         stage = BetaStage._make(a[keep] for a in stage)
-        factors = tuple(f[keep] for f in factors)
-        act_y = act_y[keep]
+        factor, act_y = factor[keep], act_y[keep]
 
-    def evaluate(point, a, ph, st, cinvs):
+    def evaluate(point, a, ph, st, cinv):
         """Kernel of the candidates ``point`` at alphas ``a`` and phis
         ``ph``: (kernel, ill, penalized score)."""
-        k, ill = whiten_block(point, structure, a, ph, data, st, cinvs)
+        k, ill = whiten_block(point, structure, a, ph, data, st, cinv)
         return k, ill, _penalized_score(k, opts.penalized)
 
     def refresh(moved, first):
         """Kernels at the current points of the replications ``moved`` (a
         mask) with fresh R(alpha) factors; returns the mask of those that
         fail, or None when none does.  The first refresh sets every
-        replication's factors."""
-        nonlocal kalpha, kphi, info_inv, score, factors
+        replication's factor."""
+        nonlocal kalpha, kphi, info_inv, score, factor
         if moved.all():
-            cinvs, not_pd = whitening_factors(structure, alpha, data)
-            k, ill, g = evaluate(beta, alpha, phi, stage, cinvs)
-            failed = ill | not_pd.any(axis=-1)
+            cinv, not_pd = whitening_factors(structure, alpha, data)
+            k, ill, g = evaluate(beta, alpha, phi, stage, cinv)
+            failed = ill | not_pd
             some = failed.any()
             if first or not some:
-                kalpha, kphi, info_inv, score, factors = alpha, phi, k.info_inv, g, cinvs
+                kalpha, kphi, info_inv, score, factor = alpha, phi, k.info_inv, g, cinv
                 return failed if some else None
             sel = ~failed
             rows = np.flatnonzero(sel)
         else:
             rows = np.flatnonzero(moved)
-            cinvs, not_pd = whitening_factors(structure, alpha[rows], data)
+            cinv, not_pd = whitening_factors(structure, alpha[rows], data)
             k, ill, g = evaluate(
-                beta[rows], alpha[rows], phi[rows], BetaStage._make(a[rows] for a in stage), cinvs
+                beta[rows], alpha[rows], phi[rows], BetaStage._make(a[rows] for a in stage), cinv
             )
-            sel = ~(ill | not_pd.any(axis=-1))
+            sel = ~(ill | not_pd)
             rows = rows[sel]
         kalpha, kphi, info_inv, score = kalpha.copy(), kphi.copy(), info_inv.copy(), score.copy()
-        kalpha[rows], kphi[rows] = alpha[rows], phi[rows]
+        factor = factor.copy()
+        kalpha[rows], kphi[rows], factor[rows] = alpha[rows], phi[rows], cinv[sel]
         info_inv[rows], score[rows] = k.info_inv[sel], g[sel]
-        factors = tuple(f.copy() for f in factors)
-        for f, c in zip(factors, cinvs):
-            f[rows] = c[sel]
         failed = moved.copy()
         failed[rows] = False
         return failed if failed.any() else None
@@ -369,7 +366,7 @@ def _lockstep(data, y, wm, opts) -> tuple:
         # and improves, it is bound as the new state.
         cand = start + 0.5**0 * step
         st = beta_stage(cand, data, act_y)
-        k, ill, gc = evaluate(cand, alpha, phi, st, factors)
+        k, ill, gc = evaluate(cand, alpha, phi, st, factor)
         cn = np.where(ill, np.inf, _norm(gc))
         beta, stage, info_inv, score = cand, st, k.info_inv, gc
         if not np.all(cn < gnorm):
@@ -382,7 +379,7 @@ def _lockstep(data, y, wm, opts) -> tuple:
                 k_h, ill_h, gc_h = evaluate(
                     cand_h, np.repeat(alpha[late], MAX_HALVINGS),
                     np.repeat(phi[late], MAX_HALVINGS), st_h,
-                    tuple(np.repeat(f[late], MAX_HALVINGS, axis=0) for f in factors),
+                    np.repeat(factor[late], MAX_HALVINGS, axis=0),
                 )
                 cn_h = np.where(ill_h, np.inf, _norm(gc_h)).reshape(late.size, MAX_HALVINGS)
                 b, ch = best[late], choice[late]
@@ -415,8 +412,8 @@ def _lockstep(data, y, wm, opts) -> tuple:
     if ids.size:
         finish(np.ones(ids.size, bool), "max_iter", opts.max_iter, True)
 
-    # every replication's final kernel, at its point and last factors
-    kernel, _ = assemble_block(out_beta, structure, out_kalpha, out_kphi, data, y, out_factors)
+    # every replication's final kernel, at its point and last factor
+    kernel, _ = assemble_block(out_beta, structure, out_kalpha, out_kphi, data, y, out_factor)
     result = PgeeFit(
         beta=out_beta,
         alpha=out_alpha,

@@ -30,7 +30,7 @@ from pgee import (
     working_correlation,
 )
 from pgee.core import ETA_CAP, LEVERAGE_TOL, MU_EPS, assemble_block, whitening_factors
-from pgee.datagen import TIME_STEP
+from pgee.datagen import TIME_STEP, _clf_rows
 from pgee.fitting import BETA_CAP, MAX_HALVINGS
 from pgee.harness import _COEF_INDEX, EstimatorCell
 
@@ -133,11 +133,44 @@ def literal_leverage_score(q: LiteralCluster, info_inv, c) -> np.ndarray:
     return q.dmat.T @ q.vinv @ power @ q.resid
 
 
+class KernelGroup(NamedTuple):
+    """Kernel arrays of one size group, stacked over its N_s clusters.
+
+    ``idx`` and ``X`` (N_s, n, p) are the design's.  The others carry the
+    replication axis R in front: ``cinv`` (R, n, n) is the inverse Cholesky
+    factor of R(alpha) for this size; ``mu``, ``w`` and ``resid`` are
+    (R, N_s, n); ``dt`` (R, N_s, n, p) and ``rt`` (R, N_s, n) are the
+    whitened derivative matrices and residuals, views of the flat rows.
+    """
+
+    idx: np.ndarray
+    X: np.ndarray
+    mu: np.ndarray
+    w: np.ndarray
+    resid: np.ndarray
+    cinv: np.ndarray
+    dt: np.ndarray
+    rt: np.ndarray
+
+
+def kernel_groups(kernel) -> tuple:
+    """One :class:`KernelGroup` per size group of a kernel: views of its
+    flat rows per cluster, and the leading n x n block of its factor."""
+    rows = (kernel.mu, kernel.w, kernel.resid, kernel.zt[..., :-1], kernel.zt[..., -1])
+    groups = []
+    for g in kernel.data.size_groups:
+        n = g.rows.shape[1]
+        mu, w, resid, dt, rt = (g.view(a).swapaxes(1, 2) for a in rows)
+        groups.append(KernelGroup(g.idx, kernel.data.X[g.rows], mu, w, resid,
+                                  kernel.cinv[:, :n, :n], dt, rt))
+    return tuple(groups)
+
+
 def whitened_clusters(kernel, r=0) -> tuple:
     """The whitened (dt_i, rt_i) of replication ``r`` of a kernel, as two
     lists in cluster order."""
     dt, rt = [None] * kernel.n_clusters, [None] * kernel.n_clusters
-    for g in kernel.groups:
+    for g in kernel_groups(kernel):
         for k, i in enumerate(g.idx):
             dt[i], rt[i] = g.dt[r, k], g.rt[r, k]
     return dt, rt
@@ -149,7 +182,7 @@ def whitening(kernel, r=0) -> tuple:
     cluster order, and phi.  The whitening is L_i^{-1} = C^{-1} W_i^{-1/2}
     / sqrt(phi), so dmat_i = L_i dt_i, r_i = L_i rt_i and V_i = L_i L_i'."""
     w, cinv = [None] * kernel.n_clusters, [None] * kernel.n_clusters
-    for g in kernel.groups:
+    for g in kernel_groups(kernel):
         for k, i in enumerate(g.idx):
             w[i], cinv[i] = g.w[r, k], g.cinv[r]
     return w, cinv, float(kernel.phi[r])
@@ -275,11 +308,25 @@ def with_residuals(kernel, residuals):
     resid = np.concatenate(residuals).astype(float)[kernel.data.kernel_rows][None]
     kernel = replace(kernel, resid=resid, zt=kernel.zt.copy())
     score = np.zeros_like(kernel.score)
-    for g in kernel.groups:  # g.rt is a view of the copied zt
+    for g in kernel_groups(kernel):  # g.rt is a view of the copied zt
         linv = g.cinv / np.sqrt(kernel.phi)[:, None, None]
         g.rt[...] = np.einsum("rij,rsj->rsi", linv, g.resid / np.sqrt(g.w))
         score += np.einsum("rsnp,rsn->rp", g.dt, g.rt)
     return replace(kernel, score=score)
+
+
+def clf_sample(mu, structure, rho, rng, size) -> tuple:
+    """Draw ``size`` correlated binary vectors with the target moments.
+
+    Returns (draws, n_invalid): draws is a (valid, n) 0/1 array containing
+    only rows whose conditional means all stayed inside (0, 1); invalid
+    rows are counted and dropped.  Each row consumes exactly n uniforms,
+    so the stream layout does not depend on the realized values.
+    """
+    mu = np.asarray(mu, dtype=float)
+    coef = clf_coefficients(mu, structure, rho)
+    y, invalid = _clf_rows(mu, coef, rng.random((size, mu.shape[0])))
+    return y[~invalid], int(invalid.sum())
 
 
 def literal_clf_dataset(scenario, rng, intercept=None):
@@ -399,17 +446,17 @@ def literal_fit(data, y, wm, opts) -> LiteralFit:
     alpha = np.zeros(1) if wm.estimates_alpha else np.array([float(wm.alpha)])
     phi = np.ones(1) if wm.estimates_dispersion else np.array([float(wm.dispersion)])
 
-    def assemble(at, cinvs):
-        k, ill = assemble_block(at, wm.structure, alpha, phi, data, y, cinvs)
+    def assemble(at, cinv):
+        k, ill = assemble_block(at, wm.structure, alpha, phi, data, y, cinv)
         g = k.score + firth_penalty(k) if opts.penalized else k.score
         return k, bool(ill[0]), g
 
     def refresh():
-        cinvs, not_pd = whitening_factors(wm.structure, alpha, data)
-        k, ill, g = assemble(beta, cinvs)
-        return k, g, cinvs, not (ill or not_pd.any())
+        cinv, not_pd = whitening_factors(wm.structure, alpha, data)
+        k, ill, g = assemble(beta, cinv)
+        return k, g, cinv, not (ill or not_pd[0])
 
-    kernel = cinvs = None
+    kernel = cinv = None
     converged, reason, steps = False, "max_iter", []
     for it in range(1, opts.max_iter + 1):
         if kernel is None:
@@ -417,7 +464,7 @@ def literal_fit(data, y, wm, opts) -> LiteralFit:
             if not ok:
                 reason = "singular_information"
                 break
-            kernel, cinvs = k, c
+            kernel, cinv = k, c
         if wm.estimates_dispersion or wm.estimates_alpha:
             if wm.estimates_dispersion:
                 phi = estimate_phi(kernel)
@@ -428,13 +475,13 @@ def literal_fit(data, y, wm, opts) -> LiteralFit:
                 if not ok:
                     reason = "singular_information"
                     break
-                kernel, cinvs = k, c
+                kernel, cinv = k, c
         gnorm = np.sqrt(np.sum(g * g, axis=-1))[0]
         step = (kernel.info_inv @ g[:, :, None])[:, :, 0]
         start, best, taken = beta, np.inf, None
         for h in range(MAX_HALVINGS + 1):
             cand = start + 0.5**h * step
-            k, ill, gc = assemble(cand, cinvs)
+            k, ill, gc = assemble(cand, cinv)
             cn = np.inf if ill else np.sqrt(np.sum(gc * gc, axis=-1))[0]
             if cn < best:
                 best, beta, kernel, g, taken = cn, cand, k, gc, h

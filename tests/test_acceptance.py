@@ -18,7 +18,6 @@ from pgee import (
     ScenarioSpec,
     WorkingModel,
     assemble_kernel,
-    clf_sample,
     estimate_variance,
     firth_penalty,
     fit,
@@ -32,7 +31,7 @@ from pgee import (
 )
 
 from conftest import intercept_only_dataset, random_dataset, two_arm_dataset
-from oracle import firth_penalty_fd, kernel_literals, with_residuals
+from oracle import clf_sample, firth_penalty_fd, kernel_literals, with_residuals
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

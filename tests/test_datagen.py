@@ -10,13 +10,12 @@ from pgee import (
     Scenario,
     calibrate_intercept,
     clf_coefficients,
-    clf_sample,
     generate_dataset,
 )
 from pgee.datagen import design_columns
 from pgee.errors import BracketFailure
 
-from oracle import literal_clf_dataset
+from oracle import clf_sample, literal_clf_dataset
 
 
 class TestCalibration:

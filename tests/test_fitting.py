@@ -23,7 +23,7 @@ from pgee import (
 )
 
 from conftest import intercept_only_dataset, random_dataset
-from oracle import literal_fit, with_residuals
+from oracle import kernel_groups, literal_fit, with_residuals
 
 
 def _fit_independence(ds, penalized=True, **kw):
@@ -196,7 +196,7 @@ class TestMomentEstimators:
         # denominator = pairs - p = 2 - 1 = 1; one unit pair -> raw alpha = 1
         ds = intercept_only_dataset([0, 1, 0, 1], cluster_size=2)
         kern = assemble_kernel(np.zeros(1), "exchangeable", 0.0, 1.0, ds)
-        sw = np.sqrt(kern.groups[0].w[0, 0])
+        sw = np.sqrt(kernel_groups(kern)[0].w[0, 0])
         kern = with_residuals(kern, [1.0 * sw, 0.0 * sw])
         a = estimate_alpha(kern)
         assert a < 1.0
