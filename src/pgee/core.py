@@ -35,7 +35,7 @@ A kernel is assembled for a block of R replications that share the design
 per-replication array carries the replication axis in front, and each
 replication has its own R(alpha) factor.  Assembly runs in two
 stages: ``beta_stage`` (eta -> mu, w, r and the unwhitened
-``z = [W^{1/2} X | W^{-1/2} r]``) and ``whiten_block`` (z, the factors and
+``z = [W^{1/2} X | W^{-1/2} r]``) and ``whiten_block`` (z, the factor and
 phi -> the whitened rows ``[dt | rt]`` and their one Gram matrix, which
 holds info and the score, then ``info_inv``), so a new alpha or phi
 at an unchanged beta reuses the beta stage; ``assemble_block`` is the two
@@ -444,8 +444,8 @@ def firth_penalty(kernel: FitKernel) -> np.ndarray:
 
     taken over all rows in kernel order, with C_n^{-T} applied to each
     size in one product (to the whole whitened rows, whose last column q
-    does not read).  The penalty is invariant to the fixed dispersion because
-    info_inv and the derivative scale inversely.
+    does not read).  The penalty is invariant to the fixed dispersion
+    because info_inv and the derivative scale inversely.
     """
     p, x = kernel.p, kernel.data.kernel_X
     ct = _per_size(kernel.data, kernel.cinv.swapaxes(-1, -2), kernel.zt)
