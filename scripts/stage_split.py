@@ -6,11 +6,10 @@ in lockstep (``fit_block``), evaluates the estimators
 (``estimator_table``, or ``estimate_all`` in trees that call it) and runs
 the Wald tests.  This script wraps those names in ``pgee.harness``, and
 ``whiten_block`` and ``whitening_factors`` in ``pgee.fitting``, and runs
-``run_block`` on the cells of
-the ``sim-small-null`` and ``sim-large-power`` workloads of
-``perfbench/run.py``: blocks of one replication (R = 1, as
-``run_replication`` runs them) and blocks of 256 (R = 256, as
-``run_scenario`` runs them).  Per cell and R it prints the median per
+``run_block`` on the cells of the ``sim-small-null`` and
+``sim-large-power`` workloads of ``perfbench/run.py``: blocks of one
+replication (R = 1, as ``run_replication`` runs them) and blocks of 256
+(R = 256, as ``run_scenario`` runs them).  Per cell and R it prints the median per
 replication of each stage, "test" being the rest of ``run_block``, and
 per ``fit_block`` call the mean Fisher iterations of a replication, the
 ``whiten_block`` calls, and the median time and mean calls of
