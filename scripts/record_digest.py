@@ -27,7 +27,9 @@ what it prints (``diff`` of the two outputs).  It digests:
 - the text and ``--json`` reports of ``pgee diagnose`` on the four
   ``fit-csv`` CSVs, with and without ``--treatment-col treat``, on the
   first of them with ``--corr ar1`` and with ``--corr ind``, and on the
-  CSV whose diagnostic is not computable (exit 2).
+  CSV whose diagnostic is not computable (exit 2);
+- the CSV and the stdout of ``pgee generate`` with ``--n 4``, with
+  ``--n 2/6 --structure ar1`` and with ``--model reduced``.
 
 A change that moves results by roundoff cannot show equality by
 digests.  ``--dump DIR`` writes the records (with each cell's calibrated
@@ -203,6 +205,26 @@ def _digest(command: str, name: str, argv: list, outputs: dict) -> None:
         print(f"{label} exit={code} {_md5(out.encode())}")
 
 
+#: The ``pgee generate`` cases by name: their flags besides ``--out``.
+GENERATE_CASES = {
+    "n4": ["--N", "12", "--n", "4", "--rate", "0.3", "--seed", "3"],
+    "2/6-ar1": ["--N", "15", "--n", "2/6", "--structure", "ar1", "--rho", "0.4", "--seed", "4"],
+    "reduced": ["--N", "10", "--model", "reduced", "--beta1", "0.5", "--seed", "5"],
+}
+
+
+def generate_digests(work: Path, outputs: dict) -> None:
+    """Print the digests of the CSV and the stdout of each generate case."""
+    for name, flags in GENERATE_CASES.items():
+        path = work / f"generate-{name.replace('/', 'x')}.csv"
+        code, out = _run(["generate", *flags, "--out", str(path)])
+        text = path.read_text(encoding="utf-8") if code == 0 else ""
+        for form, value in (("csv", text), ("text", out)):
+            label = f"generate {name} {form}"
+            outputs[label] = (code, value)
+            print(f"{label} exit={code} {_md5(value.encode())}")
+
+
 def fit_digests(fit_csvs: int, work: Path, outputs: dict) -> None:
     cases = _fit_inputs(fit_csvs, work)
     for name, (path, flags) in cases.items():
@@ -323,7 +345,7 @@ def compare_outputs(outputs: dict, old: dict) -> None:
             for where, change in changes.items():
                 if change > SE_TOL:
                     print(f"    {where}: {old_nums[where]!r} -> {new_nums[where]!r}")
-        if label.endswith(" text"):
+        if label.endswith((" text", " csv")):
             for a, b in zip(old_text.splitlines(), text.splitlines()):
                 if a != b:
                     print(f"    - {a}\n    + {b}")
@@ -345,6 +367,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         output_digests(bench.GRID_CONFIG, args.sim_reps, Path(), outputs)
         fit_digests(bench.FIT_CSVS, Path(), outputs)
+        generate_digests(Path(), outputs)
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)
         with open(args.dump / "records.pkl", "wb") as fh:
