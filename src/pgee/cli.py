@@ -18,13 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .data import EstimatorId, WorkingModel, normalize_structure, read_csv, write_csv
+from .data import EstimatorId, WorkingModel, estimator_columns, read_csv, write_csv
 from .datagen import Scenario, calibrate_intercept
 from .errors import DatasetError, PgeeError, SingularLeverage
 from .fitting import FitOptions, PgeeFit, fit
 from .harness import (
     MAX_ATTEMPTS,
-    ZERO_SE,
     draw_block,
     effective_workers,
     parse_config,
@@ -33,7 +32,9 @@ from .harness import (
     summary_json,
 )
 from .variance import estimate_variance  # noqa: F401  (re-exported: perfbench/spans.py resolves this name)
-from .variance import estimator_table, overcorrection_diagnostic, wald_test
+from .variance import (
+    TEST_LEVEL, ZERO_SE, estimator_table, overcorrection_diagnostic, wald_dof, wald_test,
+)
 
 JSON_SCHEMA_VERSION = "1"
 
@@ -62,15 +63,14 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 def _working_model(args) -> WorkingModel:
     alpha = args.alpha if args.alpha == "estimate" else float(args.alpha)
     phi = "pearson-plugin" if args.phi == "estimate" else float(args.phi)
-    return WorkingModel(
-        structure=normalize_structure(args.corr), alpha=alpha, dispersion=phi
-    )
+    return WorkingModel(structure=args.corr, alpha=alpha, dispersion=phi)
 
 
 def _parse_estimators(spec: str) -> list:
+    """The estimators of ``--estimators``: 'all' or a comma list, each once."""
     if spec.strip().lower() == "all":
-        return list(EstimatorId)
-    return [EstimatorId.parse(tag) for tag in spec.split(",")]
+        return estimator_columns()
+    return estimator_columns(EstimatorId.parse(tag) for tag in spec.split(","))
 
 
 def _fit_dataset(args):
@@ -145,10 +145,9 @@ def cmd_fit(args) -> int:
     lines = _fit_header_lines(dataset, wm, result)
     if result.kernel is not None:
         n_cl, p = dataset.n_clusters, dataset.p
-        # one table for the distinct estimators and one Wald test over its
+        # one table for the estimators and one Wald test over its
         # computable, positive SEs; a zero SE keeps its row as ZeroSE
-        column = {est: j for j, est in enumerate(dict.fromkeys(estimators))}
-        _, se, computable, why = (a[0] for a in estimator_table(result.kernel, list(column)))
+        _, se, computable, why = (a[0] for a in estimator_table(result.kernel, estimators))
         testable = computable[:, None] & (se > 0)
         wald = np.full((4, *se.shape), np.nan)
         if testable.any():
@@ -160,14 +159,13 @@ def cmd_fit(args) -> int:
             lines.append("")
             lines.append(
                 f"[{name}] estimate {result.beta[coef_idx]:.6g} "
-                f"(Wald t, dof = {n_cl - p})"
+                f"(Wald t, dof = {wald_dof(n_cl, p)})"
             )
             lines.append(
                 f"  {'estimator':<10}{'SE':>12}{'t':>10}{'p':>10}"
-                f"{'95% CI':>26}"
+                f"{f'{1 - TEST_LEVEL:.0%} CI':>26}"
             )
-            for est in estimators:
-                j = column[est]
+            for j, est in enumerate(estimators):
                 entry = est_report.setdefault(
                     est.name,
                     {"computable": bool(computable[j]), "reason": why[j], "coefficients": {}},
@@ -270,7 +268,7 @@ def cmd_diagnose(args) -> int:
 def cmd_generate(args) -> int:
     scenario = Scenario(
         n_clusters=args.N,
-        n_pattern=tuple(int(v) for v in args.n.split("/")),
+        n_pattern=args.n,
         event_rate=args.rate,
         rho=args.rho,
         true_structure=args.structure,

@@ -2,8 +2,8 @@
 
 For a cluster with n observations and p covariates (canonical logit link):
 
-    mu      marginal means, expit(X beta) = 1 / (1 + exp(-X beta)) with
-            X beta clamped to +/- ETA_CAP, then clamped away from {0, 1}
+    mu      marginal means, expit(X beta) = 1 / (1 + exp(-X beta)), where
+            expit clamps X beta to +/- ETA_CAP, then clamped away from {0, 1}
     w       variance-function diagonal mu * (1 - mu)
     dmat    derivative matrix W X (n x p)
     vmat    working covariance phi * W^{1/2} R(alpha) W^{1/2}
@@ -87,13 +87,14 @@ LEVERAGE_TOL = 1e-10
 
 
 def expit(x):
-    """The logistic function 1 / (1 + exp(-x)), elementwise.
+    """The logistic function 1 / (1 + exp(-x)), elementwise, with x clamped
+    to +/- ETA_CAP, so exp(-x) cannot overflow.
 
     numpy's exp is within 1 ulp of the C library's, so this agrees with a
     C implementation of the same formula to 2.2 eps relative on
-    [-ETA_CAP, ETA_CAP].  Below about -709 exp overflows and the result is 0.
+    [-ETA_CAP, ETA_CAP].
     """
-    return 1.0 / (1.0 + np.exp(-x))
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -ETA_CAP, ETA_CAP)))
 
 
 def working_correlation(structure: str, alpha, n: int) -> np.ndarray:
@@ -130,8 +131,7 @@ def whitening_factors(structure: str, alpha: np.ndarray, data: LongitudinalDatas
     """The (R, n_max, n_max) inverse Cholesky factors of R_{n_max}(alpha) at
     the (R,) alphas, n_max the largest cluster size of ``data``, and the
     (R,) mask of those not positive definite (some size's R_n is not)."""
-    n_max = data.size_groups[-1].rows.shape[1]
-    chol, not_pd = masked_cholesky(working_correlation(structure, alpha, n_max))
+    chol, not_pd = masked_cholesky(working_correlation(structure, alpha, data.n_max))
     return np.linalg.inv(chol), not_pd
 
 
@@ -323,7 +323,7 @@ def beta_stage(beta: np.ndarray, data: LongitudinalDataset, y: np.ndarray) -> Be
     x = data.kernel_X
     p = x.shape[1]
     eta = (x @ beta[:, :, None])[..., 0]
-    mu = np.clip(expit(np.clip(eta, -ETA_CAP, ETA_CAP)), MU_EPS, 1.0 - MU_EPS)
+    mu = np.clip(expit(eta), MU_EPS, 1.0 - MU_EPS)
     w = mu * (1.0 - mu)
     resid = y - mu
     sw = np.sqrt(w)

@@ -221,10 +221,16 @@ class LongitudinalDataset:
     def balanced(self) -> bool:
         return len(set(self.cluster_sizes)) == 1
 
+    @cached_property
+    def n_max(self) -> int:
+        """The largest cluster size."""
+        return int(self.sizes.max())
 
-def exchangeable_alpha_bounds(n_max: int) -> tuple:
-    """Open admissibility interval for an exchangeable correlation of size n_max."""
-    return (-1.0 / (n_max - 1), 1.0)
+
+def alpha_bounds(structure: str, n_max: int) -> tuple:
+    """The open interval of alpha on which the exchangeable or AR(1)
+    R(alpha) of size n_max is positive definite."""
+    return (-1.0 / (n_max - 1) if structure == "exchangeable" else -1.0), 1.0
 
 
 @dataclass(frozen=True)
@@ -250,17 +256,9 @@ class WorkingModel:
         else:
             alpha = float(alpha)
             object.__setattr__(self, "alpha", alpha)
+            self.check_alpha(alpha, 2)  # no cluster size yet: the widest interval
         if structure == "independence":
-            if isinstance(alpha, float) and alpha != 0.0:
-                raise ValueError("independence structure forces alpha = 0")
             object.__setattr__(self, "alpha", 0.0)
-        elif isinstance(self.alpha, float):
-            if structure == "ar1" and not -1.0 < self.alpha < 1.0:
-                raise ValueError(f"ar1 alpha must lie in (-1, 1), got {self.alpha}")
-            if structure == "exchangeable" and not -1.0 < self.alpha < 1.0:
-                raise ValueError(
-                    f"exchangeable alpha must lie in (-1/(n_max-1), 1), got {self.alpha}"
-                )
         disp = self.dispersion
         if isinstance(disp, str):
             if disp != "pearson-plugin":
@@ -288,15 +286,12 @@ class WorkingModel:
         if self.structure == "independence":
             if alpha != 0.0:
                 raise ValueError("independence requires alpha = 0")
-        elif self.structure == "exchangeable":
-            lo, hi = exchangeable_alpha_bounds(n_max)
-            if not lo < alpha < hi:
-                raise ValueError(
-                    f"exchangeable alpha {alpha} outside admissible ({lo:.6g}, {hi})"
-                )
-        else:
-            if not -1.0 < alpha < 1.0:
-                raise ValueError(f"ar1 alpha {alpha} outside admissible (-1, 1)")
+            return
+        lo, hi = alpha_bounds(self.structure, n_max)
+        if not lo < alpha < hi:
+            raise ValueError(
+                f"{self.structure} alpha {alpha} outside admissible ({lo:.6g}, {hi:.6g})"
+            )
 
 
 class EstimatorId(enum.Enum):
@@ -326,6 +321,11 @@ class EstimatorId(enum.Enum):
                 f"unknown estimator tag {tag!r}; expected one of "
                 f"{[m.name for m in cls]}"
             ) from None
+
+
+def estimator_columns(estimators=None) -> list:
+    """The requested estimators (default all), each once, in order."""
+    return list(dict.fromkeys(EstimatorId if estimators is None else estimators))
 
 
 #: Estimators that pool residual outer products across clusters and therefore

@@ -34,12 +34,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import ETA_CAP, expit, working_correlation
-from .data import LongitudinalDataset, normalize_structure
+from .core import expit, working_correlation
+from .data import LongitudinalDataset, alpha_bounds, normalize_structure
 from .errors import BracketFailure, SingularR
 
 #: Observation time step: t_ij = TIME_STEP * j.
 TIME_STEP = 0.2
+
+#: The calibrated design-average event probability is within this of the target.
+CALIBRATION_TOL = 1e-8
 
 _TRUE_STRUCTURES = ("exchangeable", "ar1")
 
@@ -73,20 +76,22 @@ class Scenario:
                 f"got {self.true_structure!r}"
             )
         pattern = self.n_pattern
-        if isinstance(pattern, int):
+        if isinstance(pattern, str):
+            pattern = pattern.split("/")  # "4" or "2/6"
+        elif isinstance(pattern, int):
             pattern = (pattern,)
-        pattern = tuple(int(n) for n in pattern)
+        try:
+            pattern = tuple(int(n) for n in pattern)
+        except ValueError:
+            raise ValueError(f"bad cluster-size pattern {self.n_pattern!r}") from None
         if not pattern or any(n < 2 for n in pattern):
             raise ValueError(f"cluster sizes must all be >= 2, got {pattern}")
         object.__setattr__(self, "n_pattern", pattern)
         if not 0.0 < self.event_rate < 1.0:
             raise ValueError(f"event rate must lie in (0, 1), got {self.event_rate}")
-        n_max = max(pattern)
-        if self.true_structure == "exchangeable":
-            if not -1.0 / (n_max - 1) < self.rho < 1.0:
-                raise ValueError(f"rho {self.rho} inadmissible for exchangeable")
-        elif not -1.0 < self.rho < 1.0:
-            raise ValueError(f"rho {self.rho} inadmissible for ar1")
+        lo, hi = alpha_bounds(self.true_structure, max(pattern))
+        if not lo < self.rho < hi:
+            raise ValueError(f"rho {self.rho} inadmissible for {self.true_structure}")
         if not (np.isfinite(self.beta1) and np.isfinite(self.beta2)):
             raise ValueError(
                 f"beta1 and beta2 must be finite, got {self.beta1}, {self.beta2}"
@@ -125,11 +130,12 @@ def design_columns(scenario: Scenario) -> tuple:
     return sizes, treat, time
 
 
-def calibrate_intercept(scenario: Scenario, tol: float = 1e-8) -> float:
+def calibrate_intercept(scenario: Scenario) -> float:
     """Intercept making the design-average event probability hit the target.
 
-    Bisection on [-20, 20], linear predictors clamped to +/- ETA_CAP;
-    raises BracketFailure when the target rate is unreachable there.
+    Bisection on [-20, 20] (``expit`` clamps the linear predictors), to
+    within CALIBRATION_TOL of the rate on a bracket below 1e-12; raises
+    BracketFailure when the target rate is unreachable there.
     """
     _, treat, time = design_columns(scenario)
     shift = scenario.beta1 * treat
@@ -137,8 +143,7 @@ def calibrate_intercept(scenario: Scenario, tol: float = 1e-8) -> float:
         shift = shift + scenario.beta2 * time
 
     def excess(b0: float) -> float:
-        eta = np.clip(b0 + shift, -ETA_CAP, ETA_CAP)
-        return float(np.mean(expit(eta))) - scenario.event_rate
+        return float(np.mean(expit(b0 + shift))) - scenario.event_rate
 
     lo, hi = -20.0, 20.0
     f_lo, f_hi = excess(lo), excess(hi)
@@ -149,7 +154,7 @@ def calibrate_intercept(scenario: Scenario, tol: float = 1e-8) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = excess(mid)
-        if abs(f_mid) <= tol and hi - lo <= 1e-12:
+        if abs(f_mid) <= CALIBRATION_TOL and hi - lo <= 1e-12:
             return mid
         if f_mid < 0:
             lo = mid
@@ -235,8 +240,8 @@ class ClfDesign(NamedTuple):
 def clf_design(scenario: Scenario, intercept: Optional[float] = None) -> ClfDesign:
     """The design of a scenario's datasets: sizes, X, the means of each
     (size, arm) group and one weight table per cluster size.  Passing a
-    pre-calibrated ``intercept`` skips re-calibration.  The linear
-    predictor is clamped to +/- ETA_CAP; a mean of 1 in floating point
+    pre-calibrated ``intercept`` skips re-calibration.  ``expit`` clamps
+    the linear predictor to +/- ETA_CAP; a mean of 1 in floating point
     (weight w = 0, so the CLF weights divide 0 by 0) raises ValueError."""
     if intercept is None:
         intercept = calibrate_intercept(scenario)
@@ -247,7 +252,7 @@ def clf_design(scenario: Scenario, intercept: Optional[float] = None) -> ClfDesi
     eta = intercept + scenario.beta1 * treat
     if full:
         eta = eta + scenario.beta2 * time
-    mu = expit(np.clip(eta, -ETA_CAP, ETA_CAP))
+    mu = expit(eta)
     if np.any(mu == 1.0):
         raise ValueError(f"marginal mean 1 at linear predictor {eta.max():.6g}: CLF draw undefined")
     groups = []

@@ -66,7 +66,7 @@ from .core import (
     whiten_block,
     whitening_factors,
 )
-from .data import LongitudinalDataset, WorkingModel, exchangeable_alpha_bounds
+from .data import LongitudinalDataset, WorkingModel, alpha_bounds
 from .errors import DatasetError, NonBinaryOutcome
 
 #: Clamp margin keeping estimated correlations in the open admissible set.
@@ -125,10 +125,10 @@ def estimate_alpha(kernel: FitKernel, structure: Optional[str] = None):
     """Moment estimator of the working-correlation parameter.
 
     Pearson residuals e = r / sqrt(w * phi) feed the lag products; the
-    denominators carry the usual (pairs - p) correction.  The estimate is
-    clamped to the admissible open interval shrunk by ALPHA_MARGIN; a
-    non-positive denominator yields 0 with a warning.  Returns one
-    estimate per replication, (R,).
+    denominator is the pair count minus p, at least N - p >= 1 on a valid
+    dataset (N >= p + 1 clusters of at least 2 rows).  The estimate is
+    clamped to the admissible open interval (``data.alpha_bounds``) shrunk
+    by ALPHA_MARGIN.  Returns one estimate per replication, (R,).
     """
     return _alpha_moment(structure or kernel.structure, kernel.data, kernel.resid, kernel.w,
                          kernel.phi)
@@ -150,17 +150,7 @@ def _alpha_moment(structure, data, resid, w, phi) -> np.ndarray:
         else:  # ar1
             num = num + np.sum(es[:, :-1] * es[:, 1:], axis=(-2, -1))
             den += n_s * (n - 1)
-    if den <= 0:
-        warnings.warn(
-            "correlation denominator non-positive; falling back to alpha = 0",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return np.zeros(phi.shape)
-    if structure == "exchangeable":
-        lo, hi = exchangeable_alpha_bounds(max(data.cluster_sizes))
-    else:
-        lo, hi = -1.0, 1.0
+    lo, hi = alpha_bounds(structure, data.n_max)
     return np.clip(num / den, lo + ALPHA_MARGIN, hi - ALPHA_MARGIN)
 
 
@@ -251,16 +241,15 @@ def _lockstep(data, y, wm, opts) -> tuple:
     if wm.estimates_alpha:
         alpha = np.zeros(n_reps)
     else:
-        wm.check_alpha(float(wm.alpha), max(data.cluster_sizes))
+        wm.check_alpha(float(wm.alpha), data.n_max)
         alpha = np.full(n_reps, float(wm.alpha))
     phi = np.ones(n_reps) if wm.estimates_dispersion else np.full(n_reps, float(wm.dispersion))
 
     # What a replication leaves when it stops: its point, estimates, the
     # alpha and phi of its last factor and that factor, (R,) first.
-    n_max = data.size_groups[-1].rows.shape[1]
     out_beta, out_alpha, out_phi = np.empty((n_reps, p)), np.empty(n_reps), np.empty(n_reps)
     out_kalpha, out_kphi = np.empty(n_reps), np.empty(n_reps)
-    out_factor = np.empty((n_reps, n_max, n_max))
+    out_factor = np.empty((n_reps, data.n_max, data.n_max))
     has_kernel = np.zeros(n_reps, bool)
     converged = np.zeros(n_reps, bool)
     iterations = np.zeros(n_reps, int)

@@ -2,11 +2,12 @@
 
 One replication generates a dataset, fits the penalized estimating
 equation (working correlation estimated, dispersion fixed at 1), runs all
-requested covariance estimators, and records Wald rejections at the 5%
-level for the tested coefficients.  A test rejects when |beta / SE|
-exceeds the 0.975 quantile of t(N - p) (``variance.t_critical``, one per
-block): the same test as a p-value below 0.05, without computing the
-p-value.  Operating characteristics are aggregated only over converged
+requested covariance estimators, and records Wald rejections at
+``variance.TEST_LEVEL`` (5%) for the tested coefficients.  A test rejects
+when |beta / SE| exceeds the 1 - TEST_LEVEL / 2 quantile of t(N - p)
+(``variance.t_critical`` at ``variance.wald_dof``, one per block): the
+same test as a p-value below TEST_LEVEL, without computing the p-value.
+Operating characteristics are aggregated only over converged
 replications, and per estimator only over replications where that
 estimator was computable; an estimate whose tested SE is 0 cannot be
 tested and counts as not computable (``ZeroSE``).
@@ -66,7 +67,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .data import EstimatorId, WorkingModel
+from .data import EstimatorId, WorkingModel, estimator_columns
 from .datagen import Scenario, calibrate_intercept, clf_design
 from .errors import ConfigError, TooFewConverged
 from .fitting import FitOptions, fit_block
@@ -74,10 +75,7 @@ from .fitting import FitOptions, fit_block
 from .datagen import generate_dataset  # noqa: F401
 from .fitting import fit  # noqa: F401
 from .variance import estimate_all, wald_test  # noqa: F401
-from .variance import estimator_table, t_critical
-
-#: Nominal level of the Wald tests.
-TEST_LEVEL = 0.05
+from .variance import TEST_LEVEL, ZERO_SE, estimator_table, t_critical, wald_dof
 
 #: Cap on regeneration attempts after invalid conditional draws.
 MAX_ATTEMPTS = 1000
@@ -92,9 +90,6 @@ BLOCK_SIZE = 256
 
 #: ``reason`` of a replication whose MAX_ATTEMPTS draws were all invalid.
 NO_VALID_DRAW = "no_valid_draw"
-
-#: ``reason`` of an estimate whose tested SE is not positive (untestable).
-ZERO_SE = "ZeroSE"
 
 _COEF_INDEX = {"beta1": 1, "beta2": 2}
 
@@ -210,16 +205,11 @@ class BlockResult(NamedTuple):
     reject: np.ndarray
 
 
-def _estimator_ids(estimators: Optional[Sequence[EstimatorId]]) -> list:
-    """A block's estimator columns: ``estimators`` (default all), each once."""
-    return list(dict.fromkeys(EstimatorId if estimators is None else estimators))
-
-
 def block_records(block: BlockResult, reps: Sequence[int], estimators=None) -> list:
     """The rows of ``block`` (replications ``reps``) as dicts: ``rep``,
     ``invalid``, ``converged``, ``iterations`` and ``reason``, and for a
     converged replication ``beta`` and one entry per estimator."""
-    names = [est.name for est in _estimator_ids(estimators)]
+    names = [est.name for est in estimator_columns(estimators)]
     records = []
     for rep, invalid, ok, its, reason, beta, *ests in zip(reps, *(a.tolist() for a in block)):
         records.append(dict(rep=rep, invalid=invalid, converged=ok, iterations=its, reason=reason))
@@ -269,7 +259,7 @@ def run_block(
         design, y, invalid = draw_block(scen, reps, intercept)
     except ValueError as exc:
         raise ConfigError(f"scenario {spec.id}: {exc}") from exc
-    ids, idx = _estimator_ids(estimators), [_COEF_INDEX[name] for name in spec.test_coefs]
+    ids, idx = estimator_columns(estimators), [_COEF_INDEX[name] for name in spec.test_coefs]
     n, e, t = len(invalid), len(ids), len(idx)
     block = BlockResult(
         invalid, np.zeros(n, bool), np.zeros(n, int), np.full(n, NO_VALID_DRAW, object),
@@ -293,7 +283,7 @@ def run_block(
     why[ok & ~testable] = ZERO_SE
     ok &= testable
     se[~ok] = np.nan
-    crit = t_critical(result.kernel.n_clusters - result.kernel.p, TEST_LEVEL)
+    crit = t_critical(wald_dof(design.n_clusters, design.p), TEST_LEVEL)
     block.computable[conv], block.why[conv], block.se[conv] = ok, why, se
     # a NaN SE compares false: only computable estimates can reject
     block.reject[conv] = np.abs(block.beta[conv][:, None, idx] / se) > crit
@@ -355,8 +345,6 @@ def aggregate(
 
     The estimators computable on the same replications are reduced
     together, with one axis-wise call per statistic."""
-    if estimators is None:
-        estimators = list(EstimatorId)
     b_eff = sum(int(np.count_nonzero(b.converged)) for b in blocks)
     need = max(min_converged, 1)
     if b_eff < need:
@@ -368,7 +356,7 @@ def aggregate(
     sim_se = {name: float(np.std(betas[:, _COEF_INDEX[name]], ddof=1)) for name in spec.test_coefs}
 
     # estimator columns grouped by the replications they are computable on
-    names = [est.name for est in _estimator_ids(estimators)]
+    names = [est.name for est in estimator_columns(estimators)]
     groups = {}
     for col, usable in enumerate(computable.T):
         groups.setdefault(usable.tobytes(), []).append(col)
@@ -391,7 +379,7 @@ def aggregate(
         convergence_rate=b_eff / len(block.converged),
         invalid_draws=int(block.invalid.sum()),
         sim_se=sim_se,
-        cells=tuple(cells[est.name, name] for est in estimators for name in spec.test_coefs),
+        cells=tuple(cells[name, coef] for name in names for coef in spec.test_coefs),
     )
 
 
@@ -501,13 +489,6 @@ def _scenario_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((base_seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _parse_pattern(token: str) -> tuple:
-    try:
-        return tuple(int(part) for part in token.split("/"))
-    except ValueError:
-        raise ConfigError(f"bad cluster-size pattern {token!r}") from None
-
-
 def _parse_beta(token: str) -> float:
     if token.strip().lower() == "log2":
         return math.log(2.0)
@@ -566,7 +547,7 @@ def parse_config(text: str, base_seed: int) -> list:
             try:
                 scenario = Scenario(
                     n_clusters=int(v["N"]),
-                    n_pattern=_parse_pattern(v["n"]),
+                    n_pattern=v["n"],
                     event_rate=float(v["event_rate"]),
                     rho=float(v["rho"]),
                     true_structure=v["true"],

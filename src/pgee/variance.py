@@ -55,7 +55,9 @@ columns, and they and ``overcorrection_diagnostic`` drop the replication
 axis for a ``single`` kernel (one dataset).  Wald tests work elementwise
 on arrays of estimates and standard errors.
 
-The t(N - p) reference is computed here from the math module alone.
+Every Wald test of the package (``wald_test``, ``harness.run_block``,
+the cli) is two-sided at TEST_LEVEL against t(N - p), N - p from
+``wald_dof``.  The t reference is computed from the math module alone.
 ``t_tail`` is the two-sided tail for an integer dof, the incomplete beta
 ratio I_{dof/(dof+t^2)}(dof/2, 1/2) by continued fraction, within
 1e-12 relative of the exact value for dof up to 1e5; its log-beta is taken
@@ -81,7 +83,7 @@ from typing import Optional
 import numpy as np
 
 from .core import FitKernel, masked_cholesky
-from .data import EstimatorId, LEVERAGE_IDS, POOLING_IDS
+from .data import EstimatorId, LEVERAGE_IDS, POOLING_IDS, estimator_columns
 from .errors import SingularLeverage, ZeroSE
 
 #: Pooled leverage exponent of the WB estimator.
@@ -90,9 +92,15 @@ WB_EXPONENT = 0.5
 #: Clipping threshold of the FG diagonal leverage inflation.
 FG_CLIP = 0.75
 
+#: Nominal level of the Wald tests: two-sided, so the CI covers 1 - TEST_LEVEL.
+TEST_LEVEL = 0.05
+
 _REASON_UNBALANCED = "UnbalancedPooling"
 _REASON_SINGULAR = "SingularLeverage"
 _REASON_NEGDIAG = "NegativeDiagonal"
+
+#: Reason of an estimate whose tested SE is not positive (untestable).
+ZERO_SE = "ZeroSE"
 
 
 @dataclass(frozen=True)
@@ -324,7 +332,7 @@ def estimate_all(kernel: FitKernel, estimators=None) -> dict:
     The leverage corrections they share are solved once per exponent by
     ``FitKernel.corrected``, and the PAN covariance once for PAN and RS.
     """
-    estimators = list(dict.fromkeys(EstimatorId if estimators is None else estimators))
+    estimators = estimator_columns(estimators)
     table = estimator_table(kernel, estimators)
     return {e: _estimate(table, j, e, kernel.single) for j, e in enumerate(estimators)}
 
@@ -471,6 +479,13 @@ def t_critical(dof: int, level: float) -> float:
     return t
 
 
+def wald_dof(n_clusters: int, n_params: int) -> int:
+    """The N - p degrees of freedom of every Wald t reference."""
+    if n_clusters <= n_params:
+        raise ValueError("need more clusters than parameters for the t-test")
+    return n_clusters - n_params
+
+
 def wald_test(
     estimate,
     se,
@@ -478,19 +493,18 @@ def wald_test(
     n_params: int,
     null_value: float = 0.0,
 ) -> WaldResult:
-    """Two-sided Wald t-test with N - p degrees of freedom and a 95% CI,
-    elementwise over arrays of estimates and standard errors."""
-    if n_clusters <= n_params:
-        raise ValueError("need more clusters than parameters for the t-test")
+    """Two-sided Wald t-test with N - p degrees of freedom and a
+    (1 - TEST_LEVEL) CI, elementwise over arrays of estimates and
+    standard errors."""
+    dof = wald_dof(n_clusters, n_params)
     positive = np.greater(se, 0)
     if not np.all(positive):
         raise ZeroSE(
             f"standard error must be positive; {np.size(se) - np.count_nonzero(positive)}"
             f" of {np.size(se)} are not"
         )
-    dof = n_clusters - n_params
     tstat = (estimate - null_value) / se
-    crit = t_critical(dof, 0.05)
+    crit = t_critical(dof, TEST_LEVEL)
     p_value = np.reshape([t_tail(t, dof) for t in np.ravel(tstat).tolist()], np.shape(tstat))
     out = float if np.ndim(tstat) == 0 else np.asarray
     return WaldResult(

@@ -329,6 +329,7 @@ class TestGenerate:
             (["--out", "{tmp}/missing/x.csv"], "No such file"),
             (["--beta1", "nan"], "beta1"),
             (["--gamma", "inf"], "gamma"),
+            (["--n", "2/x"], "cluster-size pattern '2/x'"),
         ],
     )
     def test_bad_input_one_error_line(self, tmp_path, capsys, flags, message):
@@ -406,6 +407,13 @@ class TestSimulate:
         cfg.write_text("[x]\nN = 10\n")
         code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert code == 1
+
+    def test_bad_size_pattern_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(SIM_CONFIG + "n = 2/x\n")
+        code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 1
+        _assert_one_error_line(capsys, "cluster-size pattern '2/x'")
 
     def test_non_integer_thread_cap_exits_1(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "grid.cfg"

@@ -9,10 +9,9 @@ from scipy.special import expit
 from pgee import (
     Scenario,
     calibrate_intercept,
-    clf_coefficients,
     generate_dataset,
 )
-from pgee.datagen import design_columns
+from pgee.datagen import clf_coefficients, design_columns
 from pgee.errors import BracketFailure
 
 from oracle import clf_sample, literal_clf_dataset
@@ -229,3 +228,12 @@ class TestScenarioValidation:
     def test_tiny_cluster_rejected(self):
         with pytest.raises(ValueError):
             Scenario(n_clusters=10, n_pattern=(1, 4))
+
+    @pytest.mark.parametrize("pattern,sizes", [("4", (4,)), ("2/6", (2, 6)), (3, (3,))])
+    def test_size_pattern_forms(self, pattern, sizes):
+        assert Scenario(n_clusters=10, n_pattern=pattern).n_pattern == sizes
+
+    @pytest.mark.parametrize("pattern", ["2/x", "", "2//6", "2.5"])
+    def test_bad_size_pattern_named(self, pattern):
+        with pytest.raises(ValueError, match=f"cluster-size pattern {pattern!r}"):
+            Scenario(n_clusters=10, n_pattern=pattern)

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgee import EstimatorId, LEVERAGE_IDS, POOLING_IDS, WorkingModel, fit_block, validate_dataset
-from pgee.data import exchangeable_alpha_bounds
+from pgee import EstimatorId, LEVERAGE_IDS, POOLING_IDS, WorkingModel, fit_block
+from pgee.data import alpha_bounds, validate_dataset
 from pgee.fitting import FitOptions
 from pgee.variance import estimator_table
 
@@ -46,7 +46,7 @@ def _design(seed, p, n_clusters, balanced):
 def _alpha(structure, mode, delta, n_max):
     if structure == "independence" or mode == "estimate":
         return "estimate" if structure != "independence" else 0.0
-    lo, hi = exchangeable_alpha_bounds(n_max) if structure == "exchangeable" else (-1.0, 1.0)
+    lo, hi = alpha_bounds(structure, n_max)
     return lo + delta if mode == "low" else hi - delta
 
 
