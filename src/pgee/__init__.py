@@ -8,14 +8,12 @@ scenario grids for type I error / power / SE-calibration studies.
 """
 
 from .data import (
-    Cluster,
     EstimatorId,
     LEVERAGE_IDS,
     LongitudinalDataset,
     POOLING_IDS,
     WorkingModel,
     read_csv,
-    validate_dataset,
     write_csv,
 )
 from .core import (
@@ -23,7 +21,6 @@ from .core import (
     assemble_kernel,
     firth_penalty,
     gee_score,
-    working_correlation,
 )
 from .fitting import FitOptions, PgeeFit, estimate_alpha, estimate_phi, fit, fit_block
 from .variance import (
@@ -38,7 +35,6 @@ from .variance import (
 from .datagen import (
     Scenario,
     calibrate_intercept,
-    clf_coefficients,
     generate_dataset,
 )
 from .harness import (
@@ -59,7 +55,6 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cluster",
     "EstimatorCell",
     "EstimatorId",
     "FitKernel",
@@ -78,7 +73,6 @@ __all__ = [
     "aggregate",
     "assemble_kernel",
     "calibrate_intercept",
-    "clf_coefficients",
     "errors",
     "estimate_all",
     "estimate_alpha",
@@ -98,8 +92,6 @@ __all__ = [
     "run_replication",
     "run_scenario",
     "summary_json",
-    "validate_dataset",
     "wald_test",
-    "working_correlation",
     "write_csv",
 ]

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pgee import assemble_kernel, validate_dataset
+from pgee import assemble_kernel
+from pgee.data import validate_dataset
 
 
 def random_dataset(rng, n_clusters=8, size_range=(3, 6), p_extra=2, event=0.4):

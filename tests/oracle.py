@@ -23,14 +23,14 @@ from pgee import (
     LongitudinalDataset,
     assemble_kernel,
     calibrate_intercept,
-    clf_coefficients,
     estimate_alpha,
     estimate_phi,
     firth_penalty,
-    working_correlation,
 )
-from pgee.core import ETA_CAP, LEVERAGE_TOL, MU_EPS, assemble_block, whitening_factors
-from pgee.datagen import TIME_STEP, _clf_rows
+from pgee.core import (
+    ETA_CAP, LEVERAGE_TOL, MU_EPS, assemble_block, whitening_factors, working_correlation,
+)
+from pgee.datagen import TIME_STEP, _clf_rows, clf_coefficients
 from pgee.fitting import BETA_CAP, MAX_HALVINGS
 from pgee.harness import _COEF_INDEX, EstimatorCell
 

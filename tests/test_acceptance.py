@@ -27,8 +27,8 @@ from pgee import (
     run_grid,
     run_scenario,
     summary_json,
-    validate_dataset,
 )
+from pgee.data import validate_dataset
 
 from conftest import intercept_only_dataset, random_dataset, two_arm_dataset
 from oracle import clf_sample, firth_penalty_fd, kernel_literals, with_residuals

@@ -13,10 +13,9 @@ from pgee import (
     firth_penalty,
     gee_score,
     overcorrection_diagnostic,
-    validate_dataset,
-    working_correlation,
 )
-from pgee.core import assemble_block, whitening_factors
+from pgee.core import assemble_block, whitening_factors, working_correlation
+from pgee.data import validate_dataset
 from pgee.errors import SingularInformation, SingularLeverage, SingularV
 
 from conftest import intercept_only_dataset, random_dataset, random_kernel

@@ -17,9 +17,9 @@ from pgee import (
     LongitudinalDataset,
     WorkingModel,
     read_csv,
-    validate_dataset,
     write_csv,
 )
+from pgee.data import validate_dataset
 from pgee.errors import (
     DatasetError,
     NonBinaryOutcome,

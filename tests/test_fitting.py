@@ -19,8 +19,8 @@ from pgee import (
     gee_score,
     generate_dataset,
     overcorrection_diagnostic,
-    validate_dataset,
 )
+from pgee.data import validate_dataset
 
 from conftest import intercept_only_dataset, random_dataset
 from oracle import kernel_groups, literal_fit, with_residuals

@@ -1,15 +1,20 @@
-"""pgee runs on numpy alone: no command imports scipy.
+"""The package surface: pgee runs on numpy alone, and exports only
+names that are documented or used.
 
-The check runs in a fresh interpreter, because this test process has
-scipy loaded already (``oracle.py`` and the accuracy tests import it).
+The scipy check runs in a fresh interpreter, because this test process
+has scipy loaded already (``oracle.py`` and the accuracy tests import it).
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pgee
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 SCRIPT = """
 import contextlib, io, sys
@@ -41,3 +46,17 @@ def test_commands_import_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "results.csv").is_file()
     assert proc.stdout.strip() == "[]", proc.stdout
+
+
+def test_public_names_are_documented_or_used():
+    """Each name in ``pgee.__all__`` appears in the README or is used by the
+    cli or the harness; a re-export (a ``noqa: F401`` line) is not a use."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = "\n".join(
+        line
+        for module in ("cli.py", "harness.py")
+        for line in (SRC / "pgee" / module).read_text(encoding="utf-8").splitlines()
+        if "noqa: F401" not in line
+    )
+    unused = [name for name in pgee.__all__ if not re.search(rf"\b{name}\b", readme + code)]
+    assert unused == []

@@ -24,10 +24,10 @@ from pgee import (
     fit_block,
     overcorrection_diagnostic,
     parse_config,
-    validate_dataset,
     wald_test,
 )
 from pgee.core import assemble_block, whitening_factors
+from pgee.data import validate_dataset
 from pgee.errors import SingularLeverage, ZeroSE
 from pgee.harness import MAX_ATTEMPTS, draw_block
 from pgee.variance import t_critical, t_tail
