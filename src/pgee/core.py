@@ -2,8 +2,8 @@
 
 For a cluster with n observations and p covariates (canonical logit link):
 
-    mu      marginal means, expit(X beta) = 1 / (1 + exp(-X beta)), where
-            expit clamps X beta to +/- ETA_CAP, then clamped away from {0, 1}
+    mu      marginal means expit(X beta) = 1 / (1 + exp(-X beta)), clamped
+            away from {0, 1} (expit clamps X beta to +/- ETA_CAP)
     w       variance-function diagonal mu * (1 - mu)
     dmat    derivative matrix W X (n x p)
     vmat    working covariance phi * W^{1/2} R(alpha) W^{1/2}

@@ -144,6 +144,11 @@ class TestFit:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_repeated_estimator_one_row(self, balanced_csv, capsys):
+        assert main(["fit", str(balanced_csv), "--estimators", "LZ,KC,LZ"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n  LZ ") == out.count("\n  KC ") == 3  # one row per coefficient
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["fit", str(tmp_path / "nope.csv")])
         assert code == 1
@@ -379,6 +384,15 @@ class TestSimulate:
         assert summary["scenarios"][0]["b_total"] == 40
         lines = (out1 / "results.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 3  # header + three estimators, one coefficient
+
+    def test_repeated_estimator_one_row(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(SIM_CONFIG)
+        code = main(["simulate", "--config", str(cfg), "--reps", "20", "--estimators", "LZ,KC,LZ",
+                     "--min-converged", "1", "--out-dir", str(tmp_path)])
+        assert code == 0
+        rows = list(csv.DictReader((tmp_path / "results.csv").open()))
+        assert [row["estimator"] for row in rows] == ["LZ", "KC"]
 
     def test_zero_se_counted_out_of_computable(self, tmp_path, capsys):
         # some replications of this cell give a tested SE of exactly 0
