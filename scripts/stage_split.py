@@ -15,14 +15,16 @@ per ``fit_block`` call the mean Fisher iterations of a replication, the
 ``whiten_block`` calls, and the median time and mean calls of
 ``whitening_factors`` (the R(alpha) factors, part of "fit").
 
-The ``fit-csv`` cell is the fit of ``pgee fit`` on a CSV of the
+The ``fit-csv`` cell is what ``pgee fit`` does with a CSV of the
 ``fit-csv`` workload: one dataset of 1000 clusters of sizes 2..8 (20%
 events, rho 0.2), drawn in-process at a fixed seed as ``pgee generate``
-draws it, fitted by ``fitting.fit`` with the cli's default working model,
-then all 14 estimators by one ``variance.estimator_table`` on a fresh
-copy of the fit's kernel.  It prints the medians of the fit and of the
-table, the iterations and the ``whiten_block`` calls per fit, and the
-median ms and mean calls of ``whitening_factors`` per fit.
+draws it and written once by ``data.write_csv`` to a temporary file.
+Each fit reads that file with ``data.read_csv``, fits it by
+``fitting.fit`` with the cli's default working model, then evaluates all
+14 estimators by one ``variance.estimator_table`` on a fresh copy of the
+fit's kernel.  It prints the medians of the read, the fit and the table,
+the iterations and the ``whiten_block`` calls per fit, and the median ms
+and mean calls of ``whitening_factors`` per fit.
 
 Each checkout runs in a fresh interpreter with its own ``src`` on the
 path; with several checkouts the runs alternate between them, so that a
@@ -51,9 +53,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 CELLS = ("sim-small-null", "sim-large-power")
 
-#: Stages timed per replication; "test" is what run_block spends outside the
-#: first three, and "factors" (``whitening_factors``) is part of "fit".
-STAGES = ("draw", "fit", "estimate", "test", "run_block", "factors")
+#: Stages timed per replication or fit; "read" is the fit-csv cell's
+#: ``read_csv``, "test" is what run_block spends outside draw, fit and
+#: estimate, and "factors" (``whitening_factors``) is part of "fit".
+STAGES = ("read", "draw", "fit", "estimate", "test", "run_block", "factors")
 
 #: Names in pgee.harness wrapped for each stage.
 WRAPPED = {"draw_block": "draw", "fit_block": "fit",
@@ -69,32 +72,39 @@ def _sim_spec():
 
 def fit_csv_cell(fits: int, seed: int, spent: dict, counts: dict) -> dict:
     """The fit-csv cell: {stage: [seconds per fit], ...}."""
+    import tempfile
     from dataclasses import replace
 
     import pgee.fitting
     import pgee.harness as harness
-    from pgee.data import EstimatorId, WorkingModel
+    from pgee.data import EstimatorId, WorkingModel, read_csv, write_csv
     from pgee.datagen import Scenario
     from pgee.variance import estimator_table
 
     scen = Scenario(n_clusters=1000, n_pattern=tuple(range(2, 9)), event_rate=0.2, rho=0.2,
                     seed=100 * seed)
     design, y, _ = harness.draw_block(scen, [0], harness.calibrate_intercept(scen))
-    data, wm = replace(design, y=y[0]), WorkingModel("exchangeable", "estimate", 1.0)
+    wm = WorkingModel("exchangeable", "estimate", 1.0)
     rows = defaultdict(list)
-    for _ in range(fits):
-        spent.clear()
-        counts.clear()
-        t0 = time.perf_counter()
-        result = pgee.fitting.fit(data, wm)
-        t1 = time.perf_counter()
-        estimator_table(replace(result.kernel), list(EstimatorId))
-        rows["fit"].append(t1 - t0)
-        rows["estimate"].append(time.perf_counter() - t1)
-        rows["factors"].append(spent["factors"])
-        rows["iterations"].append(float(result.iterations))
-        rows["whiten_block"].append(float(counts["whiten"]))
-        rows["factor_calls"].append(float(counts["factors"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fit.csv"
+        write_csv(replace(design, y=y[0]), path)
+        for _ in range(fits):
+            spent.clear()
+            counts.clear()
+            t0 = time.perf_counter()
+            data = read_csv(path)
+            t1 = time.perf_counter()
+            result = pgee.fitting.fit(data, wm)
+            t2 = time.perf_counter()
+            estimator_table(replace(result.kernel), list(EstimatorId))
+            rows["read"].append(t1 - t0)
+            rows["fit"].append(t2 - t1)
+            rows["estimate"].append(time.perf_counter() - t2)
+            rows["factors"].append(spent["factors"])
+            rows["iterations"].append(float(result.iterations))
+            rows["whiten_block"].append(float(counts["whiten"]))
+            rows["factor_calls"].append(float(counts["factors"]))
     return dict(rows)
 
 

@@ -13,6 +13,7 @@ import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -85,7 +86,7 @@ def _fit_dataset(args):
 def _fit_header_lines(dataset, wm, result: PgeeFit) -> list:
     alpha_mode = "estimated" if wm.estimates_alpha else "fixed"
     phi_mode = "estimated" if wm.estimates_dispersion else "fixed"
-    lines = [
+    return [
         f"clusters: {dataset.n_clusters}   observations: {dataset.n_total}   "
         f"p: {dataset.p}",
         f"working correlation: {wm.structure}   penalty: "
@@ -100,7 +101,6 @@ def _fit_header_lines(dataset, wm, result: PgeeFit) -> list:
             f"{name}={b:.6g}" for name, b in zip(dataset.colnames, result.beta)
         ),
     ]
-    return lines
 
 
 def _rho_line(diag, colnames) -> str:
@@ -333,6 +333,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pgee",

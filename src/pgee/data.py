@@ -22,6 +22,7 @@ import csv
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -175,9 +176,7 @@ class LongitudinalDataset:
     @cached_property
     def offsets(self) -> np.ndarray:
         """(N + 1,) row offsets: cluster i is rows offsets[i]:offsets[i + 1]."""
-        out = np.concatenate(([0], np.cumsum(self.sizes)))
-        out.setflags(write=False)
-        return out
+        return _readonly(np.concatenate(([0], np.cumsum(self.sizes))), np.intp)
 
     @cached_property
     def cluster_sizes(self) -> tuple:
@@ -349,10 +348,8 @@ def _grouped(cids: list, table: np.ndarray, xnames, has_time: bool):
     """
     if not cids:
         raise DatasetError("no input rows")
-    rank: dict = {}
-    codes = np.fromiter(
-        (rank.setdefault(cid, len(rank)) for cid in cids), np.intp, len(cids)
-    )
+    rank = dict(zip(dict.fromkeys(cids), count()))
+    codes = np.fromiter(map(rank.__getitem__, cids), np.intp, len(cids))
     table = table[np.argsort(codes, kind="stable")]
     names = ("intercept", *xnames, *(("t",) if has_time else ()))
     return LongitudinalDataset(
@@ -392,14 +389,18 @@ def validate_dataset(
     return _grouped([r[0] for r in rows], table, colnames, has_time)
 
 
+def _blank(parts: list) -> bool:
+    return not parts or (len(parts) == 1 and not parts[0].strip())
+
+
 def read_csv(path) -> LongitudinalDataset:
-    """Read the canonical long-format CSV ``cluster,y,x1..xk[,t]``."""
+    """Read the canonical long-format CSV ``cluster,y,x1..xk[,t]`` a column at a
+    time; only a faulty file is walked line by line, to name its first fault."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError(f"{path}: empty file")
         header = [h.strip() for h in header]
         if len(header) < 3 or header[0] != "cluster" or header[1] != "y":
             raise DatasetError(
@@ -409,18 +410,24 @@ def read_csv(path) -> LongitudinalDataset:
         xnames = header[2 : -1 if has_time else len(header)]
         if not xnames and not has_time:
             raise DatasetError(f"{path}: no covariate columns")
-        cids, values = [], []
-        for lineno, parts in enumerate(reader, start=2):
-            if not parts or (len(parts) == 1 and not parts[0].strip()):
+        records = list(reader)
+    width = len(header)
+    rows = records if set(map(len, records)) == {width} else [r for r in records if not _blank(r)]
+    try:  # a ragged row fails the strict zip, rows all of a wrong width the reshape
+        cids, *columns = zip(*rows, strict=True) if rows else [()] * width
+        values = np.fromiter(map(float, chain.from_iterable(columns)), float)
+        table = values.reshape(width - 1, len(rows)).T
+    except ValueError:
+        for lineno, parts in enumerate(records, start=2):
+            if _blank(parts):
                 continue
-            if len(parts) != len(header):
-                raise DatasetError(f"{path}:{lineno}: wrong number of fields")
+            if len(parts) != width:
+                raise DatasetError(f"{path}:{lineno}: wrong number of fields") from None
             try:
-                values.extend(map(float, parts[1:]))
+                list(map(float, parts[1:]))
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: non-numeric value") from None
-            cids.append(parts[0])
-    table = np.array(values).reshape(len(cids), len(header) - 1)
+        raise
     return _grouped(cids, table, xnames, has_time)
 
 

@@ -29,6 +29,7 @@ event probability hits the target rate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -75,15 +76,21 @@ class Scenario:
                 f"true structure must be one of {_TRUE_STRUCTURES}, "
                 f"got {self.true_structure!r}"
             )
+        try:
+            object.__setattr__(self, "n_clusters", operator.index(self.n_clusters))
+        except TypeError:
+            raise ValueError(f"n_clusters must be an integer, got {self.n_clusters!r}") from None
         pattern = self.n_pattern
         if isinstance(pattern, str):
             pattern = pattern.split("/")  # "4" or "2/6"
-        elif isinstance(pattern, int):
+        elif np.ndim(pattern) == 0:  # one size
             pattern = (pattern,)
         try:
-            pattern = tuple(int(n) for n in pattern)
+            pattern = tuple(int(n) if isinstance(n, str) else operator.index(n) for n in pattern)
         except ValueError:
             raise ValueError(f"bad cluster-size pattern {self.n_pattern!r}") from None
+        except TypeError:
+            raise ValueError(f"n_pattern sizes must be integers, got {self.n_pattern!r}") from None
         if not pattern or any(n < 2 for n in pattern):
             raise ValueError(f"cluster sizes must all be >= 2, got {pattern}")
         object.__setattr__(self, "n_pattern", pattern)

@@ -7,11 +7,13 @@ cluster, independently of the grouped loop in ``pgee.datagen``.  The fit
 is one replication's Fisher loop with sequential step halving, apart from
 the lockstep loop of ``pgee.fitting``, and the Monte Carlo cells are
 reduced one (estimator, coefficient) pair at a time, apart from the
-grouped reduction of ``pgee.harness.aggregate``.
+grouped reduction of ``pgee.harness.aggregate``.  The CSV reader is
+the record-by-record loop, apart from the column-wise ``pgee.data.read_csv``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import replace
 from typing import NamedTuple
@@ -31,6 +33,7 @@ from pgee.core import (
     ETA_CAP, LEVERAGE_TOL, MU_EPS, assemble_block, whitening_factors, working_correlation,
 )
 from pgee.datagen import TIME_STEP, _clf_rows, clf_coefficients
+from pgee.errors import DatasetError
 from pgee.fitting import BETA_CAP, MAX_HALVINGS
 from pgee.harness import _COEF_INDEX, EstimatorCell
 
@@ -499,4 +502,50 @@ def literal_fit(data, y, wm, opts) -> LiteralFit:
             break
     return LiteralFit(
         beta[0], float(alpha[0]), float(phi[0]), converged, it, reason, kernel, tuple(steps)
+    )
+
+
+def literal_read_csv(path) -> LongitudinalDataset:
+    """The canonical CSV read one record at a time: each record is checked
+    and converted in file order, and each cluster id takes the next code
+    when it first appears."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if len(header) < 3 or header[0] != "cluster" or header[1] != "y":
+            raise DatasetError(
+                f"{path}: header must be 'cluster,y,x1..xk[,t]', got {header}"
+            )
+        has_time = header[-1] == "t"
+        xnames = header[2 : -1 if has_time else len(header)]
+        if not xnames and not has_time:
+            raise DatasetError(f"{path}: no covariate columns")
+        cids, values = [], []
+        for lineno, parts in enumerate(reader, start=2):
+            if not parts or (len(parts) == 1 and not parts[0].strip()):
+                continue
+            if len(parts) != len(header):
+                raise DatasetError(f"{path}:{lineno}: wrong number of fields")
+            try:
+                values.extend(map(float, parts[1:]))
+            except ValueError:
+                raise DatasetError(f"{path}:{lineno}: non-numeric value") from None
+            cids.append(parts[0])
+    if not cids:
+        raise DatasetError("no input rows")
+    table = np.array(values).reshape(len(cids), len(header) - 1)
+    rank: dict = {}
+    codes = np.array([rank.setdefault(cid, len(rank)) for cid in cids], dtype=np.intp)
+    table = table[np.argsort(codes, kind="stable")]
+    return LongitudinalDataset(
+        ids=tuple(rank),
+        sizes=np.bincount(codes),
+        y=table[:, 0],
+        X=np.hstack([np.ones((len(cids), 1)), table[:, 1:]]),
+        colnames=("intercept", *xnames, *(("t",) if has_time else ())),
+        has_time=has_time,
     )

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +95,27 @@ class TestBadFlags:
             main(["--help"])
         assert exc.value.code == 0
         assert "usage: pgee" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, balanced_csv, tmp_path, capsys):
+        # main parses with one parser per process: no default or namespace
+        # of an earlier call may leak into a later one
+        out = str(tmp_path / "gen.csv")
+        calls = [
+            ["fit", "--bogus", str(balanced_csv)],
+            ["fit", str(balanced_csv), "--json", "--estimators", "LZ"],
+            ["fit", str(balanced_csv)],
+            ["generate", "--N", "12", "--seed", "4", "--out", out],
+        ]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for argv in calls:
+            code = main(argv)
+            in_process = (code, *capsys.readouterr())
+            fresh = subprocess.run([sys.executable, "-m", "pgee.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=300)
+            assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 class TestFit:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgee import (
@@ -27,6 +27,7 @@ from pgee.errors import (
     SingletonCluster,
     TooFewClusters,
 )
+from oracle import literal_read_csv
 
 
 def _balanced_rows(n_clusters=10, size=7, k=2):
@@ -280,3 +281,84 @@ def test_write_csv_read_csv_round_trip_fuzz(text):
     assert np.array_equal(again.y, first.y)
     assert np.array_equal(again.X, first.X)
     assert again.colnames == first.colnames and again.has_time == first.has_time
+
+
+#: Cluster ids that need quoting: a comma, a quote, embedded newlines.
+_QUOTED_IDS = ["a", "b,c", 'd"e', "f\ng", "h\r\ni", " j ", "k,\"l\"\nm"]
+#: Spellings that Python's float reads, some of which numpy's parser rejects.
+_SPELLINGS = ["0", "1", "0.5", "-2", "1_0", " 1 ", "+3", ".5", "1e-400", "-0.0"]
+_NON_FINITE = ["nan", "inf", "-inf", "1e400"]
+_BLANKS = ["\n", "   \n", "\t\n", '""\n']
+
+
+def _csv_line(record: list) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(record)
+    return out.getvalue()
+
+
+@st.composite
+def _messy_csv(draw):
+    """A canonical CSV with quoted ids, blank lines, odd float spellings and
+    perhaps faulty records: ragged ones and ones with a non-numeric field."""
+    k = draw(st.integers(0, 2))
+    has_time = draw(st.booleans()) or k == 0
+    header = ["cluster", "y", *(f"x{i + 1}" for i in range(k))] + (["t"] if has_time else [])
+    records = []
+    ids = st.lists(st.sampled_from(_QUOTED_IDS), min_size=len(header), unique=True)
+    for cid in draw(st.one_of(st.just([]), ids)):
+        for _ in range(draw(st.integers(2, 3))):
+            records.append([cid, draw(st.sampled_from(["0", "1", " 1 ", "0e3"])),
+                            *draw(st.lists(st.sampled_from(_SPELLINGS),
+                                           min_size=len(header) - 2, max_size=len(header) - 2))])
+    records = draw(st.permutations(records))
+    if records and draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(records))
+        row[draw(st.integers(1, len(row) - 1))] = draw(st.sampled_from(_NON_FINITE))
+    faults, valid = st.sampled_from(["short", "long", "text", "empty"]), list(records)
+    for fault in draw(st.one_of(st.just([]), st.lists(faults, min_size=1, max_size=2))):
+        row = list(draw(st.sampled_from(valid))) if valid else ["a", "0", *["1"] * k]
+        if fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append("0")
+        else:
+            row[draw(st.integers(1, len(row) - 1))] = "abc" if fault == "text" else ""
+        records.insert(draw(st.integers(0, len(records))), row)
+    lines = [_csv_line(r) for r in records]
+    for blank in draw(st.lists(st.sampled_from(_BLANKS), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    return _csv_line(header) + "".join(lines)
+
+
+def _read_outcome(reader, path):
+    """The dataset's arrays as bytes, or the DatasetError's type and message."""
+    try:
+        ds = reader(path)
+    except DatasetError as exc:
+        return type(exc), str(exc)
+    return (ds.ids, ds.sizes.dtype, ds.sizes.tobytes(), ds.y.tobytes(), ds.X.shape,
+            ds.X.tobytes(), ds.colnames, ds.has_time)
+
+
+_HEAD = "cluster,y,x1,t\n"
+_OK = "".join(f"{c},{i % 2},{int(c == 'b')},{0.2 * i}\n" for c in "abcd" for i in range(3))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=_messy_csv())
+@example(text=_HEAD)  # only a header line
+@example(text=_HEAD + "\n  \n")  # only a header and blank lines
+@example(text=_HEAD.replace(",t", "") + '"b,c",0,1_0\n" 1 ",1, 1 \n"b,c",1,nan\n" 1 ",0,1e400\n')
+@example(text=_HEAD + '"q""x\ny",1,0,0\n"q""x\ny",0,1_0,0.2\nz,1,1,0\nz,0,0,0.4\n'
+         + "w,1,1,0\nw,1,0,0.2\nv,0,1,0\nv,1,0,0.2\n")
+@example(text=_HEAD + _OK + "a,1,0\n\n" + _OK.replace("0.2", "x", 1))  # ragged first
+@example(text=_HEAD + _OK + "a,1,x,0\n\n" + _OK + "a,1,0\n")  # non-numeric first
+@example(text=_HEAD + _OK)  # a valid file
+@example(text=_HEAD + re.sub(",[^,]*\n", "\n", _OK))  # every row one field short
+@example(text=_HEAD + _OK.replace("\n", ",0\n"))  # every row one field long
+def test_read_csv_matches_literal_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _read_outcome(read_csv, path) == _read_outcome(literal_read_csv, path)

@@ -237,3 +237,17 @@ class TestScenarioValidation:
     def test_bad_size_pattern_named(self, pattern):
         with pytest.raises(ValueError, match=f"cluster-size pattern {pattern!r}"):
             Scenario(n_clusters=10, n_pattern=pattern)
+
+    @pytest.mark.parametrize("field,value", [("n_pattern", (2.7, 6.9)), ("n_pattern", 2.5),
+                                             ("n_pattern", None), ("n_clusters", 10.7),
+                                             ("n_clusters", "10")])
+    def test_non_integer_size_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            Scenario(**{"n_clusters": 10, field: value})
+
+    def test_integral_sizes_accepted(self):
+        scen = Scenario(n_clusters=np.int64(10), n_pattern=(np.int64(2), 6))
+        assert type(scen.n_clusters) is int and scen.n_clusters == 10
+        assert scen.n_pattern == (2, 6) and all(type(n) is int for n in scen.n_pattern)
+        assert scen.cluster_sizes() == [2, 6] * 5
+        assert Scenario(n_clusters=10, n_pattern=np.int64(3)).n_pattern == (3,)
