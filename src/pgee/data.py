@@ -389,7 +389,7 @@ def validate_dataset(
     return _grouped([r[0] for r in rows], table, colnames, has_time)
 
 
-def _blank(parts: list) -> bool:
+def _blank(parts: tuple) -> bool:
     return not parts or (len(parts) == 1 and not parts[0].strip())
 
 
@@ -410,7 +410,7 @@ def read_csv(path) -> LongitudinalDataset:
         xnames = header[2 : -1 if has_time else len(header)]
         if not xnames and not has_time:
             raise DatasetError(f"{path}: no covariate columns")
-        records = list(reader)
+        records = list(map(tuple, reader))  # tuples of str leave the cyclic GC's view
     width = len(header)
     rows = records if set(map(len, records)) == {width} else [r for r in records if not _blank(r)]
     try:  # a ragged row fails the strict zip, rows all of a wrong width the reshape
