@@ -14,6 +14,7 @@ from pgee import (
     FitOptions,
     Scenario,
     ScenarioSpec,
+    WorkingModel,
     aggregate,
     calibrate_intercept,
     generate_dataset,
@@ -179,8 +180,8 @@ _STOPS_CELL = (dict(event_rate=0.1), (8, 12))
 def test_fit_block_matches_literal_fit(cell):
     # the block drops each replication from its state when it stops, so
     # every stop, alone or with others, must leave the others' fits as
-    # they are alone; unpenalized, the unbalanced cell's rep 37 stops at
-    # an alpha refresh whose information is ill-conditioned
+    # they are alone; unpenalized, the unbalanced cell's y rows 34 and 37
+    # stop at a step whose every candidate is ill-conditioned
     if cell == "stragglers":
         spec = parse_config(_STRAGGLER_CONFIG, base_seed=1)[0]
         reps, options = _STRAGGLERS, (FitOptions(),)
@@ -223,6 +224,34 @@ def test_fit_block_matches_literal_fit(cell):
     if cell == "stragglers":
         assert set(res.diverged_reason) == {"max_iter"}
         assert {(True, True), (True, False)} <= steps
+
+
+@pytest.mark.filterwarnings("ignore:estimated dispersion fell below")
+def test_fit_block_refresh_stop_matches_literal_fit():
+    # unpenalized AR(1) fits of rare exchangeable data run alpha to its
+    # clamp: replications 8 and 21 stop at a refresh whose information is
+    # ill-conditioned, mid-fit, and 223 at a step whose every candidate is
+    scen = Scenario(n_clusters=10, n_pattern=(4,), event_rate=0.1, rho=0.2,
+                    true_structure="exchangeable", working_structure="ar1", seed=0)
+    reps = [*range(24), 223]
+    design, y, invalid = draw_block(scen, reps, calibrate_intercept(scen))
+    assert not invalid.any()
+    wm = WorkingModel("ar1", "estimate", "pearson-plugin")
+    opts = FitOptions(penalized=False)
+    res = fit_block(design, y, wm, opts)
+    stops = {}
+    for r, yr in enumerate(y):
+        ref = literal_fit(design, yr, wm, opts)
+        assert np.array_equal(res.beta[r], ref.beta), r
+        got = (res.alpha[r], res.phi[r], res.converged[r], res.iterations[r],
+               res.diverged_reason[r])
+        assert got == (ref.alpha, ref.phi, ref.converged, ref.iterations, ref.reason), r
+        assert np.array_equal(res.kernel.info_inv[r], ref.kernel.info_inv[0]), r
+        assert np.array_equal(res.kernel.score[r], ref.kernel.score[0]), r
+        if ref.reason == "singular_information":
+            at_refresh = len(ref.steps) == ref.iterations - 1
+            stops[reps[r]] = ("refresh" if at_refresh else "step", ref.iterations)
+    assert stops == {8: ("refresh", 30), 21: ("refresh", 30), 223: ("step", 27)}
 
 
 def test_aggregate_matches_literal_cells():
