@@ -22,12 +22,13 @@ what it prints (``diff`` of the two outputs).  It digests:
   ``fit-csv`` workload (seed 1), on the first of them with ``--corr ar1``
   and with ``--corr ind``, on three fits that stop early: at
   ``max_iter``, at ``beta_cap`` and with a singular information matrix,
-  and on a fit whose diagnostic is not computable (only cluster c0 has
-  x1 = 1);
+  on a fit whose diagnostic is not computable (only cluster c0 has
+  x1 = 1), and on an unpenalized AR(1) fit with estimated dispersion that
+  stops at an alpha refresh whose information is ill-conditioned;
 - the text and ``--json`` reports of ``pgee diagnose`` on the four
   ``fit-csv`` CSVs, with and without ``--treatment-col treat``, on the
-  first of them with ``--corr ar1`` and with ``--corr ind``, and on the
-  CSV whose diagnostic is not computable (exit 2);
+  first of them with ``--corr ar1`` and with ``--corr ind``, on the CSV
+  whose diagnostic is not computable (exit 2) and on the refresh stop;
 - the CSV and the stdout of ``pgee generate`` with ``--n 4``, with
   ``--n 2/6 --structure ar1`` and with ``--model reduced``.
 
@@ -57,6 +58,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -193,6 +195,13 @@ def _fit_inputs(fit_csvs: int, work: Path) -> dict:
     owned.write_text("cluster,y,x1\n" + "".join(
         f"c{i},{int((i + 2 * j) % 3 == 0)},{float(i == 0)}\n" for i in range(10) for j in range(2)))
     cases["singular_leverage"] = (owned, [])
+    # unpenalized, alpha runs to the AR(1) clamp and the refresh of
+    # iteration 30 leaves the information ill-conditioned
+    scen = Scenario(n_clusters=10, event_rate=0.1, rho=0.2, working_structure="ar1", seed=0)
+    data, y, _ = draw_block(scen, [8], calibrate_intercept(scen))
+    refresh_stop = work / "refresh-stop.csv"
+    write_csv(dataclasses.replace(data, y=y[0]), refresh_stop)
+    cases["refresh_stop"] = (refresh_stop, ["--no-penalty", "--corr", "ar1", "--phi", "estimate"])
     return cases
 
 
@@ -236,7 +245,9 @@ def fit_digests(fit_csvs: int, work: Path, outputs: dict) -> None:
     for corr in ("ar1", "ind"):
         _digest("diagnose", f"fit-csv-0-{corr}", [str(cases["fit-csv-0"][0]), "--corr", corr],
                 outputs)
-    _digest("diagnose", "singular_leverage", [str(cases["singular_leverage"][0])], outputs)
+    for name in ("singular_leverage", "refresh_stop"):
+        path, flags = cases[name]
+        _digest("diagnose", name, [str(path), *flags], outputs)
 
 
 # ---------------------------------------------------------------- --against
