@@ -22,14 +22,18 @@ whiten the smaller sizes), the current ``info_inv`` and penalized
 score, the beta stage (``core.beta_stage``: mu, w, r and the unwhitened
 z) and the responses.  When replications stop, their final
 values are written to the (R,) outputs and the state is compacted to the
-others, so an iteration in which none stops indexes nothing: a full
-refresh and a step whose every candidate improves are bound as the new
-state.  A refresh whitens the beta stage it already has at the new alpha
-and phi; a halving candidate forms its own beta stage and whitens it with
-the current factor.  Halving runs in two stages: the full step for every
-replication, then, for those it does not improve, the other MAX_HALVINGS
-candidates in one evaluation, from which each takes the candidate that
-sequential halving would take.  After the loop one assembly builds every
+others, so an iteration in which none stops indexes nothing: a refresh
+and a step whose every candidate improves are bound as the new state.
+When any active replication's alpha or phi moves, the refresh whitens the
+beta stage of every active replication at its alpha and phi with a fresh
+factor; one whose estimates did not move gets back the bits it had.  A
+replication whose fresh information is ill-conditioned stops with the
+factor and kernel it had.  A halving candidate forms its own beta stage
+and whitens it with the current factor.  Halving runs in two stages: the
+full step for every replication, then, for those it does not improve, the
+other MAX_HALVINGS candidates in one evaluation.  Each takes the first
+candidate that improves, else the first with the least norm, as
+sequential halving would.  After the loop one assembly builds every
 replication's final kernel at its point and last factor.  ``fit`` is
 this loop on a block of one dataset, and its kernel is that block of one,
 marked ``single`` (see ``core.FitKernel``).
@@ -258,10 +262,10 @@ def _lockstep(data, y, wm, opts) -> tuple:
     # The state of the active replications ``ids`` only: the point beta;
     # the alpha and phi of its current R(alpha) factor and kernel
     # (``kalpha``, ``kphi``; the estimates ``alpha`` and ``phi`` move
-    # ahead of them); that kernel's ``info_inv`` and penalized ``score``;
-    # the (n_max, n_max) factor, the BetaStage at beta and the responses.
-    # The state is rebound, never written in place, except for arrays made
-    # in the same step.
+    # ahead of them until the refresh binds them all); that kernel's
+    # ``info_inv`` and penalized ``score``; the (n_max, n_max) factor, the
+    # BetaStage at beta and the responses.  The state is rebound, never
+    # written in place, except for arrays made in the same step.
     ids = np.arange(n_reps)
     beta = np.zeros((n_reps, p))
     kalpha, kphi = alpha, phi
@@ -292,67 +296,45 @@ def _lockstep(data, y, wm, opts) -> tuple:
         k, ill = whiten_block(point, structure, a, ph, data, st, cinv)
         return k, ill, _penalized_score(k, opts.penalized)
 
-    def refresh(moved, first):
-        """Kernels at the current points of the replications ``moved`` (a
-        mask) with fresh R(alpha) factors; returns the mask of those that
-        fail, or None when none does.  The first refresh sets every
-        replication's factor."""
-        nonlocal kalpha, kphi, info_inv, score, factor
-        if moved.all():
-            cinv, not_pd = whitening_factors(structure, alpha, data)
-            k, ill, g = evaluate(beta, alpha, phi, stage, cinv)
-            failed = ill | not_pd
-            some = failed.any()
-            if first or not some:
-                kalpha, kphi, info_inv, score, factor = alpha, phi, k.info_inv, g, cinv
-                return failed if some else None
-            sel = ~failed
-            rows = np.flatnonzero(sel)
-        else:
-            rows = np.flatnonzero(moved)
-            cinv, not_pd = whitening_factors(structure, alpha[rows], data)
-            k, ill, g = evaluate(
-                beta[rows], alpha[rows], phi[rows], BetaStage._make(a[rows] for a in stage), cinv
-            )
-            sel = ~(ill | not_pd)
-            rows = rows[sel]
-        kalpha, kphi, info_inv, score = kalpha.copy(), kphi.copy(), info_inv.copy(), score.copy()
-        factor = factor.copy()
-        kalpha[rows], kphi[rows], factor[rows] = alpha[rows], phi[rows], cinv[sel]
-        info_inv[rows], score[rows] = k.info_inv[sel], g[sel]
-        failed = moved.copy()
-        failed[rows] = False
-        return failed if failed.any() else None
+    def refresh():
+        """Kernels of every active replication at its point with a fresh
+        R(alpha) factor: (factor, info_inv, penalized score, failed)."""
+        cinv, not_pd = whitening_factors(structure, alpha, data)
+        k, ill, g = evaluate(beta, alpha, phi, stage, cinv)
+        return cinv, k.info_inv, g, ill | not_pd
 
-    failed = refresh(np.ones(n_reps, bool), True)
-    if failed is not None:
+    factor, info_inv, score, failed = refresh()
+    if failed.any():
         finish(failed, "singular_information", 1, False)
     halvings = np.array([0.5**h for h in range(1, MAX_HALVINGS + 1)])
     for it in range(1, opts.max_iter + 1):
-        if ids.size and (wm.estimates_dispersion or wm.estimates_alpha):
-            if wm.estimates_dispersion:
-                phi = _phi_moment(data, stage.resid, stage.w)
-            if wm.estimates_alpha:
-                alpha = _alpha_moment(structure, data, stage.resid, stage.w, kphi)
-            moved = (alpha != kalpha) | (phi != kphi)
-            if moved.any():
-                failed = refresh(moved, False)
-                if failed is not None:
-                    finish(failed, "singular_information", it, it > 1)
         if not ids.size:
             break
+        if wm.estimates_dispersion:
+            phi = _phi_moment(data, stage.resid, stage.w)
+        if wm.estimates_alpha:
+            alpha = _alpha_moment(structure, data, stage.resid, stage.w, kphi)
+        if np.any((alpha != kalpha) | (phi != kphi)):
+            fresh = refresh()
+            failed = fresh[-1]
+            if failed.any():
+                finish(failed, "singular_information", it, it > 1)
+                if not ids.size:
+                    break
+                fresh = [a[~failed] for a in fresh]
+            factor, info_inv, score, _ = fresh
+            kalpha, kphi = alpha, phi
 
         gnorm = _norm(score)
         step = (info_inv @ score[:, :, None])[:, :, 0]
         start = beta
 
         # Step halving: each replication accepts its first candidate that
-        # reduces the penalized score norm, else the first best it tried
+        # reduces the penalized score norm, else the first best of all
         # (an ill candidate counts as infinite).  The full step is tried
         # for every replication; those it does not improve try the other
-        # MAX_HALVINGS candidates in one evaluation, and the choice is the
-        # one sequential halving makes.  When every full step is finite
-        # and improves, it is bound as the new state.
+        # MAX_HALVINGS candidates in one evaluation.  When every full step
+        # is finite and improves, it is bound as the new state.
         cand = start + 0.5**0 * step
         st = beta_stage(cand, data, act_y)
         k, ill, gc = evaluate(cand, alpha, phi, st, factor)
@@ -361,7 +343,6 @@ def _lockstep(data, y, wm, opts) -> tuple:
         if not np.all(cn < gnorm):
             late = np.flatnonzero(cn >= gnorm)
             best = np.where(cn < np.inf, cn, np.inf)
-            choice = np.where(cn < np.inf, 0, -1)
             if late.size:
                 cand_h = (start[late, None] + halvings[:, None] * step[late, None]).reshape(-1, p)
                 st_h = beta_stage(cand_h, data, np.repeat(act_y[late], MAX_HALVINGS, axis=0))
@@ -371,16 +352,12 @@ def _lockstep(data, y, wm, opts) -> tuple:
                     np.repeat(factor[late], MAX_HALVINGS, axis=0),
                 )
                 cn_h = np.where(ill_h, np.inf, _norm(gc_h)).reshape(late.size, MAX_HALVINGS)
-                b, ch = best[late], choice[late]
-                todo = np.ones(late.size, bool)
-                for h in range(1, MAX_HALVINGS + 1):
-                    c = cn_h[:, h - 1]
-                    better = todo & (c < b)
-                    b, ch = np.where(better, c, b), np.where(better, h, ch)
-                    todo &= c >= gnorm[late]
-                best[late], choice[late] = b, ch
-                took = np.flatnonzero(choice > 0)
-                sel = np.searchsorted(late, took) * MAX_HALVINGS + choice[took] - 1
+                norms = np.concatenate([best[late, None], cn_h], axis=1)
+                improves = norms < gnorm[late, None]
+                h = np.where(improves.any(axis=1), improves.argmax(axis=1), norms.argmin(axis=1))
+                best[late] = norms[np.arange(late.size), h]
+                halved = h > 0
+                took, sel = late[halved], np.flatnonzero(halved) * MAX_HALVINGS + h[halved] - 1
                 beta[took], info_inv[took], score[took] = cand_h[sel], k_h.info_inv[sel], gc_h[sel]
                 for a, b in zip(stage, st_h):
                     a[took] = b[sel]
@@ -396,8 +373,6 @@ def _lockstep(data, y, wm, opts) -> tuple:
             why = np.full(ids.size, None, dtype=object)
             why[~stepped], why[capped] = "singular_information", "beta_cap"
             finish(gone, why, it, True)
-            if not ids.size:
-                break
     if ids.size:
         finish(np.ones(ids.size, bool), "max_iter", opts.max_iter, True)
 
