@@ -393,12 +393,33 @@ def _blank(parts: tuple) -> bool:
     return not parts or (len(parts) == 1 and not parts[0].strip())
 
 
+def _first_fault(path, records, width: int) -> None:
+    """Raise the DatasetError of the first faulty record of ``records``, the
+    records after the header, walked in file order."""
+    lineno = 1
+    try:
+        for lineno, parts in enumerate(records, start=2):
+            if _blank(parts):
+                continue
+            if len(parts) != width:
+                raise DatasetError(f"{path}:{lineno}: wrong number of fields")
+            try:
+                list(map(float, parts[1:]))
+            except ValueError:
+                raise DatasetError(f"{path}:{lineno}: non-numeric value") from None
+    except csv.Error as exc:  # the record after the last one read
+        raise DatasetError(f"{path}:{lineno + 1}: {exc}") from None
+
+
 def read_csv(path) -> LongitudinalDataset:
     """Read the canonical long-format CSV ``cluster,y,x1..xk[,t]`` a column at a
     time; only a faulty file is walked line by line, to name its first fault."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise DatasetError(f"{path}:1: {exc}") from None
         if header is None:
             raise DatasetError(f"{path}: empty file")
         header = [h.strip() for h in header]
@@ -410,23 +431,22 @@ def read_csv(path) -> LongitudinalDataset:
         xnames = header[2 : -1 if has_time else len(header)]
         if not xnames and not has_time:
             raise DatasetError(f"{path}: no covariate columns")
-        records = list(map(tuple, reader))  # tuples of str leave the cyclic GC's view
-    width = len(header)
+        width = len(header)
+        try:
+            records = list(map(tuple, reader))  # tuples of str leave the cyclic GC's view
+        except csv.Error:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            _first_fault(path, reader, width)
+            raise
     rows = records if set(map(len, records)) == {width} else [r for r in records if not _blank(r)]
     try:  # a ragged row fails the strict zip, rows all of a wrong width the reshape
         cids, *columns = zip(*rows, strict=True) if rows else [()] * width
         values = np.fromiter(map(float, chain.from_iterable(columns)), float)
         table = values.reshape(width - 1, len(rows)).T
     except ValueError:
-        for lineno, parts in enumerate(records, start=2):
-            if _blank(parts):
-                continue
-            if len(parts) != width:
-                raise DatasetError(f"{path}:{lineno}: wrong number of fields") from None
-            try:
-                list(map(float, parts[1:]))
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-numeric value") from None
+        _first_fault(path, records, width)
         raise
     return _grouped(cids, table, xnames, has_time)
 

@@ -506,15 +506,17 @@ def literal_fit(data, y, wm, opts) -> LiteralFit:
 
 
 def literal_read_csv(path) -> LongitudinalDataset:
-    """The canonical CSV read one record at a time: each record is checked
-    and converted in file order, and each cluster id takes the next code
-    when it first appears."""
+    """The canonical CSV read one record at a time: each record is read,
+    checked and converted in file order, and each cluster id takes the next
+    code when it first appears."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise DatasetError(f"{path}:1: {exc}") from None
         header = [h.strip() for h in header]
         if len(header) < 3 or header[0] != "cluster" or header[1] != "y":
             raise DatasetError(
@@ -524,8 +526,15 @@ def literal_read_csv(path) -> LongitudinalDataset:
         xnames = header[2 : -1 if has_time else len(header)]
         if not xnames and not has_time:
             raise DatasetError(f"{path}: no covariate columns")
-        cids, values = [], []
-        for lineno, parts in enumerate(reader, start=2):
+        cids, values, lineno = [], [], 1
+        while True:
+            try:
+                parts = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise DatasetError(f"{path}:{lineno + 1}: {exc}") from None
+            lineno += 1
             if not parts or (len(parts) == 1 and not parts[0].strip()):
                 continue
             if len(parts) != len(header):
