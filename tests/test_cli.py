@@ -61,6 +61,15 @@ def separated_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def owned_csv(tmp_path):
+    # only c0 has x1 = 1: the other clusters carry no information on x1
+    path = tmp_path / "owned.csv"
+    path.write_text("cluster,y,x1\n" + "".join(
+        f"c{i},{int((i + 2 * j) % 3 == 0)},{float(i == 0)}\n" for i in range(10) for j in range(2)))
+    return path
+
+
 def _assert_one_error_line(capsys, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
@@ -173,6 +182,20 @@ class TestFit:
         assert main(["fit", str(balanced_csv), "--estimators", "LZ,KC,LZ"]) == 0
         out = capsys.readouterr().out
         assert out.count("\n  LZ ") == out.count("\n  KC ") == 3  # one row per coefficient
+
+    def test_field_over_csv_limit_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "long-field.csv"
+        path.write_text("cluster,y,x1\nc0,1," + "1" * 200_000 + "\n")
+        for command in ("fit", "diagnose"):
+            assert main([command, str(path)]) == 1
+            _assert_only_error_line(capsys, f"{path}:2: field larger than field limit")
+
+    def test_diagnostic_not_computable_still_reports(self, owned_csv, capsys):
+        assert main(["fit", str(owned_csv)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        last = out.strip().splitlines()[-1]
+        assert last == "rho_s: not computable (cluster c0: remaining information singular)"
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["fit", str(tmp_path / "nope.csv")])
@@ -300,6 +323,35 @@ class TestDiagnose:
         assert code == 0
         assert "rho_s:" in out
         assert "benchmark" not in out
+
+    def test_json_report(self, balanced_csv, capsys):
+        assert main(["diagnose", str(balanced_csv), "--json", "--treatment-col", "treat"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert (report["command"], report["converged"]) == ("diagnose", True)
+        assert set(report["overcorrection"]["rho"]) == {"intercept", "treat", "t"}
+        assert report["benchmark"]["n1"] + report["benchmark"]["n0"] == 10
+
+    def test_benchmark_undefined_for_one_arm(self, balanced_csv, capsys):
+        assert main(["diagnose", str(balanced_csv), "--treatment-col", "intercept"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.strip().splitlines()[-1] == "benchmark undefined: smaller arm has 0 cluster(s)"
+
+    def test_diagnostic_not_computable_exits_2(self, owned_csv, capsys):
+        assert main(["diagnose", str(owned_csv)]) == 2
+        _assert_only_error_line(
+            capsys, "error: diagnostic not computable (cluster c0: remaining information singular)"
+        )
+
+    def test_no_kernel_exits_2(self, tmp_path, capsys):
+        # x1 is 0 everywhere: the first information matrix is singular
+        path = tmp_path / "zero-column.csv"
+        path.write_text("cluster,y,x1\n" + "".join(
+            f"c{i},{int((i + 2 * j) % 3 == 0)},0\n" for i in range(10) for j in range(2)))
+        assert main(["diagnose", str(path)]) == 2
+        _assert_only_error_line(capsys, "error: no kernel available (fit failed immediately)")
 
     def test_non_subject_level_column_rejected(self, balanced_csv, capsys):
         code = main(["diagnose", str(balanced_csv), "--treatment-col", "t"])
