@@ -402,7 +402,7 @@ def _first_fault(path, records, width: int) -> None:
             if _blank(parts):
                 continue
             if len(parts) != width:
-                raise DatasetError(f"{path}:{lineno}: wrong number of fields")
+                raise DatasetError(f"{path}:{lineno}: wrong number of fields") from None
             try:
                 list(map(float, parts[1:]))
             except ValueError:
