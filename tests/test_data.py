@@ -355,7 +355,7 @@ _OK = "".join(f"{c},{i % 2},{int(c == 'b')},{0.2 * i}\n" for c in "abcd" for i i
 @example(text=_HEAD + _OK + "a,1,0\n\n" + _OK.replace("0.2", "x", 1))  # ragged first
 @example(text=_HEAD + _OK + "a,1,x,0\n\n" + _OK + "a,1,0\n")  # non-numeric first
 @example(text=_HEAD + _OK)  # a valid file
-@example(text=_HEAD + _OK + "a,1," + "1" * 200_000 + ",0\n")  # a field over the csv limit
+@example(text=_HEAD + _OK + "\n" + "a,1," + "1" * 200_000 + ",0\n")  # a field over the csv limit
 @example(text=_HEAD + _OK + "a,1,0\n" + _OK + "a,1," + "1" * 200_000 + ",0\n")  # ragged first
 @example(text=_HEAD + "a,1," + "1" * 200_000 + ",0\n" + _OK + "a,1,0\n")  # oversized first
 @example(text=_HEAD.replace("x1", "x" * 200_000))  # an oversized header
