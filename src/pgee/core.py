@@ -11,18 +11,19 @@ For a cluster with n observations and p covariates (canonical logit link):
     score   cluster score contribution dmat' vmat^{-1} (y - mu)
 
 With C the Cholesky factor of R(alpha), the Cholesky factor of vmat is
-``L = sqrt(phi) W^{1/2} C``.  For every structure here R_n(alpha) is the
-leading n x n block of R_{n_max}(alpha), so C_n and C_n^{-1} are the
-leading blocks of C_{n_max} and C_{n_max}^{-1}: one n_max x n_max
-factorization whitens every cluster:
+``L = sqrt(phi) W^{1/2} C``.  Row j of C^{-1} is (e_j - b_j) / sqrt(d_j),
+b_j and d_j the weights and residual variance of position j regressed on
+the earlier ones (``conditional_regression``, Qaqish 2003).  R_n(alpha)
+and C_n^{-1} are the leading blocks of R_{n_max}(alpha) and C_{n_max}^{-1},
+so one n_max x n_max factor whitens every cluster:
 
     dt      L^{-1} dmat = C^{-1} W^{1/2} X / sqrt(phi)
     rt      L^{-1} (y - mu)
     info    dt' dt          score   dt' rt
 
-vmat is positive definite exactly when R is, and every R_n is when
-R_{n_max} is; an inadmissible alpha is reported for the first cluster, in
-cluster order, of a size whose R_n fails.
+vmat is positive definite exactly when R_n is, that is when alpha lies in
+``data.alpha_bounds(structure, n)``; an inadmissible alpha is reported
+for the first cluster, in cluster order, of a size that excludes it.
 
 The kernel keeps its per-observation arrays as flat rows in kernel order
 (``LongitudinalDataset.kernel_rows``): by cluster size, then
@@ -68,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import LongitudinalDataset
+from .data import LongitudinalDataset, alpha_bounds
 from .errors import SingularInformation, SingularV
 
 #: Linear predictors are clamped to +/- this value before exponentiation.
@@ -97,20 +98,6 @@ def expit(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -ETA_CAP, ETA_CAP)))
 
 
-def working_correlation(structure: str, alpha, n: int) -> np.ndarray:
-    """Working correlation matrix R(alpha) of size n for the given structure;
-    an array of alphas gives the stack of their matrices."""
-    alpha = np.asarray(alpha, dtype=float)
-    if structure == "independence":
-        return np.broadcast_to(np.eye(n), (*alpha.shape, n, n))
-    if structure == "exchangeable":
-        return np.where(np.eye(n, dtype=bool), 1.0, alpha[..., None, None])
-    if structure == "ar1":
-        idx = np.arange(n)
-        return alpha[..., None, None] ** np.abs(idx[:, None] - idx[None, :])
-    raise ValueError(f"unknown structure {structure!r}")
-
-
 def masked_cholesky(a: np.ndarray) -> tuple:
     """Cholesky factors of a stack of matrices, and the mask of those that
     are not positive definite (their factor is the identity)."""
@@ -127,12 +114,32 @@ def masked_cholesky(a: np.ndarray) -> tuple:
         return chol, bad
 
 
-def whitening_factors(structure: str, alpha: np.ndarray, data: LongitudinalDataset):
+def conditional_regression(structure: str, alpha, n: int) -> tuple:
+    """Each position of R_n(alpha) regressed on the earlier ones, at (...)
+    alphas in ``data.alpha_bounds(structure, n)``: the strictly lower (..., n, n)
+    weights b and (..., n) residual variances d.  AR(1): b_j,j-1 = alpha, d_0 = 1,
+    d_j = (1 - alpha)(1 + alpha); exchangeable: b_jk = alpha / den_j, d_j =
+    (1 - alpha)(1 + j alpha) / den_j, den_j = 1 + (j - 1) alpha; independence: 0, 1."""
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    j = np.arange(n)
+    if structure == "exchangeable":
+        den = 1.0 + (j - 1) * alpha
+        return (j[:, None] > j) * (alpha / den)[..., None], (1.0 - alpha) * (1.0 + j * alpha) / den
+    b = np.zeros((*alpha.shape[:-1], n, n))
+    if structure == "independence":
+        return b, np.ones(b.shape[:-1])
+    if structure == "ar1":
+        b[..., j[1:], j[:-1]] = alpha
+        return b, np.where(j == 0, 1.0, (1.0 - alpha) * (1.0 + alpha))
+    raise ValueError(f"unknown structure {structure!r}")
+
+
+def whitening_factors(structure: str, alpha: np.ndarray, data: LongitudinalDataset) -> np.ndarray:
     """The (R, n_max, n_max) inverse Cholesky factors of R_{n_max}(alpha) at
-    the (R,) alphas, n_max the largest cluster size of ``data``, and the
-    (R,) mask of those not positive definite (some size's R_n is not)."""
-    chol, not_pd = masked_cholesky(working_correlation(structure, alpha, data.n_max))
-    return np.linalg.inv(chol), not_pd
+    (R,) alphas in ``data.alpha_bounds(structure, n_max)``, n_max the largest
+    cluster size of ``data``: row j is (e_j - b_j) / sqrt(d_j)."""
+    b, d = conditional_regression(structure, alpha, data.n_max)
+    return (np.eye(data.n_max) - b) / np.sqrt(d)[..., None]
 
 
 #: The FitKernel fields that hold one entry per replication.
@@ -395,20 +402,19 @@ def assemble_kernel(
     """Assemble the kernel of one dataset at one parameter point: a block
     of one, marked ``single``.
 
-    Raises SingularV when some working covariance is not positive definite
-    and SingularInformation when the summed information is not positive
-    definite or its condition number exceeds COND_LIMIT.
+    Raises SingularV when alpha is outside ``alpha_bounds`` of some cluster
+    size (independence takes any alpha) and SingularInformation when the
+    summed information is not positive definite or its condition number
+    exceeds COND_LIMIT.
     """
     if phi <= 0:
         raise ValueError(f"phi must be positive, got {phi}")
+    bounds = [(g.idx[0], alpha_bounds(structure, g.rows.shape[1])) for g in data.size_groups]
+    outside = [i for i, (lo, hi) in bounds if structure != "independence" and not lo < alpha < hi]
+    if outside:
+        raise SingularV(f"cluster {data.ids[min(outside)]}: working covariance not positive definite")
     alpha, phi = np.array([alpha], float), np.array([phi], float)
-    cinv, not_pd = whitening_factors(structure, alpha, data)
-    if not_pd[0]:
-        first = min(g.idx[0] for g in data.size_groups if masked_cholesky(
-            working_correlation(structure, alpha, g.rows.shape[1]))[1][0])
-        raise SingularV(
-            f"cluster {data.ids[first]}: working covariance not positive definite"
-        )
+    cinv = whitening_factors(structure, alpha, data)
     y = data.y[data.kernel_rows][None]
     beta = np.asarray(beta, dtype=float)[None]
     kernel, ill = assemble_block(beta, structure, alpha, phi, data, y, cinv)

@@ -414,7 +414,7 @@ def _first_fault(path, records, width: int) -> None:
 def read_csv(path) -> LongitudinalDataset:
     """Read the canonical long-format CSV ``cluster,y,x1..xk[,t]`` a column at a
     time; only a faulty file is walked line by line, to name its first fault."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -6,9 +6,10 @@ conditional mean
 
     lam_j = mu_j + sum_{k<j} b_jk sqrt(w_j / w_k) (y_k - mu_k),
 
-where w = mu (1 - mu) and the weights b solve
-``R[1:j-1, 1:j-1] b = R[1:j-1, j]``.  This construction reproduces the
-target means and pairwise correlations exactly whenever every realized
+where w = mu (1 - mu) and the weights b solve ``R[1:j-1, 1:j-1] b =
+R[1:j-1, j]``: the closed forms of ``core.conditional_regression``, whose
+weights also give the fit's R(alpha) factor.  This reproduces the target
+means and pairwise correlations exactly whenever every realized
 conditional mean stays inside (0, 1); a draw whose conditional mean
 leaves (0, 1) is reported as invalid (counted, never clamped).
 
@@ -35,15 +36,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import expit, working_correlation
+from .core import conditional_regression, expit
 from .data import LongitudinalDataset, alpha_bounds, normalize_structure
-from .errors import BracketFailure, SingularR
+from .errors import BracketFailure
 
 #: Observation time step: t_ij = TIME_STEP * j.
 TIME_STEP = 0.2
 
 #: The calibrated design-average event probability is within this of the target.
 CALIBRATION_TOL = 1e-8
+
+#: Desk-scale bounds on N and the cluster sizes, checked before anything is built.
+MAX_CLUSTERS, MAX_CLUSTER_SIZE = 10_000, 20
 
 _TRUE_STRUCTURES = ("exchangeable", "ar1")
 
@@ -93,6 +97,9 @@ class Scenario:
             raise ValueError(f"n_pattern sizes must be integers, got {self.n_pattern!r}") from None
         if not pattern or any(n < 2 for n in pattern):
             raise ValueError(f"cluster sizes must all be >= 2, got {pattern}")
+        if self.n_clusters > MAX_CLUSTERS or max(pattern) > MAX_CLUSTER_SIZE:
+            raise ValueError(f"N = {self.n_clusters} and sizes {pattern} exceed the desk-scale "
+                             f"bounds N <= {MAX_CLUSTERS}, sizes <= {MAX_CLUSTER_SIZE}")
         object.__setattr__(self, "n_pattern", pattern)
         if not 0.0 < self.event_rate < 1.0:
             raise ValueError(f"event rate must lie in (0, 1), got {self.event_rate}")
@@ -174,21 +181,11 @@ def clf_coefficients(mu: np.ndarray, structure: str, rho: float) -> np.ndarray:
     """Lower-triangular table of conditional regression weights.
 
     Row j holds the weights of the standardized history y_1..y_{j-1} on
-    position j, obtained by solving R[:j, :j] b = R[:j, j].  Closed forms
-    emerge: AR(1) gives a single-lag weight rho; exchangeable gives the
-    common weight rho / (1 + (j - 2) rho).
+    position j, the solution of R[:j, :j] b = R[:j, j] in closed form
+    (``core.conditional_regression``): a single-lag weight rho for AR(1)
+    and the common weight rho / (1 + (j - 2) rho) for exchangeable.
     """
-    n = len(mu)
-    R = working_correlation(structure, rho, n)
-    coef = np.zeros((n, n))
-    for j in range(1, n):
-        try:
-            coef[j, :j] = np.linalg.solve(R[:j, :j], R[:j, j])
-        except np.linalg.LinAlgError as exc:
-            raise SingularR(
-                f"target correlation singular at position {j + 1}"
-            ) from exc
-    return coef
+    return conditional_regression(structure, rho, len(mu))[0]
 
 
 def _clf_rows(mu: np.ndarray, coef: np.ndarray, unif: np.ndarray) -> tuple:

@@ -49,10 +49,6 @@ class BracketFailure(PgeeError):
     """Intercept calibration target is unreachable on the search bracket."""
 
 
-class SingularR(PgeeError):
-    """Target correlation matrix is singular; conditional weights undefined."""
-
-
 class TooFewConverged(PgeeError):
     """Not enough converged replications to aggregate a scenario."""
 

@@ -299,9 +299,9 @@ def _lockstep(data, y, wm, opts) -> tuple:
     def refresh():
         """Kernels of every active replication at its point with a fresh
         R(alpha) factor: (factor, info_inv, penalized score, failed)."""
-        cinv, not_pd = whitening_factors(structure, alpha, data)
+        cinv = whitening_factors(structure, alpha, data)
         k, ill, g = evaluate(beta, alpha, phi, stage, cinv)
-        return cinv, k.info_inv, g, ill | not_pd
+        return cinv, k.info_inv, g, ill
 
     factor, info_inv, score, failed = refresh()
     if failed.any():

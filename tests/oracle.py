@@ -3,7 +3,8 @@
 Each kernel quantity is computed from its textbook definition with dense
 inverses, independently of the size-grouped arrays in ``pgee.core``; the
 correlated-binary draw is the sequential construction run cluster by
-cluster, independently of the grouped loop in ``pgee.datagen``.  The fit
+cluster, with weights solved position by position, independently of the
+grouped loop and the closed-form weights in ``pgee.datagen``.  The fit
 is one replication's Fisher loop with sequential step halving, apart from
 the lockstep loop of ``pgee.fitting``, and the Monte Carlo cells are
 reduced one (estimator, coefficient) pair at a time, apart from the
@@ -29,10 +30,8 @@ from pgee import (
     estimate_phi,
     firth_penalty,
 )
-from pgee.core import (
-    ETA_CAP, LEVERAGE_TOL, MU_EPS, assemble_block, whitening_factors, working_correlation,
-)
-from pgee.datagen import TIME_STEP, _clf_rows, clf_coefficients
+from pgee.core import ETA_CAP, LEVERAGE_TOL, MU_EPS, assemble_block, whitening_factors
+from pgee.datagen import TIME_STEP, _clf_rows
 from pgee.errors import DatasetError
 from pgee.fitting import BETA_CAP, MAX_HALVINGS
 from pgee.harness import _COEF_INDEX, EstimatorCell
@@ -60,6 +59,45 @@ def firth_penalty_fd(beta, structure, alpha, phi, data, rel_step=1e-5) -> np.nda
         dinfo = (info_p - info_m) / (2.0 * h)
         b[r] = 0.5 * np.sum(center.info_inv * dinfo)
     return b
+
+
+def working_correlation(structure: str, alpha, n: int) -> np.ndarray:
+    """Working correlation matrix R(alpha) of size n for the given structure;
+    an array of alphas gives the stack of their matrices."""
+    alpha = np.asarray(alpha, dtype=float)
+    if structure == "independence":
+        return np.broadcast_to(np.eye(n), (*alpha.shape, n, n))
+    if structure == "exchangeable":
+        return np.where(np.eye(n, dtype=bool), 1.0, alpha[..., None, None])
+    if structure == "ar1":
+        idx = np.arange(n)
+        return alpha[..., None, None] ** np.abs(idx[:, None] - idx[None, :])
+    raise ValueError(f"unknown structure {structure!r}")
+
+
+def literal_clf_coefficients(structure: str, rho: float, n: int) -> np.ndarray:
+    """The CLF weight table by its definition: row j solves
+    R[:j, :j] b = R[:j, j], one dense solve per position."""
+    R = working_correlation(structure, rho, n)
+    coef = np.zeros((n, n))
+    for j in range(1, n):
+        coef[j, :j] = np.linalg.solve(R[:j, :j], R[:j, j])
+    return coef
+
+
+def literal_whitening_factor(structure: str, alpha: float, n: int, dps: int = 50) -> np.ndarray:
+    """inv(cholesky(R_n(alpha))) in ``mpmath`` at ``dps`` digits, at the
+    float ``alpha`` exactly, rounded once to float."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(float(alpha))
+        r = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                r[i, j] = 1 if i == j else 0 if structure == "independence" else (
+                    a if structure == "exchangeable" else a ** abs(i - j))
+        return np.array((mpmath.cholesky(r) ** -1).tolist(), dtype=float)
 
 
 class LiteralCluster(NamedTuple):
@@ -327,7 +365,7 @@ def clf_sample(mu, structure, rho, rng, size) -> tuple:
     so the stream layout does not depend on the realized values.
     """
     mu = np.asarray(mu, dtype=float)
-    coef = clf_coefficients(mu, structure, rho)
+    coef = literal_clf_coefficients(structure, rho, mu.shape[0])
     y, invalid = _clf_rows(mu, coef, rng.random((size, mu.shape[0])))
     return y[~invalid], int(invalid.sum())
 
@@ -354,7 +392,7 @@ def literal_clf_dataset(scenario, rng, intercept=None):
         m = mu[a:b]
         n = b - a
         sw = np.sqrt(m * (1.0 - m))
-        coef = clf_coefficients(m, scenario.true_structure, scenario.rho)
+        coef = literal_clf_coefficients(scenario.true_structure, scenario.rho, n)
         scaled = coef * (sw[:, None] / sw[None, :])
         unif = rng.random((1, n))
         resid = np.empty((1, n))
@@ -455,9 +493,9 @@ def literal_fit(data, y, wm, opts) -> LiteralFit:
         return k, bool(ill[0]), g
 
     def refresh():
-        cinv, not_pd = whitening_factors(wm.structure, alpha, data)
+        cinv = whitening_factors(wm.structure, alpha, data)
         k, ill, g = assemble(beta, cinv)
-        return k, g, cinv, not (ill or not_pd[0])
+        return k, g, cinv, not ill
 
     kernel = cinv = None
     converged, reason, steps = False, "max_iter", []
@@ -509,7 +547,7 @@ def literal_read_csv(path) -> LongitudinalDataset:
     """The canonical CSV read one record at a time: each record is read,
     checked and converted in file order, and each cluster id takes the next
     code when it first appears."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

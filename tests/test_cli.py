@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report content, output determinism."""
 
+import codecs
 import csv
 import json
 import os
@@ -189,6 +190,14 @@ class TestFit:
         for command in ("fit", "diagnose"):
             assert main([command, str(path)]) == 1
             _assert_only_error_line(capsys, f"{path}:2: field larger than field limit")
+
+    def test_byte_order_mark_is_skipped(self, balanced_csv, capsys):
+        # spreadsheet exports start the file with a UTF-8 byte-order mark
+        assert main(["fit", str(balanced_csv)]) == 0
+        plain = capsys.readouterr()
+        balanced_csv.write_bytes(codecs.BOM_UTF8 + balanced_csv.read_bytes())
+        assert main(["fit", str(balanced_csv)]) == 0
+        assert capsys.readouterr() == plain
 
     def test_diagnostic_not_computable_still_reports(self, owned_csv, capsys):
         assert main(["fit", str(owned_csv)]) == 0
@@ -505,6 +514,16 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert code == 1
         _assert_one_error_line(capsys, "cluster-size pattern '2/x'")
+
+    @pytest.mark.parametrize("n_clusters,size", [(10_001, 4), (10, 21)])
+    def test_size_over_desk_bound_one_error_line(self, tmp_path, capsys, n_clusters, size):
+        # N <= 10 000 and sizes <= 20, refused when the scenario is built
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(SIM_CONFIG.replace("N = 10", f"N = {n_clusters}") + f"n = {size}\n")
+        argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path), "--reps", "1"]
+        assert main(argv) == 1
+        _assert_only_error_line(capsys, "exceed the desk-scale bounds")
+        assert not (tmp_path / "results.csv").exists()
 
     def test_non_integer_thread_cap_exits_1(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "grid.cfg"

@@ -14,9 +14,10 @@ from pgee import (
     gee_score,
     overcorrection_diagnostic,
 )
-from pgee.core import assemble_block, whitening_factors, working_correlation
+from pgee.core import assemble_block, whitening_factors
 from pgee.data import validate_dataset
 from pgee.errors import SingularInformation, SingularLeverage, SingularV
+from pgee.fitting import ALPHA_MARGIN
 
 from conftest import intercept_only_dataset, random_dataset, random_kernel
 from oracle import (
@@ -27,7 +28,9 @@ from oracle import (
     literal_hat,
     literal_leverage_score,
     literal_penalty,
+    literal_whitening_factor,
     with_residuals,
+    working_correlation,
 )
 
 
@@ -182,7 +185,7 @@ class TestKernel:
         ds = random_dataset(rng, n_clusters=10)
         beta = rng.normal(scale=0.5, size=(3, ds.p))
         alpha, phi = np.full(3, 0.25), np.ones(3)
-        cinvs, _ = whitening_factors("exchangeable", alpha, ds)
+        cinvs = whitening_factors("exchangeable", alpha, ds)
         y = np.repeat(ds.y[None], 3, axis=0)[:, ds.kernel_rows]
         block, ill = assemble_block(beta, "exchangeable", alpha, phi, ds, y, cinvs)
         assert not ill.any()
@@ -306,59 +309,74 @@ def _max_rel(a, b) -> np.ndarray:
 
 
 def _positive_definite(structure, alpha, n) -> bool:
-    try:
-        np.linalg.cholesky(working_correlation(structure, alpha, n))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    """Whether the literal R_n(alpha) has only positive eigenvalues."""
+    return np.linalg.eigvalsh(working_correlation(structure, alpha, n))[0] > 0
 
 
 class TestWhiteningFactors:
-    """The leading blocks of the R(alpha) factor against each size's own
-    factorization."""
+    """The leading blocks of the closed-form R(alpha) factor against each
+    size's factor in 50-digit arithmetic."""
 
     SIZES = (5, 2, 8, 3, 7, 4, 6, 2, 8, 3)
 
     @pytest.mark.parametrize(
         "structure,alphas",
         [("independence", (0.0,)),
-         ("exchangeable", (-1 / 7 + 1e-6, -1 / 7 + 1e-7, -0.1, 0.25, 1 - 1e-6, 1 - 1e-7)),
-         ("ar1", (-1 + 1e-6, -1 + 1e-7, -0.4, 0.4, 1 - 1e-6, 1 - 1e-7))],
+         ("exchangeable", (-1 / 7 + ALPHA_MARGIN, -1 / 7 + 1e-7, -0.1, 0.25, 1 - ALPHA_MARGIN,
+                           1 - 1e-7)),
+         ("ar1", (-1 + ALPHA_MARGIN, -1 + 1e-7, -0.4, 0.4, 1 - ALPHA_MARGIN, 1 - 1e-7))],
     )
     def test_each_size_is_whitened_by_its_own_factor(self, rng, structure, alphas):
-        # the factor of size n is inv(cholesky(R_n)) to 1e-13 times its
-        # condition number, which reaches 1.2e4 at 1e-7 from a bound of
-        # alpha; the block's whitened rows are that factor times the
-        # unwhitened rows
+        # the factor of size n is inv(cholesky(R_n)) in mpmath to 1e-15
+        # relative, at ALPHA_MARGIN and 1e-7 from each bound of n_max = 8.
+        # Near the exchangeable lower bound the rounding of alpha in
+        # 1 + 7 alpha dominates (2.0e-12 at ALPHA_MARGIN); there the factor
+        # is no worse than LAPACK's, which is up to 2.2e-9 off near the AR(1)
+        # bounds.  The block's whitened rows are that factor times the
+        # unwhitened rows.
         ds = _interleaved_dataset(rng, self.SIZES)
         n_reps = len(alphas)
         alpha, phi = np.array(alphas), np.linspace(0.7, 2.0, n_reps)
         beta = rng.normal(scale=0.5, size=(n_reps, ds.p))
         y = (rng.random((n_reps, ds.n_total)) < 0.4).astype(float)[:, ds.kernel_rows]
-        factor, not_pd = whitening_factors(structure, alpha, ds)
-        assert factor.shape == (n_reps, 8, 8) and not not_pd.any()
+        factor = whitening_factors(structure, alpha, ds)
+        assert factor.shape == (n_reps, 8, 8)
         kern, _ = assemble_block(beta, structure, alpha, phi, ds, y, factor)
         z = pgee.core.beta_stage(beta, ds, y).z
+        low = (alpha < -0.14) & (structure == "exchangeable")
         for g in ds.size_groups:
             n = g.rows.shape[1]
-            want = np.linalg.inv(np.linalg.cholesky(working_correlation(structure, alpha, n)))
-            tol = 1e-13 * np.linalg.cond(want)
+            want = np.array([literal_whitening_factor(structure, a, n) for a in alphas])
+            lapack = np.linalg.inv(np.linalg.cholesky(working_correlation(structure, alpha, n)))
             got = factor[:, :n, :n]
-            assert np.all(_max_rel(got, want) <= tol), n
+            err = _max_rel(got, want)
+            assert np.all(err[~low] <= 1e-15), (n, err)
+            assert np.all(err[low] <= np.maximum(_max_rel(lapack, want)[low], 1e-15)), (n, err)
             whitened = got @ g.view(z).reshape(n_reps, n, -1) / np.sqrt(phi)[:, None, None]
+            tol = 1e-13 * np.linalg.cond(want)
             assert np.all(_max_rel(g.view(kern.zt).reshape(n_reps, n, -1), whitened) <= tol), n
 
     @pytest.mark.parametrize("n_max", range(2, 9))
     def test_mask_is_some_size_not_positive_definite(self, rng, n_max):
         # exchangeable alphas just below and above -1/(n - 1), the bound of
-        # size n, for every n in 2..8, on clusters of sizes 2..n_max
-        ds = _interleaved_dataset(rng, tuple(range(2, n_max + 1)) * 4)
-        alpha = np.array([-1 / (n - 1) + d for n in range(2, 9) for d in (-1e-9, 1e-9)])
-        _, not_pd = whitening_factors("exchangeable", alpha, ds)
-        want = [not all(_positive_definite("exchangeable", a, n) for n in range(2, n_max + 1))
-                for a in alpha]
-        assert np.array_equal(not_pd, want)
-        assert 0 < sum(want) < len(want)
+        # size n, for every n in 2..8, on clusters of sizes 2..n_max:
+        # assemble_kernel refuses exactly those at which a literal R_n of
+        # some size has a non-positive eigenvalue, naming the first cluster
+        # of the smallest such size (sizes are in increasing order)
+        sizes = tuple(range(2, n_max + 1)) * 4
+        ds = _interleaved_dataset(rng, sizes)
+        alphas = [-1 / (n - 1) + d for n in range(2, 9) for d in (-1e-9, 1e-9)]
+        refused = []
+        for a in alphas:
+            bad = [n for n in range(2, n_max + 1) if not _positive_definite("exchangeable", a, n)]
+            try:
+                assemble_kernel(np.zeros(ds.p), "exchangeable", a, 1.0, ds)
+            except SingularV as exc:
+                assert bad and str(exc).startswith(f"cluster c{sizes.index(bad[0])}:"), (a, bad)
+                refused.append(a)
+            else:
+                assert not bad, (a, bad)
+        assert 0 < len(refused) < len(alphas)
 
 
 class TestSizeGroupParity:
@@ -415,7 +433,7 @@ class TestSizeGroupParity:
         beta = rng.normal(scale=0.5, size=(n_reps, ds.p))
         alpha, phi = np.array(alphas), np.array([1.3, 0.7, 2.0])
         y = (rng.random((n_reps, ds.n_total)) < 0.4).astype(float)
-        cinvs, _ = whitening_factors(structure, alpha, ds)
+        cinvs = whitening_factors(structure, alpha, ds)
         kern, ill = assemble_block(beta, structure, alpha, phi, ds, y[:, ds.kernel_rows], cinvs)
         assert not ill.any()
         penalty = firth_penalty(kern)

@@ -361,6 +361,8 @@ _OK = "".join(f"{c},{i % 2},{int(c == 'b')},{0.2 * i}\n" for c in "abcd" for i i
 @example(text=_HEAD.replace("x1", "x" * 200_000))  # an oversized header
 @example(text=_HEAD + re.sub(",[^,]*\n", "\n", _OK))  # every row one field short
 @example(text=_HEAD + _OK.replace("\n", ",0\n"))  # every row one field long
+@example(text="\ufeff" + _HEAD + _OK)  # a UTF-8 byte-order mark
+@example(text="\ufeff" + _HEAD + _OK + "a,1," + "1" * 200_000 + ",0\n")  # and the re-read walk
 def test_read_csv_matches_literal_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"

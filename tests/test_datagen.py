@@ -14,7 +14,7 @@ from pgee import (
 from pgee.datagen import clf_coefficients, design_columns
 from pgee.errors import BracketFailure
 
-from oracle import clf_sample, literal_clf_dataset
+from oracle import clf_sample, literal_clf_coefficients, literal_clf_dataset, working_correlation
 
 
 class TestCalibration:
@@ -63,6 +63,26 @@ class TestClfCoefficients:
         for j in range(1, 5):
             expected = rho / (1 + (j - 1) * rho)  # j previous positions
             assert np.allclose(b[j, :j], expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "structure,rhos",
+        [("exchangeable", (-1 / 7 + 1e-6, -0.1, 0.25, 0.7, 1 - 1e-6, 1 - 1e-7)),
+         ("ar1", (-1 + 1e-6, -0.4, 0.4, 0.7, 1 - 1e-6, 1 - 1e-7))],
+    )
+    def test_weights_solve_the_literal_system(self, structure, rhos):
+        # each row solves R[:j, :j] b = R[:j, j] to a residual of 2 eps; at
+        # |rho| <= 0.7 it is the solved row to 1e-15 (near a bound, the
+        # dense solve is the less accurate side)
+        for rho in rhos:
+            for n in range(2, 9):
+                b = clf_coefficients(np.empty(n), structure, rho)
+                r = working_correlation(structure, rho, n)
+                assert np.array_equal(b, np.tril(b, -1))
+                for j in range(1, n):
+                    assert np.abs(r[:j, :j] @ b[j, :j] - r[:j, j]).max() <= 2.3e-16, (rho, n, j)
+                if abs(rho) <= 0.7:
+                    want = literal_clf_coefficients(structure, rho, n)
+                    assert np.abs(b - want).max() <= 1e-15, (rho, n)
 
 
 class TestClfDraws:
@@ -244,6 +264,18 @@ class TestScenarioValidation:
     def test_non_integer_size_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             Scenario(**{"n_clusters": 10, field: value})
+
+    @pytest.mark.parametrize("n_clusters,pattern", [(10**20, (4,)), (10_001, (4,)),
+                                                    (10, "2/21"), (10, (10**20,))])
+    def test_desk_scale_bound(self, n_clusters, pattern):
+        # N <= 10 000 and sizes <= 20 (README), checked in __post_init__,
+        # before cluster_sizes builds an N-long list
+        with pytest.raises(ValueError, match="exceed the desk-scale bounds"):
+            Scenario(n_clusters=n_clusters, n_pattern=pattern)
+
+    def test_desk_scale_bound_admits_its_edge(self):
+        scen = Scenario(n_clusters=10_000, n_pattern=(2, 20))
+        assert scen.n_clusters == 10_000 and scen.n_pattern == (2, 20)
 
     def test_integral_sizes_accepted(self):
         scen = Scenario(n_clusters=np.int64(10), n_pattern=(np.int64(2), 6))

@@ -633,7 +633,7 @@ class TestOvercorrectionDiagnostic:
         assert str(err.value) == "cluster a: remaining information singular"
         # a block names the first such cluster of its first such replication
         alpha, phi = np.zeros(2), np.ones(2)
-        cinvs, _ = whitening_factors("independence", alpha, ds)
+        cinvs = whitening_factors("independence", alpha, ds)
         y = np.stack([ds.y, ds.y])[:, ds.kernel_rows]
         beta = np.array([[0.0, 0.0], [0.3, -0.2]])
         block, ill = assemble_block(beta, "independence", alpha, phi, ds, y, cinvs)
