@@ -6,9 +6,16 @@ the two-scenario grid of ``perfbench/run.py``) in a new interpreter, so a
 time includes interpreter start and imports.  With several checkouts the
 runs alternate between them, so that a drifting machine speed falls on
 both.  For every checkout, replication count and worker count it prints
-the median, the lowest and the highest wall clock over all seeds and
-runs, and the largest peak resident memory of a run, as reported for the
+the median and quartiles of the wall clock over all seeds and runs, and
+the largest peak resident memory of a run, as reported for the
 ``simulate`` process and the workers it waited for.
+
+The first checkout is the change and every other one a parent.  One
+pair is the change's run and a parent's run at the same seed and turn,
+and the machine's drift between runs is larger than a few-percent change,
+so the verdict is read pair by pair: for each parent it prints the median
+and quartiles of the change/parent wall-clock ratio over the pairs and
+the number of pairs in which the change was faster.
 
 Run from the repository root:
 
@@ -53,6 +60,14 @@ def run_once(checkout: Path, config: Path, reps: int, workers: int, seed: int, o
     return wall, usage.ru_maxrss / 1024.0
 
 
+def _quartiles(values: list) -> str:
+    """"median [first quartile, third quartile]" of ``values``."""
+    if len(values) == 1:
+        return f"{values[0]:.3f} [{values[0]:.3f}, {values[0]:.3f}]"
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return f"{q2:.3f} [{q1:.3f}, {q3:.3f}]"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", action="append", type=Path, required=True)
@@ -81,10 +96,15 @@ def main(argv=None) -> int:
                             walls[c].append(wall)
                             rss[c] = max(rss[c], peak)
                 for c in checkouts:
-                    w = walls[c]
-                    print(f"reps={reps} workers={workers} {c}: median {statistics.median(w):.2f} s"
-                          f" [{min(w):.2f}, {max(w):.2f}] over {len(w)} runs,"
+                    print(f"reps={reps} workers={workers} {c}: median [quartiles]"
+                          f" {_quartiles(walls[c])} s over {len(walls[c])} runs,"
                           f" peak RSS {rss[c]:.1f} MB")
+                change = walls[checkouts[0]]
+                for c in checkouts[1:]:
+                    ratios = [a / b for a, b in zip(change, walls[c])]
+                    print(f"reps={reps} workers={workers} {checkouts[0]} / {c}: ratio median"
+                          f" [quartiles] {_quartiles(ratios)}, change faster in"
+                          f" {sum(r < 1.0 for r in ratios)} of {len(ratios)} pairs")
     return 0
 
 

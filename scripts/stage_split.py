@@ -6,10 +6,13 @@ in lockstep (``fit_block``), evaluates the estimators
 (``estimator_table``, or ``estimate_all`` in trees that call it) and runs
 the Wald tests.  This script wraps those names in ``pgee.harness``, and
 ``whiten_block`` and ``whitening_factors`` in ``pgee.fitting``, and runs
-``run_block`` on the cells of the ``sim-small-null`` and
-``sim-large-power`` workloads of ``perfbench/run.py``: blocks of one
-replication (R = 1, as ``run_replication`` runs them) and blocks of 256
-(R = 256, as ``run_scenario`` runs them).  Per cell and R it prints the median per
+``run_block`` on four cells of ``perfbench/run.py``: those of the
+``sim-small-null`` (N = 10, n = 4) and ``sim-large-power`` (N = 50)
+workloads, and the two scenarios of its grid, ``grid-unbalanced``
+(N = 10, sizes 2/6) and ``grid-ar1`` (N = 20, n = 6, AR(1) truth and
+working structure).  Each runs in blocks of one replication (R = 1, as
+``run_replication`` runs them) and blocks of 256 (R = 256, as
+``run_scenario`` runs them).  Per cell and R it prints the median per
 replication of each stage, "test" being the rest of ``run_block``, and
 per ``fit_block`` call the mean Fisher iterations of a replication, the
 ``whiten_block`` calls, and the median time and mean calls of
@@ -51,8 +54,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-CELLS = ("sim-small-null", "sim-large-power")
-
 #: Stages timed per replication or fit; "read" is the fit-csv cell's
 #: ``read_csv``, "test" is what run_block spends outside draw, fit and
 #: estimate, and "factors" (``whitening_factors``) is part of "fit".
@@ -63,11 +64,18 @@ WRAPPED = {"draw_block": "draw", "fit_block": "fit",
            "estimator_table": "estimate", "estimate_all": "estimate"}
 
 
-def _sim_spec():
+def _cells(seed: int) -> dict:
+    """{cell: ScenarioSpec}: the sim-* workloads of ``perfbench/run.py`` and
+    the scenarios of its grid at base seed ``seed``."""
+    from pgee.harness import parse_config
+
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.sim_spec
+    cells = {cell: module.sim_spec(cell, seed) for cell in ("sim-small-null", "sim-large-power")}
+    for grid_spec in parse_config(module.GRID_CONFIG, base_seed=seed):
+        cells[f"grid-{grid_spec.id.split('-')[0]}"] = grid_spec
+    return cells
 
 
 def fit_csv_cell(fits: int, seed: int, spent: dict, counts: dict) -> dict:
@@ -134,10 +142,8 @@ def worker(reps: int, blocks: int, fits: int, seed: int) -> dict:
     wrap(pgee.fitting, "whiten_block", "whiten")
     wrap(pgee.fitting, "whitening_factors", "factors")
 
-    sim_spec = _sim_spec()
     out = {}
-    for cell in CELLS:
-        spec = sim_spec(cell, seed)
+    for cell, spec in _cells(seed).items():
         intercept = harness.calibrate_intercept(spec.scenario)
         for size, n_calls in ((1, reps), (harness.BLOCK_SIZE, blocks)):
             rows = defaultdict(list)

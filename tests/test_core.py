@@ -377,6 +377,9 @@ class TestWhiteningFactors:
             else:
                 assert not bad, (a, bad)
         assert 0 < len(refused) < len(alphas)
+        # independence takes any alpha: its R_n is the identity
+        kern = assemble_kernel(np.zeros(ds.p), "independence", -1.5, 1.0, ds)
+        assert np.array_equal(kern.zt, assemble_kernel(np.zeros(ds.p), "independence", 0.0, 1.0, ds).zt)
 
 
 class TestSizeGroupParity:

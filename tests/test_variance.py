@@ -145,7 +145,7 @@ def test_singular_leverage_flags_only_its_replication(rng, monkeypatch):
     ds = balanced_dataset(rng, n_clusters=8)
     beta = np.stack([np.zeros(ds.p), rng.normal(scale=0.8, size=ds.p)])
     alpha, phi = np.full(2, 0.2), np.ones(2)
-    cinvs, _ = whitening_factors("exchangeable", alpha, ds)
+    cinvs = whitening_factors("exchangeable", alpha, ds)
     y = np.stack([ds.y, ds.y])[:, ds.kernel_rows]
     block, ill = assemble_block(beta, "exchangeable", alpha, phi, ds, y, cinvs)
     assert not ill.any()
