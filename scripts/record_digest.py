@@ -23,12 +23,15 @@ what it prints (``diff`` of the two outputs).  It digests:
   and with ``--corr ind``, on three fits that stop early: at
   ``max_iter``, at ``beta_cap`` and with a singular information matrix,
   on a fit whose diagnostic is not computable (only cluster c0 has
-  x1 = 1), and on an unpenalized AR(1) fit with estimated dispersion that
-  stops at an alpha refresh whose information is ill-conditioned;
+  x1 = 1), on an unpenalized AR(1) fit with estimated dispersion that
+  stops at an alpha refresh whose information is ill-conditioned, and on
+  two CSVs whose information overflows at beta = 0 (``overflow-x1``: x1
+  is 0 or 1e300; ``overflow-t``: a column t = 1e300 j);
 - the text and ``--json`` reports of ``pgee diagnose`` on the four
   ``fit-csv`` CSVs, with and without ``--treatment-col treat``, on the
   first of them with ``--corr ar1`` and with ``--corr ind``, on the CSV
-  whose diagnostic is not computable (exit 2) and on the refresh stop;
+  whose diagnostic is not computable (exit 2), on the refresh stop and on
+  the two overflow CSVs;
 - the CSV and the stdout of ``pgee generate`` with ``--n 4``, with
   ``--n 2/6 --structure ar1`` and with ``--model reduced``.
 
@@ -202,7 +205,20 @@ def _fit_inputs(fit_csvs: int, work: Path) -> dict:
     refresh_stop = work / "refresh-stop.csv"
     write_csv(dataclasses.replace(data, y=y[0]), refresh_stop)
     cases["refresh_stop"] = (refresh_stop, ["--no-penalty", "--corr", "ar1", "--phi", "estimate"])
+    # the information at beta = 0 overflows: its entries are inf or nan
+    for name, header, row in OVERFLOW_CSVS:
+        path = work / f"{name}.csv"
+        path.write_text(header + "".join(
+            f"c{i},{int((i + 2 * j) % 3 == 0)},{row(i, j)}\n" for i in range(10) for j in range(2)))
+        cases[name] = (path, [])
     return cases
+
+
+#: The overflow cases: name, CSV header and the covariates of row (i, j).
+OVERFLOW_CSVS = (
+    ("overflow-x1", "cluster,y,x1\n", lambda i, j: 1e300 if (i + j) % 2 else 0.0),
+    ("overflow-t", "cluster,y,x1,t\n", lambda i, j: f"{float(i % 2)},{1e300 * j}"),
+)
 
 
 def _digest(command: str, name: str, argv: list, outputs: dict) -> None:
@@ -245,7 +261,7 @@ def fit_digests(fit_csvs: int, work: Path, outputs: dict) -> None:
     for corr in ("ar1", "ind"):
         _digest("diagnose", f"fit-csv-0-{corr}", [str(cases["fit-csv-0"][0]), "--corr", corr],
                 outputs)
-    for name in ("singular_leverage", "refresh_stop"):
+    for name in ("singular_leverage", "refresh_stop", *(case[0] for case in OVERFLOW_CSVS)):
         path, flags = cases[name]
         _digest("diagnose", name, [str(path), *flags], outputs)
 
@@ -312,8 +328,9 @@ def _numbers(label: str, text: str) -> dict:
         rows = list(csv.reader(io.StringIO(text)))
         values = {f"row {i} {col}": v for i, row in enumerate(rows[1:], 1)
                   for col, v in zip(rows[0], row)}
-    elif label.endswith("json"):
-        values, stack = {}, [("", json.loads(text))]
+    elif label.endswith("json") and text.startswith("{"):
+        # the report, then any note lines
+        values, stack = {}, [("", json.JSONDecoder().raw_decode(text)[0])]
         while stack:
             where, node = stack.pop()
             if isinstance(node, dict):

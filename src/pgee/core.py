@@ -40,14 +40,18 @@ stages: ``beta_stage`` (eta -> mu, w, r and the unwhitened
 phi -> the whitened rows ``[dt | rt]`` and their one Gram matrix, which
 holds info and the score, then ``info_inv``), so a new alpha or phi
 at an unchanged beta reuses the beta stage; ``assemble_block`` is the two
-in sequence.  Every kernel is a block, whose arrays and computations keep
-the replication axis: one dataset is a block of one, marked ``single`` by
+in sequence.  ``whiten_block`` alone judges the summed information: its
+verdict, ``FitKernel.ill``, marks each replication whose info is not
+finite, not positive definite or worse conditioned than COND_LIMIT, and
+the fit, ``assemble_kernel`` and the Cholesky factor read it.  Every
+kernel is a block, whose arrays and computations keep the replication
+axis: one dataset is a block of one, marked ``single`` by
 ``assemble_kernel``, and ``FitKernel.take`` selects replications as a
 block, so a replication gives the same numbers alone and inside a block.
 
 The kernel keeps the summed information and score and its inverse, and
 computes on demand, in cluster order, the cluster informations A_i and
-scores U_i, and the leverage: with info = L0 L0', one p x p
+scores U_i, and the leverage: with info = L0 L0' (``info_chol``), one p x p
 eigendecomposition Q diag(lam) Q' per cluster of B_i = L0^{-1} A_i L0^{-T},
 whose eigenvalues are the hat block's nonzero ones.  By push-through the
 leverage-corrected rows g_c,i = info_inv dmat' vinv (I - H)^{-c} r are
@@ -98,22 +102,6 @@ def expit(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -ETA_CAP, ETA_CAP)))
 
 
-def masked_cholesky(a: np.ndarray) -> tuple:
-    """Cholesky factors of a stack of matrices, and the mask of those that
-    are not positive definite (their factor is the identity)."""
-    bad = np.zeros(a.shape[:-2], bool)
-    try:
-        return np.linalg.cholesky(a), bad
-    except np.linalg.LinAlgError:
-        chol = np.empty(a.shape)
-        for k in np.ndindex(bad.shape):
-            try:
-                chol[k] = np.linalg.cholesky(a[k])
-            except np.linalg.LinAlgError:
-                chol[k], bad[k] = np.eye(a.shape[-1]), True
-        return chol, bad
-
-
 def conditional_regression(structure: str, alpha, n: int) -> tuple:
     """Each position of R_n(alpha) regressed on the earlier ones, at (...)
     alphas in ``data.alpha_bounds(structure, n)``: the strictly lower (..., n, n)
@@ -144,7 +132,7 @@ def whitening_factors(structure: str, alpha: np.ndarray, data: LongitudinalDatas
 
 #: The FitKernel fields that hold one entry per replication.
 _REPLICATED = ("beta", "alpha", "phi", "mu", "w", "resid", "cinv", "zt", "score", "info",
-               "info_inv")
+               "info_inv", "ill")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -184,7 +172,10 @@ class FitKernel:
     kernel order, and ``cinv`` (R, n_max, n_max) is the inverse Cholesky
     factor of R_{n_max}(alpha), whose leading n x n block is size n's.
     ``score`` (R, p) and ``info`` (R, p, p) are the summed cluster
-    scores and informations and ``info_inv`` the inverses.  ``scores``
+    scores and informations and ``info_inv`` the inverses.  ``ill`` (R,)
+    marks the replications whose information is unusable (see
+    ``whiten_block``): their ``info_inv`` and ``info_chol`` are the
+    identity, and no result is read from them.  ``scores``
     (R, N, p) and ``infos`` (R, N, p, p), in cluster order, the leverage
     and the corrected rows are computed on first use (``memo``); ``hat_block`` is
     the only per-cluster accessor.  ``single`` marks the block of one that
@@ -206,6 +197,7 @@ class FitKernel:
     score: np.ndarray
     info: np.ndarray
     info_inv: np.ndarray
+    ill: np.ndarray
     single: bool = False
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -246,10 +238,17 @@ class FitKernel:
         return _cluster_sums(self.data, dt[..., :, None] * dt[..., None, :])
 
     @cached_property
+    def info_chol(self) -> np.ndarray:
+        """(R, p, p) lower Cholesky factor L0 of ``info``, the identity
+        where ``ill``."""
+        return _readonly(np.linalg.cholesky(np.where(self.ill[:, None, None], np.eye(self.p),
+                                                     self.info)))
+
+    @cached_property
     def leverage(self) -> tuple:
         """(lam, Q, l0inv): the eigendecompositions of the B_i, (R, N, p)
         and (R, N, p, p) in cluster order, and L0^{-1} (R, p, p)."""
-        l0inv = np.linalg.inv(masked_cholesky(self.info)[0])
+        l0inv = np.linalg.inv(self.info_chol)
         lam, q = np.linalg.eigh(l0inv[:, None] @ self.infos @ l0inv.swapaxes(-1, -2)[:, None])
         return _readonly(lam), _readonly(q), _readonly(l0inv)
 
@@ -348,14 +347,18 @@ def whiten_block(
     data: LongitudinalDataset,
     stage: BetaStage,
     cinv: np.ndarray,
-) -> tuple:
+) -> FitKernel:
     """Kernel of a block of R replications from the :class:`BetaStage`
     at (R, p) ``beta`` and the R(alpha) factor ``cinv`` (see
     ``whitening_factors``), at (R,) ``alpha`` and ``phi``.
 
-    Returns (kernel, ill): ``ill`` (R,) marks the replications whose
-    sensitivity matrix is not positive definite or has a condition number
-    above COND_LIMIT; their ``info_inv`` is the identity.
+    This is the one test of the summed information: ``kernel.ill`` (R,)
+    marks the replications whose sensitivity matrix has a non-finite
+    entry, is not positive definite or has a condition number above
+    COND_LIMIT (a NaN eigenvalue fails every comparison, so it is ill).
+    A non-finite matrix is replaced by the identity before its
+    eigenvalues are taken, and every ill one before the inverse, so an
+    ill replication's ``info_inv`` is the identity.
     """
     p = beta.shape[1]
     # whiten z, one product per size; the Gram matrix of the whitened rows
@@ -364,14 +367,15 @@ def whiten_block(
     gram = zt.swapaxes(-1, -2) @ zt
     info = gram[:, :p, :p]
     info = 0.5 * (info + info.swapaxes(-1, -2))
-    eig = np.linalg.eigvalsh(info)
-    ill = (eig[:, 0] <= 0) | (eig[:, -1] > COND_LIMIT * eig[:, 0])
+    finite = np.isfinite(info).all(axis=(1, 2))
+    safe = info if finite.all() else np.where(finite[:, None, None], info, np.eye(p))
+    eig = np.linalg.eigvalsh(safe)
+    ill = ~(finite & (eig[:, 0] > 0) & (eig[:, -1] <= COND_LIMIT * eig[:, 0]))
     info_inv = np.linalg.inv(np.where(ill[:, None, None], np.eye(p), info) if ill.any() else info)
     info_inv = 0.5 * (info_inv + info_inv.swapaxes(-1, -2))
-    kernel = FitKernel(beta=beta, structure=structure, alpha=alpha, phi=phi, data=data,
-                       mu=stage.mu, w=stage.w, resid=stage.resid, cinv=cinv, zt=zt,
-                       score=gram[:, :p, p], info=info, info_inv=info_inv)
-    return kernel, ill
+    return FitKernel(beta=beta, structure=structure, alpha=alpha, phi=phi, data=data,
+                     mu=stage.mu, w=stage.w, resid=stage.resid, cinv=cinv, zt=zt,
+                     score=gram[:, :p, p], info=info, info_inv=info_inv, ill=ill)
 
 
 def assemble_block(
@@ -382,11 +386,11 @@ def assemble_block(
     data: LongitudinalDataset,
     y: np.ndarray,
     cinv: np.ndarray,
-) -> tuple:
+) -> FitKernel:
     """Kernel of a block of R replications at (R, p) ``beta`` and (R,)
     ``alpha`` and ``phi``, given the (R, n_total) responses ``y`` in kernel
     order and the R(alpha) factor ``cinv``: :func:`beta_stage`, then
-    :func:`whiten_block`, whose (kernel, ill) it returns.
+    :func:`whiten_block`.
     """
     stage = beta_stage(beta, data, y)
     return whiten_block(beta, structure, alpha, phi, data, stage, cinv)
@@ -404,8 +408,7 @@ def assemble_kernel(
 
     Raises SingularV when alpha is outside ``alpha_bounds`` of some cluster
     size (independence takes any alpha) and SingularInformation when the
-    summed information is not positive definite or its condition number
-    exceeds COND_LIMIT.
+    summed information is ill (``FitKernel.ill``).
     """
     if phi <= 0:
         raise ValueError(f"phi must be positive, got {phi}")
@@ -417,9 +420,12 @@ def assemble_kernel(
     cinv = whitening_factors(structure, alpha, data)
     y = data.y[data.kernel_rows][None]
     beta = np.asarray(beta, dtype=float)[None]
-    kernel, ill = assemble_block(beta, structure, alpha, phi, data, y, cinv)
-    if ill[0]:
-        eig = np.linalg.eigvalsh(kernel.info[0])
+    kernel = assemble_block(beta, structure, alpha, phi, data, y, cinv)
+    if kernel.ill[0]:
+        info = kernel.info[0]
+        if not np.isfinite(info).all():
+            raise SingularInformation("sensitivity matrix not finite")
+        eig = np.linalg.eigvalsh(info)
         raise SingularInformation(
             f"sensitivity matrix ill-conditioned (eigenvalues {eig[0]:.3e}"
             f" .. {eig[-1]:.3e})"

@@ -177,17 +177,6 @@ def calibrate_intercept(scenario: Scenario) -> float:
     return 0.5 * (lo + hi)
 
 
-def clf_coefficients(mu: np.ndarray, structure: str, rho: float) -> np.ndarray:
-    """Lower-triangular table of conditional regression weights.
-
-    Row j holds the weights of the standardized history y_1..y_{j-1} on
-    position j, the solution of R[:j, :j] b = R[:j, j] in closed form
-    (``core.conditional_regression``): a single-lag weight rho for AR(1)
-    and the common weight rho / (1 + (j - 2) rho) for exchangeable.
-    """
-    return conditional_regression(structure, rho, len(mu))[0]
-
-
 def _clf_rows(mu: np.ndarray, coef: np.ndarray, unif: np.ndarray) -> tuple:
     """Sequential draw of rows sharing the means ``mu`` and weights ``coef``.
 
@@ -261,7 +250,7 @@ def clf_design(scenario: Scenario, intercept: Optional[float] = None) -> ClfDesi
         raise ValueError(f"marginal mean 1 at linear predictor {eta.max():.6g}: CLF draw undefined")
     groups = []
     for n in np.unique(sizes):
-        coef = clf_coefficients(np.empty(n), scenario.true_structure, scenario.rho)
+        coef = conditional_regression(scenario.true_structure, scenario.rho, n)[0]
         for arm in (treated, ~treated):
             first = starts[:-1][arm & (sizes == n)]
             if first.size:

@@ -27,13 +27,14 @@ and a step whose every candidate improves are bound as the new state.
 When any active replication's alpha or phi moves, the refresh whitens the
 beta stage of every active replication at its alpha and phi with a fresh
 factor; one whose estimates did not move gets back the bits it had.  A
-replication whose fresh information is ill-conditioned stops with the
-factor and kernel it had.  A halving candidate forms its own beta stage
-and whitens it with the current factor.  Halving runs in two stages: the
-full step for every replication, then, for those it does not improve, the
-other MAX_HALVINGS candidates in one evaluation.  Each takes the first
-candidate that improves, else the first with the least norm, as
-sequential halving would.  After the loop one assembly builds every
+replication whose fresh information is ill (``FitKernel.ill``) stops with
+the factor and kernel it had; one whose first information is ill has
+none, and its final kernel is ill.  A halving candidate forms its own
+beta stage and whitens it with the current factor.  Halving runs in two
+stages: the full step for every replication, then, for those it does not
+improve, the other MAX_HALVINGS candidates in one evaluation.  Each takes
+the first candidate that improves, else the first with the least norm,
+as sequential halving would.  After the loop one assembly builds every
 replication's final kernel at its point and last factor.  ``fit`` is
 this loop on a block of one dataset, and its kernel is that block of one,
 marked ``single`` (see ``core.FitKernel``).
@@ -109,10 +110,11 @@ class PgeeFit:
     replication axis: ``beta`` (R, p); ``alpha``, ``phi``, ``converged``,
     ``iterations`` and ``diverged_reason`` (R,); ``kernel`` is the block
     kernel, whose entry for a replication is its final kernel: at its last
-    accepted beta, with the alpha and phi of its last factor (a
-    replication that stopped in its first iteration, before its step, has
-    none).  From ``fit`` the fields are one replication's and ``kernel``
-    is its block of one.
+    accepted beta, with the alpha and phi of its last factor.  A
+    replication whose first information is already ill stops there, and
+    its entry has ``kernel.ill`` set: it has no kernel.  From ``fit`` the
+    fields are one replication's and ``kernel`` is its block of one, None
+    when ``kernel.ill`` is set.
     """
 
     beta: np.ndarray
@@ -207,7 +209,7 @@ def fit_block(
         raise DatasetError(f"y must be (R, {data.n_total}), got shape {y.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise NonBinaryOutcome("y values must be 0 or 1")
-    return _lockstep(data, y, wm, opts or FitOptions())[0]
+    return _lockstep(data, y, wm, opts or FitOptions())
 
 
 def fit(
@@ -223,22 +225,21 @@ def fit(
     of beta above BETA_CAP, ill-conditioned information, or exhausted
     iterations; these return ``converged=False`` with a reason tag.
     """
-    res, has_kernel = _lockstep(data, data.y[None], wm, opts or FitOptions())
+    res = _lockstep(data, data.y[None], wm, opts or FitOptions())
     return PgeeFit(
         beta=res.beta[0],
         alpha=float(res.alpha[0]),
         phi=float(res.phi[0]),
         converged=bool(res.converged[0]),
         iterations=int(res.iterations[0]),
-        kernel=replace(res.kernel, single=True) if has_kernel[0] else None,
+        kernel=None if res.kernel.ill[0] else replace(res.kernel, single=True),
         diverged_reason=res.diverged_reason[0],
         penalized=res.penalized,
     )
 
 
-def _lockstep(data, y, wm, opts) -> tuple:
-    """The lockstep Fisher scoring loop; returns the block PgeeFit and the
-    (R,) mask of replications that have a kernel."""
+def _lockstep(data, y, wm, opts) -> PgeeFit:
+    """The lockstep Fisher scoring loop; returns the block PgeeFit."""
     n_reps, p = y.shape[0], data.p
     structure = wm.structure
     y = y[:, data.kernel_rows]
@@ -254,7 +255,6 @@ def _lockstep(data, y, wm, opts) -> tuple:
     out_beta, out_alpha, out_phi = np.empty((n_reps, p)), np.empty(n_reps), np.empty(n_reps)
     out_kalpha, out_kphi = np.empty(n_reps), np.empty(n_reps)
     out_factor = np.empty((n_reps, data.n_max, data.n_max))
-    has_kernel = np.zeros(n_reps, bool)
     converged = np.zeros(n_reps, bool)
     iterations = np.zeros(n_reps, int)
     reason = np.full(n_reps, None, dtype=object)
@@ -273,7 +273,7 @@ def _lockstep(data, y, wm, opts) -> tuple:
     act_y = y
     factor, info_inv, score = None, None, None
 
-    def finish(gone, why, it, with_kernel):
+    def finish(gone, why, it):
         """Write the final values of the active replications ``gone`` (a
         mask) to the outputs, with reasons ``why`` (None is converged),
         and drop them from the state."""
@@ -281,7 +281,7 @@ def _lockstep(data, y, wm, opts) -> tuple:
         rows = ids[gone]
         out_beta[rows], out_alpha[rows], out_phi[rows] = beta[gone], alpha[gone], phi[gone]
         out_kalpha[rows], out_kphi[rows], out_factor[rows] = kalpha[gone], kphi[gone], factor[gone]
-        iterations[rows], has_kernel[rows] = it, with_kernel
+        iterations[rows] = it
         reason[rows] = why if np.ndim(why) == 0 else why[gone]
         converged[rows] = np.equal(reason[rows], None)
         keep = ~gone
@@ -292,20 +292,20 @@ def _lockstep(data, y, wm, opts) -> tuple:
 
     def evaluate(point, a, ph, st, cinv):
         """Kernel of the candidates ``point`` at alphas ``a`` and phis
-        ``ph``: (kernel, ill, penalized score)."""
-        k, ill = whiten_block(point, structure, a, ph, data, st, cinv)
-        return k, ill, _penalized_score(k, opts.penalized)
+        ``ph``, and its penalized score."""
+        k = whiten_block(point, structure, a, ph, data, st, cinv)
+        return k, _penalized_score(k, opts.penalized)
 
     def refresh():
         """Kernels of every active replication at its point with a fresh
-        R(alpha) factor: (factor, info_inv, penalized score, failed)."""
+        R(alpha) factor: (factor, info_inv, penalized score, ill)."""
         cinv = whitening_factors(structure, alpha, data)
-        k, ill, g = evaluate(beta, alpha, phi, stage, cinv)
-        return cinv, k.info_inv, g, ill
+        k, g = evaluate(beta, alpha, phi, stage, cinv)
+        return cinv, k.info_inv, g, k.ill
 
     factor, info_inv, score, failed = refresh()
     if failed.any():
-        finish(failed, "singular_information", 1, False)
+        finish(failed, "singular_information", 1)
     halvings = np.array([0.5**h for h in range(1, MAX_HALVINGS + 1)])
     for it in range(1, opts.max_iter + 1):
         if not ids.size:
@@ -318,7 +318,7 @@ def _lockstep(data, y, wm, opts) -> tuple:
             fresh = refresh()
             failed = fresh[-1]
             if failed.any():
-                finish(failed, "singular_information", it, it > 1)
+                finish(failed, "singular_information", it)
                 if not ids.size:
                     break
                 fresh = [a[~failed] for a in fresh]
@@ -337,8 +337,8 @@ def _lockstep(data, y, wm, opts) -> tuple:
         # is finite and improves, it is bound as the new state.
         cand = start + 0.5**0 * step
         st = beta_stage(cand, data, act_y)
-        k, ill, gc = evaluate(cand, alpha, phi, st, factor)
-        cn = np.where(ill, np.inf, _norm(gc))
+        k, gc = evaluate(cand, alpha, phi, st, factor)
+        cn = np.where(k.ill, np.inf, _norm(gc))
         beta, stage, info_inv, score = cand, st, k.info_inv, gc
         if not np.all(cn < gnorm):
             late = np.flatnonzero(cn >= gnorm)
@@ -346,12 +346,12 @@ def _lockstep(data, y, wm, opts) -> tuple:
             if late.size:
                 cand_h = (start[late, None] + halvings[:, None] * step[late, None]).reshape(-1, p)
                 st_h = beta_stage(cand_h, data, np.repeat(act_y[late], MAX_HALVINGS, axis=0))
-                k_h, ill_h, gc_h = evaluate(
+                k_h, gc_h = evaluate(
                     cand_h, np.repeat(alpha[late], MAX_HALVINGS),
                     np.repeat(phi[late], MAX_HALVINGS), st_h,
                     np.repeat(factor[late], MAX_HALVINGS, axis=0),
                 )
-                cn_h = np.where(ill_h, np.inf, _norm(gc_h)).reshape(late.size, MAX_HALVINGS)
+                cn_h = np.where(k_h.ill, np.inf, _norm(gc_h)).reshape(late.size, MAX_HALVINGS)
                 norms = np.concatenate([best[late, None], cn_h], axis=1)
                 improves = norms < gnorm[late, None]
                 h = np.where(improves.any(axis=1), improves.argmax(axis=1), norms.argmin(axis=1))
@@ -372,13 +372,14 @@ def _lockstep(data, y, wm, opts) -> tuple:
         if gone.any():
             why = np.full(ids.size, None, dtype=object)
             why[~stepped], why[capped] = "singular_information", "beta_cap"
-            finish(gone, why, it, True)
+            finish(gone, why, it)
     if ids.size:
-        finish(np.ones(ids.size, bool), "max_iter", opts.max_iter, True)
+        finish(np.ones(ids.size, bool), "max_iter", opts.max_iter)
 
-    # every replication's final kernel, at its point and last factor
-    kernel, _ = assemble_block(out_beta, structure, out_kalpha, out_kphi, data, y, out_factor)
-    result = PgeeFit(
+    # every replication's final kernel, at its point and last factor; it is
+    # ill exactly for the replications whose first information was
+    kernel = assemble_block(out_beta, structure, out_kalpha, out_kphi, data, y, out_factor)
+    return PgeeFit(
         beta=out_beta,
         alpha=out_alpha,
         phi=out_phi,
@@ -388,4 +389,3 @@ def _lockstep(data, y, wm, opts) -> tuple:
         diverged_reason=reason,
         penalized=opts.penalized,
     )
-    return result, has_kernel

@@ -82,7 +82,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FitKernel, masked_cholesky
+from .core import FitKernel
 from .data import EstimatorId, LEVERAGE_IDS, POOLING_IDS, estimator_columns
 from .errors import SingularLeverage, ZeroSE
 
@@ -358,7 +358,7 @@ def overcorrection_diagnostic(kernel: FitKernel) -> OvercorrectionDiagnostic:
     lam, q, _ = kernel.leverage
     v = (q * (np.abs(lam) / np.sqrt(kernel.gaps))[..., None, :]).swapaxes(-1, -2)
     v = v.reshape(v.shape[0], -1, kernel.p)
-    blev = _gram(v @ masked_cholesky(kernel.info)[0].swapaxes(-1, -2))
+    blev = _gram(v @ kernel.info_chol.swapaxes(-1, -2))
     ratios = np.diagonal(blev, axis1=-2, axis2=-1) / np.diagonal(kernel.info, axis1=-2, axis2=-1)
     eigenvalues = np.linalg.eigvalsh(_gram(v))
     if kernel.single:

@@ -488,9 +488,9 @@ def literal_fit(data, y, wm, opts) -> LiteralFit:
     phi = np.ones(1) if wm.estimates_dispersion else np.array([float(wm.dispersion)])
 
     def assemble(at, cinv):
-        k, ill = assemble_block(at, wm.structure, alpha, phi, data, y, cinv)
+        k = assemble_block(at, wm.structure, alpha, phi, data, y, cinv)
         g = k.score + firth_penalty(k) if opts.penalized else k.score
-        return k, bool(ill[0]), g
+        return k, bool(k.ill[0]), g
 
     def refresh():
         cinv = whitening_factors(wm.structure, alpha, data)

@@ -14,7 +14,11 @@ import pytest
 
 import pgee.cli
 from pgee.cli import main
-from pgee import EstimatorId, Scenario, generate_dataset, parse_config, run_block, write_csv
+from pgee import (
+    EstimatorId, Scenario, generate_dataset, parse_config, read_csv, run_block, write_csv,
+)
+from pgee.core import assemble_kernel
+from pgee.errors import SingularInformation
 
 
 @pytest.fixture
@@ -68,6 +72,24 @@ def owned_csv(tmp_path):
     path = tmp_path / "owned.csv"
     path.write_text("cluster,y,x1\n" + "".join(
         f"c{i},{int((i + 2 * j) % 3 == 0)},{float(i == 0)}\n" for i in range(10) for j in range(2)))
+    return path
+
+
+#: CSVs whose information at beta = 0 overflows: x1 is 0 or 1e300, so its
+#: entries are inf and NaN, or the time column t = 1e300 j, on which
+#: LAPACK's eigensolver does not converge
+_OVERFLOW_CSVS = {
+    "x1": ("cluster,y,x1", lambda i, j: 1e300 if (i + j) % 2 else 0.0),
+    "t": ("cluster,y,x1,t", lambda i, j: f"{float(i % 2)},{1e300 * j}"),
+}
+
+
+@pytest.fixture(params=sorted(_OVERFLOW_CSVS))
+def overflow_csv(request, tmp_path):
+    header, row = _OVERFLOW_CSVS[request.param]
+    path = tmp_path / "overflow.csv"
+    path.write_text(header + "\n" + "".join(
+        f"c{i},{int((i + 2 * j) % 3 == 0)},{row(i, j)}\n" for i in range(10) for j in range(2)))
     return path
 
 
@@ -298,6 +320,42 @@ class TestFit:
         _assert_one_error_line(capsys, f"duplicate column name {name!r}")
 
 
+class TestOverflowingInformation:
+    # a non-finite information is ill: the fit stops in its first
+    # iteration with a reason and no kernel, rather than report NaN
+    # estimates or end on a LinAlgError
+
+    @staticmethod
+    def _notes_only(err):
+        assert all(line.startswith("note:") for line in err.splitlines()), err
+
+    def test_fit_text(self, overflow_csv, capsys):
+        assert main(["fit", str(overflow_csv)]) == 2
+        out, err = capsys.readouterr()
+        self._notes_only(err)
+        lines = out.splitlines()
+        assert "converged: no (singular_information)   iterations: 1" in lines
+        # the five header lines, no estimator row and no rho_s line
+        assert len(lines) == 5 and lines[-1].startswith("coefficients:")
+        assert "rho_s" not in out
+
+    def test_fit_json(self, overflow_csv, capsys):
+        assert main(["fit", str(overflow_csv), "--json"]) == 2
+        out, err = capsys.readouterr()
+        self._notes_only(err)
+        report = json.loads(out)
+        assert (report["converged"], report["diverged_reason"], report["iterations"]) == (
+            False, "singular_information", 1)
+        assert "estimators" not in report and "overcorrection" not in report
+
+    def test_assemble_kernel_raises_singular_information(self, overflow_csv):
+        data = read_csv(overflow_csv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SingularInformation, match="^sensitivity matrix not finite$"):
+                assemble_kernel(np.zeros(data.p), "exchangeable", 0.0, 1.0, data)
+
+
 class TestDiagnose:
     def test_benchmark_balanced_arms(self, tmp_path, capsys):
         lines = ["cluster,y,x1"]
@@ -361,6 +419,14 @@ class TestDiagnose:
             f"c{i},{int((i + 2 * j) % 3 == 0)},0\n" for i in range(10) for j in range(2)))
         assert main(["diagnose", str(path)]) == 2
         _assert_only_error_line(capsys, "error: no kernel available (fit failed immediately)")
+
+    def test_overflowing_information_has_no_kernel(self, overflow_csv, capsys):
+        assert main(["diagnose", str(overflow_csv)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        first, *notes = err.splitlines()
+        assert first == "error: no kernel available (fit failed immediately)"
+        assert all(line.startswith("note:") for line in notes)
 
     def test_non_subject_level_column_rejected(self, balanced_csv, capsys):
         code = main(["diagnose", str(balanced_csv), "--treatment-col", "t"])

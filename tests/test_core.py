@@ -187,13 +187,14 @@ class TestKernel:
         alpha, phi = np.full(3, 0.25), np.ones(3)
         cinvs = whitening_factors("exchangeable", alpha, ds)
         y = np.repeat(ds.y[None], 3, axis=0)[:, ds.kernel_rows]
-        block, ill = assemble_block(beta, "exchangeable", alpha, phi, ds, y, cinvs)
-        assert not ill.any()
+        block = assemble_block(beta, "exchangeable", alpha, phi, ds, y, cinvs)
+        assert not block.ill.any()
         gap = np.sort(1.0 - block.max_leverage.max(axis=1))
         monkeypatch.setattr(pgee.core, "LEVERAGE_TOL", gap[:2].mean())
         assert block.singular_leverage.sum() == 1
         for r in range(3):
             row = block.take([r])
+            assert row.ill.shape == (1,) and row.ill[0] == block.ill[r]
             assert row.max_leverage.shape == (1, 10)
             assert np.array_equal(row.max_leverage[0], block.max_leverage[r])
             assert row.singular_leverage[0] == block.singular_leverage[r]
@@ -341,7 +342,7 @@ class TestWhiteningFactors:
         y = (rng.random((n_reps, ds.n_total)) < 0.4).astype(float)[:, ds.kernel_rows]
         factor = whitening_factors(structure, alpha, ds)
         assert factor.shape == (n_reps, 8, 8)
-        kern, _ = assemble_block(beta, structure, alpha, phi, ds, y, factor)
+        kern = assemble_block(beta, structure, alpha, phi, ds, y, factor)
         z = pgee.core.beta_stage(beta, ds, y).z
         low = (alpha < -0.14) & (structure == "exchangeable")
         for g in ds.size_groups:
@@ -437,8 +438,8 @@ class TestSizeGroupParity:
         alpha, phi = np.array(alphas), np.array([1.3, 0.7, 2.0])
         y = (rng.random((n_reps, ds.n_total)) < 0.4).astype(float)
         cinvs = whitening_factors(structure, alpha, ds)
-        kern, ill = assemble_block(beta, structure, alpha, phi, ds, y[:, ds.kernel_rows], cinvs)
-        assert not ill.any()
+        kern = assemble_block(beta, structure, alpha, phi, ds, y[:, ds.kernel_rows], cinvs)
+        assert not kern.ill.any()
         penalty = firth_penalty(kern)
 
         def close(a, b, tol=1e-12):

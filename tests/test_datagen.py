@@ -11,7 +11,8 @@ from pgee import (
     calibrate_intercept,
     generate_dataset,
 )
-from pgee.datagen import clf_coefficients, design_columns
+from pgee.core import conditional_regression
+from pgee.datagen import design_columns
 from pgee.errors import BracketFailure
 
 from oracle import clf_sample, literal_clf_coefficients, literal_clf_dataset, working_correlation
@@ -48,18 +49,18 @@ class TestCalibration:
 
 class TestClfCoefficients:
     def test_independent_weights_zero(self):
-        b = clf_coefficients(np.full(4, 0.3), "exchangeable", 0.0)
+        b = conditional_regression("exchangeable", 0.0, 4)[0]
         assert np.allclose(b, 0.0)
 
     def test_ar1_single_lag(self):
-        b = clf_coefficients(np.full(5, 0.3), "ar1", 0.4)
+        b = conditional_regression("ar1", 0.4, 5)[0]
         for j in range(1, 5):
             assert b[j, j - 1] == pytest.approx(0.4, abs=1e-12)
             assert np.allclose(b[j, : j - 1], 0.0, atol=1e-12)
 
     def test_exchangeable_common_weight(self):
         rho = 0.25
-        b = clf_coefficients(np.full(5, 0.3), "exchangeable", rho)
+        b = conditional_regression("exchangeable", rho, 5)[0]
         for j in range(1, 5):
             expected = rho / (1 + (j - 1) * rho)  # j previous positions
             assert np.allclose(b[j, :j], expected, atol=1e-12)
@@ -75,7 +76,7 @@ class TestClfCoefficients:
         # dense solve is the less accurate side)
         for rho in rhos:
             for n in range(2, 9):
-                b = clf_coefficients(np.empty(n), structure, rho)
+                b = conditional_regression(structure, rho, n)[0]
                 r = working_correlation(structure, rho, n)
                 assert np.array_equal(b, np.tril(b, -1))
                 for j in range(1, n):
@@ -91,7 +92,7 @@ class TestClfDraws:
         # sequential construction
         mu = np.array([0.5, 0.5])
         rho = 0.3
-        b = clf_coefficients(mu, "exchangeable", rho)
+        b = conditional_regression("exchangeable", rho, len(mu))[0]
         lam_given_1 = mu[1] + b[1, 0] * (1 - mu[0])
         p11 = mu[0] * lam_given_1
         assert p11 == pytest.approx(0.325, abs=1e-12)

@@ -16,6 +16,7 @@ from pgee import (
     estimate_phi,
     firth_penalty,
     fit,
+    fit_block,
     gee_score,
     generate_dataset,
     overcorrection_diagnostic,
@@ -60,6 +61,19 @@ class TestFitClosedForms:
         res = fit(validate_dataset(rows), wm)
         assert not res.converged and res.kernel is None
         assert (res.diverged_reason, res.iterations) == ("singular_information", 1)
+
+    def test_collinear_block_is_ill_on_every_row(self, rng):
+        # two equal covariates: every replication's first information is
+        # singular, so each row of the block kernel is ill and fit has none
+        rows = [(i, float((i + j) % 2), (float(j), float(j)), None)
+                for i in range(10) for j in range(3)]
+        ds = validate_dataset(rows)
+        wm = WorkingModel(structure="exchangeable", alpha="estimate", dispersion=1.0)
+        y = (rng.random((5, ds.n_total)) < 0.4).astype(float)
+        res = fit_block(ds, y, wm)
+        assert res.kernel.ill.tolist() == [True] * 5
+        assert set(res.diverged_reason) == {"singular_information"}
+        assert fit(ds, wm).kernel is None
 
     def test_singular_mid_fit_matches_literal_fit(self):
         # x2 is 1 only on some events: unpenalized, its coefficient runs

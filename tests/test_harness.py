@@ -40,7 +40,7 @@ from pgee.harness import (
     run_block,
 )
 from pgee.datagen import ClfDesign
-from pgee.fitting import fit_block
+from pgee.fitting import fit, fit_block
 
 from oracle import literal_cells, literal_clf_dataset, literal_fit
 
@@ -210,6 +210,10 @@ def test_fit_block_matches_literal_fit(cell):
                 got = (res.alpha[r], res.phi[r], res.converged[r], res.iterations[r],
                        res.diverged_reason[r])
                 assert got == (ref.alpha, ref.phi, ref.converged, ref.iterations, ref.reason), r
+                # one verdict: the block's, its row's and fit's on this y alone
+                alone = fit(dataclasses.replace(design, y=yr), wm, opts)
+                assert res.kernel.ill[r] == res.kernel.take([r]).ill[0], r
+                assert res.kernel.ill[r] == (alone.kernel is None) == (ref.kernel is None), r
                 if ref.kernel is not None:
                     assert np.array_equal(res.kernel.info_inv[r], ref.kernel.info_inv[0]), r
                     assert np.array_equal(res.kernel.score[r], ref.kernel.score[0]), r

@@ -147,8 +147,8 @@ def test_singular_leverage_flags_only_its_replication(rng, monkeypatch):
     alpha, phi = np.full(2, 0.2), np.ones(2)
     cinvs = whitening_factors("exchangeable", alpha, ds)
     y = np.stack([ds.y, ds.y])[:, ds.kernel_rows]
-    block, ill = assemble_block(beta, "exchangeable", alpha, phi, ds, y, cinvs)
-    assert not ill.any()
+    block = assemble_block(beta, "exchangeable", alpha, phi, ds, y, cinvs)
+    assert not block.ill.any()
     gap = 1.0 - block.max_leverage.max(axis=1)
     assert gap[0] != gap[1]
     monkeypatch.setattr(pgee.core, "LEVERAGE_TOL", gap.mean())
@@ -636,8 +636,8 @@ class TestOvercorrectionDiagnostic:
         cinvs = whitening_factors("independence", alpha, ds)
         y = np.stack([ds.y, ds.y])[:, ds.kernel_rows]
         beta = np.array([[0.0, 0.0], [0.3, -0.2]])
-        block, ill = assemble_block(beta, "independence", alpha, phi, ds, y, cinvs)
-        assert not ill.any()
+        block = assemble_block(beta, "independence", alpha, phi, ds, y, cinvs)
+        assert not block.ill.any()
         with pytest.raises(SingularLeverage) as err:
             overcorrection_diagnostic(block)
         assert str(err.value) == "cluster a: remaining information singular"
