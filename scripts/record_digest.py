@@ -7,7 +7,7 @@ bitwise the same is checked by running this script in both and comparing
 what it prints (``diff`` of the two outputs).  It digests:
 
 - the records of replications 0 .. reps-1, run in blocks of
-  ``BLOCK_SIZE`` as ``run_scenario`` runs them, each block's rows pickled
+  ``BLOCK_SIZE`` as ``pgee simulate`` runs them, each block's rows pickled
   as the per-replication dicts of ``run_replication``
   (``harness.block_records``), on the
   two scenarios of the ``perfbench`` grid at base seeds 1, 7 and 1000,
@@ -16,8 +16,10 @@ what it prints (``diff`` of the two outputs).  It digests:
   one treated cluster (N = 10, gamma 0.1, seed 15, sizes 4 and 2/6), whose
   (I - H) is singular in every replication, and on an AR(1) cell of sizes
   2/6 (N = 20, AR(1) truth and working structure, seed 12);
-- ``results.csv`` and ``summary.json`` of ``pgee simulate`` on the
-  ``perfbench`` grid at ``--workers 1`` and ``2``;
+- ``results.csv`` and ``summary.json`` of ``pgee simulate`` at
+  ``--workers 1`` and ``2`` on the ``perfbench`` grid and on the
+  24 scenarios of ``configs/paper.ini`` at ``PAPER_REPS`` (40)
+  replications, one block per scenario;
 - the text and ``--json`` reports of ``pgee fit`` on the four CSVs of the
   ``fit-csv`` workload (seed 1), on the first of them with ``--corr ar1``
   and with ``--corr ind``, on three fits that stop early: at
@@ -47,7 +49,7 @@ replication with an SE change above 1e-10 with its fit's 1 - max hat
 eigenvalue and alpha.  Per output it prints whether it is byte-identical
 and, if not, the largest relative change of each ``results.csv`` column,
 every JSON number that moved by more than 1e-10 relative, and every line
-of a text report that differs.
+that only one of the two holds (of any output but ``pgee simulate``'s).
 
 Run from the repository root:
 
@@ -62,6 +64,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import difflib
 import hashlib
 import importlib.util
 import io
@@ -89,6 +92,9 @@ SE_TOL = 1e-10
 FLIP_FIELDS = ("converged", "iterations", "reason", "invalid")
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Replications per scenario of ``pgee simulate`` on ``configs/paper.ini``.
+PAPER_REPS = 40
 
 
 def _perfbench():
@@ -147,16 +153,19 @@ def _run(argv: list) -> tuple:
     return code, out.getvalue()
 
 
-def output_digests(grid_config: str, sim_reps: int, work: Path, outputs: dict) -> None:
-    config = work / "grid.cfg"
+def output_digests(grid: str, grid_config: str, sim_reps: int, work: Path,
+                   outputs: dict) -> None:
+    """Print the digests of ``pgee simulate`` on the config ``grid_config``
+    (named ``grid``) at one and two workers."""
+    config = work / f"{grid}.cfg"
     config.write_text(grid_config, encoding="utf-8")
     for workers in ("1", "2"):
-        out_dir = work / f"out-w{workers}"
+        out_dir = work / f"out-{grid}-w{workers}"
         code, _ = _run(["simulate", "--config", str(config), "--reps", str(sim_reps),
                         "--seed", "1", "--workers", workers, "--min-converged", "10",
                         "--out-dir", str(out_dir)])
         for name in ("results.csv", "summary.json"):
-            label = f"simulate reps={sim_reps} workers={workers} {name}"
+            label = f"simulate {grid} reps={sim_reps} workers={workers} {name}"
             if code == 0:
                 text = (out_dir / name).read_text(encoding="utf-8")
                 outputs[label] = (code, text)
@@ -373,17 +382,18 @@ def compare_outputs(outputs: dict, old: dict) -> None:
             for where, change in changes.items():
                 if change > SE_TOL:
                     print(f"    {where}: {old_nums[where]!r} -> {new_nums[where]!r}")
-        if label.endswith((" text", " csv")):
-            for a, b in zip(old_text.splitlines(), text.splitlines()):
-                if a != b:
-                    print(f"    - {a}\n    + {b}")
+        if not label.startswith("simulate "):
+            # every line that only one of the two outputs holds
+            for line in difflib.ndiff(old_text.splitlines(), text.splitlines()):
+                if line.startswith(("- ", "+ ")):
+                    print(f"    {line}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--reps", type=int, default=1024, help="replications per record cell")
     parser.add_argument("--sim-reps", type=int, default=200,
-                        help="replications per scenario of pgee simulate")
+                        help="replications per scenario of pgee simulate on the perfbench grid")
     parser.add_argument("--dump", type=Path, help="write the records and outputs here")
     parser.add_argument("--against", type=Path,
                         help="compare with the records and outputs that --dump wrote there")
@@ -393,7 +403,9 @@ def main(argv=None) -> int:
     outputs: dict = {}
     # run in the scratch directory: ``fit --json`` reports the data path
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        output_digests(bench.GRID_CONFIG, args.sim_reps, Path(), outputs)
+        output_digests("perfbench", bench.GRID_CONFIG, args.sim_reps, Path(), outputs)
+        output_digests("paper", (ROOT / "configs" / "paper.ini").read_text(encoding="utf-8"),
+                       PAPER_REPS, Path(), outputs)
         fit_digests(bench.FIT_CSVS, Path(), outputs)
         generate_digests(Path(), outputs)
     if args.dump:

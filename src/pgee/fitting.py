@@ -186,7 +186,10 @@ def _norm(g: np.ndarray) -> np.ndarray:
 
 def _penalized_score(kernel: FitKernel, penalized: bool) -> np.ndarray:
     g = gee_score(kernel)
-    if penalized:
+    if penalized and kernel.ill.any():  # no caller reads an ill score: not penalized
+        g, ok = g.copy(), ~kernel.ill
+        g[ok] += firth_penalty(kernel.take(ok))
+    elif penalized:
         g = g + firth_penalty(kernel)
     return g
 
@@ -250,11 +253,10 @@ def _lockstep(data, y, wm, opts) -> PgeeFit:
         alpha = np.full(n_reps, float(wm.alpha))
     phi = np.ones(n_reps) if wm.estimates_dispersion else np.full(n_reps, float(wm.dispersion))
 
-    # What a replication leaves when it stops: its point, estimates, the
-    # alpha and phi of its last factor and that factor, (R,) first.
+    # What a replication leaves when it stops: its point, estimates and the
+    # alpha and phi of its last factor, (R,) first.
     out_beta, out_alpha, out_phi = np.empty((n_reps, p)), np.empty(n_reps), np.empty(n_reps)
     out_kalpha, out_kphi = np.empty(n_reps), np.empty(n_reps)
-    out_factor = np.empty((n_reps, data.n_max, data.n_max))
     converged = np.zeros(n_reps, bool)
     iterations = np.zeros(n_reps, int)
     reason = np.full(n_reps, None, dtype=object)
@@ -280,7 +282,7 @@ def _lockstep(data, y, wm, opts) -> PgeeFit:
         nonlocal ids, beta, alpha, phi, kalpha, kphi, info_inv, score, stage, factor, act_y
         rows = ids[gone]
         out_beta[rows], out_alpha[rows], out_phi[rows] = beta[gone], alpha[gone], phi[gone]
-        out_kalpha[rows], out_kphi[rows], out_factor[rows] = kalpha[gone], kphi[gone], factor[gone]
+        out_kalpha[rows], out_kphi[rows] = kalpha[gone], kphi[gone]
         iterations[rows] = it
         reason[rows] = why if np.ndim(why) == 0 else why[gone]
         converged[rows] = np.equal(reason[rows], None)
@@ -378,7 +380,8 @@ def _lockstep(data, y, wm, opts) -> PgeeFit:
 
     # every replication's final kernel, at its point and last factor; it is
     # ill exactly for the replications whose first information was
-    kernel = assemble_block(out_beta, structure, out_kalpha, out_kphi, data, y, out_factor)
+    kernel = assemble_block(out_beta, structure, out_kalpha, out_kphi, data, y,
+                            whitening_factors(structure, out_kalpha, data))
     return PgeeFit(
         beta=out_beta,
         alpha=out_alpha,

@@ -26,11 +26,11 @@ pending replications and draws their responses in one pass, and only the
 replications whose draw was invalid go on to the next attempt.  The
 block's responses are fitted in lockstep, and its converged replications
 are estimated and tested together, into one ``BlockResult`` of arrays;
-``run_replication`` is a block of one.  The process pool is handed whole
-blocks, so the blocks, and every output, are identical for any worker
-count.  ``aggregate`` concatenates the blocks and reduces the estimators
-that are computable on the same replications together, one axis-wise call
-per statistic.
+``run_replication`` is a block of one.  The blocks of a whole grid are
+the jobs of one process pool (``run_grid``), so the blocks, and every
+output, are identical for any worker count.  ``aggregate`` concatenates a
+scenario's blocks and reduces the estimators that are computable on the
+same replications together, one axis-wise call per statistic.
 
 Scenario grids come from an INI-style config file; every section is one
 block and whitespace-separated values expand by Cartesian product::
@@ -84,8 +84,7 @@ MAX_ATTEMPTS = 1000
 #: of this many consecutive indices, so the batches, and with them every
 #: output, are the same for any worker count.  Chosen by measurement (see
 #: README): fuller blocks share the lockstep loop's per-call overhead, and
-#: beyond 256 the gain is small.  A scenario uses a second worker only from
-#: BLOCK_SIZE + 1 replications, and balances two from about 2 * BLOCK_SIZE.
+#: beyond 256 the gain is small.  The block is a grid's unit of work.
 BLOCK_SIZE = 256
 
 #: ``reason`` of a replication whose MAX_ATTEMPTS draws were all invalid.
@@ -383,28 +382,6 @@ def aggregate(
     )
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    reps: int,
-    workers: int = 1,
-    estimators: Optional[Sequence[EstimatorId]] = None,
-    min_converged: int = 100,
-) -> ScenarioResult:
-    """Run all replications of one scenario in blocks of BLOCK_SIZE
-    consecutive indices, optionally handing whole blocks to processes (no
-    more processes than blocks)."""
-    intercept = calibrate_intercept(spec.scenario)
-    blocks = [range(start, min(start + BLOCK_SIZE, reps)) for start in range(0, reps, BLOCK_SIZE)]
-    job = partial(run_block, spec, intercept=intercept, estimators=estimators)
-    workers = min(workers, len(blocks))
-    if workers <= 1:
-        results = list(map(job, blocks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, blocks))
-    return aggregate(results, spec, estimators, min_converged=min_converged)
-
-
 def effective_workers(requested: int) -> int:
     """Requested worker count capped by the PGEE_THREADS environment variable."""
     cap = os.environ.get("PGEE_THREADS")
@@ -423,14 +400,33 @@ def run_grid(
     estimators: Optional[Sequence[EstimatorId]] = None,
     min_converged: int = 100,
 ) -> list:
-    """Run every scenario in a grid; deterministic for any worker count."""
-    workers = effective_workers(workers)
-    return [
-        run_scenario(
-            spec, reps, workers=workers, estimators=estimators, min_converged=min_converged
-        )
-        for spec in specs
-    ]
+    """Run every scenario in a grid; deterministic for any worker count.
+
+    Every intercept is calibrated first, in this process.  A job is a block
+    of BLOCK_SIZE consecutive replications of one scenario, in (scenario,
+    block) order; up to ``effective_workers(workers)`` jobs run at once, in
+    one process pool with no more processes than jobs, or here at one
+    worker.  Each scenario is aggregated as soon as its blocks are in, and
+    an error cancels the pending jobs."""
+    intercepts = [calibrate_intercept(spec.scenario) for spec in specs]
+    blocks = [range(start, min(start + BLOCK_SIZE, reps)) for start in range(0, reps, BLOCK_SIZE)]
+    # run_block's spec, reps and intercept, one entry per job
+    jobs = ([spec for spec in specs for _ in blocks], blocks * len(specs),
+            [intercept for intercept in intercepts for _ in blocks])
+    workers = min(effective_workers(workers), len(specs) * len(blocks))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        done = (pool.map if pool else map)(partial(run_block, estimators=estimators), *jobs)
+        return [aggregate(list(itertools.islice(done, len(blocks))), spec, estimators,
+                          min_converged=min_converged) for spec in specs]
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+
+
+def run_scenario(spec: ScenarioSpec, reps: int, **options) -> ScenarioResult:
+    """All replications of one scenario: ``run_grid([spec], reps, **options)[0]``."""
+    return run_grid([spec], reps, **options)[0]
 
 
 def _fmt(value) -> str:

@@ -348,6 +348,15 @@ class TestOverflowingInformation:
             False, "singular_information", 1)
         assert "estimators" not in report and "overcorrection" not in report
 
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_no_penalty_on_ill_information(self, overflow_csv, capsys, command):
+        # the Firth penalty is not evaluated where the information is ill,
+        # so its NaN products leave no note; numpy's overflow note stays
+        assert main([command, str(overflow_csv)]) == 2
+        err = capsys.readouterr().err
+        assert "note: overflow encountered" in err
+        assert not [line for line in err.splitlines() if "invalid value" in line]
+
     def test_assemble_kernel_raises_singular_information(self, overflow_csv):
         data = read_csv(overflow_csv)
         with warnings.catch_warnings():
@@ -661,17 +670,25 @@ class TestExtremeLinearPredictor:
         assert self._run(command, tmp_path, "0.5", "60") == 1
         _assert_only_error_line(capsys, "marginal mean 1")
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_failed_draw_names_its_scenario_and_writes_nothing(self, tmp_path, capsys, workers):
-        # the second of two sections cannot be drawn: the one error line
-        # names it, and the output directory is never created
+    @pytest.mark.parametrize("workers, reps, failing_first", [
+        pytest.param("1", "300", False, id="1"),
+        pytest.param("2", "300", False, id="2"),
+        pytest.param("2", "100", True, id="2-failing-first"),
+    ])
+    def test_failed_draw_names_its_scenario_and_writes_nothing(
+        self, tmp_path, capsys, workers, reps, failing_first
+    ):
+        # one of two sections cannot be drawn: the one error line names it,
+        # and the output directory is never created
+        fine = "[fine]\nN = 10\nn = 4\nevent_rate = 0.2\nrho = 0.2\ntrue = exchangeable\n"
+        extreme = ("[extreme]\nN = 10\nn = 4\nevent_rate = 0.5\nrho = 0.2\n"
+                   "true = exchangeable\nbeta1 = 60\n")
         cfg = tmp_path / "grid.cfg"
-        cfg.write_text("[fine]\nN = 10\nn = 4\nevent_rate = 0.2\nrho = 0.2\n"
-                       "true = exchangeable\n\n[extreme]\nN = 10\nn = 4\n"
-                       "event_rate = 0.5\nrho = 0.2\ntrue = exchangeable\nbeta1 = 60\n")
+        cfg.write_text(f"{extreme}\n{fine}" if failing_first else f"{fine}\n{extreme}")
         out_dir = tmp_path / "out"
-        # 300 replications make two blocks, so two workers run a pool
-        assert main(["simulate", "--config", str(cfg), "--reps", "300", "--workers", workers,
+        # 300 replications make two blocks per scenario, 100 one; two
+        # workers run every block of the grid in one pool
+        assert main(["simulate", "--config", str(cfg), "--reps", reps, "--workers", workers,
                      "--min-converged", "1", "--out-dir", str(out_dir)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1

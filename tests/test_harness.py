@@ -26,6 +26,7 @@ from pgee import (
     summary_json,
     wald_test,
 )
+from pgee import harness
 from pgee.errors import ConfigError, TooFewConverged
 from pgee.harness import (
     BLOCK_SIZE,
@@ -529,15 +530,68 @@ true = exchangeable
         assert results_csv(r1) == results_csv(r2)
         assert summary_json(specs, r1, 3, 60) == summary_json(specs, r2, 3, 60)
 
-    def test_worker_count_invariance(self):
-        # one whole block and part of the next
-        specs = parse_config(self.TINY, base_seed=3)
-        reps = BLOCK_SIZE + 8
-        kw = dict(reps=reps, estimators=FAST_ESTIMATORS, min_converged=20)
-        serial = run_grid(specs, workers=1, **kw)
-        parallel = run_grid(specs, workers=2, **kw)
-        assert results_csv(serial) == results_csv(parallel)
-        assert summary_json(specs, serial, 3, reps) == summary_json(specs, parallel, 3, reps)
+    GRID = """
+[grid]
+N = 10 20 30
+event_rate = 0.2
+rho = 0.2
+true = exchangeable
+"""
+
+    def test_worker_count_invariance(self, monkeypatch):
+        # one whole block and part of the next; then three scenarios of one
+        # block each, which two workers run across scenarios
+        pools = []
+
+        class Pool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.delenv("PGEE_THREADS", raising=False)
+        for config, reps in ((self.TINY, BLOCK_SIZE + 8), (self.GRID, 40)):
+            specs = parse_config(config, base_seed=3)
+            kw = dict(reps=reps, estimators=FAST_ESTIMATORS, min_converged=20)
+            serial = run_grid(specs, workers=1, **kw)
+            parallel = run_grid(specs, workers=2, **kw)
+            assert results_csv(serial) == results_csv(parallel)
+            assert summary_json(specs, serial, 3, reps) == summary_json(specs, parallel, 3, reps)
+        # one pool per grid, and none at one worker
+        assert pools == [2, 2]
+
+    def test_scenarios_are_aggregated_in_turn(self, monkeypatch):
+        # at one worker the first scenario's error comes before any block
+        # of the next one runs
+        ran = []
+        monkeypatch.setattr(harness, "run_block", lambda spec, *a, **k: ran.append(spec.id))
+        monkeypatch.setattr(harness, "aggregate", lambda *a, **k: 1 / 0)
+        specs = parse_config(self.GRID, base_seed=3)
+        with pytest.raises(ZeroDivisionError):
+            run_grid(specs, reps=2 * BLOCK_SIZE, workers=1)
+        assert ran == [specs[0].id] * 2
+
+    def test_error_cancels_pending_jobs(self, monkeypatch):
+        shutdowns = []
+
+        class Pool(harness.ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        specs = parse_config(self.GRID, base_seed=3)
+        with pytest.raises(TooFewConverged, match=f"^{specs[0].id}: only"):
+            run_grid(specs, reps=40, workers=2, estimators=FAST_ESTIMATORS, min_converged=41)
+        assert shutdowns == [True]
+
+    def test_run_scenario_honours_worker_cap(self, monkeypatch):
+        # a scenario of two blocks runs in this process under PGEE_THREADS=1
+        monkeypatch.setenv("PGEE_THREADS", "1")
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", None)
+        res = run_scenario(_spec(), BLOCK_SIZE + 8, workers=2, estimators=FAST_ESTIMATORS,
+                           min_converged=20)
+        assert res.b_total == BLOCK_SIZE + 8
 
     def test_worker_env_cap(self, monkeypatch):
         from pgee.harness import effective_workers
