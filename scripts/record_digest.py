@@ -361,6 +361,9 @@ def _numbers(label: str, text: str) -> dict:
 
 def compare_outputs(outputs: dict, old: dict) -> None:
     for label, (code, text) in outputs.items():
+        if label not in old:
+            print(f"output {label}: not in the dump")
+            continue
         old_code, old_text = old[label]
         if text == old_text and code == old_code:
             print(f"output {label}: byte-identical")
